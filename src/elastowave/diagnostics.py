@@ -102,8 +102,6 @@ def _voigt_sym(tau, dim):
 
 def plane_wave_polarization(pw, material, dim):
     """Exact state-vector amplitude Q0 and speed c of the traveling mode."""
-    if not material.isotropic:
-        raise AnisotropicUnsupported("plane-wave modes need isotropic media")
     n = np.asarray(pw.n, dtype=float)
     if n.size != dim:
         raise ValueError(f"direction must have {dim} components")
@@ -289,11 +287,6 @@ def write_series(path, times, values):
         f.write("t,value\n")
         for t, v in zip(times, values):
             f.write(f"{t:.16e},{v:.16e}\n")
-
-
-def read_series(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 0], data[:, 1]
 
 
 def write_convergence(path, spacings, errors, rates):

@@ -17,10 +17,6 @@ class OutOfReferenceDomain(ElastowaveError):
     """Reference coordinate outside [-1, 1]."""
 
 
-class ShapeMismatch(ElastowaveError):
-    """Array extents inconsistent with the operator degree or layout."""
-
-
 class InvalidLame(ElastowaveError):
     """Lame parameters violate mu > 0, lambda > -mu."""
 
@@ -74,10 +70,6 @@ class ValidationError(ElastowaveError):
 
 class UnknownPreset(ElastowaveError):
     """Preset name not recognized."""
-
-
-class FormatError(ElastowaveError):
-    """Reference seismogram file malformed."""
 
 
 class UnsupportedOrder(ElastowaveError):

@@ -1,4 +1,4 @@
-"""Hat-variables, fluctuations, and flux vectors for faces.
+"""Hat-variables and fluctuations for faces.
 
 Every operation works per wave family on scalars or broadcastable numpy
 arrays; the solver calls these with whole face planes at once.
@@ -15,7 +15,6 @@ continuity of velocity and traction.
 import numpy as np
 
 from .errors import InvalidReflectionCoefficient
-from .physics import sig_slots
 
 
 def hat_boundary(v, T, Z, gamma, side):
@@ -56,21 +55,3 @@ def fluctuation(v, T, vhat, that, Z, side):
     the ingoing characteristic when the outgoing one is preserved.
     """
     return 0.5 * Z * (v - vhat) + side * 0.5 * (T - that)
-
-
-def flux_vectors(G, Z, axis, side, dim=3):
-    """Embed per-family fluctuations into a state-sized flux vector.
-
-    side=-1 returns FL = (G; -a^T Z^-1 G), side=+1 returns FR with the plus
-    sign. `G` and `Z` carry the family axis first; the result gains the
-    state-component axis in its place.
-    """
-    G = np.asarray(G, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    nv = dim
-    nc = 9 if dim == 3 else 5
-    out = np.zeros((nc,) + G.shape[1:])
-    out[:nv] = G
-    for fam, slot in enumerate(sig_slots(axis, dim)):
-        out[slot] = side * G[fam] / (Z[fam] if Z.ndim else Z)
-    return out

@@ -31,6 +31,8 @@ def _thread_cap():
 
 
 def build_parser():
+    from ..operators import MAX_DEGREE
+
     p = argparse.ArgumentParser(
         prog="elastowave",
         description="wave propagation runs with absorbing layers")
@@ -51,7 +53,8 @@ def build_parser():
 
     chk = sub.add_parser("check-operators",
                          help="verify the discrete operator identities")
-    chk.add_argument("--max-degree", type=int, default=12)
+    chk.add_argument("--max-degree", type=int, default=MAX_DEGREE,
+                     help=f"highest degree checked, 1 to {MAX_DEGREE}")
 
     conv = sub.add_parser("convergence",
                           help="element-size refinement study")
@@ -95,8 +98,12 @@ def _report(result, output_dir):
 def _check_operators(max_degree):
     import numpy as np
 
-    from ..operators import build_operators
+    from ..errors import UnsupportedDegree
+    from ..operators import MAX_DEGREE, build_operators
 
+    if not 1 <= max_degree <= MAX_DEGREE:
+        raise UnsupportedDegree(
+            f"--max-degree must lie in [1, {MAX_DEGREE}], got {max_degree}")
     worst = 0.0
     failed = False
     for kind in ("GLL", "GL", "GLR"):

@@ -12,12 +12,11 @@ single ValidationError that lists every violation, not just the first.
 """
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..errors import ParseError, ValidationError
+from ..operators import MAX_DEGREE
 from ..physics import material_from_lame, material_from_speeds
-
-MAX_DEGREE = 16
 
 _UNITS = {
     "m": 1.0,
@@ -652,7 +651,3 @@ def finalize(cfg):
     if violations:
         raise ValidationError("\n".join(violations))
     return cfg
-
-
-def with_notes(cfg, *extra):
-    return replace(cfg, notes=cfg.notes + tuple(extra))

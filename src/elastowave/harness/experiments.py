@@ -8,17 +8,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .. import solver
-from ..diagnostics import (EnergySample, convergence_rates, discrete_energy,
+from ..diagnostics import (convergence_rates, discrete_energy,
                            linf_series, pml_error, seismogram_misfit,
                            write_convergence, write_series, PlaneWaveSpec,
                            plane_wave_state)
-from ..errors import DivergenceDetected, FormatError
+from ..errors import DivergenceDetected
 from ..mesh import MeshSpec, build_mesh
 from ..operators import build_operators
 from ..pml import build_damping, d0_from_tol, resolve_tol
-from ..sources import (GaussianSTF, MomentTensorSource, RampSTF, Receiver,
-                       write_seismogram)
-from .config import OutputSpec, PmlSpec, finalize
+from ..sources import (GaussianSTF, IntervalGate, MomentTensorSource,
+                       RampSTF, Receiver, write_seismogram)
+from .config import PmlSpec, finalize
 
 _AXES = "xyz"
 
@@ -141,23 +141,6 @@ def _apply_initial(state, cfg):
         raise ValueError(f"unknown initial kind {ini.kind!r}")
 
 
-class _IntervalGate:
-    """True once per interval tick; interval None fires every call."""
-
-    def __init__(self, interval):
-        self.interval = interval
-        self.next = 0.0
-
-    def __call__(self, t):
-        if self.interval is None:
-            return True
-        if t < self.next - 1e-9:
-            return False
-        while self.next <= t + 1e-9:
-            self.next += self.interval
-        return True
-
-
 def _source_point(cfg):
     if cfg.sources:
         return cfg.sources[0].location
@@ -181,8 +164,8 @@ def run_experiment(cfg, output_dir=None, dt=None):
 
     energy, linf_t, linf_v = [], [], []
     snap_times, snapshots = [], []
-    series_gate = _IntervalGate(cfg.output.series_interval)
-    snap_gate = _IntervalGate(cfg.output.snapshot_interval)
+    series_gate = IntervalGate(cfg.output.series_interval)
+    snap_gate = IntervalGate(cfg.output.snapshot_interval)
 
     def sample_series(st):
         if not series_gate(st.t):
@@ -412,63 +395,3 @@ def abc_comparison(cfg, pad, output_dir=None):
         misfits[spec.rid] = (seismogram_misfit(t_p, v_p, t_r, v_r),
                              seismogram_misfit(t_a, v_a, t_r, v_r))
     return misfits, (run_pml, run_abc, run_ref)
-
-
-@dataclass(frozen=True)
-class ReferenceSeismogram:
-    receiver_id: str
-    times: np.ndarray
-    values: np.ndarray
-    components: tuple
-    provenance: str
-
-
-def ingest_reference(path, expected_components=None):
-    """Load an externally computed seismogram CSV (header t,<comp>,...)
-    for comparison against a run's receivers."""
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    if header[0] != "t" or len(header) < 2:
-        raise FormatError(
-            f"{path}: header must be t,<component>,... got {lines[0]!r}")
-    comps = tuple(header[1:])
-    if expected_components is not None \
-            and comps != tuple(expected_components):
-        raise FormatError(
-            f"{path}: expected header t,"
-            + ",".join(expected_components)
-            + f" but found t,{','.join(comps)}")
-    rows = []
-    for k, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise FormatError(
-                f"{path}: line {k}: expected {len(header)} columns,"
-                f" got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise FormatError(f"{path}: line {k}: non-numeric entry")
-    data = np.asarray(rows, dtype=float)
-    if data.shape[0] < 2:
-        raise FormatError(f"{path}: need at least two samples")
-    if not (np.diff(data[:, 0]) > 0.0).all():
-        raise FormatError(f"{path}: times must be strictly increasing")
-    rid = os.path.splitext(os.path.basename(path))[0]
-    return ReferenceSeismogram(
-        receiver_id=rid, times=data[:, 0], values=data[:, 1:],
-        components=comps, provenance=f"external file: {path}")
-
-
-def compare_reference(ref, receiver):
-    """Misfit of a run receiver against an ingested reference."""
-    if tuple(receiver.names) != tuple(ref.components):
-        raise FormatError(
-            "component mismatch: run records t,"
-            + ",".join(receiver.names) + " but reference holds t,"
-            + ",".join(ref.components))
-    t, v = receiver.series()
-    return seismogram_misfit(t, v, ref.times, ref.values)

@@ -12,7 +12,7 @@ from dataclasses import replace
 from ..physics import material_from_speeds
 from .config import (InitialSpec, OutputSpec, PmlSpec, ReceiverSpec,
                      RunConfig, SourceSpec, finalize)
-from ..errors import UnknownPreset
+from ..errors import UnknownPreset, ValidationError
 
 KM = 1000.0
 
@@ -23,9 +23,6 @@ _ROCK = dict(rho=2700.0, cp=6000.0, cs=3464.0)
 _WHOLE = dict(rho=2670.0, cp=6000.0, cs=3464.0)
 # soft upper layer of the layered benchmark
 _SOFT = dict(rho=2600.0, cp=4000.0, cs=2000.0)
-
-PRESET_NAMES = ("strip2d", "halfplane2d", "hws3d", "hhs3d", "loh1",
-                "planewave")
 
 # free-surface positions of the nine half-space/layered receivers,
 # (y, z) offsets from the epicenter in km
@@ -85,11 +82,10 @@ def _shear_moment():
     return ((0.0, 0.0, 0.0), (0.0, 0.0, m0), (0.0, m0, 0.0))
 
 
-def _hws3d(elements=None):
+def _hws3d(n=25):
     # whole-space explosion: interior cube [0, 10 km]^3 with layers on
     # all six sides, 25 elements across at full scale, 3 of them in
     # each layer
-    n = 25 if elements is None else elements
     dx = 10.0 * KM / n
     w = 3.0 * dx
     box = ((-w, 10.0 * KM + w),) * 3
@@ -187,63 +183,64 @@ def planewave_config(dim=2, elements=16, degree=3):
         notes=("manufactured accuracy problem, dimensionless scale",)))
 
 
+def _strip_elements(cfg, elements):
+    # elements counted across the 100 km interior width
+    dx = 100.0 * KM / elements
+    return replace(cfg, spacing=dx, notes=cfg.notes + (
+        f"element size set to {dx / KM:g} km (canonical 5 km)",))
+
+
+def _hws_elements(_, elements):
+    cfg = _hws3d(elements)
+    return replace(cfg, notes=cfg.notes + (
+        f"{elements} elements across the interior (canonical 25)",))
+
+
+def _cube_elements(cfg, elements):
+    dx = 16.333 * KM / elements
+    w = 3.0 * dx
+    return replace(
+        cfg, spacing=dx,
+        pml=replace(cfg.pml, widths=(("x", 0.0, w), ("y", w, w),
+                                     ("z", w, w))),
+        notes=cfg.notes + (f"{elements} elements across (canonical 25)",))
+
+
+def _planewave_elements(cfg, elements):
+    return planewave_config(elements=elements, degree=cfg.degree)
+
+
+# name -> (canonical config, rescaling by `elements`, whether a degree
+# override is noted); the plane wave's size and degree are parameters of
+# an accuracy study, not deviations from a benchmark
+_PRESETS = {
+    "strip2d": (_strip2d, _strip_elements, True),
+    "halfplane2d": (_halfplane2d, _strip_elements, True),
+    "hws3d": (_hws3d, _hws_elements, True),
+    "hhs3d": (_hhs3d, _cube_elements, True),
+    "loh1": (_loh1, _cube_elements, True),
+    "planewave": (planewave_config, _planewave_elements, False),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset(name, elements=None, degree=None, theta=None, tend=None):
     """Named configuration with optional desk-scale overrides."""
-    if name == "strip2d":
-        cfg = _strip2d()
-        if elements is not None:
-            # elements counted across the 100 km interior width
-            dx = 100.0 * KM / elements
-            cfg = replace(cfg, spacing=dx, notes=cfg.notes + (
-                f"element size set to {dx / KM:g} km"
-                f" (canonical 5 km)",))
-    elif name == "halfplane2d":
-        cfg = _halfplane2d()
-        if elements is not None:
-            dx = 100.0 * KM / elements
-            cfg = replace(cfg, spacing=dx, notes=cfg.notes + (
-                f"element size set to {dx / KM:g} km"
-                f" (canonical 5 km)",))
-    elif name == "hws3d":
-        cfg = _hws3d(elements)
-        if elements is not None:
-            cfg = replace(cfg, notes=cfg.notes + (
-                f"{elements} elements across the interior"
-                f" (canonical 25)",))
-    elif name == "hhs3d":
-        cfg = _hhs3d()
-        if elements is not None:
-            dx = 16.333 * KM / elements
-            w = 3.0 * dx
-            cfg = replace(
-                cfg, spacing=dx,
-                pml=replace(cfg.pml, widths=(("x", 0.0, w), ("y", w, w),
-                                             ("z", w, w))),
-                notes=cfg.notes + (f"{elements} elements across"
-                                   f" (canonical 25)",))
-    elif name == "loh1":
-        cfg = _loh1()
-        if elements is not None:
-            dx = 16.333 * KM / elements
-            w = 3.0 * dx
-            cfg = replace(
-                cfg, spacing=dx,
-                pml=replace(cfg.pml, widths=(("x", 0.0, w), ("y", w, w),
-                                             ("z", w, w))),
-                notes=cfg.notes + (f"{elements} elements across"
-                                   f" (canonical 25)",))
-    elif name == "planewave":
-        cfg = planewave_config(elements=elements or 16,
-                               degree=degree if degree is not None else 3)
-        degree = None  # already applied
-    else:
+    if name not in _PRESETS:
         raise UnknownPreset(
             f"unknown preset {name!r}; choose from"
             f" {', '.join(PRESET_NAMES)}")
-
+    build, rescale, note_degree = _PRESETS[name]
+    cfg = build()
+    if elements is not None:
+        if elements < 1:
+            raise ValidationError(f"elements must be at least 1, got {elements}")
+        cfg = rescale(cfg, elements)
     if degree is not None:
-        cfg = replace(cfg, degree=degree, notes=cfg.notes + (
-            f"degree set to {degree} (canonical {preset_degree(name)})",))
+        cfg = replace(cfg, degree=degree)
+        if note_degree:
+            cfg = replace(cfg, notes=cfg.notes + (
+                f"degree set to {degree} (canonical {preset_degree(name)})",))
     if theta is not None:
         cfg = replace(cfg, pml=replace(cfg.pml, theta=float(theta)),
                       notes=cfg.notes + (f"theta set to {theta:g}",))
@@ -255,10 +252,8 @@ def preset(name, elements=None, degree=None, theta=None, tend=None):
 
 
 def preset_degree(name):
-    return {"strip2d": 5, "halfplane2d": 5, "hws3d": 5, "hhs3d": 5,
-            "loh1": 5, "planewave": 3}[name]
+    return _PRESETS[name][0]().degree
 
 
 def preset_tend(name):
-    return {"strip2d": 100.0, "halfplane2d": 100.0, "hws3d": 3.0,
-            "hhs3d": 5.0, "loh1": 9.0, "planewave": 0.5}[name]
+    return _PRESETS[name][0]().t_end

@@ -46,10 +46,6 @@ class CartesianMesh:
             out *= 0.5 * h
         return out
 
-    @property
-    def n_elements(self):
-        return int(np.prod(self.counts))
-
     def extent(self, axis_idx):
         return self.maxs[axis_idx] - self.mins[axis_idx]
 
@@ -109,15 +105,6 @@ def build_mesh(spec):
                          material_ids=ids, gamma=gamma)
 
 
-def map_to_physical(mesh, elem, ref):
-    """Affine map of reference coords in [-1,1]^d within element `elem`."""
-    out = []
-    for a in range(mesh.dim):
-        out.append(mesh.mins[a]
-                   + mesh.spacings[a] * (elem[a] + 0.5 * (ref[a] + 1.0)))
-    return tuple(out)
-
-
 def locate_point(mesh, point):
     """Inverse affine map; ties on element edges go to the lower element."""
     if len(point) != mesh.dim:
@@ -141,29 +128,3 @@ def locate_point(mesh, point):
         elem.append(k)
         ref.append(r)
     return tuple(elem), tuple(ref)
-
-
-@dataclass(frozen=True)
-class FaceRef:
-    elem: tuple
-    axis: str
-    side: int
-    neighbor: tuple = None  # None marks an external face
-
-    @property
-    def is_boundary(self):
-        return self.neighbor is None
-
-
-def faces(mesh):
-    """Iterate every face of every element once per owning element."""
-    axes = axes_of(mesh.dim)
-    for idx in np.ndindex(*mesh.counts):
-        for ai, ax in enumerate(axes):
-            for side in (-1, 1):
-                nb = list(idx)
-                nb[ai] += side
-                if 0 <= nb[ai] < mesh.counts[ai]:
-                    yield FaceRef(idx, ax, side, tuple(nb))
-                else:
-                    yield FaceRef(idx, ax, side, None)

@@ -1,26 +1,20 @@
-"""1D nodal spectral operators and tensorized axis application.
+"""1D nodal spectral operators.
 
 Builds Gauss-Legendre-Lobatto (GLL), Gauss-Legendre (GL) and left Radau (GLR)
 quadrature rules, the collocation derivative matrix, and the boundary matrix
 that together satisfy the summation-by-parts identity Qmat + Qmat^T = B.
+The solver runs on GLL nodes; GL and GLR serve the operator checks.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    NonConvergence,
-    OutOfReferenceDomain,
-    ShapeMismatch,
-    UnsupportedDegree,
-)
+from .errors import NonConvergence, OutOfReferenceDomain, UnsupportedDegree
 
 MAX_DEGREE = 16
 _NEWTON_TOL = 1e-14
 _NEWTON_MAXIT = 100
-
-AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 
 
 def _legendre_pair(n, x):
@@ -227,39 +221,3 @@ def eval_basis_at(ops, x):
         raise OutOfReferenceDomain(f"reference coordinate {x} outside [-1, 1]")
     x = min(1.0, max(-1.0, float(x)))
     return _basis_at(ops.rule.nodes, ops.bary, x)
-
-
-def _spatial_ndim(field, n):
-    d = 0
-    for ax in range(field.ndim - 1, -1, -1):
-        if field.shape[ax] == n and d < 3:
-            d += 1
-        else:
-            break
-    return d
-
-
-def apply_derivative(field, axis, ops, dxi, dim=None):
-    """Differentiate every 1D pencil of `field` along one spatial axis.
-
-    The trailing `dim` axes of `field` are the node axes in x, y[, z] order.
-    Includes the 2/dxi metric of the affine reference map. Returns a new array.
-    """
-    field = np.asarray(field)
-    n = ops.n_nodes
-    if dim is None:
-        dim = _spatial_ndim(field, n)
-    if dim == 0 or dxi <= 0:
-        raise ShapeMismatch("field has no node axes matching the operator "
-                            f"size {n}, or non-positive spacing {dxi}")
-    ax_idx = AXIS_NAMES.get(axis, axis)
-    if not isinstance(ax_idx, (int, np.integer)) or not 0 <= ax_idx < dim:
-        raise ShapeMismatch(f"axis {axis!r} invalid for a {dim}-D field")
-    ax = field.ndim - dim + ax_idx
-    if field.shape[ax] != n:
-        raise ShapeMismatch(f"axis {axis!r} has {field.shape[ax]} nodes, "
-                            f"operator expects {n}")
-    out = np.tensordot(field, ops.D, axes=([ax], [1]))
-    out = np.moveaxis(out, -1, ax)
-    out *= 2.0 / dxi
-    return out

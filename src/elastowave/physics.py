@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnisotropicUnsupported, InvalidLame, NotSPD
+from .errors import InvalidLame, NotSPD
 
 # selection blocks a_xi mapping Voigt stress to the traction on a xi-face
 A_BLOCK_3D = {
@@ -81,39 +81,27 @@ def isotropic_stiffness(lam, mu):
 
 @dataclass(frozen=True)
 class MaterialModel:
+    """Isotropic medium: density, 6x6 stiffness and its Lame pair."""
+
     rho: float
     C: np.ndarray
-    lam: float = None
-    mu: float = None
-    isotropic: bool = False
+    lam: float
+    mu: float
 
     @property
     def cp(self):
-        if not self.isotropic:
-            raise AnisotropicUnsupported("cp defined for isotropic media only")
         return np.sqrt((2 * self.mu + self.lam) / self.rho)
 
     @property
     def cs(self):
-        if not self.isotropic:
-            raise AnisotropicUnsupported("cs defined for isotropic media only")
         return np.sqrt(self.mu / self.rho)
-
-    @property
-    def Zp(self):
-        return self.rho * self.cp
-
-    @property
-    def Zs(self):
-        return self.rho * self.cs
 
 
 def material_from_lame(rho, lam, mu):
     if rho <= 0:
         raise InvalidLame(f"density must be positive, got {rho}")
     C = isotropic_stiffness(lam, mu)
-    return MaterialModel(rho=float(rho), C=C, lam=float(lam), mu=float(mu),
-                         isotropic=True)
+    return MaterialModel(rho=float(rho), C=C, lam=float(lam), mu=float(mu))
 
 
 def material_from_speeds(rho, cp, cs):
@@ -121,45 +109,6 @@ def material_from_speeds(rho, cp, cs):
     mu = rho * cs ** 2
     lam = rho * cp ** 2 - 2 * mu
     return material_from_lame(rho, lam, mu)
-
-
-def material_from_stiffness(rho, C):
-    """General anisotropic material; validated but not usable for flux impedances."""
-    C = np.asarray(C, dtype=float)
-    if C.shape != (6, 6):
-        raise NotSPD(f"stiffness must be 6x6, got {C.shape}")
-    scale = np.abs(C).max()
-    if np.abs(C - C.T).max() > 1e-12 * scale:
-        raise NotSPD("stiffness must be symmetric")
-    if np.linalg.eigvalsh(0.5 * (C + C.T)).min() <= 0:
-        raise NotSPD("stiffness must be positive definite")
-    return MaterialModel(rho=float(rho), C=C, isotropic=False)
-
-
-def wave_speeds(m):
-    if not m.isotropic:
-        raise AnisotropicUnsupported(
-            "wave speeds of anisotropic media come from eigen_spectrum")
-    return m.cp, m.cs
-
-
-def impedance(m, face_axis, family):
-    """Z = rho c with c = cp for the family normal to the face, cs otherwise."""
-    return m.Zp if family == face_axis else m.Zs
-
-
-def traction(sigma, axis, dim=3):
-    """T = a_xi sigma; works on stacked arrays with the Voigt axis first."""
-    a = a_block(axis, dim)
-    sigma = np.asarray(sigma)
-    return np.tensordot(a, sigma, axes=([1], [0]))
-
-
-def characteristics(v, T, Z):
-    """Per-family amplitudes q = (Zv + T)/2 and p = (Zv - T)/2."""
-    q = 0.5 * (Z * v + T)
-    p = 0.5 * (Z * v - T)
-    return q, p
 
 
 def material_matrix(m, dim=3):

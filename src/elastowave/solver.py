@@ -16,22 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnisotropicUnsupported, DivergenceDetected, UnsupportedDegree
+from .errors import DivergenceDetected, UnsupportedDegree
 from .flux import fluctuation, hat_boundary, hat_interface
 from .physics import axes_of, n_components, sig_slots
-
-
-def _unit_index(e):
-    i = int(np.argmax(np.abs(e)))
-    unit = np.zeros_like(e)
-    unit[i] = 1.0
-    return i if np.array_equal(e, unit) else None
 
 
 @dataclass(frozen=True)
 class Discretization:
     """Shared immutable tables: mesh, operators, materials broadcast to
-    element grids, per-axis impedances, face lift vectors, damping."""
+    element grids, per-axis impedances, face lift scalars, damping."""
 
     mesh: object
     ops: object
@@ -43,20 +36,19 @@ class Discretization:
     lam_e: np.ndarray
     mu_e: np.ndarray
     z: tuple        # per axis: (nv,) + counts + (1,)*(dim-1)
-    lift_l: tuple   # per axis: (2/h) * eL / weights
-    lift_r: tuple
-    unit_l: tuple   # node index when the face vector is cardinal, else None
-    unit_r: tuple
+    lift_l: tuple   # per axis: 2 / (h * w_0)
+    lift_r: tuple   # per axis: 2 / (h * w_{n-1})
     slots: tuple    # per axis traction component slots in the state vector
 
 
 def discretize(mesh, ops, theta=1.0, damping=()):
+    """GLL nodes only: the end nodes are the element faces, so each face
+    trace is a node plane and each lift a scalar times that plane."""
+    if ops.rule.kind != "GLL":
+        raise UnsupportedDegree(
+            f"time stepping needs GLL nodes, got {ops.rule.kind}")
     dim = mesh.dim
     nv = dim
-    for m in mesh.materials:
-        if not m.isotropic:
-            raise AnisotropicUnsupported(
-                "time stepping supports isotropic materials only")
     rho = np.array([m.rho for m in mesh.materials])[mesh.material_ids]
     lam = np.array([m.lam for m in mesh.materials])[mesh.material_ids]
     mu = np.array([m.mu for m in mesh.materials])[mesh.material_ids]
@@ -64,15 +56,13 @@ def discretize(mesh, ops, theta=1.0, damping=()):
     zs = rho * np.sqrt(mu / rho)
     tail = (1,) * dim
     z = []
-    lift_l, lift_r, unit_l, unit_r, slot_list = [], [], [], [], []
+    lift_l, lift_r, slot_list = [], [], []
     for ax, name in enumerate(axes_of(dim)):
         zax = np.stack([zp if f == ax else zs for f in range(nv)])
         z.append(zax.reshape((nv,) + mesh.counts + (1,) * (dim - 1)))
         scale = 2.0 / mesh.spacings[ax]
-        lift_l.append(scale * ops.eL / ops.rule.weights)
-        lift_r.append(scale * ops.eR / ops.rule.weights)
-        unit_l.append(_unit_index(ops.eL))
-        unit_r.append(_unit_index(ops.eR))
+        lift_l.append(scale / ops.rule.weights[0])
+        lift_r.append(scale / ops.rule.weights[-1])
         slot_list.append(np.array(sig_slots(name, dim)))
     return Discretization(
         mesh=mesh, ops=ops, theta=float(theta), damping=tuple(damping),
@@ -81,7 +71,7 @@ def discretize(mesh, ops, theta=1.0, damping=()):
         lam_e=lam.reshape(mesh.counts + tail),
         mu_e=mu.reshape(mesh.counts + tail),
         z=tuple(z), lift_l=tuple(lift_l), lift_r=tuple(lift_r),
-        unit_l=tuple(unit_l), unit_r=tuple(unit_r), slots=tuple(slot_list))
+        slots=tuple(slot_list))
 
 
 @dataclass
@@ -90,12 +80,6 @@ class SimulationState:
     t: float
     Q: np.ndarray
     w: tuple  # parallel to disc.damping
-
-
-@dataclass
-class RhsBuffers:
-    dQ: np.ndarray
-    dw: tuple
 
 
 def setup_state(disc):
@@ -129,25 +113,15 @@ def _diff(arr, node_ax, D, scale):
     return np.moveaxis(out, -1, node_ax) * scale
 
 
-def _face(arr, node_ax, e, uidx):
-    if uidx is not None:
-        return np.take(arr, uidx, axis=node_ax)
-    return np.moveaxis(arr, node_ax, -1) @ e
-
-
-def _scatter(fc, node_ax, comp_sel, elem_sel, vals, lift, uidx):
+def _scatter(fc, node_ax, comp_sel, elem_sel, vals, lift, node):
     fcm = np.moveaxis(fc, node_ax, -1)
-    idx = (comp_sel,) + elem_sel
-    if uidx is None:
-        fcm[idx] += vals[..., None] * lift
-    else:
-        fcm[idx + (Ellipsis, uidx)] += lift[uidx] * vals
+    fcm[(comp_sel,) + elem_sel + (Ellipsis, node)] += lift * vals
 
 
-def _add_face(fc, node_ax, elem_sel, G, Z, slots, side, lift, uidx, nv):
+def _add_face(fc, node_ax, elem_sel, G, Z, slots, side, lift, node, nv):
     # -H^-1 e F with F = (G; side * a^T G/Z)
-    _scatter(fc, node_ax, slice(0, nv), elem_sel, -G, lift, uidx)
-    _scatter(fc, node_ax, slots, elem_sel, (-side) * G / Z, lift, uidx)
+    _scatter(fc, node_ax, slice(0, nv), elem_sel, -G, lift, node)
+    _scatter(fc, node_ax, slots, elem_sel, (-side) * G / Z, lift, node)
 
 
 def _rhs(Q, w, disc):
@@ -171,11 +145,11 @@ def _rhs(Q, w, disc):
 
         zax = disc.z[ax]
         ll, lr = disc.lift_l[ax], disc.lift_r[ax]
-        ul, ur = disc.unit_l[ax], disc.unit_r[ax]
-        v_l = _face(Q[:nv], node_ax, ops.eL, ul)
-        v_r = _face(Q[:nv], node_ax, ops.eR, ur)
-        t_l = _face(Q[slots], node_ax, ops.eL, ul)
-        t_r = _face(Q[slots], node_ax, ops.eR, ur)
+        ul, ur = 0, n - 1
+        v_l = np.take(Q[:nv], ul, axis=node_ax)
+        v_r = np.take(Q[:nv], ur, axis=node_ax)
+        t_l = np.take(Q[slots], ul, axis=node_ax)
+        t_r = np.take(Q[slots], ur, axis=node_ax)
 
         def esel(s):
             return tuple(s if k == ax else slice(None) for k in range(dim))
@@ -192,7 +166,7 @@ def _rhs(Q, w, disc):
             _add_face(fc, node_ax, lo, gm, zm, slots, +1, lr, ur, nv)
             _add_face(fc, node_ax, hi, gp, zp, slots, -1, ll, ul, nv)
 
-        for side, v_f, t_f, lift, uidx in ((-1, v_l, t_l, ll, ul),
+        for side, v_f, t_f, lift, node in ((-1, v_l, t_l, ll, ul),
                                            (1, v_r, t_r, lr, ur)):
             bidx = 0 if side == -1 else mesh.counts[ax] - 1
             sel = esel(bidx)
@@ -202,7 +176,7 @@ def _rhs(Q, w, disc):
             gam = mesh.gamma[(names[ax], side)].reshape((nv,) + (1,) * (vb.ndim - 1))
             vhat, that = hat_boundary(vb, tb, zb, gam, side)
             g = fluctuation(vb, tb, vhat, that, zb, side)
-            _add_face(fc, node_ax, sel, g, zb, slots, side, lift, uidx, nv)
+            _add_face(fc, node_ax, sel, g, zb, slots, side, lift, node, nv)
 
         total += br
         total += fc
@@ -231,11 +205,6 @@ def _rhs(Q, w, disc):
         out[3] = 2 * mu * s[1] + lam * tr
         out[4] = mu * s[2]
     return out, tuple(dw)
-
-
-def compute_rhs(state):
-    dq, dw = _rhs(state.Q, state.w, state.disc)
-    return RhsBuffers(dQ=dq, dw=dw)
 
 
 # Truncated-Taylor stepping is only conditionally stable against stiff

@@ -59,10 +59,6 @@ class RampSTF:
         return np.exp(-t / self.T) * (a * t + b)
 
 
-def stf_eval(stf, t, k=0):
-    return stf.eval(t, k)
-
-
 def _voigt(M, dim):
     M = np.asarray(M, dtype=float)
     if M.shape != (dim, dim):
@@ -102,17 +98,30 @@ class MomentTensorSource:
                     * (g * self.stencil))
 
 
-def inject_source(rhs, src, t, k=0):
-    """Add the source term at time t (k-th time derivative) to the Q part
-    of an rhs buffer."""
-    src.inject(rhs.dQ, t, k)
-    return rhs
+class IntervalGate:
+    """True at the first time at or after each tick 0, h, 2h, ... of the
+    interval h; interval None fires every call."""
+
+    def __init__(self, interval):
+        self.interval = interval
+        self.next = 0.0
+
+    def __call__(self, t):
+        if self.interval is None:
+            return True
+        if t < self.next - 1e-9:
+            return False
+        while self.next <= t + 1e-9:
+            self.next += self.interval
+        return True
 
 
 class Receiver:
     """Samples field components at a fixed physical point.
 
-    Usable directly as a run() callback; interval None records every call.
+    Usable directly as a run() callback: records once per interval tick
+    (every call when interval is None) and drops calls whose time does
+    not advance past the last sample.
     """
 
     def __init__(self, mesh, ops, location, components="velocity",
@@ -134,29 +143,22 @@ class Receiver:
         else:
             raise ValueError(f"unknown component set {components!r}")
         self.names = names
-        self.interval = interval
+        self.gate = IntervalGate(interval)
         self.times = []
         self.samples = []
 
     def __call__(self, state):
-        if self.interval is not None and self.times:
-            if state.t < self.times[-1] + self.interval - 1e-12:
-                return
-        record(self, state, state.t)
+        if (self.times and state.t <= self.times[-1]) \
+                or not self.gate(state.t):
+            return
+        q = state.Q[(slice(0, self.n_comp),) + self.elem]
+        axes = list(range(1, 1 + self.dim))
+        vals = np.tensordot(q, self.basis, axes=(axes, list(range(self.dim))))
+        self.times.append(float(state.t))
+        self.samples.append(vals)
 
     def series(self):
         return np.asarray(self.times), np.asarray(self.samples)
-
-
-def record(receiver, state, t):
-    """Append (t, field values at the receiver point); pure read."""
-    if receiver.times and t <= receiver.times[-1]:
-        return
-    q = state.Q[(slice(0, receiver.n_comp),) + receiver.elem]
-    axes = list(range(1, 1 + receiver.dim))
-    vals = np.tensordot(q, receiver.basis, axes=(axes, list(range(receiver.dim))))
-    receiver.times.append(float(t))
-    receiver.samples.append(vals)
 
 
 def write_seismogram(path, receiver):

@@ -3,18 +3,13 @@ import pytest
 
 from elastowave import diagnostics as dg
 from elastowave import solver
-from elastowave.errors import (
-    AnisotropicUnsupported,
-    DegenerateError,
-    GeometryInsufficient,
-)
+from elastowave.errors import DegenerateError, GeometryInsufficient
 from elastowave.mesh import MeshSpec, build_mesh
 from elastowave.operators import build_operators
 from elastowave.physics import (
     coefficient_matrix,
     material_from_lame,
     material_from_speeds,
-    material_from_stiffness,
     material_matrix,
     reduce_to_2d,
 )
@@ -144,13 +139,6 @@ def test_plane_wave_nodal_sampling():
     assert np.abs(q_late[0] - q0[0] * expect2).max() <= 1e-14
 
 
-def test_plane_wave_anisotropic_rejected():
-    C = np.diag([4.0, 3.0, 2.5, 1.0, 1.1, 1.2])
-    m = material_from_stiffness(1.0, C)
-    with pytest.raises(AnisotropicUnsupported):
-        dg.plane_wave_polarization(dg.PlaneWaveSpec(n=(1, 0, 0)), m, 3)
-
-
 def test_rhs_matches_analytic_plane_wave_derivative():
     # volume + flux assembly against the exact time derivative of a
     # traveling mode.  Pointwise truncation of the nodal scheme decays at
@@ -170,13 +158,13 @@ def test_rhs_matches_analytic_plane_wave_derivative():
         pw = dg.PlaneWaveSpec(n=(1.0, 0.0), mode="P", center=5.0, width=2.0)
         st = solver.setup_state(disc)
         st.Q[...] = dg.plane_wave_state(pw, disc, 0.0)
-        rhs = solver.compute_rhs(st)
+        dq, _ = solver._rhs(st.Q, st.w, disc)
         q0, c, _ = dg.plane_wave_polarization(pw, m, 2)
         xs, _ = solver.nodal_coordinates(disc)
         u = (xs - 5.0) / 2.0
         dphi = np.where(np.abs(u) < 1, -12.0 * u * (1 - u ** 2) ** 5, 0.0) / 2.0
         want = -c * q0.reshape(-1, 1, 1, 1, 1) * dphi
-        errs.append(float(np.abs(rhs.dQ - want).max()))
+        errs.append(float(np.abs(dq - want).max()))
     assert errs[1] < errs[0]
     assert errs[0] / errs[1] >= 2.0 ** (degree - 0.5)
 
@@ -262,7 +250,7 @@ def test_series_csv_roundtrip(tmp_path):
     v = np.array([1.0, 0.25, 1e-7])
     path = tmp_path / "energy.csv"
     dg.write_series(path, t, v)
-    t2, v2 = dg.read_series(path)
+    t2, v2 = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
     assert np.array_equal(t, t2) and np.array_equal(v, v2)
     cpath = tmp_path / "conv.csv"
     dg.write_convergence(cpath, [10.0, 5.0], [8.2513e-4, 1.3602e-5], [5.9228])

@@ -98,26 +98,6 @@ def test_fluctuation_is_ingoing_mismatch(v, T, Z, gamma, side):
     assert abs(g - want) <= 1e-12 * max(1.0, abs(g))
 
 
-def test_flux_vector_structure():
-    G = np.array([1.0, 0.0, 0.0])
-    Z = np.array([2.0, 1.0, 1.0])
-    fr = fl.flux_vectors(G, Z, "x", +1)
-    assert fr[0] == 1.0 and not fr[1:3].any()
-    assert fr[3] == 0.5  # sigma_xx slot via a_x^T
-    assert not fr[[4, 5, 6, 7, 8]].any()
-    flv = fl.flux_vectors(G, Z, "x", -1)
-    assert flv[3] == -0.5
-    assert not fl.flux_vectors(np.zeros(3), Z, "y", +1).any()
-
-
-def test_flux_vector_2d():
-    G = np.array([0.0, 2.0])
-    Z = np.array([4.0, 2.0])
-    fr = fl.flux_vectors(G, Z, "y", +1, dim=2)
-    assert fr.shape == (5,)
-    assert fr[1] == 2.0 and fr[3] == 1.0 and not fr[[0, 2, 4]].any()
-
-
 @given(finite, finite, zpos, gammas, sides)
 @settings(max_examples=300, deadline=None)
 def test_energy_identity_boundary(v, T, Z, gamma, side):

@@ -1,4 +1,4 @@
-"""Config parsing, presets, experiment drivers, reference ingestion, CLI."""
+"""Config parsing, presets, experiment drivers, CLI."""
 
 import os
 import shutil
@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from elastowave.errors import (
-    FormatError,
     ParseError,
     UnknownPreset,
     ValidationError,
@@ -408,6 +407,13 @@ def test_unknown_preset():
         ps.preset("maxwell")
 
 
+@pytest.mark.parametrize("name", ["strip2d", "hws3d", "planewave"])
+def test_preset_rejects_empty_element_count(name):
+    # strip2d divided by zero and planewave silently fell back to 16
+    with pytest.raises(ValidationError, match="elements must be at least 1"):
+        ps.preset(name, elements=0)
+
+
 # ------------------------------------------------------------ experiments
 
 def tiny_strip(tend=2.0, fmt="binary"):
@@ -530,63 +536,6 @@ def test_derive_abc_geometry():
     assert bm[("y", -1)] == 1.0  # free surface survives
 
 
-# ------------------------------------------------------------ references
-
-def test_reference_roundtrip(tiny_run):
-    cfg, res, out = tiny_run
-    ref = xp.ingest_reference(str(out / "seismogram_probe.csv"))
-    assert ref.receiver_id == "seismogram_probe"
-    assert ref.components == ("vx", "vy")
-    assert (np.diff(ref.times) > 0).all()
-    assert xp.compare_reference(ref, res.receivers[0]) == 0.0
-
-
-def test_ingest_expected_components(tiny_run):
-    cfg, res, out = tiny_run
-    path = str(out / "seismogram_probe.csv")
-    ref = xp.ingest_reference(path, expected_components=("vx", "vy"))
-    assert ref.components == ("vx", "vy")
-    with pytest.raises(FormatError, match=r"expected header t,vx,vy,vz"):
-        xp.ingest_reference(path, expected_components=("vx", "vy", "vz"))
-
-
-def test_ingest_rejects_bad_files(tmp_path):
-    p = tmp_path / "r.csv"
-
-    p.write_text("")
-    with pytest.raises(FormatError, match="empty"):
-        xp.ingest_reference(str(p))
-
-    p.write_text("time,vx\n0,1\n1,2\n")
-    with pytest.raises(FormatError, match="header must be t,"):
-        xp.ingest_reference(str(p))
-
-    p.write_text("t,vx\n0,1\n0,2\n")
-    with pytest.raises(FormatError, match="strictly increasing"):
-        xp.ingest_reference(str(p))
-
-    p.write_text("t,vx\n0,1\n1\n")
-    with pytest.raises(FormatError, match="line 3.*columns"):
-        xp.ingest_reference(str(p))
-
-    p.write_text("t,vx\n0,1\n1,abc\n")
-    with pytest.raises(FormatError, match="line 3.*non-numeric"):
-        xp.ingest_reference(str(p))
-
-    p.write_text("t,vx\n0,1\n")
-    with pytest.raises(FormatError, match="two samples"):
-        xp.ingest_reference(str(p))
-
-
-def test_compare_mismatched_components(tmp_path, tiny_run):
-    cfg, res, out = tiny_run
-    p = tmp_path / "r.csv"
-    p.write_text("t,vx\n0,1\n1,2\n")
-    ref = xp.ingest_reference(str(p))
-    with pytest.raises(FormatError, match="t,vx,vy"):
-        xp.compare_reference(ref, res.receivers[0])
-
-
 # ------------------------------------------------------------------- cli
 
 def test_cli_run_verb(tmp_path, capsys):
@@ -639,6 +588,17 @@ def test_cli_check_operators(capsys):
     stdout = capsys.readouterr().out
     assert "GLL P= 1" in stdout and "GLR P= 3" in stdout
     assert "FAIL" not in stdout
+
+
+def test_cli_max_degree_range(capsys):
+    from elastowave.operators import MAX_DEGREE
+    args = cli.build_parser().parse_args(["check-operators"])
+    assert args.max_degree == MAX_DEGREE == cf.MAX_DEGREE
+    for bad in (0, MAX_DEGREE + 1):
+        assert cli.main(["check-operators", "--max-degree", str(bad)]) == 1
+        out = capsys.readouterr()
+        assert "max-degree" in out.err
+        assert out.out == ""  # rejected before any table row
 
 
 def test_cli_convergence_verb(tmp_path, capsys):

@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elastowave.errors import OutOfReferenceDomain, ShapeMismatch, UnsupportedDegree
-from elastowave.operators import (
-    apply_derivative,
-    build_operators,
-    build_quadrature,
-    eval_basis_at,
-)
+from elastowave.errors import OutOfReferenceDomain, UnsupportedDegree
+from elastowave.operators import build_operators, build_quadrature, eval_basis_at
+from elastowave.solver import _diff
 
 KINDS = ("GLL", "GL", "GLR")
 
@@ -136,46 +132,38 @@ def test_basis_domain_guard():
     eval_basis_at(ops, 1.0 + 1e-13)
 
 
-def test_apply_derivative_examples():
+def test_diff_polynomial_exactness_with_metric():
     P = 3
     ops = build_operators(P, "GLL")
     n = P + 1
     x = ops.rule.nodes
     const = np.full((2, n, n), 3.7)
-    assert np.abs(apply_derivative(const, "x", ops, 1.0, dim=2)).max() <= 1e-12
+    assert np.abs(_diff(const, 1, ops.D, 2.0 / 1.0)).max() <= 1e-12
     f = np.zeros((1, n, n))
     f[0] = x[:, None]  # component sampling f(x) = x, dx = 2 cancels the metric
-    np.testing.assert_allclose(apply_derivative(f, "x", ops, 2.0, dim=2)[0],
+    np.testing.assert_allclose(_diff(f, 1, ops.D, 2.0 / 2.0)[0],
                                1.0, atol=1e-13)
     g = np.zeros((1, n, n))
     g[0] = x[:, None] ** 2
-    np.testing.assert_allclose(apply_derivative(g, "x", ops, 2.0, dim=2)[0],
+    np.testing.assert_allclose(_diff(g, 1, ops.D, 2.0 / 2.0)[0],
                                np.broadcast_to(2 * x[:, None], (n, n)),
                                atol=1e-12)
 
 
-def test_apply_derivative_never_aliases():
+def test_diff_never_aliases():
     ops = build_operators(2, "GLL")
     f = np.random.default_rng(1).standard_normal((1, 3, 3))
     before = f.copy()
-    _ = apply_derivative(f, "y", ops, 1.0, dim=2)
+    _ = _diff(f, 2, ops.D, 2.0)
     assert (f == before).all()
 
 
 def test_axis_commutativity():
+    # axes: component, two element axes, node axes x, y, z
     ops = build_operators(3, "GLL")
     n = 4
     g = np.random.default_rng(2).standard_normal((9, 2, 3, n, n, n))
-    dxy = apply_derivative(apply_derivative(g, "x", ops, 0.7), "y", ops, 1.3)
-    dyx = apply_derivative(apply_derivative(g, "y", ops, 1.3), "x", ops, 0.7)
+    sx, sy = 2.0 / 0.7, 2.0 / 1.3
+    dxy = _diff(_diff(g, 3, ops.D, sx), 4, ops.D, sy)
+    dyx = _diff(_diff(g, 4, ops.D, sy), 3, ops.D, sx)
     assert np.abs(dxy - dyx).max() <= 1e-11 * max(1, np.abs(dxy).max())
-
-
-def test_apply_derivative_shape_guards():
-    ops = build_operators(3, "GLL")
-    with pytest.raises(ShapeMismatch):
-        apply_derivative(np.zeros((5, 4, 4)), "z", ops, 1.0, dim=2)
-    with pytest.raises(ShapeMismatch):
-        apply_derivative(np.zeros((5, 3, 4)), "x", ops, 1.0, dim=2)
-    with pytest.raises(ShapeMismatch):
-        apply_derivative(np.zeros((5, 4, 4)), "x", ops, 0.0, dim=2)

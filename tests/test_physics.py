@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elastowave import physics as ph
-from elastowave.errors import AnisotropicUnsupported, InvalidLame, NotSPD
+from elastowave.errors import InvalidLame, NotSPD
 
 
 def test_isotropic_stiffness_examples():
@@ -20,9 +20,8 @@ def test_isotropic_stiffness_from_benchmark_speeds():
     m = ph.material_from_speeds(2.7e3, 6000.0, 3464.0)
     assert m.mu == pytest.approx(3.2398e10, rel=1e-4)
     assert m.lam == pytest.approx(3.2404e10, rel=1e-4)
-    cp, cs = ph.wave_speeds(m)
-    assert cp == pytest.approx(6000.0, rel=1e-9)
-    assert cs == pytest.approx(3464.0, rel=1e-9)
+    assert m.cp == pytest.approx(6000.0, rel=1e-9)
+    assert m.cs == pytest.approx(3464.0, rel=1e-9)
 
 
 def test_lame_preconditions():
@@ -48,66 +47,10 @@ def test_stiffness_spectrum(rho, lam, mu):
 
 def test_wave_speeds_simple():
     m = ph.material_from_lame(1.0, 1.0, 1.0)
-    cp, cs = ph.wave_speeds(m)
-    assert cp == pytest.approx(np.sqrt(3.0))
-    assert cs == pytest.approx(1.0)
+    assert m.cp == pytest.approx(np.sqrt(3.0))
+    assert m.cs == pytest.approx(1.0)
     m2 = ph.material_from_speeds(2600.0, 4000.0, 2000.0)
-    assert ph.wave_speeds(m2) == (pytest.approx(4000.0), pytest.approx(2000.0))
-
-
-def test_anisotropic_rejected_for_speeds():
-    C = ph.isotropic_stiffness(1.0, 1.0).copy()
-    C[0, 0] = 4.0  # break isotropy, keep SPD
-    m = ph.material_from_stiffness(1.0, C)
-    with pytest.raises(AnisotropicUnsupported):
-        ph.wave_speeds(m)
-    with pytest.raises(AnisotropicUnsupported):
-        _ = m.cp
-
-
-def test_stiffness_validation():
-    with pytest.raises(NotSPD):
-        ph.material_from_stiffness(1.0, np.eye(6) - 2)
-    bad = np.eye(6)
-    bad[0, 1] = 0.5
-    with pytest.raises(NotSPD):
-        ph.material_from_stiffness(1.0, bad)
-
-
-def test_impedance():
-    m = ph.material_from_speeds(2700.0, 6000.0, 3464.0)
-    assert ph.impedance(m, "x", "x") == pytest.approx(1.62e7)
-    assert ph.impedance(m, "x", "y") == pytest.approx(2700.0 * 3464.0)
-    deg = ph.material_from_lame(1.0, -1e-12, 1.0)
-    assert ph.impedance(deg, "x", "x") == pytest.approx(np.sqrt(2), rel=1e-6)
-
-
-def test_traction_examples():
-    assert (ph.traction(np.array([1.0, 0, 0, 0, 0, 0]), "x") == [1, 0, 0]).all()
-    assert (ph.traction(np.array([0.0, 0, 0, 1, 0, 0]), "y") == [1, 0, 0]).all()
-    assert not ph.traction(np.zeros(6), "z").any()
-    # stacked array form used by the solver
-    sig = np.random.default_rng(0).standard_normal((6, 4, 5))
-    T = ph.traction(sig, "z")
-    assert T.shape == (3, 4, 5)
-    assert (T[0] == sig[4]).all() and (T[1] == sig[5]).all() and (T[2] == sig[2]).all()
-
-
-@given(st.floats(-5, 5), st.floats(-5, 5), st.floats(0.1, 100))
-@settings(max_examples=100, deadline=None)
-def test_characteristics_roundtrip(v, T, Z):
-    q, p = ph.characteristics(v, T, Z)
-    v2 = (q + p) / Z
-    T2 = q - p
-    # q - p cancels to T with absolute error on the scale of Z*v
-    scale = max(1.0, abs(T), abs(Z * v))
-    assert abs(v2 - v) <= 1e-14 * max(1.0, abs(v), abs(T) / Z)
-    assert abs(T2 - T) <= 1e-14 * scale
-
-
-def test_characteristics_examples():
-    assert ph.characteristics(0.0, 0.0, 1.0) == (0.0, 0.0)
-    assert ph.characteristics(1.0, 0.0, 2.0) == (1.0, 1.0)
+    assert (m2.cp, m2.cs) == (pytest.approx(4000.0), pytest.approx(2000.0))
 
 
 def test_coefficient_matrices_symmetric_binary():

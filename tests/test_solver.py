@@ -3,7 +3,7 @@ import pytest
 
 from elastowave import solver
 from elastowave.errors import DivergenceDetected, UnsupportedDegree
-from elastowave.mesh import MeshSpec, build_mesh, map_to_physical
+from elastowave.mesh import MeshSpec, build_mesh
 from elastowave.operators import build_operators
 from elastowave.physics import material_from_speeds, reduce_to_2d
 from elastowave.pml import build_damping
@@ -56,9 +56,9 @@ def energy(state):
 def test_zero_state_zero_rhs():
     disc = make_disc(widths={"x": (2.5, 2.5)})
     st = solver.setup_state(disc)
-    rhs = solver.compute_rhs(st)
-    assert not rhs.dQ.any()
-    assert all(not d.any() for d in rhs.dw)
+    dq, dw = solver._rhs(st.Q, st.w, disc)
+    assert not dq.any()
+    assert all(not d.any() for d in dw)
 
 
 def test_constant_velocity_interior_rhs():
@@ -67,9 +67,9 @@ def test_constant_velocity_interior_rhs():
     st = solver.setup_state(disc)
     st.Q[0] = 0.7
     st.Q[1] = -0.3
-    rhs = solver.compute_rhs(st)
+    dq, _ = solver._rhs(st.Q, st.w, disc)
     # interior elements see vanishing derivatives and zero fluctuations
-    inner = rhs.dQ[:, 1:-1, 1:-1]
+    inner = dq[:, 1:-1, 1:-1]
     assert np.abs(inner).max() <= 1e-13
 
 
@@ -81,10 +81,10 @@ def test_rhs_linearity():
     comb = solver.SimulationState(
         disc=disc, t=0.0, Q=a * u.Q + b * v.Q,
         w=tuple(a * x + b * y for x, y in zip(u.w, v.w)))
-    ru, rv, rc = (solver.compute_rhs(s) for s in (u, v, comb))
-    want = a * ru.dQ + b * rv.dQ
-    assert np.abs(rc.dQ - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-    for duw, dvw, dcw in zip(ru.dw, rv.dw, rc.dw):
+    ru, rv, rc = (solver._rhs(s.Q, s.w, disc) for s in (u, v, comb))
+    want = a * ru[0] + b * rv[0]
+    assert np.abs(rc[0] - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    for duw, dvw, dcw in zip(ru[1], rv[1], rc[1]):
         wantw = a * duw + b * dvw
         assert np.abs(dcw - wantw).max() <= 1e-12 * max(1.0, np.abs(wantw).max())
 
@@ -93,12 +93,33 @@ def test_nodal_coordinates_match_affine_map():
     disc = make_disc(counts=(3, 2), degree=2, extent=6.0)
     xs, ys = solver.nodal_coordinates(disc)
     nodes = disc.ops.rule.nodes
+    h = disc.mesh.spacings
     for elem in ((0, 0), (2, 1)):
         for a in range(len(nodes)):
             for b in range(len(nodes)):
-                px, py = map_to_physical(disc.mesh, elem, (nodes[a], nodes[b]))
+                px = h[0] * (elem[0] + 0.5 * (nodes[a] + 1.0))
+                py = h[1] * (elem[1] + 0.5 * (nodes[b] + 1.0))
                 assert xs[elem + (a, b)] == pytest.approx(px, abs=1e-13)
                 assert ys[elem + (a, b)] == pytest.approx(py, abs=1e-13)
+
+
+def test_face_impedances():
+    # Z = rho c per wave family: cp for the family normal to the face
+    m = material_from_speeds(2700.0, 6000.0, 3464.0)
+    spec = MeshSpec(dim=3, mins=(0.0,) * 3, maxs=(1.0,) * 3, counts=(1, 1, 1),
+                    materials=(m,))
+    disc = solver.discretize(build_mesh(spec), build_operators(1, "GLL"))
+    for ax in range(3):
+        for fam in range(3):
+            want = 1.62e7 if fam == ax else 2700.0 * 3464.0
+            assert disc.z[ax][fam].ravel()[0] == pytest.approx(want)
+
+
+@pytest.mark.parametrize("kind", ["GL", "GLR"])
+def test_discretize_needs_gll_nodes(kind):
+    mesh = make_disc(counts=(2, 2), degree=2).mesh
+    with pytest.raises(UnsupportedDegree, match=rf"got {kind}$"):
+        solver.discretize(mesh, build_operators(2, kind))
 
 
 def test_stable_dt_benchmark():
@@ -143,9 +164,9 @@ def test_ader_matches_truncated_matrix_exponential():
         e = np.zeros(nq)
         e[j] = 1.0
         st = unflatten_state(disc, e)
-        rhs = solver.compute_rhs(st)
+        dq, dw = solver._rhs(st.Q, st.w, disc)
         L[:, j] = flatten_state(
-            solver.SimulationState(disc=disc, t=0.0, Q=rhs.dQ, w=rhs.dw))
+            solver.SimulationState(disc=disc, t=0.0, Q=dq, w=dw))
     rng = np.random.default_rng(3)
     u0 = rng.standard_normal(nq)
     dt = 0.01

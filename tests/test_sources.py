@@ -3,7 +3,7 @@ import pytest
 
 from elastowave import solver, sources
 from elastowave.errors import UnsupportedOrder
-from elastowave.mesh import MeshSpec, build_mesh, map_to_physical
+from elastowave.mesh import MeshSpec, build_mesh
 from elastowave.operators import build_operators
 from elastowave.physics import material_from_speeds
 
@@ -59,7 +59,16 @@ def test_stf_order_cap():
     with pytest.raises(UnsupportedOrder):
         stf.eval(0.0, sources.MAX_STF_ORDER + 1)
     with pytest.raises(UnsupportedOrder):
-        sources.stf_eval(sources.RampSTF(T=0.1), 0.5, 21)
+        sources.RampSTF(T=0.1).eval(0.5, 21)
+
+
+def node_point(disc, elem, node):
+    """Physical coordinates of one node of one element."""
+    return tuple(float(x[elem + node]) for x in solver.nodal_coordinates(disc))
+
+
+def at_time(state, t):
+    return solver.SimulationState(disc=state.disc, t=t, Q=state.Q, w=state.w)
 
 
 def make_setup(dim=2, degree=3):
@@ -99,10 +108,9 @@ def test_injection_integral_consistency():
 
 def test_injection_at_node_is_cardinal():
     mesh, ops, disc = make_setup()
-    nodes = ops.rule.nodes
     elem = (1, 2)
     a, b = 2, 3
-    loc = map_to_physical(mesh, elem, (nodes[a], nodes[b]))
+    loc = node_point(disc, elem, (a, b))
     stf = sources.RampSTF(T=0.1)
     with pytest.warns(UserWarning):  # node b is an element endpoint
         src = sources.MomentTensorSource(mesh, ops, loc, np.eye(2), stf)
@@ -140,9 +148,10 @@ def test_zero_amplitude_leaves_rhs_untouched():
     mesh, ops, disc = make_setup()
     src = sources.MomentTensorSource(mesh, ops, (3.0, 3.0), np.eye(2),
                                      sources.RampSTF(T=0.1))
-    rhs = solver.compute_rhs(solver.setup_state(disc))
-    sources.inject_source(rhs, src, 0.0)
-    assert not rhs.dQ.any()
+    st = solver.setup_state(disc)
+    dq, _ = solver._rhs(st.Q, st.w, disc)
+    src.inject(dq, 0.0)
+    assert not dq.any()
 
 
 def test_boundary_source_warns():
@@ -154,20 +163,19 @@ def test_boundary_source_warns():
 
 def test_receiver_at_node_and_constant_field():
     mesh, ops, disc = make_setup()
-    nodes = ops.rule.nodes
     elem = (0, 1)
-    loc = map_to_physical(mesh, elem, (nodes[1], nodes[2]))
+    loc = node_point(disc, elem, (1, 2))
     rec = sources.Receiver(mesh, ops, loc)
     st = solver.setup_state(disc)
     rng = np.random.default_rng(0)
     st.Q[...] = rng.standard_normal(st.Q.shape)
-    sources.record(rec, st, 0.0)
+    rec(st)
     assert rec.samples[0][0] == pytest.approx(st.Q[(0,) + elem][1, 2], rel=1e-14)
     assert rec.samples[0][1] == pytest.approx(st.Q[(1,) + elem][1, 2], rel=1e-14)
 
     st.Q[0] = 4.25
     rec2 = sources.Receiver(mesh, ops, (1.234, 6.831))
-    sources.record(rec2, st, 1.0)
+    rec2(at_time(st, 1.0))
     assert rec2.samples[0][0] == pytest.approx(4.25, rel=1e-13)
 
 
@@ -176,12 +184,33 @@ def test_receiver_interval_and_monotonicity():
     rec = sources.Receiver(mesh, ops, (3.0, 3.0), interval=0.25)
     st = solver.setup_state(disc)
     for t in np.arange(0.0, 1.01, 0.05):
-        rec(solver.SimulationState(disc=disc, t=float(t), Q=st.Q, w=st.w))
+        rec(at_time(st, float(t)))
     times = rec.series()[0]
     assert times == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     # duplicate timestamps are dropped, series stays strictly increasing
-    sources.record(rec, solver.SimulationState(disc=disc, t=1.0, Q=st.Q, w=st.w), 1.0)
+    rec(at_time(st, 1.0))
     assert len(rec.times) == 5
+    # without an interval every advancing call records, repeats do not
+    rec = sources.Receiver(mesh, ops, (3.0, 3.0))
+    for t in (0.0, 0.1, 0.1, 0.05, 0.2):
+        rec(at_time(st, t))
+    assert rec.series()[0] == pytest.approx([0.0, 0.1, 0.2])
+
+
+def test_receiver_samples_once_per_tick():
+    # a step that does not divide the interval must not stretch it: the
+    # first state at or after each tick k * interval is recorded
+    mesh, ops, disc = make_setup()
+    rec = sources.Receiver(mesh, ops, (3.0, 3.0), interval=0.1)
+    st = solver.setup_state(disc)
+    dt = 0.059
+    steps = int(np.ceil(2.0 / dt))
+    for k in range(steps + 1):
+        rec(at_time(st, min(k * dt, 2.0)))
+    times = rec.series()[0]
+    assert len(times) == 21  # ticks 0, 0.1, ..., 2.0
+    ticks = np.arange(21) * 0.1
+    assert (times >= ticks - 1e-9).all() and (times < ticks + dt).all()
 
 
 def test_seismogram_roundtrip(tmp_path):
@@ -191,7 +220,7 @@ def test_seismogram_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     for t in (0.0, 0.1, 0.2):
         st.Q[...] = rng.standard_normal(st.Q.shape)
-        sources.record(rec, st, t)
+        rec(at_time(st, t))
     path = tmp_path / "rec.csv"
     sources.write_seismogram(path, rec)
     text = path.read_text().splitlines()
