@@ -11,12 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AnisotropicUnsupported,
-    DegenerateError,
-    GeometryInsufficient,
-)
-from .physics import reduce_to_2d
+from .errors import DegenerateError, GeometryInsufficient
+from .physics import reduce_to_2d, voigt
 from .solver import nodal_coordinates
 
 
@@ -30,7 +26,7 @@ def discrete_energy(state):
     """Quadrature-weighted energy 1/2 (rho |v|^2 + sigma : C^-1 sigma)."""
     disc = state.disc
     mesh, ops = disc.mesh, disc.ops
-    dim, nv = mesh.dim, disc.nv
+    dim = mesh.dim
     wgt = ops.rule.weights
     for _ in range(dim - 1):
         wgt = np.multiply.outer(wgt, ops.rule.weights)
@@ -40,7 +36,7 @@ def discrete_energy(state):
         if sel[0].size == 0:
             continue
         q = state.Q[(slice(None),) + sel]    # (nc, nsel, nodes...)
-        v, sig = q[:nv], q[nv:]
+        v, sig = q[:dim], q[dim:]
         S = np.linalg.inv(mat.C if dim == 3 else reduce_to_2d(mat.C))
         dens = 0.5 * mat.rho * (v ** 2).sum(axis=0)
         dens = dens + 0.5 * np.einsum("i...,ij,j...->...", sig, S, sig)
@@ -50,7 +46,7 @@ def discrete_energy(state):
 
 def linf_series(state):
     """Max over nodes of the velocity vector magnitude."""
-    v = state.Q[: state.disc.nv]
+    v = state.Q[: state.disc.mesh.dim]
     return float(np.sqrt((v ** 2).sum(axis=0)).max())
 
 
@@ -93,13 +89,6 @@ class PlaneWaveSpec:
     polarization: tuple = None
 
 
-def _voigt_sym(tau, dim):
-    if dim == 3:
-        return np.array([tau[0, 0], tau[1, 1], tau[2, 2],
-                         tau[0, 1], tau[0, 2], tau[1, 2]])
-    return np.array([tau[0, 0], tau[1, 1], tau[0, 1]])
-
-
 def plane_wave_polarization(pw, material, dim):
     """Exact state-vector amplitude Q0 and speed c of the traveling mode."""
     n = np.asarray(pw.n, dtype=float)
@@ -111,7 +100,7 @@ def plane_wave_polarization(pw, material, dim):
         c = material.cp
         v = n
         tau = lam * np.eye(dim) + 2.0 * mu * np.outer(n, n)
-        sig = -_voigt_sym(tau, dim) / c
+        sig = -voigt(tau, dim) / c
     elif pw.mode == "S":
         c = material.cs
         if pw.polarization is not None:
@@ -127,7 +116,7 @@ def plane_wave_polarization(pw, material, dim):
             raise ValueError("shear polarization must be orthogonal to n")
         v = m
         tau = mu * (np.outer(n, m) + np.outer(m, n))
-        sig = -_voigt_sym(tau, dim) / c
+        sig = -voigt(tau, dim) / c
     else:
         raise ValueError(f"unknown mode {pw.mode!r}")
     return np.concatenate([v, sig]), float(c), n
@@ -138,7 +127,8 @@ def plane_wave_state(pw, disc, t):
     mesh = disc.mesh
     ids = mesh.material_ids
     if not (ids == ids.flat[0]).all():
-        raise AnisotropicUnsupported("plane-wave sampling needs a homogeneous medium")
+        raise ValueError("plane-wave sampling needs a homogeneous medium,"
+                         f" got {len(mesh.materials)} materials")
     mat = mesh.materials[int(ids.flat[0])]
     q0, c, n = plane_wave_polarization(pw, mat, mesh.dim)
     coords = nodal_coordinates(disc)

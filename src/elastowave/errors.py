@@ -25,10 +25,6 @@ class NotSPD(ElastowaveError):
     """Stiffness matrix failed the positive-definiteness check."""
 
 
-class AnisotropicUnsupported(ElastowaveError):
-    """Operation requires an isotropic material."""
-
-
 class InvalidExtent(ElastowaveError):
     """Mesh box or element counts are not positive."""
 

@@ -78,7 +78,7 @@ def _length(token):
     parts = token.strip().split()
     if len(parts) == 1 and _NUM_RE.match(parts[0]):
         return float(parts[0])
-    if len(parts) == 2 and _NUM_RE.match(parts[0]) and parts[1] in _UNITS:
+    if len(parts) == 2 and _NUM_RE.match(parts[0]) and parts[1] in ("m", "km"):
         return float(parts[0]) * _UNITS[parts[1]]
     raise ParseError(f"bad length {token!r}; write `2500` or `2.5 km`")
 

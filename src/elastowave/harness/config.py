@@ -632,6 +632,9 @@ def validate(cfg):
                      f" got {ini.get('mode')!r}")
         if (ini.get("width") or 0.0) <= 0.0:
             v.append("initial plane-wave width must be positive")
+        if len(cfg.materials) > 1:
+            v.append("initial plane-wave needs a homogeneous medium;"
+                     " drop the secondary material")
 
     out = cfg.output
     for label, val in (("seismogram_interval", out.seismogram_interval),

@@ -97,6 +97,18 @@ class MaterialModel:
         return np.sqrt(self.mu / self.rho)
 
 
+def voigt(M, dim):
+    """Voigt vector of the symmetric part of a dim x dim tensor, in the
+    state's stress order."""
+    M = np.asarray(M, dtype=float)
+    if M.shape != (dim, dim):
+        raise ValueError(f"tensor must be {dim}x{dim}, got {M.shape}")
+    M = 0.5 * (M + M.T)
+    if dim == 3:
+        return np.array([M[0, 0], M[1, 1], M[2, 2], M[0, 1], M[0, 2], M[1, 2]])
+    return np.array([M[0, 0], M[1, 1], M[0, 1]])
+
+
 def material_from_lame(rho, lam, mu):
     if rho <= 0:
         raise InvalidLame(f"density must be positive, got {rho}")

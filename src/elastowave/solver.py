@@ -1,15 +1,18 @@
 """Semi-discrete update and ADER time integration.
 
 Field layout: Q has shape (nc, E_x, E_y[, E_z], n, n[, n]) with the
-component axis first, element axes next, node axes last.  Auxiliary
-fields live only on damped elements, compacted to (nc, n_damped,
-n, n[, n]) in the order given by the damping table's element index.
+component axis first, element axes next, node axes last; the first dim
+components are velocities, the rest Voigt stresses.  Auxiliary fields
+live only on damped elements, compacted to (nc, n_damped, n, n[, n]) in
+the order given by the damping table's element index.
 
-The update per axis is A dQ/dxi minus the face lift of the flux
-fluctuations; damped elements additionally lose d*w and feed the
-auxiliary equations with the same face terms scaled by theta.  The
-material map (1/rho on velocities, stiffness on stress rates) is
-applied once at the end.
+The update makes one pass per axis: A dQ/dxi, then the flux
+fluctuations of every element's left and right face.  On GLL nodes
+those faces are node planes 0 and n-1, so each fluctuation plane is
+lifted by one scalar straight onto its node plane.  Damped elements
+additionally lose d*w and feed the auxiliary equations with the same
+face terms scaled by theta.  The material map (1/rho on velocities,
+stiffness on stress rates) is applied once at the end, in place.
 """
 
 from dataclasses import dataclass
@@ -24,20 +27,22 @@ from .physics import axes_of, n_components, sig_slots
 @dataclass(frozen=True)
 class Discretization:
     """Shared immutable tables: mesh, operators, materials broadcast to
-    element grids, per-axis impedances, face lift scalars, damping."""
+    element grids, per-axis impedances, face lift scalars, damping.
+
+    The state has mesh.dim velocity and n_components(mesh.dim) total
+    components.  Per axis, lift scales a fluctuation plane onto node
+    plane 0 or n-1; the GLL weights are symmetric, so one scalar serves
+    both faces."""
 
     mesh: object
     ops: object
     theta: float
     damping: tuple
-    nv: int
-    nc: int
     rho_e: np.ndarray
     lam_e: np.ndarray
     mu_e: np.ndarray
-    z: tuple        # per axis: (nv,) + counts + (1,)*(dim-1)
-    lift_l: tuple   # per axis: 2 / (h * w_0)
-    lift_r: tuple   # per axis: 2 / (h * w_{n-1})
+    z: tuple        # per axis: (dim,) + counts + (1,)*(dim-1)
+    lift: tuple     # per axis: 2 / (h * w_0)
     slots: tuple    # per axis traction component slots in the state vector
 
 
@@ -48,30 +53,24 @@ def discretize(mesh, ops, theta=1.0, damping=()):
         raise UnsupportedDegree(
             f"time stepping needs GLL nodes, got {ops.rule.kind}")
     dim = mesh.dim
-    nv = dim
     rho = np.array([m.rho for m in mesh.materials])[mesh.material_ids]
     lam = np.array([m.lam for m in mesh.materials])[mesh.material_ids]
     mu = np.array([m.mu for m in mesh.materials])[mesh.material_ids]
     zp = rho * np.sqrt((2 * mu + lam) / rho)
     zs = rho * np.sqrt(mu / rho)
     tail = (1,) * dim
-    z = []
-    lift_l, lift_r, slot_list = [], [], []
+    z, lift, slot_list = [], [], []
     for ax, name in enumerate(axes_of(dim)):
-        zax = np.stack([zp if f == ax else zs for f in range(nv)])
-        z.append(zax.reshape((nv,) + mesh.counts + (1,) * (dim - 1)))
-        scale = 2.0 / mesh.spacings[ax]
-        lift_l.append(scale / ops.rule.weights[0])
-        lift_r.append(scale / ops.rule.weights[-1])
+        zax = np.stack([zp if f == ax else zs for f in range(dim)])
+        z.append(zax.reshape((dim,) + mesh.counts + (1,) * (dim - 1)))
+        lift.append(2.0 / mesh.spacings[ax] / ops.rule.weights[0])
         slot_list.append(np.array(sig_slots(name, dim)))
     return Discretization(
         mesh=mesh, ops=ops, theta=float(theta), damping=tuple(damping),
-        nv=nv, nc=n_components(dim),
         rho_e=rho.reshape(mesh.counts + tail),
         lam_e=lam.reshape(mesh.counts + tail),
         mu_e=mu.reshape(mesh.counts + tail),
-        z=tuple(z), lift_l=tuple(lift_l), lift_r=tuple(lift_r),
-        slots=tuple(slot_list))
+        z=tuple(z), lift=tuple(lift), slots=tuple(slot_list))
 
 
 @dataclass
@@ -84,8 +83,9 @@ class SimulationState:
 
 def setup_state(disc):
     mesh, n = disc.mesh, disc.ops.n_nodes
-    shape = (disc.nc,) + mesh.counts + (n,) * mesh.dim
-    w = tuple(np.zeros((disc.nc, len(tab.index[0])) + (n,) * mesh.dim)
+    nc = n_components(mesh.dim)
+    shape = (nc,) + mesh.counts + (n,) * mesh.dim
+    w = tuple(np.zeros((nc, len(tab.index[0])) + (n,) * mesh.dim)
               for tab in disc.damping)
     return SimulationState(disc=disc, t=0.0, Q=np.zeros(shape), w=w)
 
@@ -113,98 +113,70 @@ def _diff(arr, node_ax, D, scale):
     return np.moveaxis(out, -1, node_ax) * scale
 
 
-def _scatter(fc, node_ax, comp_sel, elem_sel, vals, lift, node):
-    fcm = np.moveaxis(fc, node_ax, -1)
-    fcm[(comp_sel,) + elem_sel + (Ellipsis, node)] += lift * vals
-
-
-def _add_face(fc, node_ax, elem_sel, G, Z, slots, side, lift, node, nv):
-    # -H^-1 e F with F = (G; side * a^T G/Z)
-    _scatter(fc, node_ax, slice(0, nv), elem_sel, -G, lift, node)
-    _scatter(fc, node_ax, slots, elem_sel, (-side) * G / Z, lift, node)
+def _at(k, axis):
+    """Index k along `axis`, every earlier axis whole (a basic slice)."""
+    return (slice(None),) * axis + (k,)
 
 
 def _rhs(Q, w, disc):
     mesh, ops = disc.mesh, disc.ops
-    dim, nv = mesh.dim, disc.nv
-    n = ops.n_nodes
+    dim, n = mesh.dim, ops.n_nodes
     names = axes_of(dim)
     total = np.zeros_like(Q)
     tabs = {tab.axis_index: (pos, tab) for pos, tab in enumerate(disc.damping)}
     dw = [None] * len(disc.damping)
     for ax in range(dim):
         node_ax = 1 + dim + ax
-        h = mesh.spacings[ax]
-        slots = disc.slots[ax]
-        der_v = _diff(Q[:nv], node_ax, ops.D, 2.0 / h)
-        der_t = _diff(Q[slots], node_ax, ops.D, 2.0 / h)
+        scale = 2.0 / mesh.spacings[ax]
+        slots, z = disc.slots[ax], disc.z[ax]
+        v, t = Q[:dim], Q[slots]
         br = np.zeros_like(Q)
-        br[:nv] = der_t
-        br[slots] = der_v
-        fc = np.zeros_like(Q)
-
-        zax = disc.z[ax]
-        ll, lr = disc.lift_l[ax], disc.lift_r[ax]
-        ul, ur = 0, n - 1
-        v_l = np.take(Q[:nv], ul, axis=node_ax)
-        v_r = np.take(Q[:nv], ur, axis=node_ax)
-        t_l = np.take(Q[slots], ul, axis=node_ax)
-        t_r = np.take(Q[slots], ur, axis=node_ax)
-
-        def esel(s):
-            return tuple(s if k == ax else slice(None) for k in range(dim))
-
-        if mesh.counts[ax] > 1:
-            lo, hi = esel(slice(None, -1)), esel(slice(1, None))
-            vm, tm, zm = v_r[(slice(None),) + lo], t_r[(slice(None),) + lo], \
-                zax[(slice(None),) + lo]
-            vp, tp, zp = v_l[(slice(None),) + hi], t_l[(slice(None),) + hi], \
-                zax[(slice(None),) + hi]
-            vhat, that = hat_interface(vm, tm, zm, vp, tp, zp)
-            gm = fluctuation(vm, tm, vhat, that, zm, +1)
-            gp = fluctuation(vp, tp, vhat, that, zp, -1)
-            _add_face(fc, node_ax, lo, gm, zm, slots, +1, lr, ur, nv)
-            _add_face(fc, node_ax, hi, gp, zp, slots, -1, ll, ul, nv)
-
-        for side, v_f, t_f, lift, node in ((-1, v_l, t_l, ll, ul),
-                                           (1, v_r, t_r, lr, ur)):
-            bidx = 0 if side == -1 else mesh.counts[ax] - 1
-            sel = esel(bidx)
-            vb = v_f[(slice(None),) + sel]
-            tb = t_f[(slice(None),) + sel]
-            zb = zax[(slice(None),) + sel]
-            gam = mesh.gamma[(names[ax], side)].reshape((nv,) + (1,) * (vb.ndim - 1))
-            vhat, that = hat_boundary(vb, tb, zb, gam, side)
-            g = fluctuation(vb, tb, vhat, that, zb, side)
-            _add_face(fc, node_ax, sel, g, zb, slots, side, lift, node, nv)
-
+        br[:dim] = _diff(t, node_ax, ops.D, scale)
+        br[slots] = _diff(v, node_ax, ops.D, scale)
         total += br
-        total += fc
+
+        # fluctuations on the left (node 0) and right (node n-1) face of
+        # every element; element slabs index axis 1 + ax of the planes
+        v_l, v_r = v[_at(0, node_ax)], v[_at(n - 1, node_ax)]
+        t_l, t_r = t[_at(0, node_ax)], t[_at(n - 1, node_ax)]
+        g_l, g_r = np.empty_like(v_l), np.empty_like(v_r)
+        lo, hi = _at(slice(None, -1), 1 + ax), _at(slice(1, None), 1 + ax)
+        vhat, that = hat_interface(v_r[lo], t_r[lo], z[lo],
+                                   v_l[hi], t_l[hi], z[hi])
+        g_r[lo] = fluctuation(v_r[lo], t_r[lo], vhat, that, z[lo], +1)
+        g_l[hi] = fluctuation(v_l[hi], t_l[hi], vhat, that, z[hi], -1)
+        lifted = []
+        for side, node, g, vf, tf in ((-1, 0, g_l, v_l, t_l),
+                                      (1, n - 1, g_r, v_r, t_r)):
+            b = _at(slice(0, 1) if side < 0 else slice(-1, None), 1 + ax)
+            gam = mesh.gamma[(names[ax], side)].reshape((dim,) + (1,) * (2 * dim - 1))
+            vhat, that = hat_boundary(vf[b], tf[b], z[b], gam, side)
+            g[b] = fluctuation(vf[b], tf[b], vhat, that, z[b], side)
+            # -H^-1 e F with F = (G; side * a^T G/Z), lifted onto the face plane
+            f = np.zeros((len(Q),) + g.shape[1:])
+            f[:dim] = disc.lift[ax] * -g
+            f[slots] = disc.lift[ax] * (-side * g / z)
+            total[_at(node, node_ax)] += f
+            lifted.append((node, f))
+
         if ax in tabs:
             pos, tab = tabs[ax]
             sel = (slice(None),) + tab.index
+            dwi = br[sel]
+            for node, f in lifted:
+                dwi[_at(node, 2 + ax)] += disc.theta * f[sel]
             dval = tab.damp.reshape(
                 (1, tab.damp.shape[0]) + (1,) * ax + (n,) + (1,) * (dim - 1 - ax))
-            wi = w[pos]
-            dw[pos] = br[sel] + disc.theta * fc[sel] - (dval + tab.alpha) * wi
-            total[sel] -= dval * wi
+            dwi -= (dval + tab.alpha) * w[pos]
+            dw[pos] = dwi
+            total[sel] -= dval * w[pos]
 
-    out = np.empty_like(Q)
-    out[:nv] = total[:nv] / disc.rho_e
-    s = total[nv:]
-    lam, mu = disc.lam_e, disc.mu_e
-    if dim == 3:
-        tr = s[0] + s[1] + s[2]
-        for i in range(3):
-            out[nv + i] = 2 * mu * s[i] + lam * tr
-        for i in range(3, 6):
-            out[nv + i] = mu * s[i]
-    else:
-        tr = s[0] + s[1]
-        out[2] = 2 * mu * s[0] + lam * tr
-        out[3] = 2 * mu * s[1] + lam * tr
-        out[4] = mu * s[2]
-    return out, tuple(dw)
+    total[:dim] /= disc.rho_e
+    s = total[dim:]
+    tr = s[:dim].sum(0)
+    s[:dim] = 2 * disc.mu_e * s[:dim] + disc.lam_e * tr
+    s[dim:] *= disc.mu_e
+    return total, tuple(dw)
 
 
 # Truncated-Taylor stepping is only conditionally stable against stiff

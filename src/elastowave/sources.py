@@ -15,7 +15,7 @@ import numpy as np
 from .errors import UnsupportedOrder
 from .mesh import locate_point
 from .operators import eval_basis_at
-from .physics import n_components
+from .physics import n_components, voigt
 
 MAX_STF_ORDER = 20
 
@@ -59,16 +59,6 @@ class RampSTF:
         return np.exp(-t / self.T) * (a * t + b)
 
 
-def _voigt(M, dim):
-    M = np.asarray(M, dtype=float)
-    if M.shape != (dim, dim):
-        raise ValueError(f"moment tensor must be {dim}x{dim}, got {M.shape}")
-    M = 0.5 * (M + M.T)
-    if dim ==  3:
-        return np.array([M[0, 0], M[1, 1], M[2, 2], M[0, 1], M[0, 2], M[1, 2]])
-    return np.array([M[0, 0], M[1, 1], M[0, 1]])
-
-
 class MomentTensorSource:
     """Point source feeding M_ij g(t) into the stress-rate equations."""
 
@@ -76,7 +66,7 @@ class MomentTensorSource:
         self.location = tuple(float(x) for x in location)
         self.stf = stf
         self.dim = mesh.dim
-        self.m_voigt = _voigt(moment, mesh.dim)
+        self.m_voigt = voigt(moment, mesh.dim)
         self.elem, ref = locate_point(mesh, location)
         if any(abs(r) >= 1.0 - 1e-12 for r in ref):
             warnings.warn("source sits on an element boundary; it is "

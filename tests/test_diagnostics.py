@@ -139,6 +139,17 @@ def test_plane_wave_nodal_sampling():
     assert np.abs(q_late[0] - q0[0] * expect2).max() <= 1e-14
 
 
+def test_plane_wave_needs_homogeneous_medium():
+    m1 = material_from_speeds(2.0, 2.0, 1.0)
+    m2 = material_from_speeds(2.5, 3.0, 1.5)
+    spec = MeshSpec(dim=2, mins=(0.0, 0.0), maxs=(8.0, 8.0), counts=(4, 4),
+                    materials=(m1, m2), region_axis="x", region_threshold=4.0)
+    disc = solver.discretize(build_mesh(spec), build_operators(2, "GLL"))
+    pw = dg.PlaneWaveSpec(n=(1.0, 0.0), mode="P", center=4.0, width=2.0)
+    with pytest.raises(ValueError, match="needs a homogeneous medium"):
+        dg.plane_wave_state(pw, disc, 0.0)
+
+
 def test_rhs_matches_analytic_plane_wave_derivative():
     # volume + flux assembly against the exact time derivative of a
     # traveling mode.  Pointwise truncation of the nodal scheme decays at

@@ -158,19 +158,30 @@ def test_parsed_text_matches_preset():
     assert cfg.receivers == pre.receivers
 
 
+PLANE_WAVE_TEXT = STRIP_TEXT.replace(
+    "type = velocity-gaussian\nx = 0\ny = 25 km\nhalfwidth = 3 km\n"
+    "components = vx, vy",
+    "type = plane-wave\nnx = 1\nny = 0\nmode = P\ncenter = 3 km\n"
+    "width = 2 km")
+
+
 def test_parse_plane_wave_initial():
-    text = STRIP_TEXT.replace(
-        "type = velocity-gaussian\nx = 0\ny = 25 km\nhalfwidth = 3 km\n"
-        "components = vx, vy",
-        "type = plane-wave\nnx = 1\nny = 0\nmode = P\ncenter = 3 km\n"
-        "width = 2 km")
-    cfg = parse_config(text)
+    cfg = parse_config(PLANE_WAVE_TEXT)
     ini = cfg.initial
     assert ini.kind == "plane-wave"
     assert ini.get("n") == (1.0, 0.0)
     assert ini.get("mode") == "P"
     assert ini.get("center") == 3 * KM
     assert ini.get("width") == 2 * KM
+
+
+def test_plane_wave_initial_rejects_layered_medium():
+    text = PLANE_WAVE_TEXT.replace(
+        "[boundary]",
+        "[material.soft]\nrho = 2.6 g/cm3\ncp = 4 km/s\ncs = 2 km/s\n"
+        "axis = y\nbelow = 20 km\n\n[boundary]")
+    with pytest.raises(ValidationError, match="plane-wave needs a homogeneous"):
+        parse_config(text)
 
 
 def test_unit_table():
@@ -619,8 +630,9 @@ def test_cli_convergence_verb(tmp_path, capsys):
 def test_cli_length_parsing():
     assert cli._length("2.5 km") == 2500.0
     assert cli._length("250") == 250.0
-    with pytest.raises(ParseError, match="bad length"):
-        cli._length("2.5 smoots")
+    for bad in ("2.5 smoots", "5 s"):
+        with pytest.raises(ParseError, match="bad length"):
+            cli._length(bad)
 
 
 def test_thread_cap(monkeypatch):

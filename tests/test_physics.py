@@ -16,6 +16,14 @@ def test_isotropic_stiffness_examples():
     np.testing.assert_array_equal(C0, np.diag([2.0, 2.0, 2.0, 1.0, 1.0, 1.0]))
 
 
+def test_voigt_symmetrizes_and_checks_shape():
+    M = np.array([[1.0, 2.0, 4.0], [0.0, 5.0, 6.0], [2.0, 8.0, 9.0]])
+    np.testing.assert_array_equal(ph.voigt(M, 3), [1.0, 5.0, 9.0, 1.0, 3.0, 7.0])
+    np.testing.assert_array_equal(ph.voigt(M[:2, :2], 2), [1.0, 5.0, 1.0])
+    with pytest.raises(ValueError, match="tensor must be 2x2"):
+        ph.voigt(M, 2)
+
+
 def test_isotropic_stiffness_from_benchmark_speeds():
     m = ph.material_from_speeds(2.7e3, 6000.0, 3464.0)
     assert m.mu == pytest.approx(3.2398e10, rel=1e-4)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,19 @@ from elastowave.operators import build_operators
 from elastowave.physics import material_from_speeds, reduce_to_2d
 from elastowave.pml import build_damping
 
+import rhs_oracle
+
 
 def make_disc(dim=2, counts=(4, 4), degree=3, gamma=None, theta=1.0,
-              widths=None, d0=1.0, alpha=0.1, extent=10.0):
-    m = material_from_speeds(2.0, 2.0, 1.0)
+              widths=None, d0=1.0, alpha=0.1, extent=10.0, layered=False):
+    # layered: a second, stiffer material below x = extent / 2
+    mats = (material_from_speeds(2.0, 2.0, 1.0),)
+    if layered:
+        mats += (material_from_speeds(3.0, 4.0, 2.1),)
     spec = MeshSpec(dim=dim, mins=(0.0,) * dim, maxs=(extent,) * dim,
-                    counts=counts, materials=(m,), gamma=gamma or {})
+                    counts=counts, materials=mats, gamma=gamma or {},
+                    region_axis="x" if layered else None,
+                    region_threshold=extent / 2 if layered else None)
     mesh = build_mesh(spec)
     ops = build_operators(degree, "GLL")
     damping = ()
@@ -87,6 +96,55 @@ def test_rhs_linearity():
     for duw, dvw, dcw in zip(ru[1], rv[1], rc[1]):
         wantw = a * duw + b * dvw
         assert np.abs(dcw - wantw).max() <= 1e-12 * max(1.0, np.abs(wantw).max())
+
+
+GAMMA_2D = {("x", -1): (1.0, 0.3), ("x", 1): 0.25, ("y", 1): -1.0}
+GAMMA_3D = {("x", -1): (1.0, 0.3, -0.5), ("y", 1): -1.0,
+            ("z", -1): (0.0, 1.0, 0.6)}
+
+
+@pytest.mark.parametrize("dim,counts,widths,theta,gamma,layered", [
+    (2, (4, 3), {"x": (3.0, 3.0)}, 1.0, GAMMA_2D, True),
+    (2, (1, 4), {"y": (0.0, 3.0)}, 0.5, GAMMA_2D, False),
+    (2, (3, 3), {"x": (3.0, 3.0), "y": (3.0, 0.0)}, 0.0, None, True),
+    (3, (3, 3, 3), {"x": (3.0, 3.0), "y": (0.0, 3.0), "z": (3.0, 3.0)},
+     0.5, GAMMA_3D, True),
+    (3, (1, 3, 2), {"y": (3.0, 3.0)}, 1.0, GAMMA_3D, False),
+    (3, (4, 2, 1), {"x": (3.0, 0.0), "y": (0.0, 6.0)}, 0.0, None, True),
+    (3, (3, 2, 3), None, 1.0, GAMMA_3D, True),
+])
+def test_rhs_matches_frozen_oracle(dim, counts, widths, theta, gamma, layered):
+    disc = make_disc(dim=dim, counts=counts, degree=3, gamma=gamma,
+                     theta=theta, widths=widths, d0=1.3, alpha=0.2,
+                     layered=layered)
+    assert len(disc.damping) == len(widths or ())
+    st = random_state(disc, seed=sum(counts))
+    dq, dw = solver._rhs(st.Q, st.w, disc)
+    ref_q, ref_w = rhs_oracle.rhs(st.Q, st.w, disc)
+    assert len(dw) == len(ref_w)
+    for got, want in zip((dq,) + dw, (ref_q,) + ref_w):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("widths,bound", [
+    (None, 5.0),
+    ({"x": (2.5, 2.5), "z": (0.0, 2.5)}, 5.5),
+])
+def test_rhs_peak_allocation(widths, bound):
+    # peak bytes allocated by one RHS call, in units of the state size;
+    # lifting onto the face planes needs 4.4 / 4.7, a full-size face
+    # scratch array (the assembly of rhs_oracle) 5.6 / 6.1
+    disc = make_disc(dim=3, counts=(6, 6, 6), degree=3, widths=widths)
+    st = random_state(disc)
+    solver._rhs(st.Q, st.w, disc)
+    tracemalloc.start()
+    try:
+        solver._rhs(st.Q, st.w, disc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / st.Q.nbytes <= bound
 
 
 def test_nodal_coordinates_match_affine_map():
