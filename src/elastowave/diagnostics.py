@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, GeometryInsufficient
-from .physics import reduce_to_2d, voigt
+from .physics import voigt
 from .solver import nodal_coordinates
 
 
@@ -37,7 +37,7 @@ def discrete_energy(state):
             continue
         q = state.Q[(slice(None),) + sel]    # (nc, nsel, nodes...)
         v, sig = q[:dim], q[dim:]
-        S = np.linalg.inv(mat.C if dim == 3 else reduce_to_2d(mat.C))
+        S = np.linalg.inv(mat.stiffness(dim))
         dens = 0.5 * mat.rho * (v ** 2).sum(axis=0)
         dens = dens + 0.5 * np.einsum("i...,ij,j...->...", sig, S, sig)
         total += float((dens * wgt).sum())

@@ -11,12 +11,15 @@ offending line number.  Semantic problems are collected and raised as a
 single ValidationError that lists every violation, not just the first.
 """
 
+import math
 import re
 from dataclasses import dataclass, field
 
 from ..errors import ParseError, ValidationError
 from ..operators import MAX_DEGREE
-from ..physics import material_from_lame, material_from_speeds
+from ..physics import (AXES, axes_of, material_from_lame,
+                       material_from_speeds, stress_name, stress_names,
+                       velocity_names)
 
 _UNITS = {
     "m": 1.0,
@@ -35,7 +38,8 @@ _UNITS = {
 }
 
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-_AXES = "xyz"
+_AXIS_RE = "(" + "|".join(AXES) + ")"
+_GAMMA_WORDS = {"free": 1.0, "absorbing": 0.0, "clamped": -1.0}
 
 
 @dataclass(frozen=True)
@@ -118,24 +122,25 @@ class RunConfig:
     def interior(self):
         """Box bounds with the absorbing layers stripped off."""
         wid = self.pml.width_map()
-        lo = [b[0] + wid.get(_AXES[a], (0.0, 0.0))[0]
-              for a, b in enumerate(self.box)]
-        hi = [b[1] - wid.get(_AXES[a], (0.0, 0.0))[1]
-              for a, b in enumerate(self.box)]
+        lo = [b[0] + wid.get(ax, (0.0, 0.0))[0]
+              for ax, b in zip(AXES, self.box)]
+        hi = [b[1] - wid.get(ax, (0.0, 0.0))[1]
+              for ax, b in zip(AXES, self.box)]
         return tuple(lo), tuple(hi)
 
 
 def _quantity(raw, lineno):
     parts = raw.split()
-    if len(parts) == 1 and _NUM_RE.match(parts[0]):
-        return float(parts[0])
-    if len(parts) == 2 and _NUM_RE.match(parts[0]):
-        unit = parts[1]
-        if unit not in _UNITS:
-            raise ParseError(f"line {lineno}: unknown unit {unit!r}")
-        return float(parts[0]) * _UNITS[unit]
-    raise ParseError(
-        f"line {lineno}: expected `number [unit]`, got {raw!r}")
+    if not (len(parts) in (1, 2) and _NUM_RE.match(parts[0])):
+        raise ParseError(
+            f"line {lineno}: expected `number [unit]`, got {raw!r}")
+    unit = parts[1] if len(parts) == 2 else None
+    if unit is not None and unit not in _UNITS:
+        raise ParseError(f"line {lineno}: unknown unit {unit!r}")
+    value = float(parts[0]) * _UNITS.get(unit, 1.0)
+    if not math.isfinite(value):
+        raise ParseError(f"line {lineno}: {raw!r} must be finite")
+    return value
 
 
 def _tokenize(text):
@@ -225,17 +230,14 @@ class _Section:
 
 
 def _gamma_value(raw, lineno):
-    if raw == "free":
-        return 1.0
-    if raw == "absorbing":
-        return 0.0
-    parts = [p.strip() for p in raw.split(",")]
+    if raw in _GAMMA_WORDS:
+        return _GAMMA_WORDS[raw]
     vals = []
-    for p in parts:
-        if not _NUM_RE.match(p):
+    for p in raw.split(","):
+        if not _NUM_RE.match(p.strip()):
             raise ParseError(
-                f"line {lineno}: reflection value must be free, absorbing,"
-                f" or numeric, got {raw!r}")
+                f"line {lineno}: reflection value must be"
+                f" {', '.join(_GAMMA_WORDS)} or numeric, got {raw!r}")
         vals.append(float(p))
     return vals[0] if len(vals) == 1 else tuple(vals)
 
@@ -243,7 +245,7 @@ def _gamma_value(raw, lineno):
 def _point(sec, dim, violations, what):
     coords = []
     missing = []
-    for name in _AXES[:dim]:
+    for name in axes_of(dim):
         v = sec.num(name)
         if v is None:
             missing.append(name)
@@ -304,7 +306,7 @@ def parse_config(text):
     mesh = get_sec("mesh")
     dim = mesh.integer("dimension", 0)
     box = []
-    for name in _AXES[:max(dim, 2)]:
+    for name in axes_of(max(dim, 2)):
         lo, hi = mesh.num(name + "min"), mesh.num(name + "max")
         if lo is None or hi is None:
             if "mesh" in secs and dim:
@@ -350,7 +352,7 @@ def parse_config(text):
     for key in list(bsec.entries):
         raw, lineno = bsec.entries[key]
         bsec.seen.add(key)
-        mm = re.fullmatch(r"([xyz])\.(lo|hi)", key)
+        mm = re.fullmatch(_AXIS_RE + r"\.(lo|hi)", key)
         if not mm:
             violations.append(f"[boundary]: unknown face {key!r}")
             continue
@@ -365,7 +367,7 @@ def parse_config(text):
             continue
         raw, lineno = psec.entries[key]
         psec.seen.add(key)
-        mm = re.fullmatch(r"([xyz])(\.(lo|hi))?", key)
+        mm = re.fullmatch(_AXIS_RE + r"(\.(lo|hi))?", key)
         if not mm:
             violations.append(f"[pml]: unknown key {key!r}")
             continue
@@ -406,16 +408,11 @@ def parse_config(text):
                  or s.startswith("source.")]:
         sec = secs[name]
         loc = _point(sec, dim or 2, violations, "source")
-        comps = (["xx", "yy", "xy"] if dim == 2
-                 else ["xx", "yy", "zz", "xy", "xz", "yz"])
-        vals = {c: sec.num("m" + c, 0.0) for c in comps}
-        if dim == 3:
-            moment = ((vals["xx"], vals["xy"], vals["xz"]),
-                      (vals["xy"], vals["yy"], vals["yz"]),
-                      (vals["xz"], vals["yz"], vals["zz"]))
-        else:
-            moment = ((vals["xx"], vals["xy"]),
-                      (vals["xy"], vals["yy"]))
+        # keys mxx, myy, ..., one per stress component
+        vals = {s: sec.num("m" + s[1:], 0.0) for s in stress_names(dim or 2)}
+        axes = axes_of(dim or 2)
+        moment = tuple(tuple(vals[stress_name(a, b)] for b in axes)
+                       for a in axes)
         stf = sec.word("stf", "")
         params = {}
         if stf == "gaussian":
@@ -462,7 +459,7 @@ def parse_config(text):
             params["components"] = tuple(
                 c.strip() for c in comps.split(",")) if comps else None
         elif kind == "plane-wave":
-            n = tuple(sec.num("n" + a, 0.0) for a in _AXES[:dim or 2])
+            n = tuple(sec.num("n" + a, 0.0) for a in axes_of(dim or 2))
             params["n"] = n
             params["mode"] = sec.word("mode", "P")
             params["center"] = sec.num("center", 0.0)
@@ -517,13 +514,14 @@ def validate(cfg):
     if cfg.spacing <= 0.0:
         v.append(f"dx must be positive, got {cfg.spacing}")
         return v
-    for a, (lo, hi) in enumerate(cfg.box):
+    axes = axes_of(cfg.dimension)
+    for ax, (lo, hi) in zip(axes, cfg.box):
         if hi <= lo:
-            v.append(f"{_AXES[a]} extent [{lo}, {hi}] is empty")
+            v.append(f"{ax} extent [{lo}, {hi}] is empty")
             continue
         n = (hi - lo) / cfg.spacing
         if abs(n - round(n)) > 1e-6 * max(1.0, n) or round(n) < 1:
-            v.append(f"{_AXES[a]} extent {hi - lo} is not a whole number"
+            v.append(f"{ax} extent {hi - lo} is not a whole number"
                      f" of elements of size {cfg.spacing}")
     if not 1 <= cfg.degree <= MAX_DEGREE:
         v.append(f"degree must lie in [1, {MAX_DEGREE}], got {cfg.degree}")
@@ -537,14 +535,13 @@ def validate(cfg):
         v.append("secondary material defined without a region rule")
     if cfg.region is not None:
         axis, threshold, idx = cfg.region
-        if axis not in _AXES[:cfg.dimension]:
+        if axis not in axes:
             v.append(f"region axis {axis!r} not valid in"
                      f" {cfg.dimension}D")
         elif not (idx < len(cfg.materials)):
             v.append(f"region material index {idx} out of range")
         else:
-            ai = _AXES.index(axis)
-            lo, hi = cfg.box[ai]
+            lo, hi = cfg.box[axes.index(axis)]
             if threshold <= lo + 0.5 * cfg.spacing:
                 v.append("region threshold selects no elements")
 
@@ -556,12 +553,12 @@ def validate(cfg):
         if any(abs(x) > 1.0 for x in vals):
             v.append(f"boundary {ax}.{'lo' if side < 0 else 'hi'}:"
                      f" |gamma| must not exceed 1, got {g}")
-        if ax not in _AXES[:cfg.dimension]:
+        if ax not in axes:
             v.append(f"boundary face {ax} not valid in {cfg.dimension}D")
 
     pml = cfg.pml
     for ax, lo, hi in pml.widths:
-        if ax not in _AXES[:cfg.dimension]:
+        if ax not in axes:
             v.append(f"pml axis {ax} not valid in {cfg.dimension}D")
             continue
         for w, label in ((lo, "lo"), (hi, "hi")):
@@ -572,8 +569,7 @@ def validate(cfg):
                 if abs(k - round(k)) > 1e-6 * max(1.0, k) or round(k) < 1:
                     v.append(f"pml {ax}.{label} width {w} is not a whole"
                              f" number of elements of size {cfg.spacing}")
-        ai = _AXES.index(ax)
-        blo, bhi = cfg.box[ai]
+        blo, bhi = cfg.box[axes.index(ax)]
         if blo + lo >= bhi - hi:
             v.append(f"pml layers on {ax} leave no interior")
     if pml.enabled:
@@ -623,6 +619,12 @@ def validate(cfg):
             v.append(f"initial center {center} outside the box")
         if (ini.get("halfwidth") or 0.0) <= 0.0:
             v.append("initial halfwidth must be positive")
+        names = velocity_names(cfg.dimension)
+        for c in ini.get("components") or ():
+            if c not in names:
+                v.append(f"initial component {c!r} not valid in"
+                         f" {cfg.dimension}D (expected one of"
+                         f" {', '.join(names)})")
     if ini is not None and ini.kind == "plane-wave":
         n = ini.get("n", ())
         if not any(x != 0.0 for x in n):

@@ -15,12 +15,11 @@ from ..diagnostics import (convergence_rates, discrete_energy,
 from ..errors import DivergenceDetected
 from ..mesh import MeshSpec, build_mesh
 from ..operators import build_operators
+from ..physics import axes_of, velocity_names
 from ..pml import build_damping, d0_from_tol, resolve_tol
 from ..sources import (GaussianSTF, IntervalGate, MomentTensorSource,
                        RampSTF, Receiver, write_seismogram)
 from .config import PmlSpec, finalize
-
-_AXES = "xyz"
 
 
 @dataclass
@@ -122,16 +121,13 @@ def _apply_initial(state, cfg):
         center = ini.get("center")
         hw = ini.get("halfwidth")
         amp = ini.get("amplitude", 1.0)
-        comps = ini.get("components")
-        names = ["vx", "vy", "vz"][:cfg.dimension]
-        idx = [names.index(c) for c in comps] if comps \
-            else list(range(cfg.dimension))
+        names = velocity_names(cfg.dimension)
         coords = solver.nodal_coordinates(state.disc)
         r2 = sum((x - c) ** 2 for x, c in zip(coords, center))
         # value drops to 1/2 of the peak at distance `halfwidth`
         bump = amp * np.exp(-np.log(2.0) * r2 / hw ** 2)
-        for c in idx:
-            state.Q[c] = bump
+        for c in ini.get("components") or names:
+            state.Q[names.index(c)] = bump
     elif ini.kind == "plane-wave":
         pw = PlaneWaveSpec(n=ini.get("n"), mode=ini.get("mode"),
                            center=ini.get("center"),
@@ -259,15 +255,13 @@ def write_outputs(result, output_dir):
             f.write(f"note = {line}\n")
 
 
-_VEL_NAMES = ("vx", "vy", "vz")
-
-
 def _write_snapshot_binary(base, disc, snap, t):
     """One little-endian float64 .bin per component, element-major
     (element indices outer, node indices inner, C order), plus a text
     sidecar with the shape."""
     mesh = disc.mesh
     n = disc.ops.n_nodes
+    names = velocity_names(mesh.dim)
     with open(base + ".txt", "w") as f:
         f.write(f"time = {t:.16e}\n")
         f.write(f"dimension = {mesh.dim}\n")
@@ -275,21 +269,21 @@ def _write_snapshot_binary(base, disc, snap, t):
                 + "\n")
         f.write(f"nodes_per_axis = {n}\n")
         f.write(f"degree = {disc.ops.degree}\n")
-        f.write("components = " + ",".join(_VEL_NAMES[:mesh.dim]) + "\n")
+        f.write("components = " + ",".join(names) + "\n")
         f.write("layout = element-major, C order, little-endian"
                 " float64\n")
-    for c in range(mesh.dim):
-        with open(f"{base}_{_VEL_NAMES[c]}.bin", "wb") as f:
+    for c, name in enumerate(names):
+        with open(f"{base}_{name}.bin", "wb") as f:
             f.write(np.ascontiguousarray(snap[c]).astype("<f8").tobytes())
 
 
 def _write_snapshot_csv(path, disc, snap, t):
     mesh = disc.mesh
     coords = solver.nodal_coordinates(disc)
-    names = _VEL_NAMES[:mesh.dim]
+    names = velocity_names(mesh.dim)
     with open(path, "w") as f:
         f.write(f"# time = {t:.16e}\n")
-        f.write(",".join(_AXES[:mesh.dim]) + "," + ",".join(names) + "\n")
+        f.write(",".join(axes_of(mesh.dim) + names) + "\n")
         cols = [np.broadcast_to(c, snap[0].shape).ravel()
                 for c in coords] + [snap[c].ravel()
                                     for c in range(mesh.dim)]
@@ -301,50 +295,42 @@ def _snap_up(value, h):
     return max(1, int(np.ceil(value / h - 1e-9))) * h
 
 
-def derive_reference(cfg, pad):
-    """Enlarged plain-elastic companion: every truncated face (one that
-    carries a layer) moves outward by `pad`, the layers are dropped, and
-    the moved faces become plain absorbing walls.  Faces without a layer
-    are left exactly as configured, so shared truncation errors cancel
-    in the comparison."""
+def _strip_layers(cfg, offset, note):
+    """Layer-free companion: the layers are dropped and every face that
+    carried one becomes a plain absorbing wall, `offset` out from the
+    interior.  Faces without a layer are left exactly as configured."""
     wid = cfg.pml.width_map()
-    h = cfg.spacing
     box = [list(b) for b in cfg.box]
     boundary = dict(cfg.boundary_map())
     lo_i, hi_i = cfg.interior()
-    for ai, ax in enumerate(_AXES[:cfg.dimension]):
+    for ai, ax in enumerate(axes_of(cfg.dimension)):
         w_lo, w_hi = wid.get(ax, (0.0, 0.0))
         if w_lo > 0.0:
-            box[ai][0] = lo_i[ai] - _snap_up(pad, h)
+            box[ai][0] = lo_i[ai] - offset
             boundary[(ax, -1)] = 0.0
         if w_hi > 0.0:
-            box[ai][1] = hi_i[ai] + _snap_up(pad, h)
+            box[ai][1] = hi_i[ai] + offset
             boundary[(ax, 1)] = 0.0
     return finalize(replace(
         cfg, box=tuple(tuple(b) for b in box),
         boundary=tuple((ax, s, g) for (ax, s), g in boundary.items()),
-        pml=PmlSpec(),
-        notes=cfg.notes + (f"reference companion, truncated faces moved"
-                           f" out by {_snap_up(pad, h):g} m",)))
+        pml=PmlSpec(), notes=cfg.notes + (note,)))
+
+
+def derive_reference(cfg, pad):
+    """Enlarged plain-elastic companion: every truncated face (one that
+    carries a layer) moves `pad`, snapped up to whole elements, out from
+    the interior.  Faces without a layer are left as configured, so
+    shared truncation errors cancel in the comparison."""
+    pad = _snap_up(pad, cfg.spacing)
+    return _strip_layers(cfg, pad, "reference companion, truncated faces"
+                                   f" moved out by {pad:g} m")
 
 
 def derive_abc(cfg):
-    """Layer-free companion on the bare interior box: the layers are cut
-    away and the faces they covered become plain absorbing walls."""
-    lo_i, hi_i = cfg.interior()
-    wid = cfg.pml.width_map()
-    boundary = dict(cfg.boundary_map())
-    for ax in _AXES[:cfg.dimension]:
-        w_lo, w_hi = wid.get(ax, (0.0, 0.0))
-        if w_lo > 0.0:
-            boundary[(ax, -1)] = 0.0
-        if w_hi > 0.0:
-            boundary[(ax, 1)] = 0.0
-    return finalize(replace(
-        cfg, box=tuple(zip(lo_i, hi_i)),
-        boundary=tuple((ax, s, g) for (ax, s), g in boundary.items()),
-        pml=PmlSpec(),
-        notes=cfg.notes + ("absorbing-wall companion, layers removed",)))
+    """Layer-free companion on the bare interior box."""
+    return _strip_layers(cfg, 0.0,
+                         "absorbing-wall companion, layers removed")
 
 
 def convergence_study(cfg, spacings, pad, output_dir=None,

@@ -1,9 +1,12 @@
 """Velocity-stress form of linear elastodynamics.
 
-State vector Q = (v, sigma) with Voigt stress order (xx, yy, zz, xy, xz, yz)
-in 3D (9 components) and the in-plane restriction (vx, vy, xx, yy, xy) in 2D
-(5 components). The system reads P^-1 dQ/dt = sum_xi A_xi dQ/dxi with
-P = diag(rho^-1 I, C).
+One state layout serves both dimensions.  COMPONENTS names the 3D state:
+the velocities, then the Voigt stresses (xx, yy, zz, xy, xz, yz).  The
+2D problem is plane strain, the 3D system restricted to the components
+whose names carry no z, in the same order: (vx, vy, sxx, syy, sxy).
+Axis names, traction slots, selection blocks, the Voigt order and the 2D
+stiffness are all read off these names.  The system reads
+P^-1 dQ/dt = sum_xi A_xi dQ/dxi with P = diag(rho^-1 I, C).
 """
 
 from dataclasses import dataclass
@@ -12,47 +15,49 @@ import numpy as np
 
 from .errors import InvalidLame, NotSPD
 
-# selection blocks a_xi mapping Voigt stress to the traction on a xi-face
-A_BLOCK_3D = {
-    "x": np.array([[1, 0, 0, 0, 0, 0],
-                   [0, 0, 0, 1, 0, 0],
-                   [0, 0, 0, 0, 1, 0]], dtype=float),
-    "y": np.array([[0, 0, 0, 1, 0, 0],
-                   [0, 1, 0, 0, 0, 0],
-                   [0, 0, 0, 0, 0, 1]], dtype=float),
-    "z": np.array([[0, 0, 0, 0, 1, 0],
-                   [0, 0, 0, 0, 0, 1],
-                   [0, 0, 1, 0, 0, 0]], dtype=float),
-}
-A_BLOCK_2D = {
-    "x": np.array([[1, 0, 0],
-                   [0, 0, 1]], dtype=float),
-    "y": np.array([[0, 0, 1],
-                   [0, 1, 0]], dtype=float),
-}
-
-# state-vector slot of the traction component per wave family, by face axis
-SIG_SLOT_3D = {"x": (3, 6, 7), "y": (6, 4, 8), "z": (7, 8, 5)}
-SIG_SLOT_2D = {"x": (2, 4), "y": (4, 3)}
-
-AXES_3D = ("x", "y", "z")
-AXES_2D = ("x", "y")
+COMPONENTS = ("vx", "vy", "vz", "sxx", "syy", "szz", "sxy", "sxz", "syz")
+AXES = tuple(c[1:] for c in COMPONENTS if c[0] == "v")
 
 
 def axes_of(dim):
-    return AXES_3D if dim == 3 else AXES_2D
+    return AXES[:dim]
+
+
+def components(dim):
+    """State component names in dim D: those whose axes all lie in it."""
+    axes = axes_of(dim)
+    return tuple(c for c in COMPONENTS if all(a in axes for a in c[1:]))
 
 
 def n_components(dim):
-    return 9 if dim == 3 else 5
+    return len(components(dim))
+
+
+def velocity_names(dim):
+    return components(dim)[:dim]
+
+
+def stress_names(dim):
+    """Voigt stress names in state order."""
+    return components(dim)[dim:]
+
+
+def stress_name(a, b):
+    """Name of the stress component sigma_ab (symmetric in a, b)."""
+    return "s" + "".join(sorted(a + b))
 
 
 def sig_slots(axis, dim):
-    return SIG_SLOT_3D[axis] if dim == 3 else SIG_SLOT_2D[axis]
+    """State slots of the traction on an `axis` face, one per wave
+    family (the axes of the dimension, in order)."""
+    names = components(dim)
+    return tuple(names.index(stress_name(axis, f)) for f in axes_of(dim))
 
 
 def a_block(axis, dim):
-    return A_BLOCK_3D[axis] if dim == 3 else A_BLOCK_2D[axis]
+    """Selection block a_xi mapping Voigt stress to the traction on a
+    xi-face: one-hot rows at the traction slots."""
+    return np.eye(len(stress_names(dim)))[np.array(sig_slots(axis, dim)) - dim]
 
 
 def coefficient_matrix(axis, dim=3):
@@ -96,6 +101,12 @@ class MaterialModel:
     def cs(self):
         return np.sqrt(self.mu / self.rho)
 
+    def stiffness(self, dim):
+        """C on the stresses of the dim-D state.  The restriction closes
+        in 2D: the isotropic C couples no in-plane stress to xz or yz."""
+        idx = [stress_names(3).index(s) for s in stress_names(dim)]
+        return self.C[np.ix_(idx, idx)]
+
 
 def voigt(M, dim):
     """Voigt vector of the symmetric part of a dim x dim tensor, in the
@@ -104,9 +115,8 @@ def voigt(M, dim):
     if M.shape != (dim, dim):
         raise ValueError(f"tensor must be {dim}x{dim}, got {M.shape}")
     M = 0.5 * (M + M.T)
-    if dim == 3:
-        return np.array([M[0, 0], M[1, 1], M[2, 2], M[0, 1], M[0, 2], M[1, 2]])
-    return np.array([M[0, 0], M[1, 1], M[0, 1]])
+    return np.array([M[AXES.index(s[1]), AXES.index(s[2])]
+                     for s in stress_names(dim)])
 
 
 def material_from_lame(rho, lam, mu):
@@ -125,15 +135,10 @@ def material_from_speeds(rho, cp, cs):
 
 def material_matrix(m, dim=3):
     """P = diag(rho^-1 I, C); maps the spatial-derivative stack to dQ/dt."""
-    nv = dim
-    if dim == 3:
-        C = m.C
-    else:
-        C = reduce_to_2d(m.C)
-    n = nv + C.shape[0]
-    P = np.zeros((n, n))
-    P[np.arange(nv), np.arange(nv)] = 1.0 / m.rho
-    P[nv:, nv:] = C
+    C = m.stiffness(dim)
+    P = np.zeros((dim + len(C),) * 2)
+    P[np.arange(dim), np.arange(dim)] = 1.0 / m.rho
+    P[dim:, dim:] = C
     return P
 
 
@@ -150,13 +155,3 @@ def eigen_spectrum(m, axis):
         raise NotSPD("material matrix must be positive definite")
     sqrtP = (V * np.sqrt(w)) @ V.T
     return np.linalg.eigvalsh(sqrtP @ A @ sqrtP)
-
-
-def reduce_to_2d(C):
-    """Restrict a 6x6 isotropic stiffness to the in-plane (xx, yy, xy) block.
-
-    The restricted system is closed: the dropped rows never feed the retained
-    ones because the isotropic C has no normal-shear coupling.
-    """
-    idx = np.array([0, 1, 3])
-    return np.asarray(C)[np.ix_(idx, idx)]

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import InvalidExtent, InvalidTol
 from .mesh import CartesianMesh
 from .operators import ElementOperators
+from .physics import axes_of
 
 PROFILE_POWER = 3
 
@@ -83,8 +84,7 @@ def interior_box(mesh: CartesianMesh, widths):
     to a (low, high) pair of physical widths."""
     lo = np.array(mesh.mins, dtype=float)
     hi = np.array(mesh.maxs, dtype=float)
-    names = "xyz"[: mesh.dim]
-    for ax, name in enumerate(names):
+    for ax, name in enumerate(axes_of(mesh.dim)):
         w_lo, w_hi = widths.get(name, (0.0, 0.0))
         lo[ax] += w_lo
         hi[ax] -= w_hi
@@ -105,9 +105,8 @@ def build_damping(mesh: CartesianMesh, ops: ElementOperators, widths,
     elements; an empty list means the layers are disabled everywhere.
     """
     lo, hi = interior_box(mesh, widths)
-    names = "xyz"[: mesh.dim]
     tables = []
-    for ax, name in enumerate(names):
+    for ax, name in enumerate(axes_of(mesh.dim)):
         w_lo, w_hi = widths.get(name, (0.0, 0.0))
         if w_lo <= 0.0 and w_hi <= 0.0:
             continue

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import UnsupportedOrder
 from .mesh import locate_point
 from .operators import eval_basis_at
-from .physics import n_components, voigt
+from .physics import components as state_components, voigt
 
 MAX_STF_ORDER = 20
 
@@ -123,16 +123,10 @@ class Receiver:
         for r in ref:
             basis = np.multiply.outer(basis, eval_basis_at(ops, r))
         self.basis = basis
-        names = ["vx", "vy", "vz"][: mesh.dim]
-        if components == "all":
-            names += {2: ["sxx", "syy", "sxy"],
-                      3: ["sxx", "syy", "szz", "sxy", "sxz", "syz"]}[mesh.dim]
-            self.n_comp = n_components(mesh.dim)
-        elif components == "velocity":
-            self.n_comp = mesh.dim
-        else:
+        if components not in ("velocity", "all"):
             raise ValueError(f"unknown component set {components!r}")
-        self.names = names
+        names = state_components(mesh.dim)
+        self.names = names[:mesh.dim] if components == "velocity" else names
         self.gate = IntervalGate(interval)
         self.times = []
         self.samples = []
@@ -141,7 +135,7 @@ class Receiver:
         if (self.times and state.t <= self.times[-1]) \
                 or not self.gate(state.t):
             return
-        q = state.Q[(slice(0, self.n_comp),) + self.elem]
+        q = state.Q[(slice(0, len(self.names)),) + self.elem]
         axes = list(range(1, 1 + self.dim))
         vals = np.tensordot(q, self.basis, axes=(axes, list(range(self.dim))))
         self.times.append(float(state.t))

@@ -11,7 +11,6 @@ from elastowave.physics import (
     material_from_lame,
     material_from_speeds,
     material_matrix,
-    reduce_to_2d,
 )
 
 
@@ -53,7 +52,7 @@ def test_energy_matches_elementwise_reference():
     rng = np.random.default_rng(8)
     st.Q[...] = rng.standard_normal(st.Q.shape)
     mesh, ops = disc.mesh, disc.ops
-    S = np.linalg.inv(reduce_to_2d(m.C))
+    S = np.linalg.inv(m.C[np.ix_([0, 1, 3], [0, 1, 3])])  # xx, yy, xy
     wq = ops.rule.weights
     total = 0.0
     for idx in np.ndindex(*mesh.counts):

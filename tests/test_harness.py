@@ -227,6 +227,40 @@ def test_parse_error_non_numeric():
         parse_config("[mesh]\ndimension = two\n")
 
 
+@pytest.mark.parametrize("old, new, line", [
+    ("dimension = 2", "dimension = 1e999", 3),
+    ("xmax = 60 km", "xmax = 1e999", 5),
+    ("rho = 2.7 g/cm3", "rho = 1e306 g/cm3", 12),
+])
+def test_parse_error_non_finite(old, new, line):
+    with pytest.raises(ParseError, match=f"line {line}: .* must be finite"):
+        parse_config(STRIP_TEXT.replace(old, new))
+
+
+def test_validation_region_axis_is_an_axis_name():
+    text = STRIP_TEXT + ("\n[material.lower]\nrho = 2.6 g/cm3\ncp = 4 km/s\n"
+                         "cs = 2 km/s\naxis = xy\nbelow = 10 km\n")
+    with pytest.raises(ValidationError,
+                       match="region axis 'xy' not valid in 2D"):
+        parse_config(text)
+
+
+def test_validation_initial_components_are_velocities():
+    bad = STRIP_TEXT.replace("components = vx, vy", "components = vx, vz")
+    with pytest.raises(ValidationError,
+                       match="initial component 'vz' not valid in 2D"):
+        parse_config(bad)
+
+
+def test_boundary_words():
+    cfg = parse_config(STRIP_TEXT.replace("y.hi = absorbing",
+                                          "y.hi = clamped"))
+    assert cfg.boundary_map()[("y", 1)] == -1.0
+    with pytest.raises(ParseError,
+                       match="must be free, absorbing, clamped or numeric"):
+        parse_config(STRIP_TEXT.replace("y.hi = absorbing", "y.hi = rigid"))
+
+
 def test_validation_lists_every_violation():
     bad = (STRIP_TEXT
            .replace("degree = 5", "degree = 99")

@@ -94,7 +94,7 @@ def test_2d_restriction_of_coefficients():
     # in-plane velocity rows read only in-plane stress slots, equivalently
     # the dropped strain slots (zz, xz, yz) are fed only by vz
     for ax in "xy":
-        a = ph.A_BLOCK_3D[ax]
+        a = ph.a_block(ax, 3)
         assert not a[np.ix_([0, 1], [2, 4, 5])].any()
     # retained stress rows read no shear strains beyond gamma_xy; the ezz
     # column is harmless because ezz itself stays zero
@@ -103,11 +103,33 @@ def test_2d_restriction_of_coefficients():
     assert C[3, 2] == 0.0
 
 
-def test_reduce_to_2d_stiffness():
-    C = ph.isotropic_stiffness(2.0, 3.0)
-    C2 = ph.reduce_to_2d(C)
+def test_stiffness_restriction():
+    m = ph.material_from_lame(1.0, 2.0, 3.0)
     np.testing.assert_array_equal(
-        C2, np.array([[8.0, 2.0, 0.0], [2.0, 8.0, 0.0], [0.0, 0.0, 3.0]]))
+        m.stiffness(2),
+        np.array([[8.0, 2.0, 0.0], [2.0, 8.0, 0.0], [0.0, 0.0, 3.0]]))
+    np.testing.assert_array_equal(m.stiffness(2),
+                                  m.C[np.ix_((0, 1, 3), (0, 1, 3))])
+    np.testing.assert_array_equal(m.stiffness(3), m.C)
+
+
+def test_state_layout_literal():
+    assert ph.components(3) == ("vx", "vy", "vz", "sxx", "syy", "szz",
+                                "sxy", "sxz", "syz")
+    assert ph.components(2) == ("vx", "vy", "sxx", "syy", "sxy")
+    assert ph.axes_of(3) == ("x", "y", "z") and ph.axes_of(2) == ("x", "y")
+    assert [ph.n_components(d) for d in (2, 3)] == [5, 9]
+    slots = {d: {ax: ph.sig_slots(ax, d) for ax in ph.axes_of(d)}
+             for d in (2, 3)}
+    assert slots[3] == {"x": (3, 6, 7), "y": (6, 4, 8), "z": (7, 8, 5)}
+    assert slots[2] == {"x": (2, 4), "y": (4, 3)}
+    # the 2D state is the z-free restriction of the 3D one
+    assert [ph.COMPONENTS.index(c) for c in ph.components(2)] \
+        == [0, 1, 3, 4, 6]
+    np.testing.assert_array_equal(
+        ph.a_block("y", 3), [[0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0],
+                             [0, 0, 0, 0, 0, 1]])
+    np.testing.assert_array_equal(ph.a_block("x", 2), [[1, 0, 0], [0, 0, 1]])
 
 
 def test_sig_slots_match_a_blocks():

@@ -7,7 +7,7 @@ from elastowave import solver
 from elastowave.errors import DivergenceDetected, UnsupportedDegree
 from elastowave.mesh import MeshSpec, build_mesh
 from elastowave.operators import build_operators
-from elastowave.physics import material_from_speeds, reduce_to_2d
+from elastowave.physics import material_from_speeds
 from elastowave.pml import build_damping
 
 import rhs_oracle
@@ -46,7 +46,7 @@ def energy(state):
     mesh, ops = disc.mesh, disc.ops
     dim = mesh.dim
     mat = mesh.materials
-    S = [np.linalg.inv(m.C if dim == 3 else reduce_to_2d(m.C)) for m in mat]
+    S = [np.linalg.inv(m.stiffness(dim)) for m in mat]
     wq = ops.rule.weights
     wgt = wq
     for _ in range(dim - 1):
