@@ -23,25 +23,30 @@ class EnergySample:
 
 
 def discrete_energy(state):
-    """Quadrature-weighted energy 1/2 (rho |v|^2 + sigma : C^-1 sigma)."""
+    """Quadrature-weighted energy 1/2 (rho |v|^2 + sigma : C^-1 sigma).
+
+    The isotropic compliance form is written out, per element:
+    sigma : C^-1 sigma = (sum_i s_ii^2 - lam tr^2 / (dim lam + 2 mu)) / (2 mu)
+    + sum of the shear s_ij^2 / mu, with tr the sum of the normal
+    stresses.  The quadrature sums of each component's square are taken
+    per element straight from Q and weighted by the element's material."""
     disc = state.disc
-    mesh, ops = disc.mesh, disc.ops
+    mesh, weights = disc.mesh, disc.ops.rule.weights
     dim = mesh.dim
-    wgt = ops.rule.weights
+    wgt = weights
     for _ in range(dim - 1):
-        wgt = np.multiply.outer(wgt, ops.rule.weights)
-    total = 0.0
-    for mid, mat in enumerate(mesh.materials):
-        sel = np.nonzero(mesh.material_ids == mid)
-        if sel[0].size == 0:
-            continue
-        q = state.Q[(slice(None),) + sel]    # (nc, nsel, nodes...)
-        v, sig = q[:dim], q[dim:]
-        S = np.linalg.inv(mat.stiffness(dim))
-        dens = 0.5 * mat.rho * (v ** 2).sum(axis=0)
-        dens = dens + 0.5 * np.einsum("i...,ij,j...->...", sig, S, sig)
-        total += float((dens * wgt).sum())
-    return EnergySample(t=state.t, E=mesh.jacobian * total)
+        wgt = np.multiply.outer(wgt, weights)
+    wgt = wgt.ravel()
+    q = state.Q.reshape(len(state.Q), mesh.material_ids.size, wgt.size)
+    sq = np.einsum("cen,cen,n->ce", q, q, wgt)
+    tr = q[dim:2 * dim].sum(0)
+    sq_tr = np.einsum("en,en,n->e", tr, tr, wgt)
+    rho, lam, mu = (a.ravel() for a in (disc.rho_e, disc.lam_e, disc.mu_e))
+    dens = (rho * sq[:dim].sum(0)
+            + (sq[dim:2 * dim].sum(0) - lam / (dim * lam + 2 * mu) * sq_tr)
+            / (2 * mu)
+            + sq[2 * dim:].sum(0) / mu)
+    return EnergySample(t=state.t, E=mesh.jacobian * 0.5 * float(dens.sum()))
 
 
 def linf_series(state):

@@ -8,6 +8,7 @@ libraries load, which is why the heavy imports happen inside main().
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -77,10 +78,15 @@ def _length(token):
     from .config import _NUM_RE, _UNITS
     parts = token.strip().split()
     if len(parts) == 1 and _NUM_RE.match(parts[0]):
-        return float(parts[0])
-    if len(parts) == 2 and _NUM_RE.match(parts[0]) and parts[1] in ("m", "km"):
-        return float(parts[0]) * _UNITS[parts[1]]
-    raise ParseError(f"bad length {token!r}; write `2500` or `2.5 km`")
+        value = float(parts[0])
+    elif len(parts) == 2 and _NUM_RE.match(parts[0]) \
+            and parts[1] in ("m", "km"):
+        value = float(parts[0]) * _UNITS[parts[1]]
+    else:
+        raise ParseError(f"bad length {token!r}; write `2500` or `2.5 km`")
+    if not math.isfinite(value):
+        raise ParseError(f"length {token!r} must be finite")
+    return value
 
 
 def _report(result, output_dir):

@@ -527,8 +527,8 @@ def validate(cfg):
         v.append(f"degree must lie in [1, {MAX_DEGREE}], got {cfg.degree}")
     if not 0.0 < cfg.cfl <= 1.0:
         v.append(f"cfl must lie in (0, 1], got {cfg.cfl}")
-    if cfg.t_end <= 0.0:
-        v.append(f"tend must be positive, got {cfg.t_end}")
+    if not math.isfinite(cfg.t_end) or cfg.t_end <= 0.0:
+        v.append(f"tend must be positive and finite, got {cfg.t_end}")
     if not cfg.materials:
         v.append("no materials defined")
     if len(cfg.materials) > 1 and cfg.region is None:

@@ -6,16 +6,23 @@ components are velocities, the rest Voigt stresses.  Auxiliary fields
 live only on damped elements, compacted to (nc, n_damped, n, n[, n]) in
 the order given by the damping table's element index.
 
-The update makes one pass per axis: A dQ/dxi, then the flux
-fluctuations of every element's left and right face.  On GLL nodes
-those faces are node planes 0 and n-1, so each fluctuation plane is
-lifted by one scalar straight onto its node plane.  Damped elements
-additionally lose d*w and feed the auxiliary equations with the same
-face terms scaled by theta.  The material map (1/rho on velocities,
-stiffness on stress rates) is applied once at the end, in place.
+The update makes one pass per axis.  The derivative A dQ/dxi is one
+matmul per source (traction into the velocity rows, velocity into the
+traction slots) on a (pre, n, post) view, with 2/h folded into D.  Then
+come the flux fluctuations of every element's left and right face: on
+GLL nodes those faces are node planes 0 and n-1, so each fluctuation
+plane is lifted by one scalar straight onto its node plane of the
+result.  The damped elements of an axis are a prefix and a suffix slab
+of that element axis, and an auxiliary field reshaped to its slab shape
+lines up with them in C order.  So every auxiliary gather, decay (d*w)
+and scatter is a basic-slice view; the auxiliary equations see the same
+derivative and face terms, the face terms scaled by theta.  The
+material map (1/rho on velocities, stiffness on stress rates) is applied
+once at the end, in place.
 """
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -27,7 +34,8 @@ from .physics import axes_of, n_components, sig_slots
 @dataclass(frozen=True)
 class Discretization:
     """Shared immutable tables: mesh, operators, materials broadcast to
-    element grids, per-axis impedances, face lift scalars, damping.
+    element grids, per-axis derivatives and impedances, face lift
+    scalars, damping.
 
     The state has mesh.dim velocity and n_components(mesh.dim) total
     components.  Per axis, lift scales a fluctuation plane onto node
@@ -41,9 +49,47 @@ class Discretization:
     rho_e: np.ndarray
     lam_e: np.ndarray
     mu_e: np.ndarray
+    dmat: tuple     # per axis: the nodal derivative D scaled by 2 / h
     z: tuple        # per axis: (dim,) + counts + (1,)*(dim-1)
     lift: tuple     # per axis: 2 / (h * w_0)
     slots: tuple    # per axis traction component slots in the state vector
+    slabs: tuple    # parallel to damping: see _slabs
+
+
+def _slabs(tab, counts, n):
+    """The damped elements of one axis as basic slices.
+
+    A layer damps an element whose centroid lies outside the interior
+    interval, so along the table's axis the damped elements are a prefix
+    and a suffix of the element axis, every other element axis whole.
+    Returns the slab shape of an auxiliary component and, per nonempty
+    part, (element slice of Q, element slice of the slab, d, -(d + alpha)).
+    d is materialized over every axis after the element axis, so numpy's
+    inner loops run over contiguous runs rather than single node rows."""
+    ax, dim = tab.axis_index, len(counts)
+    member = np.zeros(counts[ax], dtype=bool)
+    member[tab.index[ax]] = True
+    elems = np.flatnonzero(member)
+    k_lo = int((elems == np.arange(elems.size)).sum())
+    k_hi = elems.size - k_lo
+    others = prod(counts) // counts[ax]
+    if (elems[k_lo:] != np.arange(counts[ax] - k_hi, counts[ax])).any() \
+            or len(tab.index[ax]) != elems.size * others:
+        raise ValueError(f"damped elements on {tab.axis} are not a prefix"
+                         " and a suffix slab of the element grid")
+    slab = counts[:ax] + (elems.size,) + counts[ax + 1:]
+    d = tab.damp.reshape(slab + (n,))[(0,) * ax]
+    d = d.reshape(d.shape[:-1] + (1,) * ax + (n,) + (1,) * (dim - 1 - ax))
+    d = np.ascontiguousarray(np.broadcast_to(d, slab[ax:] + (n,) * dim))
+    d = d.reshape((1,) * (1 + ax) + d.shape)
+    parts = []
+    for q_el, w_el in ((slice(0, k_lo), slice(0, k_lo)),
+                       (slice(counts[ax] - k_hi, counts[ax]),
+                        slice(k_lo, elems.size))):
+        if q_el.stop > q_el.start:
+            q_el, w_el = _at(q_el, 1 + ax), _at(w_el, 1 + ax)
+            parts.append((q_el, w_el, d[w_el], -(d[w_el] + tab.alpha)))
+    return slab + (n,) * dim, tuple(parts)
 
 
 def discretize(mesh, ops, theta=1.0, damping=()):
@@ -65,12 +111,16 @@ def discretize(mesh, ops, theta=1.0, damping=()):
         z.append(zax.reshape((dim,) + mesh.counts + (1,) * (dim - 1)))
         lift.append(2.0 / mesh.spacings[ax] / ops.rule.weights[0])
         slot_list.append(np.array(sig_slots(name, dim)))
+    damping = tuple(damping)
     return Discretization(
-        mesh=mesh, ops=ops, theta=float(theta), damping=tuple(damping),
+        mesh=mesh, ops=ops, theta=float(theta), damping=damping,
         rho_e=rho.reshape(mesh.counts + tail),
         lam_e=lam.reshape(mesh.counts + tail),
         mu_e=mu.reshape(mesh.counts + tail),
-        z=tuple(z), lift=tuple(lift), slots=tuple(slot_list))
+        dmat=tuple(ops.D * (2.0 / h) for h in mesh.spacings),
+        z=tuple(z), lift=tuple(lift), slots=tuple(slot_list),
+        slabs=tuple(_slabs(tab, mesh.counts, ops.n_nodes)
+                    for tab in damping))
 
 
 @dataclass
@@ -108,9 +158,14 @@ def nodal_coordinates(disc):
     return out
 
 
-def _diff(arr, node_ax, D, scale):
-    out = np.tensordot(arr, D, axes=(node_ax, 1))
-    return np.moveaxis(out, -1, node_ax) * scale
+def _diff(arr, node_ax, D):
+    """D along axis node_ax of a C-contiguous array: one matmul on a
+    (pre, n, post) view, or (pre, n) @ D.T when the node axis is last."""
+    shape = arr.shape
+    pre, n = prod(shape[:node_ax]), shape[node_ax]
+    if node_ax == arr.ndim - 1:
+        return (arr.reshape(pre, n) @ D.T).reshape(shape)
+    return np.matmul(D, arr.reshape(pre, n, -1)).reshape(shape)
 
 
 def _at(k, axis):
@@ -118,65 +173,90 @@ def _at(k, axis):
     return (slice(None),) * axis + (k,)
 
 
+def _add_rows(out, rows, val):
+    """out[rows] += val one component row at a time: in-place adds on
+    basic slices, where a fancy index would copy, add and write back."""
+    for r, x in zip(rows, val):
+        out[r] += x
+
+
 def _rhs(Q, w, disc):
-    mesh, ops = disc.mesh, disc.ops
-    dim, n = mesh.dim, ops.n_nodes
-    names = axes_of(dim)
-    total = np.zeros_like(Q)
-    tabs = {tab.axis_index: (pos, tab) for pos, tab in enumerate(disc.damping)}
+    total = np.zeros(Q.shape)
     dw = [None] * len(disc.damping)
-    for ax in range(dim):
-        node_ax = 1 + dim + ax
-        scale = 2.0 / mesh.spacings[ax]
-        slots, z = disc.slots[ax], disc.z[ax]
-        v, t = Q[:dim], Q[slots]
-        br = np.zeros_like(Q)
-        br[:dim] = _diff(t, node_ax, ops.D, scale)
-        br[slots] = _diff(v, node_ax, ops.D, scale)
-        total += br
+    layers = {tab.axis_index: pos for pos, tab in enumerate(disc.damping)}
+    for ax in range(disc.mesh.dim):
+        pos = layers.get(ax)
+        if pos is None:
+            _axis_terms(Q, ax, disc, total)
+        else:
+            slab, parts = disc.slabs[pos]
+            ws = w[pos].reshape((len(Q),) + slab)
+            dws = np.empty(ws.shape)
+            # the decay of w, and -d*w on the same elements of Q
+            for q_el, w_el, d, decay in parts:
+                np.multiply(decay, ws[w_el], out=dws[w_el])
+                total[q_el] -= d * ws[w_el]
+            _axis_terms(Q, ax, disc, total, dws, parts)
+            dw[pos] = dws.reshape(w[pos].shape)
 
-        # fluctuations on the left (node 0) and right (node n-1) face of
-        # every element; element slabs index axis 1 + ax of the planes
-        v_l, v_r = v[_at(0, node_ax)], v[_at(n - 1, node_ax)]
-        t_l, t_r = t[_at(0, node_ax)], t[_at(n - 1, node_ax)]
-        g_l, g_r = np.empty_like(v_l), np.empty_like(v_r)
-        lo, hi = _at(slice(None, -1), 1 + ax), _at(slice(1, None), 1 + ax)
-        vhat, that = hat_interface(v_r[lo], t_r[lo], z[lo],
-                                   v_l[hi], t_l[hi], z[hi])
-        g_r[lo] = fluctuation(v_r[lo], t_r[lo], vhat, that, z[lo], +1)
-        g_l[hi] = fluctuation(v_l[hi], t_l[hi], vhat, that, z[hi], -1)
-        lifted = []
-        for side, node, g, vf, tf in ((-1, 0, g_l, v_l, t_l),
-                                      (1, n - 1, g_r, v_r, t_r)):
-            b = _at(slice(0, 1) if side < 0 else slice(-1, None), 1 + ax)
-            gam = mesh.gamma[(names[ax], side)].reshape((dim,) + (1,) * (2 * dim - 1))
-            vhat, that = hat_boundary(vf[b], tf[b], z[b], gam, side)
-            g[b] = fluctuation(vf[b], tf[b], vhat, that, z[b], side)
-            # -H^-1 e F with F = (G; side * a^T G/Z), lifted onto the face plane
-            f = np.zeros((len(Q),) + g.shape[1:])
-            f[:dim] = disc.lift[ax] * -g
-            f[slots] = disc.lift[ax] * (-side * g / z)
-            total[_at(node, node_ax)] += f
-            lifted.append((node, f))
-
-        if ax in tabs:
-            pos, tab = tabs[ax]
-            sel = (slice(None),) + tab.index
-            dwi = br[sel]
-            for node, f in lifted:
-                dwi[_at(node, 2 + ax)] += disc.theta * f[sel]
-            dval = tab.damp.reshape(
-                (1, tab.damp.shape[0]) + (1,) * ax + (n,) + (1,) * (dim - 1 - ax))
-            dwi -= (dval + tab.alpha) * w[pos]
-            dw[pos] = dwi
-            total[sel] -= dval * w[pos]
-
+    dim = disc.mesh.dim
     total[:dim] /= disc.rho_e
     s = total[dim:]
     tr = s[:dim].sum(0)
-    s[:dim] = 2 * disc.mu_e * s[:dim] + disc.lam_e * tr
+    tr *= disc.lam_e
+    s[:dim] *= 2 * disc.mu_e
+    s[:dim] += tr
     s[dim:] *= disc.mu_e
     return total, tuple(dw)
+
+
+def _axis_terms(Q, ax, disc, total, dws=None, parts=()):
+    """Adds the terms of axis ax to total, and to the slab parts of dws
+    (damped elements, see _slabs) the same terms with the face terms
+    scaled by theta.  Its temporaries die with the call, so they never
+    overlap those of the next axis."""
+    mesh, n = disc.mesh, disc.ops.n_nodes
+    dim = mesh.dim
+    node_ax = 1 + dim + ax
+    slots, z = disc.slots[ax], disc.z[ax]
+    vel = range(dim)
+    v, t = Q[:dim], Q[slots]
+
+    # A dQ/dxi: traction into the velocity rows, velocity into the slots
+    for rows, src in ((vel, t), (slots, v)):
+        der = _diff(src, node_ax, disc.dmat[ax])
+        _add_rows(total, rows, der)
+        for q_el, w_el, *_ in parts:
+            _add_rows(dws[w_el], rows, der[q_el])
+        del der     # freed before the next derivative is allocated
+
+    # fluctuations on the left (node 0) and right (node n-1) face of
+    # every element; element slabs index axis 1 + ax of the planes
+    v_l, v_r = v[_at(0, node_ax)], v[_at(n - 1, node_ax)]
+    t_l, t_r = t[_at(0, node_ax)], t[_at(n - 1, node_ax)]
+    g_l, g_r = np.empty_like(v_l), np.empty_like(v_r)
+    lo, hi = _at(slice(None, -1), 1 + ax), _at(slice(1, None), 1 + ax)
+    vhat, that = hat_interface(v_r[lo], t_r[lo], z[lo],
+                               v_l[hi], t_l[hi], z[hi])
+    g_r[lo] = fluctuation(v_r[lo], t_r[lo], vhat, that, z[lo], +1)
+    g_l[hi] = fluctuation(v_l[hi], t_l[hi], vhat, that, z[hi], -1)
+    name = axes_of(dim)[ax]
+    for side, node, g, vf, tf in ((-1, 0, g_l, v_l, t_l),
+                                  (1, n - 1, g_r, v_r, t_r)):
+        b = _at(slice(0, 1) if side < 0 else slice(-1, None), 1 + ax)
+        gam = mesh.gamma[(name, side)].reshape((dim,) + (1,) * (2 * dim - 1))
+        vhat, that = hat_boundary(vf[b], tf[b], z[b], gam, side)
+        g[b] = fluctuation(vf[b], tf[b], vhat, that, z[b], side)
+        # -H^-1 e F with F = (G; side * a^T G/Z), added straight onto
+        # the face plane; the auxiliary fields take theta times it
+        face = _at(node, node_ax)
+        fl = -disc.lift[ax] * g
+        for rows, f in ((vel, fl), (slots, fl / (side * z))):
+            _add_rows(total[face], rows, f)
+            if parts:
+                f = disc.theta * f
+            for q_el, w_el, *_ in parts:
+                _add_rows(dws[w_el][face], rows, f[q_el])
 
 
 # Truncated-Taylor stepping is only conditionally stable against stiff
@@ -205,30 +285,41 @@ def stable_dt(mesh, materials, degree, cfl, damping_rate=0.0):
 
 def ader_step(state, dt, sources=()):
     """Taylor step of order P+1: u += sum_k dt^k/k! u^(k) with
-    u^(k+1) = L u^(k) + f^(k)(t_n)."""
+    u^(k+1) = L u^(k) + f^(k)(t_n).
+
+    Each term is scaled in place and added once the next stage has read
+    it, so the sum allocates nothing state-sized of its own."""
     disc = state.disc
-    acc_q = state.Q.copy()
-    acc_w = [wi.copy() for wi in state.w]
+    acc = [state.Q.copy()] + [wi.copy() for wi in state.w]
     term_q, term_w = state.Q, state.w
     coef = 1.0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for k in range(1, disc.ops.degree + 2):
+            prev = (term_q,) + term_w if k > 1 else ()
             term_q, term_w = _rhs(term_q, term_w, disc)
+            _add_scaled(acc, prev, coef)
             for src in sources:
                 src.inject(term_q, state.t, k - 1)
             coef *= dt / k
-            acc_q += coef * term_q
-            for acc_i, term_i in zip(acc_w, term_w):
-                acc_i += coef * term_i
-    if not np.isfinite(acc_q).all() \
-            or any(not np.isfinite(wi).all() for wi in acc_w):
+        _add_scaled(acc, (term_q,) + term_w, coef)
+    if any(not np.isfinite(a).all() for a in acc):
         raise DivergenceDetected(f"non-finite field at t = {state.t + dt}")
-    return SimulationState(disc=disc, t=state.t + dt, Q=acc_q, w=tuple(acc_w))
+    return SimulationState(disc=disc, t=state.t + dt, Q=acc[0],
+                           w=tuple(acc[1:]))
+
+
+def _add_scaled(acc, terms, coef):
+    """acc += coef * terms, array by array, overwriting the terms."""
+    for a, term in zip(acc, terms):
+        term *= coef
+        a += term
 
 
 def run(state, t_end, dt, sources=(), callbacks=()):
     """Fixed-step march to t_end with a final truncated step landing on it
     exactly.  Callbacks fire on the initial state and after every step."""
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < state.t:
         raise ValueError(f"t_end {t_end} before current time {state.t}")
     for cb in callbacks:

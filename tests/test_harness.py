@@ -447,6 +447,20 @@ def test_preset_overrides():
     assert cfg.pml.width_map()["y"] == (3 * dx, 3 * dx)
 
 
+@pytest.mark.parametrize("tend", [float("inf"), float("nan")])
+def test_preset_rejects_non_finite_tend(tend):
+    with pytest.raises(ValidationError, match="tend"):
+        ps.preset("strip2d", tend=tend)
+
+
+def test_cli_preset_rejects_non_finite_tend(monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an endless run was started")
+    monkeypatch.setattr(xp, "run_experiment", unreachable)
+    assert cli.main(["preset", "strip2d", "--tend", "inf"]) == 1
+    assert "tend" in capsys.readouterr().err
+
+
 def test_unknown_preset():
     with pytest.raises(UnknownPreset, match="strip2d"):
         ps.preset("maxwell")
@@ -667,6 +681,12 @@ def test_cli_length_parsing():
     for bad in ("2.5 smoots", "5 s"):
         with pytest.raises(ParseError, match="bad length"):
             cli._length(bad)
+
+
+def test_cli_length_rejects_overflow():
+    for huge in ("1e999", "1e999 km"):
+        with pytest.raises(ParseError, match="finite"):
+            cli._length(huge)
 
 
 def test_thread_cap(monkeypatch):

@@ -138,14 +138,14 @@ def test_diff_polynomial_exactness_with_metric():
     n = P + 1
     x = ops.rule.nodes
     const = np.full((2, n, n), 3.7)
-    assert np.abs(_diff(const, 1, ops.D, 2.0 / 1.0)).max() <= 1e-12
+    assert np.abs(_diff(const, 1, ops.D * (2.0 / 1.0))).max() <= 1e-12
     f = np.zeros((1, n, n))
     f[0] = x[:, None]  # component sampling f(x) = x, dx = 2 cancels the metric
-    np.testing.assert_allclose(_diff(f, 1, ops.D, 2.0 / 2.0)[0],
+    np.testing.assert_allclose(_diff(f, 1, ops.D * (2.0 / 2.0))[0],
                                1.0, atol=1e-13)
     g = np.zeros((1, n, n))
     g[0] = x[:, None] ** 2
-    np.testing.assert_allclose(_diff(g, 1, ops.D, 2.0 / 2.0)[0],
+    np.testing.assert_allclose(_diff(g, 1, ops.D * (2.0 / 2.0))[0],
                                np.broadcast_to(2 * x[:, None], (n, n)),
                                atol=1e-12)
 
@@ -154,7 +154,7 @@ def test_diff_never_aliases():
     ops = build_operators(2, "GLL")
     f = np.random.default_rng(1).standard_normal((1, 3, 3))
     before = f.copy()
-    _ = _diff(f, 2, ops.D, 2.0)
+    _ = _diff(f, 2, ops.D * 2.0)
     assert (f == before).all()
 
 
@@ -164,6 +164,6 @@ def test_axis_commutativity():
     n = 4
     g = np.random.default_rng(2).standard_normal((9, 2, 3, n, n, n))
     sx, sy = 2.0 / 0.7, 2.0 / 1.3
-    dxy = _diff(_diff(g, 3, ops.D, sx), 4, ops.D, sy)
-    dyx = _diff(_diff(g, 4, ops.D, sy), 3, ops.D, sx)
+    dxy = _diff(_diff(g, 3, ops.D * sx), 4, ops.D * sy)
+    dyx = _diff(_diff(g, 4, ops.D * sy), 3, ops.D * sx)
     assert np.abs(dxy - dyx).max() <= 1e-11 * max(1, np.abs(dxy).max())
