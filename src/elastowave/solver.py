@@ -7,14 +7,14 @@ live only on damped elements, compacted to (nc, n_damped, n, n[, n]) in
 the order given by the damping table's element index.
 
 The update makes one pass per axis.  The derivative A dQ/dxi is one
-matmul per source (traction into the velocity rows, velocity into the
-traction slots) on a (pre, n, post) view, with 2/h folded into D.  Then
-come the flux fluctuations of every element's left and right face: on
-GLL nodes those faces are node planes 0 and n-1, so each fluctuation
-plane is lifted by one scalar straight onto its node plane of the
-result.  The damped elements of an axis are a prefix and a suffix slab
-of that element axis, and an auxiliary field reshaped to its slab shape
-lines up with them in C order.  So every auxiliary gather, decay (d*w)
+batched matmul per source (traction into the velocity rows, velocity
+into the traction slots) on a (pre, n, post) view, with 2/h folded into
+D.  Then come the flux fluctuations of every element's left and right
+face: on GLL nodes those faces are node planes 0 and n-1, so each
+fluctuation plane is lifted by one scalar straight onto its node plane
+of the result.  The damped elements of an axis are a prefix and a suffix
+slab of that element axis, and an auxiliary field reshaped to its slab
+shape lines up with them in C order.  So every auxiliary gather, decay (d*w)
 and scatter is a basic-slice view; the auxiliary equations see the same
 derivative and face terms, the face terms scaled by theta.  The
 material map (1/rho on velocities, stiffness on stress rates) is applied
@@ -158,14 +158,30 @@ def nodal_coordinates(disc):
     return out
 
 
+# Entries (rows * n * n) of one product in _diff: small enough that the
+# BLAS library computes it on the calling thread.
+_GEMM_BLOCK = 1 << 16
+
+
 def _diff(arr, node_ax, D):
-    """D along axis node_ax of a C-contiguous array: one matmul on a
-    (pre, n, post) view, or (pre, n) @ D.T when the node axis is last."""
+    """D along axis node_ax of a C-contiguous array: one batched matmul,
+    D @ (n, post) blocks of a (pre, n, post) view, or (rows, n) @ D.T
+    blocks when the node axis is last.
+
+    Every product stays small.  One large product would be spread over
+    the BLAS library's threads, whose workers then spin between calls
+    and stall each call on whatever else holds the other cores, for no
+    gain on these bandwidth-bound products."""
     shape = arr.shape
-    pre, n = prod(shape[:node_ax]), shape[node_ax]
-    if node_ax == arr.ndim - 1:
-        return (arr.reshape(pre, n) @ D.T).reshape(shape)
-    return np.matmul(D, arr.reshape(pre, n, -1)).reshape(shape)
+    n = shape[node_ax]
+    if node_ax < arr.ndim - 1:
+        return np.matmul(D, arr.reshape(prod(shape[:node_ax]), n, -1)
+                         ).reshape(shape)
+    rows, k = 1, node_ax
+    while k > 0 and rows * shape[k - 1] * n * n <= _GEMM_BLOCK:
+        k -= 1
+        rows *= shape[k]
+    return np.matmul(arr.reshape(-1, rows, n), D.T).reshape(shape)
 
 
 def _at(k, axis):

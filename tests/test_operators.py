@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +151,35 @@ def test_diff_polynomial_exactness_with_metric():
     np.testing.assert_allclose(_diff(g, 1, ops.D * (2.0 / 2.0))[0],
                                np.broadcast_to(2 * x[:, None], (n, n)),
                                atol=1e-12)
+
+
+def _thread_cpu_ticks():
+    ticks = {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as f:
+            fields = f.read().rsplit(")", 1)[1].split()
+        ticks[tid] = int(fields[11]) + int(fields[12])   # utime + stime
+    return ticks
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="per-thread CPU times need /proc")
+def test_diff_runs_on_calling_thread():
+    # A product large enough for the BLAS library to thread leaves its
+    # worker spinning between calls; _diff keeps every product small, so
+    # other threads take no CPU time while it runs on a state-sized array
+    ops = build_operators(3, "GLL")
+    arr = np.random.default_rng(0).standard_normal((3,) + (12,) * 3 + (4,) * 3)
+    main = str(threading.get_native_id())
+    before = _thread_cpu_ticks()
+    for _ in range(150):
+        for node_ax in (4, 5, 6):
+            _diff(arr, node_ax, ops.D)
+    after = _thread_cpu_ticks()
+    own = after[main] - before.get(main, 0)
+    others = sum(t - before.get(tid, 0) for tid, t in after.items()
+                 if tid != main)
+    assert others <= 0.1 * own + 2, (own, others)
 
 
 def test_diff_never_aliases():
