@@ -88,6 +88,10 @@ def build_mesh(spec):
 
     ids = np.zeros(spec.counts, dtype=np.intp)
     if spec.region_axis is not None:
+        if spec.region_axis not in axes or spec.region_threshold is None:
+            raise InvalidExtent(
+                f"region needs a {d}D mesh axis and a region_threshold,"
+                f" got {spec.region_axis!r} and {spec.region_threshold}")
         ai = axes.index(spec.region_axis)
         if not 0 <= spec.region_material < len(spec.materials):
             raise InvalidExtent(

@@ -5,7 +5,8 @@ Inside the slab the damping coefficient rises from zero with a cubic
 ramp; the interior keeps d = 0 exactly, so the physical equations are
 untouched there.  Element membership is decided by the element centroid:
 an element whose centroid lies outside the interior box is damped as a
-whole, everything else carries no auxiliary variables at all.
+whole, everything else carries no auxiliary variables at all.  Along each
+axis those elements are a prefix and a suffix, so a table keeps their counts.
 """
 
 from dataclasses import dataclass
@@ -67,25 +68,35 @@ def resolve_tol(degree, dx, width):
 class AxisDamping:
     """Damping tables for one coordinate axis.
 
-    index selects the damped elements in the element grid (nonzero-style
-    tuple, one array per mesh dimension); damp holds the nodal damping of
-    each damped element along the axis, shape (n_damped, n_nodes).
+    The layer damps the first lo and the last hi elements along the axis,
+    every other element axis whole.  damp holds the nodal damping of
+    each damped element along the axis, low end first, shape
+    (lo + hi, n_nodes).
     """
 
     axis: str
     axis_index: int
-    index: tuple
+    lo: int
+    hi: int
     damp: np.ndarray
     alpha: float
 
 
 def interior_box(mesh: CartesianMesh, widths):
     """Interior bounds after stripping the layers; widths maps axis name
-    to a (low, high) pair of physical widths."""
+    to a (low, high) pair of non-negative physical widths."""
+    axes = axes_of(mesh.dim)
+    for name in widths:
+        if name not in axes:
+            raise InvalidExtent(
+                f"layer axis {name!r} is not an axis of the {mesh.dim}D mesh")
     lo = np.array(mesh.mins, dtype=float)
     hi = np.array(mesh.maxs, dtype=float)
-    for ax, name in enumerate(axes_of(mesh.dim)):
+    for ax, name in enumerate(axes):
         w_lo, w_hi = widths.get(name, (0.0, 0.0))
+        if not (w_lo >= 0.0 and w_hi >= 0.0):
+            raise InvalidExtent(
+                f"layer widths {w_lo}, {w_hi} on {name} must not be negative")
         lo[ax] += w_lo
         hi[ax] -= w_hi
         if lo[ax] >= hi[ax]:
@@ -108,20 +119,15 @@ def build_damping(mesh: CartesianMesh, ops: ElementOperators, widths,
     tables = []
     for ax, name in enumerate(axes_of(mesh.dim)):
         w_lo, w_hi = widths.get(name, (0.0, 0.0))
-        if w_lo <= 0.0 and w_hi <= 0.0:
+        h, count = mesh.spacings[ax], mesh.counts[ax]
+        centers = mesh.mins[ax] + (np.arange(count) + 0.5) * h
+        k_lo = int((centers < lo[ax]).sum())
+        k_hi = int((centers > hi[ax]).sum())
+        if k_lo + k_hi == 0:
             continue
-        h = mesh.spacings[ax]
-        centers = mesh.mins[ax] + (np.arange(mesh.counts[ax]) + 0.5) * h
-        member = (centers < lo[ax]) | (centers > hi[ax])
-        if not member.any():
-            continue
-        shape = [1] * mesh.dim
-        shape[ax] = mesh.counts[ax]
-        mask = np.broadcast_to(member.reshape(shape), mesh.counts)
-        index = np.nonzero(mask)
         peak = d0[name] if isinstance(d0, dict) else float(d0)
-        elems = index[ax]
+        elems = np.r_[:k_lo, count - k_hi:count]
         nodes = mesh.mins[ax] + (elems[:, None] + (ops.rule.nodes[None, :] + 1) / 2) * h
         damp = damping_at(nodes, lo[ax], hi[ax], w_lo, w_hi, peak)
-        tables.append(AxisDamping(name, ax, index, damp, float(alpha)))
+        tables.append(AxisDamping(name, ax, k_lo, k_hi, damp, float(alpha)))
     return tables

@@ -2,9 +2,11 @@
 
 Field layout: Q has shape (nc, E_x, E_y[, E_z], n, n[, n]) with the
 component axis first, element axes next, node axes last; the first dim
-components are velocities, the rest Voigt stresses.  Auxiliary fields
-live only on damped elements, compacted to (nc, n_damped, n, n[, n]) in
-the order given by the damping table's element index.
+components are velocities, the rest Voigt stresses.  The auxiliary
+field of a layer on axis xi lives only on its damped elements, the slab
+of the element grid whose axis xi holds the layer's low and high end,
+and only in the rows its equation touches: the velocities, then the
+traction slots of xi, shape (2 dim, E_x, .., lo + hi, .., n, n[, n]).
 
 The update makes one pass per axis.  The derivative A dQ/dxi is one
 batched matmul per source (traction into the velocity rows, velocity
@@ -13,10 +15,9 @@ D.  Then come the flux fluctuations of every element's left and right
 face: on GLL nodes those faces are node planes 0 and n-1, so each
 fluctuation plane is lifted by one scalar straight onto its node plane
 of the result.  The damped elements of an axis are a prefix and a suffix
-slab of that element axis, and an auxiliary field reshaped to its slab
-shape lines up with them in C order.  So every auxiliary gather, decay (d*w)
-and scatter is a basic-slice view; the auxiliary equations see the same
-derivative and face terms, the face terms scaled by theta.  The
+of that element axis, so every auxiliary gather, decay (d*w) and scatter
+is a basic-slice view; the auxiliary equations see the same derivative
+and face terms, the face terms scaled by theta, each one slice add.  The
 material map (1/rho on velocities, stiffness on stress rates) is applied
 once at the end, in place.
 """
@@ -40,7 +41,8 @@ class Discretization:
     The state has mesh.dim velocity and n_components(mesh.dim) total
     components.  Per axis, lift scales a fluctuation plane onto node
     plane 0 or n-1; the GLL weights are symmetric, so one scalar serves
-    both faces."""
+    both faces.  slabs holds, per damping table, the auxiliary field's
+    shape and its element slices (see _slabs)."""
 
     mesh: object
     ops: object
@@ -57,39 +59,26 @@ class Discretization:
 
 
 def _slabs(tab, counts, n):
-    """The damped elements of one axis as basic slices.
-
-    A layer damps an element whose centroid lies outside the interior
-    interval, so along the table's axis the damped elements are a prefix
-    and a suffix of the element axis, every other element axis whole.
-    Returns the slab shape of an auxiliary component and, per nonempty
-    part, (element slice of Q, element slice of the slab, d, -(d + alpha)).
+    """The damped elements of one axis as basic slices: the first tab.lo
+    and the last tab.hi elements along it, every other element axis whole.
+    Returns the shape of the auxiliary field and, per nonempty end,
+    (element slice of Q, element slice of w, -d, -(d + alpha)).
     d is materialized over every axis after the element axis, so numpy's
     inner loops run over contiguous runs rather than single node rows."""
     ax, dim = tab.axis_index, len(counts)
-    member = np.zeros(counts[ax], dtype=bool)
-    member[tab.index[ax]] = True
-    elems = np.flatnonzero(member)
-    k_lo = int((elems == np.arange(elems.size)).sum())
-    k_hi = elems.size - k_lo
-    others = prod(counts) // counts[ax]
-    if (elems[k_lo:] != np.arange(counts[ax] - k_hi, counts[ax])).any() \
-            or len(tab.index[ax]) != elems.size * others:
-        raise ValueError(f"damped elements on {tab.axis} are not a prefix"
-                         " and a suffix slab of the element grid")
-    slab = counts[:ax] + (elems.size,) + counts[ax + 1:]
-    d = tab.damp.reshape(slab + (n,))[(0,) * ax]
-    d = d.reshape(d.shape[:-1] + (1,) * ax + (n,) + (1,) * (dim - 1 - ax))
-    d = np.ascontiguousarray(np.broadcast_to(d, slab[ax:] + (n,) * dim))
+    k = tab.lo + tab.hi
+    tail = counts[ax + 1:] + (n,) * dim
+    d = tab.damp.reshape((k,) + (1,) * (dim - 1) + (n,)
+                         + (1,) * (dim - 1 - ax))
+    d = np.ascontiguousarray(np.broadcast_to(d, (k,) + tail))
     d = d.reshape((1,) * (1 + ax) + d.shape)
     parts = []
-    for q_el, w_el in ((slice(0, k_lo), slice(0, k_lo)),
-                       (slice(counts[ax] - k_hi, counts[ax]),
-                        slice(k_lo, elems.size))):
-        if q_el.stop > q_el.start:
+    high = slice(counts[ax] - tab.hi, counts[ax])
+    for q_el, w_el in ((slice(0, tab.lo),) * 2, (high, slice(tab.lo, k))):
+        if w_el.stop > w_el.start:
             q_el, w_el = _at(q_el, 1 + ax), _at(w_el, 1 + ax)
-            parts.append((q_el, w_el, d[w_el], -(d[w_el] + tab.alpha)))
-    return slab + (n,) * dim, tuple(parts)
+            parts.append((q_el, w_el, -d[w_el], -(d[w_el] + tab.alpha)))
+    return (2 * dim,) + counts[:ax] + (k,) + tail, tuple(parts)
 
 
 def discretize(mesh, ops, theta=1.0, damping=()):
@@ -133,11 +122,9 @@ class SimulationState:
 
 def setup_state(disc):
     mesh, n = disc.mesh, disc.ops.n_nodes
-    nc = n_components(mesh.dim)
-    shape = (nc,) + mesh.counts + (n,) * mesh.dim
-    w = tuple(np.zeros((nc, len(tab.index[0])) + (n,) * mesh.dim)
-              for tab in disc.damping)
-    return SimulationState(disc=disc, t=0.0, Q=np.zeros(shape), w=w)
+    shape = (n_components(mesh.dim),) + mesh.counts + (n,) * mesh.dim
+    return SimulationState(disc=disc, t=0.0, Q=np.zeros(shape),
+                           w=tuple(np.zeros(s) for s, _ in disc.slabs))
 
 
 def nodal_coordinates(disc):
@@ -197,25 +184,24 @@ def _add_rows(out, rows, val):
 
 
 def _rhs(Q, w, disc):
+    dim = disc.mesh.dim
     total = np.zeros(Q.shape)
     dw = [None] * len(disc.damping)
     layers = {tab.axis_index: pos for pos, tab in enumerate(disc.damping)}
-    for ax in range(disc.mesh.dim):
+    for ax in range(dim):
         pos = layers.get(ax)
         if pos is None:
             _axis_terms(Q, ax, disc, total)
         else:
-            slab, parts = disc.slabs[pos]
-            ws = w[pos].reshape((len(Q),) + slab)
-            dws = np.empty(ws.shape)
+            ws, parts = w[pos], disc.slabs[pos][1]
+            dws = dw[pos] = np.empty(ws.shape)
             # the decay of w, and -d*w on the same elements of Q
-            for q_el, w_el, d, decay in parts:
+            rows = (*range(dim), *disc.slots[ax])
+            for q_el, w_el, neg_d, decay in parts:
                 np.multiply(decay, ws[w_el], out=dws[w_el])
-                total[q_el] -= d * ws[w_el]
+                _add_rows(total[q_el], rows, neg_d * ws[w_el])
             _axis_terms(Q, ax, disc, total, dws, parts)
-            dw[pos] = dws.reshape(w[pos].shape)
 
-    dim = disc.mesh.dim
     total[:dim] /= disc.rho_e
     s = total[dim:]
     tr = s[:dim].sum(0)
@@ -229,21 +215,22 @@ def _rhs(Q, w, disc):
 def _axis_terms(Q, ax, disc, total, dws=None, parts=()):
     """Adds the terms of axis ax to total, and to the slab parts of dws
     (damped elements, see _slabs) the same terms with the face terms
-    scaled by theta.  Its temporaries die with the call, so they never
-    overlap those of the next axis."""
+    scaled by theta: the velocity rows into dws[:dim], the traction
+    slots into dws[dim:].  Its temporaries die with the call, so they
+    never overlap those of the next axis."""
     mesh, n = disc.mesh, disc.ops.n_nodes
     dim = mesh.dim
     node_ax = 1 + dim + ax
     slots, z = disc.slots[ax], disc.z[ax]
-    vel = range(dim)
+    halves = ((range(dim), slice(None, dim)), (slots, slice(dim, None)))
     v, t = Q[:dim], Q[slots]
 
     # A dQ/dxi: traction into the velocity rows, velocity into the slots
-    for rows, src in ((vel, t), (slots, v)):
+    for (rows, w_rows), src in zip(halves, (t, v)):
         der = _diff(src, node_ax, disc.dmat[ax])
         _add_rows(total, rows, der)
         for q_el, w_el, *_ in parts:
-            _add_rows(dws[w_el], rows, der[q_el])
+            dws[w_el][w_rows] += der[q_el]
         del der     # freed before the next derivative is allocated
 
     # fluctuations on the left (node 0) and right (node n-1) face of
@@ -267,12 +254,12 @@ def _axis_terms(Q, ax, disc, total, dws=None, parts=()):
         # the face plane; the auxiliary fields take theta times it
         face = _at(node, node_ax)
         fl = -disc.lift[ax] * g
-        for rows, f in ((vel, fl), (slots, fl / (side * z))):
+        for (rows, w_rows), f in zip(halves, (fl, fl / (side * z))):
             _add_rows(total[face], rows, f)
             if parts:
                 f = disc.theta * f
             for q_el, w_el, *_ in parts:
-                _add_rows(dws[w_el][face], rows, f[q_el])
+                dws[w_el][face][w_rows] += f[q_el]
 
 
 # Truncated-Taylor stepping is only conditionally stable against stiff

@@ -55,6 +55,18 @@ def test_extent_validation():
                                     counts=(1,) * 4, materials=(MAT,)))
 
 
+@pytest.mark.parametrize("axis", ["q", "z"])
+def test_region_axis_must_be_a_mesh_axis(axis):
+    with pytest.raises(InvalidExtent, match=f"'{axis}'"):
+        msh.build_mesh(spec2d(materials=(MAT, MAT), region_axis=axis,
+                              region_threshold=5.0))
+
+
+def test_region_needs_a_threshold():
+    with pytest.raises(InvalidExtent, match="region_threshold"):
+        msh.build_mesh(spec2d(materials=(MAT, MAT), region_axis="x"))
+
+
 def test_gamma_validation():
     with pytest.raises(InvalidReflectionCoefficient):
         msh.build_mesh(spec2d(gamma={("x", -1): 1.5}))

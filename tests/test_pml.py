@@ -85,16 +85,15 @@ def test_build_damping_membership():
     assert len(tables) == 1
     tab = tables[0]
     assert tab.axis == "x" and tab.axis_index == 0
-    # two columns per side, full y extent
-    assert len(tab.index[0]) == 4 * 10
-    assert set(tab.index[0]) == {0, 1, 22, 23}
-    assert tab.damp.shape == (40, 6)
-    # interior-facing edge of the inner column carries zero damping
-    inner_left = tab.index[0] == 1
-    assert tab.damp[inner_left, -1] == pytest.approx(0.0)
-    # outer edge saturates at the peak
-    outer_left = tab.index[0] == 0
-    assert tab.damp[outer_left, 0] == pytest.approx(16.58)
+    # two columns per side (elements 0, 1, 22, 23), full y extent
+    assert (tab.lo, tab.hi) == (2, 2)
+    assert tab.damp.shape == (4, 6)
+    # interior-facing edges of the inner columns carry zero damping
+    assert tab.damp[1, -1] == pytest.approx(0.0)
+    assert tab.damp[2, 0] == pytest.approx(0.0)
+    # outer edges saturate at the peak
+    assert tab.damp[0, 0] == pytest.approx(16.58)
+    assert tab.damp[3, -1] == pytest.approx(16.58)
     assert (tab.damp >= 0).all()
     assert tab.alpha == 0.15
 
@@ -104,7 +103,7 @@ def test_build_damping_nodal_values():
     ops = build_operators(1, "GLL")
     tables = pml.build_damping(mesh, ops, {"x": (10.0, 10.0)}, 2.0, 0.0)
     tab = tables[0]
-    row = tab.damp[tab.index[0] == 0][0]
+    row = tab.damp[0]
     # nodes at x = -60 and -55: penetration 10 and 5 km
     assert row == pytest.approx([2.0, 2.0 * 0.125])
 
@@ -114,3 +113,23 @@ def test_build_damping_disabled():
     ops = build_operators(3, "GLL")
     assert pml.build_damping(mesh, ops, {}, 1.0, 0.0) == []
     assert pml.build_damping(mesh, ops, {"x": (0.0, 0.0)}, 1.0, 0.0) == []
+
+
+@pytest.mark.parametrize("widths,match", [
+    ({"z": (2.5, 2.5)}, "'z'"),
+    ({"X": (2.5, 2.5)}, "'X'"),
+    ({"x": (-2.5, 2.5)}, "-2.5"),
+    ({"y": (1.0, float("nan"))}, "nan"),
+])
+def test_build_damping_names_bad_layers(widths, match):
+    # a 2D mesh has no z layer, axis names are lower case, and a width
+    # is not negative; each used to pass without an error
+    mesh = strip_mesh()
+    ops = build_operators(3, "GLL")
+    with pytest.raises(InvalidExtent, match=match):
+        pml.build_damping(mesh, ops, widths, 1.0, 0.0)
+
+
+def test_interior_box_rejects_negative_width():
+    with pytest.raises(InvalidExtent, match="-10.0, 10.0 on x"):
+        pml.interior_box(strip_mesh(), {"x": (-10.0, 10.0)})
