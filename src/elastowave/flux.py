@@ -1,7 +1,10 @@
-"""Hat-variables and fluctuations for faces.
+"""Hat-variables and fluctuations for faces: the reference upwind flux.
 
 Every operation works per wave family on scalars or broadcastable numpy
-arrays; the solver calls these with whole face planes at once.
+arrays.  The solver does not call these: it folds the same hat states
+into one closed form per face, G = incoming - r outgoing - tau times the
+neighbour's outgoing, with r and tau built once in solver.discretize.
+These functions are the reference that form is checked against.
 
 The boundary condition at a face couples the ingoing characteristic to the
 outgoing one through a reflection coefficient gamma: gamma = 1 is a free

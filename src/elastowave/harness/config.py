@@ -550,7 +550,7 @@ def validate(cfg):
         if isinstance(g, tuple) and len(g) not in (1, cfg.dimension):
             v.append(f"boundary {ax}.{'lo' if side < 0 else 'hi'}:"
                      f" need 1 or {cfg.dimension} values")
-        if any(abs(x) > 1.0 for x in vals):
+        if not all(abs(x) <= 1.0 for x in vals):     # NaN fails too
             v.append(f"boundary {ax}.{'lo' if side < 0 else 'hi'}:"
                      f" |gamma| must not exceed 1, got {g}")
         if ax not in axes:
@@ -609,8 +609,9 @@ def validate(cfg):
         if r.components not in ("velocity", "all"):
             v.append(f"receiver {r.rid}: components must be velocity"
                      f" or all")
-        if r.interval is not None and r.interval <= 0.0:
-            v.append(f"receiver {r.rid}: interval must be positive")
+        if r.interval is not None and not 0.0 < r.interval < math.inf:
+            v.append(f"receiver {r.rid}: interval must be positive"
+                     f" and finite")
 
     ini = cfg.initial
     if ini is not None and ini.kind == "velocity-gaussian":
@@ -642,8 +643,8 @@ def validate(cfg):
     for label, val in (("seismogram_interval", out.seismogram_interval),
                        ("series_interval", out.series_interval),
                        ("snapshot_interval", out.snapshot_interval)):
-        if val is not None and val <= 0.0:
-            v.append(f"output {label} must be positive")
+        if val is not None and not 0.0 < val < math.inf:
+            v.append(f"output {label} must be positive and finite")
     if out.snapshot_format not in ("binary", "csv"):
         v.append(f"output snapshot_format must be binary or csv,"
                  f" got {out.snapshot_format!r}")

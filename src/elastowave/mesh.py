@@ -57,7 +57,7 @@ def _normalize_gamma(value, dim):
     if arr.size != dim:
         raise InvalidReflectionCoefficient(
             f"need 1 or {dim} reflection coefficients, got {arr.size}")
-    if (np.abs(arr) > 1.0).any():
+    if not (np.abs(arr) <= 1.0).all():     # NaN fails too
         raise InvalidReflectionCoefficient(
             f"|gamma| must not exceed 1, got {arr}")
     arr.setflags(write=False)

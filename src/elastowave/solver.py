@@ -11,8 +11,15 @@ traction slots of xi, shape (2 dim, E_x, .., lo + hi, .., n, n[, n]).
 The update makes one pass per axis.  The derivative A dQ/dxi is one
 batched matmul per source (traction into the velocity rows, velocity
 into the traction slots) on a (pre, n, post) view, with 2/h folded into
-D.  Then come the flux fluctuations of every element's left and right
-face: on GLL nodes those faces are node planes 0 and n-1, so each
+D.  Then come the fluctuations of every element's left and right face,
+all from one formula.  At face side s (-1 left, +1 right) the outgoing
+characteristic is out = (Z v - s T)/2 and the incoming one
+inc = (Z v + s T)/2; the fluctuation is G = inc - r out - tau out_nb,
+where out_nb is the neighbour's outgoing wave across the face.  At an
+interface r = (Z - Z_nb)/(Z + Z_nb) and tau = 2 Z/(Z + Z_nb); at an
+outer face r is the mesh's gamma and tau = 0.  These are the upwind
+hat states of `flux`, folded into per-face coefficients once in
+discretize.  On GLL nodes the faces are node planes 0 and n-1, so each
 fluctuation plane is lifted by one scalar straight onto its node plane
 of the result.  The damped elements of an axis are a prefix and a suffix
 of that element axis, so every auxiliary gather, decay (d*w) and scatter
@@ -28,7 +35,9 @@ from math import prod
 import numpy as np
 
 from .errors import DivergenceDetected, UnsupportedDegree
-from .flux import fluctuation, hat_boundary, hat_interface
+# The face pass calls none of these; benchmarks/job.py wraps them here
+# by name for its per-layer trace, so they stay importable from solver.
+from .flux import fluctuation, hat_boundary, hat_interface  # noqa: F401
 from .physics import axes_of, n_components, sig_slots
 
 
@@ -39,10 +48,12 @@ class Discretization:
     scalars, damping.
 
     The state has mesh.dim velocity and n_components(mesh.dim) total
-    components.  Per axis, lift scales a fluctuation plane onto node
-    plane 0 or n-1; the GLL weights are symmetric, so one scalar serves
-    both faces.  slabs holds, per damping table, the auxiliary field's
-    shape and its element slices (see _slabs)."""
+    components.  Per axis, faces holds the reflection and transmission
+    coefficients of the face fluctuations (see _face_coefficients), and
+    lift scales a fluctuation plane onto node plane 0 or n-1; the GLL
+    weights are symmetric, so one scalar serves both faces.  slabs
+    holds, per damping table, the auxiliary field's shape and its
+    element slices (see _slabs)."""
 
     mesh: object
     ops: object
@@ -53,6 +64,7 @@ class Discretization:
     mu_e: np.ndarray
     dmat: tuple     # per axis: the nodal derivative D scaled by 2 / h
     z: tuple        # per axis: (dim,) + counts + (1,)*(dim-1)
+    faces: tuple    # per axis: (r left, r right, tau left, tau right)
     lift: tuple     # per axis: 2 / (h * w_0)
     slots: tuple    # per axis traction component slots in the state vector
     slabs: tuple    # parallel to damping: see _slabs
@@ -81,6 +93,23 @@ def _slabs(tab, counts, n):
     return (2 * dim,) + counts[:ax] + (k,) + tail, tuple(parts)
 
 
+def _face_coefficients(z, ax, gamma_lo, gamma_hi):
+    """r and tau of G = inc - r out - tau out_nb (see the module
+    docstring) on face planes of z's shape: r at every element's left and
+    right face, the outer ones gamma per wave family; tau on the left
+    faces of all elements but the first and the right faces of all but
+    the last, the interfaces."""
+    lo, hi = _at(slice(None, -1), 1 + ax), _at(slice(1, None), 1 + ax)
+    den = z[lo] + z[hi]
+    r_l, r_r = np.empty(z.shape), np.empty(z.shape)
+    r_l[hi] = (z[hi] - z[lo]) / den
+    r_r[lo] = -r_l[hi]
+    fam = (len(z),) + (1,) * (z.ndim - 1)
+    r_l[_at(slice(0, 1), 1 + ax)] = gamma_lo.reshape(fam)
+    r_r[_at(slice(-1, None), 1 + ax)] = gamma_hi.reshape(fam)
+    return r_l, r_r, 2 * z[hi] / den, 2 * z[lo] / den
+
+
 def discretize(mesh, ops, theta=1.0, damping=()):
     """GLL nodes only: the end nodes are the element faces, so each face
     trace is a node plane and each lift a scalar times that plane."""
@@ -94,10 +123,12 @@ def discretize(mesh, ops, theta=1.0, damping=()):
     zp = rho * np.sqrt((2 * mu + lam) / rho)
     zs = rho * np.sqrt(mu / rho)
     tail = (1,) * dim
-    z, lift, slot_list = [], [], []
+    z, faces, lift, slot_list = [], [], [], []
     for ax, name in enumerate(axes_of(dim)):
         zax = np.stack([zp if f == ax else zs for f in range(dim)])
         z.append(zax.reshape((dim,) + mesh.counts + (1,) * (dim - 1)))
+        faces.append(_face_coefficients(z[-1], ax, mesh.gamma[(name, -1)],
+                                        mesh.gamma[(name, 1)]))
         lift.append(2.0 / mesh.spacings[ax] / ops.rule.weights[0])
         slot_list.append(np.array(sig_slots(name, dim)))
     damping = tuple(damping)
@@ -107,7 +138,8 @@ def discretize(mesh, ops, theta=1.0, damping=()):
         lam_e=lam.reshape(mesh.counts + tail),
         mu_e=mu.reshape(mesh.counts + tail),
         dmat=tuple(ops.D * (2.0 / h) for h in mesh.spacings),
-        z=tuple(z), lift=tuple(lift), slots=tuple(slot_list),
+        z=tuple(z), faces=tuple(faces), lift=tuple(lift),
+        slots=tuple(slot_list),
         slabs=tuple(_slabs(tab, mesh.counts, ops.n_nodes)
                     for tab in damping))
 
@@ -218,8 +250,7 @@ def _axis_terms(Q, ax, disc, total, dws=None, parts=()):
     scaled by theta: the velocity rows into dws[:dim], the traction
     slots into dws[dim:].  Its temporaries die with the call, so they
     never overlap those of the next axis."""
-    mesh, n = disc.mesh, disc.ops.n_nodes
-    dim = mesh.dim
+    dim, n = disc.mesh.dim, disc.ops.n_nodes
     node_ax = 1 + dim + ax
     slots, z = disc.slots[ax], disc.z[ax]
     halves = ((range(dim), slice(None, dim)), (slots, slice(dim, None)))
@@ -234,22 +265,26 @@ def _axis_terms(Q, ax, disc, total, dws=None, parts=()):
         del der     # freed before the next derivative is allocated
 
     # fluctuations on the left (node 0) and right (node n-1) face of
-    # every element; element slabs index axis 1 + ax of the planes
-    v_l, v_r = v[_at(0, node_ax)], v[_at(n - 1, node_ax)]
-    t_l, t_r = t[_at(0, node_ax)], t[_at(n - 1, node_ax)]
-    g_l, g_r = np.empty_like(v_l), np.empty_like(v_r)
+    # every element: inc - r out over the whole plane, minus tau times
+    # the neighbour's out on the interfaces (element axis 1 + ax)
+    r_l, r_r, tau_l, tau_r = disc.faces[ax]
+    waves = []
+    for side, node, r in ((-1, 0, r_l), (1, n - 1, r_r)):
+        face = _at(node, node_ax)
+        g = z * v[face]
+        out = t[face] * -side
+        out += g
+        out *= 0.5      # (Z v - side T) / 2
+        g -= out        # the incoming wave, (Z v + side T) / 2
+        g -= r * out
+        waves.append((g, out))
+    (g_l, out_l), (g_r, out_r) = waves
     lo, hi = _at(slice(None, -1), 1 + ax), _at(slice(1, None), 1 + ax)
-    vhat, that = hat_interface(v_r[lo], t_r[lo], z[lo],
-                               v_l[hi], t_l[hi], z[hi])
-    g_r[lo] = fluctuation(v_r[lo], t_r[lo], vhat, that, z[lo], +1)
-    g_l[hi] = fluctuation(v_l[hi], t_l[hi], vhat, that, z[hi], -1)
-    name = axes_of(dim)[ax]
-    for side, node, g, vf, tf in ((-1, 0, g_l, v_l, t_l),
-                                  (1, n - 1, g_r, v_r, t_r)):
-        b = _at(slice(0, 1) if side < 0 else slice(-1, None), 1 + ax)
-        gam = mesh.gamma[(name, side)].reshape((dim,) + (1,) * (2 * dim - 1))
-        vhat, that = hat_boundary(vf[b], tf[b], z[b], gam, side)
-        g[b] = fluctuation(vf[b], tf[b], vhat, that, z[b], side)
+    g_l[hi] -= tau_l * out_r[lo]
+    g_r[lo] -= tau_r * out_l[hi]
+    del waves, out, out_l, out_r     # freed before the lift planes
+
+    for side, node, g in ((-1, 0, g_l), (1, n - 1, g_r)):
         # -H^-1 e F with F = (G; side * a^T G/Z), added straight onto
         # the face plane; the auxiliary fields take theta times it
         face = _at(node, node_ax)

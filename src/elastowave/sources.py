@@ -93,6 +93,9 @@ class IntervalGate:
     interval h; interval None fires every call."""
 
     def __init__(self, interval):
+        if interval is not None and not 0.0 < interval < np.inf:
+            raise ValueError(
+                f"interval must be positive and finite, got {interval}")
         self.interval = interval
         self.next = 0.0
 

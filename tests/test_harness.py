@@ -298,6 +298,20 @@ def test_validation_receiver_outside():
         parse_config(bad)
 
 
+def test_validation_rejects_nan_in_programmatic_configs():
+    # the parser rejects non-finite numbers; a config built in code skips it
+    nan = float("nan")
+    cfg = ps.preset("strip2d")
+    bad = replace(
+        cfg, boundary=cfg.boundary[:-1] + (("y", 1, (0.0, nan)),),
+        receivers=(replace(cfg.receivers[0], interval=nan),),
+        output=replace(cfg.output, series_interval=nan))
+    msg = "\n".join(cf.validate(bad))
+    assert "boundary y.hi: |gamma| must not exceed 1" in msg
+    assert "receiver probe: interval must be positive and finite" in msg
+    assert "output series_interval must be positive and finite" in msg
+
+
 def test_unknown_section_and_key():
     bad = STRIP_TEXT + "\n[magic]\nx = 1\n"
     with pytest.raises(ValidationError, match=r"unknown section \[magic\]"):

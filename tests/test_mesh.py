@@ -76,6 +76,13 @@ def test_gamma_validation():
     assert (m.gamma[("y", 1)] == 0.0).all()  # absorbing default
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), (0.5, float("nan"))])
+def test_gamma_validation_rejects_nan(gamma):
+    # a NaN reflection coefficient used to pass as [nan nan]
+    with pytest.raises(InvalidReflectionCoefficient):
+        msh.build_mesh(spec2d(gamma={("x", 1): gamma}))
+
+
 def to_physical(m, elem, ref):
     """Affine map through the solver's node coordinates: at degree 1 the
     GLL nodes of an element are its corners."""

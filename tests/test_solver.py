@@ -17,7 +17,9 @@ import rhs_oracle
 
 def make_disc(dim=2, counts=(4, 4), degree=3, gamma=None, theta=1.0,
               widths=None, d0=1.0, alpha=0.1, extent=10.0, layered=False):
-    # layered: a second, stiffer material below x = extent / 2
+    # layered: a second, stiffer material below x = extent / 2;
+    # "mixed": one of four materials drawn per element, so impedances
+    # jump across every axis
     mats = (material_from_speeds(2.0, 2.0, 1.0),)
     if layered:
         mats += (material_from_speeds(3.0, 4.0, 2.1),)
@@ -26,6 +28,11 @@ def make_disc(dim=2, counts=(4, 4), degree=3, gamma=None, theta=1.0,
                     region_axis="x" if layered else None,
                     region_threshold=extent / 2 if layered else None)
     mesh = build_mesh(spec)
+    if layered == "mixed":
+        mats += (material_from_speeds(1.5, 3.0, 1.2),
+                 material_from_speeds(2.5, 5.0, 3.0))
+        ids = np.random.default_rng(counts).integers(len(mats), size=counts)
+        mesh = replace(mesh, materials=mats, material_ids=ids)
     ops = build_operators(degree, "GLL")
     damping = ()
     if widths:
@@ -103,6 +110,12 @@ def test_rhs_linearity():
 GAMMA_2D = {("x", -1): (1.0, 0.3), ("x", 1): 0.25, ("y", 1): -1.0}
 GAMMA_3D = {("x", -1): (1.0, 0.3, -0.5), ("y", 1): -1.0,
             ("z", -1): (0.0, 1.0, 0.6)}
+# a reflection coefficient per wave family on every face
+GAMMA_ALL_2D = {("x", -1): (1.0, 0.3), ("x", 1): (-0.4, 0.25),
+                ("y", -1): (0.0, -1.0), ("y", 1): (0.7, -0.2)}
+GAMMA_ALL_3D = {("x", -1): (1.0, 0.3, -0.5), ("x", 1): (0.2, -1.0, 0.8),
+                ("y", -1): (-0.6, 0.0, 1.0), ("y", 1): (0.4, 0.9, -0.3),
+                ("z", -1): (0.0, 1.0, 0.6), ("z", 1): (-1.0, -0.7, 0.1)}
 
 
 @pytest.mark.parametrize("dim,counts,widths,theta,gamma,layered,degree", [
@@ -123,6 +136,10 @@ GAMMA_3D = {("x", -1): (1.0, 0.3, -0.5), ("y", 1): -1.0,
     (2, (4, 3), {"x": (3.0, 3.0)}, 0.0, GAMMA_2D, True, 5),
     (3, (3, 2, 2), {"x": (0.0, 3.0), "y": (3.0, 3.0)}, 1.0, GAMMA_3D, False,
      5),
+    (2, (4, 4), {"x": (3.0, 3.0), "y": (0.0, 3.0)}, 0.5, GAMMA_ALL_2D,
+     "mixed", 3),
+    (3, (3, 3, 3), {"x": (3.0, 3.0), "y": (3.0, 0.0), "z": (0.0, 3.0)},
+     1.0, GAMMA_ALL_3D, "mixed", 2),
 ])
 def test_rhs_matches_frozen_oracle(dim, counts, widths, theta, gamma, layered,
                                    degree):

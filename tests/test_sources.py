@@ -213,6 +213,15 @@ def test_receiver_samples_once_per_tick():
     assert (times >= ticks - 1e-9).all() and (times < ticks + dt).all()
 
 
+@pytest.mark.parametrize("interval", [0.0, -0.1, float("nan"),
+                                      float("inf")])
+def test_interval_gate_rejects_bad_interval(interval):
+    # zero or a negative interval never advanced the next tick: the
+    # first call looped forever
+    with pytest.raises(ValueError, match="interval must be positive"):
+        sources.IntervalGate(interval)
+
+
 def test_seismogram_roundtrip(tmp_path):
     mesh, ops, disc = make_setup()
     rec = sources.Receiver(mesh, ops, (3.0, 3.0))
