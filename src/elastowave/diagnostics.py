@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, GeometryInsufficient
+from .mesh import element_centers, node_coordinates
 from .physics import voigt
 from .solver import nodal_coordinates
 
@@ -210,52 +211,34 @@ def pml_error(run, reference):
             or not np.allclose(times_r, times_f, atol=1e-9):
         raise GeometryInsufficient("snapshot times do not match")
 
-    dim = mesh_r.dim
-    # element offsets of the small grid inside the large one
-    off = []
-    for ax in range(dim):
-        shift = (mesh_r.mins[ax] - mesh_f.mins[ax]) / mesh_r.spacings[ax]
+    # interior elements of the run grid by centroid, a contiguous run on
+    # a uniform grid, and the same run in the reference grid.  Nodes
+    # sitting exactly on a truncation interface carry the double-valued
+    # DG trace and are not interior points; drop them on axes where a
+    # layer was stripped, keep shared physical faces
+    sel_r, sel_f, keep = [], [], True
+    for ax in range(mesh_r.dim):
+        h = mesh_r.spacings[ax]
+        shift = (mesh_r.mins[ax] - mesh_f.mins[ax]) / h
         k = int(round(shift))
         if abs(shift - k) > 1e-9 or k < 0:
             raise GeometryInsufficient("grids are not element-aligned")
-        off.append(k)
-    # interior elements of the run grid, by centroid
-    masks = []
-    for ax in range(dim):
-        centers = mesh_r.mins[ax] \
-            + (np.arange(mesh_r.counts[ax]) + 0.5) * mesh_r.spacings[ax]
-        masks.append((centers > lo_i[ax]) & (centers < hi_i[ax]))
-    sel_r = tuple(np.nonzero(m)[0] for m in masks)
-    sel_f = tuple(np.nonzero(m)[0] + off[ax] for ax, m in enumerate(masks))
-
-    def pick(snap, sel):
-        out = snap
-        for ax, ids in enumerate(sel):
-            out = np.take(out, ids, axis=1 + ax)
-        return out
-
-    # nodes sitting exactly on a truncation interface carry the
-    # double-valued DG trace and are not interior points; drop them on
-    # axes where a layer was stripped, keep shared physical faces
-    nodes1d = (np.asarray(run.disc.ops.rule.nodes) + 1.0) / 2.0
-    keep = None
-    for ax in range(dim):
-        h = mesh_r.spacings[ax]
-        x = mesh_r.mins[ax] \
-            + (sel_r[ax][:, None] + nodes1d[None, :]) * h
-        good = np.ones_like(x, dtype=bool)
+        centers = element_centers(mesh_r, ax)
+        first = int((centers <= lo_i[ax]).sum())
+        stop = int((centers < hi_i[ax]).sum())
+        if stop + k > mesh_f.counts[ax]:
+            raise GeometryInsufficient("reference grid misses the interior")
+        sel_r.append(slice(first, stop))
+        sel_f.append(slice(first + k, stop + k))
+        x = node_coordinates(mesh_r, ax, run.disc.ops.rule.nodes, sel_r[-1])
         if mesh_r.mins[ax] < lo_i[ax] - 1e-6 * h:
-            good &= x > lo_i[ax] + 1e-6 * h
+            keep = keep & (x > lo_i[ax] + 1e-6 * h)
         if mesh_r.maxs[ax] > hi_i[ax] + 1e-6 * h:
-            good &= x < hi_i[ax] - 1e-6 * h
-        shape = [1] * (2 * dim)
-        shape[ax], shape[dim + ax] = x.shape
-        g = good.reshape(shape)
-        keep = g if keep is None else keep & g
+            keep = keep & (x < hi_i[ax] - 1e-6 * h)
 
     worst = 0.0
     for snap_r, snap_f in zip(run.snapshots, reference.snapshots):
-        diff = pick(snap_r, sel_r) - pick(snap_f, sel_f)
+        diff = snap_r[(slice(None), *sel_r)] - snap_f[(slice(None), *sel_f)]
         mag = np.sqrt((diff ** 2).sum(axis=0))
         worst = max(worst, float(np.where(keep, mag, 0.0).max()))
     return worst

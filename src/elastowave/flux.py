@@ -27,7 +27,7 @@ def hat_boundary(v, T, Z, gamma, side):
     q = (Zv + T)/2; both give vhat = (1 + gamma) out / Z.
     """
     gamma_arr = np.asarray(gamma, dtype=float)
-    if (np.abs(gamma_arr) > 1.0).any():
+    if not (np.abs(gamma_arr) <= 1.0).all():     # NaN fails too
         raise InvalidReflectionCoefficient(f"|gamma| > 1: {gamma}")
     if side not in (-1, 1):
         raise ValueError(f"side must be -1 or +1, got {side}")

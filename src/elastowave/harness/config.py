@@ -11,6 +11,7 @@ offending line number.  Semantic problems are collected and raised as a
 single ValidationError that lists every violation, not just the first.
 """
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass, field
@@ -40,6 +41,8 @@ _UNITS = {
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _AXIS_RE = "(" + "|".join(AXES) + ")"
 _GAMMA_WORDS = {"free": 1.0, "absorbing": 0.0, "clamped": -1.0}
+_SECTIONS = ("mesh", "boundary", "pml", "time", "initial", "output")
+_NAMED_SECTIONS = ("material", "source", "receiver")   # also [head.NAME]
 
 
 @dataclass(frozen=True)
@@ -260,18 +263,22 @@ def _point(sec, dim, violations, what):
 
 def _build_material(sec, violations):
     rho = sec.num("rho")
+    cp, cs, lam, mu = (sec.num(k) for k in ("cp", "cs", "lam", "mu"))
     if rho is None:
         violations.append(f"[{sec.name}]: missing rho")
         return None
+    speeds = cp is not None or cs is not None
+    lame = lam is not None or mu is not None
+    if speeds and lame:
+        violations.append(f"[{sec.name}]: give cp/cs or lam/mu, not both")
+        return None
     try:
-        if sec.has("cp") or sec.has("cs"):
-            cp, cs = sec.num("cp"), sec.num("cs")
+        if speeds:
             if cp is None or cs is None:
                 violations.append(f"[{sec.name}]: needs both cp and cs")
                 return None
             return material_from_speeds(rho, cp, cs)
-        if sec.has("lam") or sec.has("mu"):
-            lam, mu = sec.num("lam"), sec.num("mu")
+        if lame:
             if lam is None or mu is None:
                 violations.append(f"[{sec.name}]: needs both lam and mu")
                 return None
@@ -285,20 +292,18 @@ def _build_material(sec, violations):
 
 def parse_config(text):
     """Parse and validate configuration text into a RunConfig."""
-    sections = _tokenize(text)
     violations = []
     notes = []
-    secs = {name: _Section(name, entries)
-            for name, entries in sections.items()}
+    secs = {}
+    for name, entries in _tokenize(text).items():
+        head, dot, _ = name.partition(".")
+        if head in _NAMED_SECTIONS or head in _SECTIONS and not dot:
+            secs[name] = _Section(name, entries)
+        else:
+            violations.append(f"unknown section [{name}]")
 
     def get_sec(name):
         return secs.get(name) or _Section(name, {})
-
-    known_heads = {"mesh", "material", "boundary", "pml", "time",
-                   "source", "receiver", "initial", "output"}
-    for name in secs:
-        if name.split(".", 1)[0] not in known_heads:
-            violations.append(f"unknown section [{name}]")
 
     # mesh
     if "mesh" not in secs:
@@ -427,8 +432,6 @@ def parse_config(text):
         if loc is not None:
             sources.append(SourceSpec(sid, loc, moment, stf,
                                       tuple(sorted(params.items()))))
-        for k in sec.unknown_keys():
-            violations.append(f"[{name}]: unknown key {k!r}")
 
     # receivers
     receivers = []
@@ -441,8 +444,6 @@ def parse_config(text):
         rid = name.partition(".")[2] or "receiver"
         if loc is not None:
             receivers.append(ReceiverSpec(rid, loc, comps, interval))
-        for k in sec.unknown_keys():
-            violations.append(f"[{name}]: unknown key {k!r}")
 
     # initial condition
     initial = None
@@ -469,8 +470,6 @@ def parse_config(text):
                 f"[initial]: type must be velocity-gaussian or plane-wave,"
                 f" got {kind!r}")
         initial = InitialSpec(kind, tuple(sorted(params.items())))
-        for k in sec.unknown_keys():
-            violations.append(f"[initial]: unknown key {k!r}")
 
     # output
     osec = get_sec("output")
@@ -480,10 +479,9 @@ def parse_config(text):
         snapshot_interval=osec.num("snapshot_interval"),
         snapshot_format=osec.word("snapshot_format", "binary"))
 
-    for name in ("mesh", "pml", "time", "output", "boundary"):
-        if name in secs:
-            for k in secs[name].unknown_keys():
-                violations.append(f"[{name}]: unknown key {k!r}")
+    for name, sec in secs.items():
+        for k in sec.unknown_keys():
+            violations.append(f"[{name}]: unknown key {k!r}")
 
     cfg = RunConfig(
         dimension=dim, box=tuple(box), spacing=spacing, degree=degree,
@@ -501,9 +499,27 @@ def _inside(point, box):
     return all(lo <= c <= hi for c, (lo, hi) in zip(point, box))
 
 
+def _non_finite(value, path):
+    """(path, number) of each non-finite number in a config value:
+    dataclass fields by name, (key, value) pairs by key, other tuples
+    by index."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _non_finite(getattr(value, f.name), f"{path}.{f.name}")
+    elif isinstance(value, tuple):
+        for i, x in enumerate(value):
+            if isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], str):
+                yield from _non_finite(x[1], f"{path}.{x[0]}")
+            else:
+                yield from _non_finite(x, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield path, value
+
+
 def validate(cfg):
     """All invariant violations for a config, as a list of messages."""
-    v = []
+    v = [f"{path} must be finite, got {x}" for f in dataclasses.fields(cfg)
+         for path, x in _non_finite(getattr(cfg, f.name), f.name)]
     if cfg.dimension not in (2, 3):
         v.append(f"dimension must be 2 or 3, got {cfg.dimension}")
         return v  # nothing downstream is meaningful
@@ -511,11 +527,13 @@ def validate(cfg):
         v.append(f"box has {len(cfg.box)} axes for dimension"
                  f" {cfg.dimension}")
         return v
-    if cfg.spacing <= 0.0:
+    if not cfg.spacing > 0.0:
         v.append(f"dx must be positive, got {cfg.spacing}")
         return v
     axes = axes_of(cfg.dimension)
     for ax, (lo, hi) in zip(axes, cfg.box):
+        if not math.isfinite(hi - lo):
+            continue    # reported as non-finite above
         if hi <= lo:
             v.append(f"{ax} extent [{lo}, {hi}] is empty")
             continue
@@ -564,7 +582,7 @@ def validate(cfg):
         for w, label in ((lo, "lo"), (hi, "hi")):
             if w < 0.0:
                 v.append(f"pml {ax}.{label} width is negative")
-            elif w > 0.0:
+            elif 0.0 < w < math.inf:
                 k = w / cfg.spacing
                 if abs(k - round(k)) > 1e-6 * max(1.0, k) or round(k) < 1:
                     v.append(f"pml {ax}.{label} width {w} is not a whole"

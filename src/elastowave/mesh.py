@@ -86,7 +86,12 @@ def build_mesh(spec):
             raw = spec.gamma.get((ax, side), 0.0)  # absorbing by default
             gamma[(ax, side)] = _normalize_gamma(raw, d)
 
-    ids = np.zeros(spec.counts, dtype=np.intp)
+    mesh = CartesianMesh(dim=d, mins=tuple(map(float, spec.mins)),
+                         maxs=tuple(map(float, spec.maxs)),
+                         counts=tuple(map(int, spec.counts)),
+                         spacings=spacings, materials=tuple(spec.materials),
+                         material_ids=np.zeros(spec.counts, dtype=np.intp),
+                         gamma=gamma)
     if spec.region_axis is not None:
         if spec.region_axis not in axes or spec.region_threshold is None:
             raise InvalidExtent(
@@ -96,17 +101,27 @@ def build_mesh(spec):
         if not 0 <= spec.region_material < len(spec.materials):
             raise InvalidExtent(
                 f"region material id {spec.region_material} out of range")
-        centers = spec.mins[ai] + spacings[ai] * (np.arange(spec.counts[ai]) + 0.5)
-        sel = [None] * d
-        sel[ai] = centers < spec.region_threshold
-        mask = sel[ai].reshape([-1 if k == ai else 1 for k in range(d)])
-        ids = np.where(mask, spec.region_material, ids)
+        below = element_centers(mesh, ai) < spec.region_threshold
+        np.moveaxis(mesh.material_ids, ai, 0)[below] = spec.region_material
+    return mesh
 
-    return CartesianMesh(dim=d, mins=tuple(map(float, spec.mins)),
-                         maxs=tuple(map(float, spec.maxs)),
-                         counts=tuple(map(int, spec.counts)),
-                         spacings=spacings, materials=tuple(spec.materials),
-                         material_ids=ids, gamma=gamma)
+
+def element_centers(mesh, ax):
+    """Centroids of the elements along axis ax."""
+    return mesh.mins[ax] + (np.arange(mesh.counts[ax]) + 0.5) * mesh.spacings[ax]
+
+
+def node_coordinates(mesh, ax, nodes, elems=slice(None)):
+    """The affine map along axis ax: physical coordinates of the
+    reference nodes (in [-1, 1]) of the elements elems (a slice or
+    index array of that element axis), shaped to broadcast against a
+    scalar field (element axes, then node axes)."""
+    e = np.arange(mesh.counts[ax])[elems]
+    x = mesh.mins[ax] + (e[:, None] + (nodes[None, :] + 1) / 2) \
+        * mesh.spacings[ax]
+    shape = [1] * (2 * mesh.dim)
+    shape[ax], shape[mesh.dim + ax] = x.shape
+    return x.reshape(shape)
 
 
 def locate_point(mesh, point):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidExtent, InvalidTol
-from .mesh import CartesianMesh
+from .mesh import CartesianMesh, element_centers, node_coordinates
 from .operators import ElementOperators
 from .physics import axes_of
 
@@ -119,15 +119,16 @@ def build_damping(mesh: CartesianMesh, ops: ElementOperators, widths,
     tables = []
     for ax, name in enumerate(axes_of(mesh.dim)):
         w_lo, w_hi = widths.get(name, (0.0, 0.0))
-        h, count = mesh.spacings[ax], mesh.counts[ax]
-        centers = mesh.mins[ax] + (np.arange(count) + 0.5) * h
+        centers = element_centers(mesh, ax)
         k_lo = int((centers < lo[ax]).sum())
         k_hi = int((centers > hi[ax]).sum())
         if k_lo + k_hi == 0:
             continue
         peak = d0[name] if isinstance(d0, dict) else float(d0)
-        elems = np.r_[:k_lo, count - k_hi:count]
-        nodes = mesh.mins[ax] + (elems[:, None] + (ops.rule.nodes[None, :] + 1) / 2) * h
-        damp = damping_at(nodes, lo[ax], hi[ax], w_lo, w_hi, peak)
+        count = mesh.counts[ax]
+        x = node_coordinates(mesh, ax, ops.rule.nodes,
+                             np.r_[:k_lo, count - k_hi:count])
+        damp = damping_at(x.reshape(k_lo + k_hi, -1), lo[ax], hi[ax],
+                          w_lo, w_hi, peak)
         tables.append(AxisDamping(name, ax, k_lo, k_hi, damp, float(alpha)))
     return tables

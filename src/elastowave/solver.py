@@ -11,9 +11,9 @@ traction slots of xi, shape (2 dim, E_x, .., lo + hi, .., n, n[, n]).
 The update makes one pass per axis.  The derivative A dQ/dxi is one
 batched matmul per source (traction into the velocity rows, velocity
 into the traction slots) on a (pre, n, post) view, with 2/h folded into
-D.  Then come the fluctuations of every element's left and right face,
-all from one formula.  At face side s (-1 left, +1 right) the outgoing
-characteristic is out = (Z v - s T)/2 and the incoming one
+D.  Then `fluctuation` forms the fluctuations of every element's two
+faces from one formula.  At face side s (-1 left, +1 right) the
+outgoing characteristic is out = (Z v - s T)/2 and the incoming one
 inc = (Z v + s T)/2; the fluctuation is G = inc - r out - tau out_nb,
 where out_nb is the neighbour's outgoing wave across the face.  At an
 interface r = (Z - Z_nb)/(Z + Z_nb) and tau = 2 Z/(Z + Z_nb); at an
@@ -35,9 +35,10 @@ from math import prod
 import numpy as np
 
 from .errors import DivergenceDetected, UnsupportedDegree
-# The face pass calls none of these; benchmarks/job.py wraps them here
-# by name for its per-layer trace, so they stay importable from solver.
-from .flux import fluctuation, hat_boundary, hat_interface  # noqa: F401
+# The face pass calls neither; benchmarks/job.py wraps them here by
+# name for its per-layer trace, so they stay importable from solver.
+from .flux import hat_boundary, hat_interface  # noqa: F401
+from .mesh import node_coordinates
 from .physics import axes_of, n_components, sig_slots
 
 
@@ -162,19 +163,10 @@ def setup_state(disc):
 def nodal_coordinates(disc):
     """Physical node coordinates, one read-only broadcast array per axis,
     each shaped like a scalar field (counts + node dims)."""
-    mesh, ops = disc.mesh, disc.ops
-    dim, n = mesh.dim, ops.n_nodes
-    full = mesh.counts + (n,) * dim
-    out = []
-    for ax in range(dim):
-        e = np.arange(mesh.counts[ax])
-        x = mesh.mins[ax] + (e[:, None] + (ops.rule.nodes[None, :] + 1) / 2) \
-            * mesh.spacings[ax]
-        shape = [1] * (2 * dim)
-        shape[ax] = mesh.counts[ax]
-        shape[dim + ax] = n
-        out.append(np.broadcast_to(x.reshape(shape), full))
-    return out
+    mesh, nodes = disc.mesh, disc.ops.rule.nodes
+    full = mesh.counts + nodes.shape * mesh.dim
+    return [np.broadcast_to(node_coordinates(mesh, ax, nodes), full)
+            for ax in range(mesh.dim)]
 
 
 # Entries (rows * n * n) of one product in _diff: small enough that the
@@ -250,7 +242,7 @@ def _axis_terms(Q, ax, disc, total, dws=None, parts=()):
     scaled by theta: the velocity rows into dws[:dim], the traction
     slots into dws[dim:].  Its temporaries die with the call, so they
     never overlap those of the next axis."""
-    dim, n = disc.mesh.dim, disc.ops.n_nodes
+    dim = disc.mesh.dim
     node_ax = 1 + dim + ax
     slots, z = disc.slots[ax], disc.z[ax]
     halves = ((range(dim), slice(None, dim)), (slots, slice(dim, None)))
@@ -264,27 +256,8 @@ def _axis_terms(Q, ax, disc, total, dws=None, parts=()):
             dws[w_el][w_rows] += der[q_el]
         del der     # freed before the next derivative is allocated
 
-    # fluctuations on the left (node 0) and right (node n-1) face of
-    # every element: inc - r out over the whole plane, minus tau times
-    # the neighbour's out on the interfaces (element axis 1 + ax)
-    r_l, r_r, tau_l, tau_r = disc.faces[ax]
-    waves = []
-    for side, node, r in ((-1, 0, r_l), (1, n - 1, r_r)):
-        face = _at(node, node_ax)
-        g = z * v[face]
-        out = t[face] * -side
-        out += g
-        out *= 0.5      # (Z v - side T) / 2
-        g -= out        # the incoming wave, (Z v + side T) / 2
-        g -= r * out
-        waves.append((g, out))
-    (g_l, out_l), (g_r, out_r) = waves
-    lo, hi = _at(slice(None, -1), 1 + ax), _at(slice(1, None), 1 + ax)
-    g_l[hi] -= tau_l * out_r[lo]
-    g_r[lo] -= tau_r * out_l[hi]
-    del waves, out, out_l, out_r     # freed before the lift planes
-
-    for side, node, g in ((-1, 0, g_l), (1, n - 1, g_r)):
+    g_l, g_r = fluctuation(v, t, ax, disc)
+    for side, node, g in ((-1, 0, g_l), (1, -1, g_r)):
         # -H^-1 e F with F = (G; side * a^T G/Z), added straight onto
         # the face plane; the auxiliary fields take theta times it
         face = _at(node, node_ax)
@@ -295,6 +268,30 @@ def _axis_terms(Q, ax, disc, total, dws=None, parts=()):
                 f = disc.theta * f
             for q_el, w_el, *_ in parts:
                 dws[w_el][face][w_rows] += f[q_el]
+
+
+def fluctuation(v, t, ax, disc):
+    """The face pass of axis ax: G = inc - r out on the left (node 0) and
+    right (node n-1) face planes of every element, minus tau times the
+    neighbour's out on the interfaces, from the velocities v and the
+    tractions t of that axis."""
+    node_ax = 1 + disc.mesh.dim + ax
+    r_l, r_r, tau_l, tau_r = disc.faces[ax]
+    waves = []
+    for side, node, r in ((-1, 0, r_l), (1, -1, r_r)):
+        face = _at(node, node_ax)
+        g = disc.z[ax] * v[face]
+        out = t[face] * -side
+        out += g
+        out *= 0.5      # (Z v - side T) / 2
+        g -= out        # the incoming wave, (Z v + side T) / 2
+        g -= r * out
+        waves.append((g, out))
+    (g_l, out_l), (g_r, out_r) = waves
+    lo, hi = _at(slice(None, -1), 1 + ax), _at(slice(1, None), 1 + ax)
+    g_l[hi] -= tau_l * out_r[lo]
+    g_r[lo] -= tau_r * out_l[hi]
+    return g_l, g_r
 
 
 # Truncated-Taylor stepping is only conditionally stable against stiff

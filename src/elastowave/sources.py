@@ -59,6 +59,16 @@ class RampSTF:
         return np.exp(-t / self.T) * (a * t + b)
 
 
+def _point_stencil(mesh, ops, location, weights=1.0):
+    """Owning element, reference coordinates and tensor Lagrange basis of
+    a point, each 1D factor of the basis divided by weights."""
+    elem, ref = locate_point(mesh, location)
+    stencil = np.ones(())
+    for r in ref:
+        stencil = np.multiply.outer(stencil, eval_basis_at(ops, r) / weights)
+    return elem, ref, stencil
+
+
 class MomentTensorSource:
     """Point source feeding M_ij g(t) into the stress-rate equations."""
 
@@ -67,15 +77,11 @@ class MomentTensorSource:
         self.stf = stf
         self.dim = mesh.dim
         self.m_voigt = voigt(moment, mesh.dim)
-        self.elem, ref = locate_point(mesh, location)
-        if any(abs(r) >= 1.0 - 1e-12 for r in ref):
+        self.elem, self.ref, stencil = _point_stencil(
+            mesh, ops, location, ops.rule.weights)
+        if any(abs(r) >= 1.0 - 1e-12 for r in self.ref):
             warnings.warn("source sits on an element boundary; it is "
                           "injected into the owning element only")
-        self.ref = ref
-        w = ops.rule.weights
-        stencil = np.ones(())
-        for r in ref:
-            stencil = np.multiply.outer(stencil, eval_basis_at(ops, r) / w)
         self.stencil = stencil / mesh.jacobian
 
     def inject(self, dq, t, k=0):
@@ -121,11 +127,7 @@ class Receiver:
                  interval=None):
         self.location = tuple(float(x) for x in location)
         self.dim = mesh.dim
-        self.elem, ref = locate_point(mesh, location)
-        basis = np.ones(())
-        for r in ref:
-            basis = np.multiply.outer(basis, eval_basis_at(ops, r))
-        self.basis = basis
+        self.elem, _, self.basis = _point_stencil(mesh, ops, location)
         if components not in ("velocity", "all"):
             raise ValueError(f"unknown component set {components!r}")
         names = state_components(mesh.dim)
@@ -139,8 +141,7 @@ class Receiver:
                 or not self.gate(state.t):
             return
         q = state.Q[(slice(0, len(self.names)),) + self.elem]
-        axes = list(range(1, 1 + self.dim))
-        vals = np.tensordot(q, self.basis, axes=(axes, list(range(self.dim))))
+        vals = np.tensordot(q, self.basis, self.dim)   # over the node axes
         self.times.append(float(state.t))
         self.samples.append(vals)
 

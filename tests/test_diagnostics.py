@@ -246,6 +246,15 @@ def test_pml_error_causality_guard():
         dg.pml_error(run, ref)
 
 
+def test_pml_error_reference_must_hold_the_interior():
+    interior = ((2.0, 0.0), (6.0, 8.0))
+    run = fake_run((4, 4), (8.0, 8.0), interior, seed=2)
+    # shifted one element on x, but only two elements tall on y
+    ref = fake_run((6, 2), (12.0, 4.0), None, seed=2, mins=(-2.0, 0.0))
+    with pytest.raises(GeometryInsufficient, match="misses the interior"):
+        dg.pml_error(run, ref)
+
+
 def test_misfit():
     t = np.linspace(0.0, 1.0, 50)
     a = np.column_stack([np.sin(4 * t), np.cos(4 * t)])

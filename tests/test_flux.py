@@ -42,6 +42,12 @@ def test_gamma_guard():
         fl.hat_boundary(0.0, 0.0, 1.0, 1.5, +1)
 
 
+@pytest.mark.parametrize("gamma", [np.nan, [0.5, np.nan]])
+def test_gamma_guard_rejects_nan(gamma):
+    with pytest.raises(InvalidReflectionCoefficient):
+        fl.hat_boundary(0.3, -2.0, 4.0, gamma, 1)
+
+
 @given(finite, finite, zpos, gammas, sides)
 @settings(max_examples=300, deadline=None)
 def test_boundary_condition_residual(v, T, Z, gamma, side):

@@ -1,6 +1,7 @@
 """Config parsing, presets, experiment drivers, CLI."""
 
 import os
+import re
 import shutil
 import subprocess
 from dataclasses import replace
@@ -319,6 +320,72 @@ def test_unknown_section_and_key():
     bad = STRIP_TEXT.replace("degree = 5", "degree = 5\nfrobnicate = 1")
     with pytest.raises(ValidationError, match="unknown key 'frobnicate'"):
         parse_config(bad)
+
+
+def _replace_param(params, key, value):
+    return tuple((k, value if k == key else x) for k, x in params)
+
+
+def _non_finite_cases():
+    nan, inf = float("nan"), float("inf")
+    strip, wave = ps.preset("strip2d"), ps.preset("planewave")
+    hws = ps.preset("hws3d", elements=10)
+    src, pml = hws.sources[0], strip.pml
+    yield "pml.alpha", replace(strip, pml=replace(pml, alpha=nan))
+    yield "pml.alpha", replace(strip, pml=replace(pml, alpha=inf))
+    yield "pml.d0", replace(strip, pml=replace(pml, tol=None, d0=nan))
+    yield "pml.d0", replace(strip, pml=replace(pml, tol=None, d0=inf))
+    yield "pml.widths[0][2]", replace(strip,
+                                      pml=replace(pml, widths=(("x", 0, inf),)))
+    for key in ("sigma", "t0"):
+        yield f"sources[0].stf_params.{key}", replace(hws, sources=(replace(
+            src, stf_params=_replace_param(src.stf_params, key, nan)),))
+    yield "sources[0].moment[1][1]", replace(hws, sources=(replace(
+        src, moment=(src.moment[0], (0.0, nan, 0.0), src.moment[2])),))
+    yield "initial.params.halfwidth", replace(strip, initial=replace(
+        strip.initial,
+        params=_replace_param(strip.initial.params, "halfwidth", nan)))
+    for key in ("width", "center"):
+        yield f"initial.params.{key}", replace(wave, initial=replace(
+            wave.initial, params=_replace_param(wave.initial.params, key, nan)))
+    yield "spacing", replace(strip, spacing=nan)
+    yield "box[0][1]", replace(strip, box=((-60 * KM, nan), strip.box[1]))
+    yield "box[1][0]", replace(strip, box=(strip.box[0], (-inf, 50 * KM)))
+
+
+@pytest.mark.parametrize("field, cfg", list(_non_finite_cases()))
+def test_validation_names_non_finite_fields(field, cfg):
+    # one rule for every number of a config built in code
+    with pytest.raises(ValidationError, match=re.escape(field)
+                       + " must be finite, got (nan|-?inf)"):
+        finalize(cfg)
+
+
+SOFT_TEXT = ("\n[material.soft]\nrho = 2.6 g/cm3\ncp = 4 km/s\ncs = 2 km/s\n"
+             "axis = y\nbelow = 10 km\n")
+
+
+@pytest.mark.parametrize("text, messages", [
+    (STRIP_TEXT.replace("[material]\n",
+                        "[material]\nfrobnicate = 3\ncp_typo = 3\n"),
+     ["[material]: unknown key 'frobnicate'",
+      "[material]: unknown key 'cp_typo'"]),
+    (STRIP_TEXT + SOFT_TEXT + "bogus = 7\n",
+     ["[material.soft]: unknown key 'bogus'"]),
+    (STRIP_TEXT + "\n[mesh.extra]\n", ["unknown section [mesh.extra]"]),
+], ids=["material", "material.soft", "mesh.extra"])
+def test_unknown_keys_in_every_section(text, messages):
+    with pytest.raises(ValidationError) as ei:
+        parse_config(text)
+    for line in messages:
+        assert line in str(ei.value)
+
+
+def test_material_rejects_lame_pair_beside_speeds():
+    text = STRIP_TEXT.replace("[material]\n", "[material]\nlam = 5\nmu = 1\n")
+    with pytest.raises(ValidationError,
+                       match=r"\[material\]: give cp/cs or lam/mu, not both"):
+        parse_config(text)
 
 
 def test_default_notes_recorded():
