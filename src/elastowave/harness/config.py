@@ -384,6 +384,9 @@ def parse_config(text):
         elif mm.group(3) == "hi":
             hi = w
         else:
+            if psec.has(ax + ".lo") or psec.has(ax + ".hi"):
+                violations.append(
+                    f"[pml]: give {ax} or {ax}.lo/{ax}.hi, not both")
             lo = hi = w
         widths[ax] = (lo, hi)
     pml = PmlSpec(

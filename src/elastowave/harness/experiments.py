@@ -16,7 +16,7 @@ from ..errors import DivergenceDetected
 from ..mesh import MeshSpec, build_mesh
 from ..operators import build_operators
 from ..physics import axes_of, velocity_names
-from ..pml import build_damping, d0_from_tol, resolve_tol
+from ..pml import build_damping, resolve_tol
 from ..sources import (GaussianSTF, IntervalGate, MomentTensorSource,
                        RampSTF, Receiver, write_seismogram)
 from .config import PmlSpec, finalize
@@ -50,36 +50,6 @@ def _build_stf(spec):
     raise ValueError(f"unknown stf {spec.stf!r}")
 
 
-def _effective_d0(cfg):
-    """Peak damping per axis: explicit d0 wins, else derived from tol."""
-    if not cfg.pml.enabled:
-        return {}
-    if cfg.pml.d0 is not None:
-        return {ax: cfg.pml.d0 for ax, lo, hi in cfg.pml.widths
-                if lo > 0.0 or hi > 0.0}
-    cp = max(m.cp for m in cfg.materials)
-    out = {}
-    for ax, lo, hi in cfg.pml.widths:
-        if lo <= 0.0 and hi <= 0.0:
-            continue
-        out[ax] = d0_from_tol(cp, max(lo, hi), cfg.pml.tol)
-    return out
-
-
-def _effective_alpha(cfg):
-    """Frequency shift: explicit value wins, else 0.15 1/s in 2D and
-    cp/(10 w) in 3D, w being the widest layer."""
-    if not cfg.pml.enabled:
-        return 0.0
-    if cfg.pml.alpha is not None:
-        return cfg.pml.alpha
-    if cfg.dimension == 2:
-        return 0.15
-    cp = max(m.cp for m in cfg.materials)
-    w = max(max(lo, hi) for _, lo, hi in cfg.pml.widths)
-    return cp / (10.0 * w)
-
-
 def build_problem(cfg):
     """Config -> (discretization, initial state, sources, receivers)."""
     mins = tuple(b[0] for b in cfg.box)
@@ -92,10 +62,8 @@ def build_problem(cfg):
         region_material=cfg.region[2] if cfg.region else 1)
     mesh = build_mesh(spec)
     ops = build_operators(cfg.degree, "GLL")
-    damping = ()
-    if cfg.pml.enabled:
-        damping = build_damping(mesh, ops, cfg.pml.width_map(),
-                                _effective_d0(cfg), _effective_alpha(cfg))
+    damping = build_damping(mesh, ops, cfg.pml.width_map(), cfg.pml.d0,
+                            cfg.pml.alpha, cfg.pml.tol)
     disc = solver.discretize(mesh, ops, theta=cfg.pml.theta,
                              damping=damping)
     state = solver.setup_state(disc)
@@ -153,8 +121,7 @@ def run_experiment(cfg, output_dir=None, dt=None):
     times aligned between a layered run and its reference)."""
     disc, state, srcs, recs = build_problem(cfg)
     if dt is None:
-        d0 = _effective_d0(cfg)
-        rate = max(d0.values(), default=0.0) + _effective_alpha(cfg)
+        rate = max((t.d0 + t.alpha for t in disc.damping), default=0.0)
         dt = solver.stable_dt(disc.mesh, cfg.materials, cfg.degree,
                               cfg.cfl, damping_rate=rate)
 
@@ -192,7 +159,6 @@ def run_experiment(cfg, output_dir=None, dt=None):
         note = f"diverged at t = {progress['t']:.6g} s: {exc}"
     t_reached = progress["t"]
 
-    d0 = _effective_d0(cfg)
     meta = {
         "dimension": cfg.dimension,
         "box": ";".join(f"{lo:g}..{hi:g}" for lo, hi in cfg.box),
@@ -205,11 +171,11 @@ def run_experiment(cfg, output_dir=None, dt=None):
         "tend": cfg.t_end,
         "t_reached": t_reached,
         "theta": cfg.pml.theta,
-        "alpha": (f"{_effective_alpha(cfg):.6g}"
+        "alpha": (f"{disc.damping[0].alpha:.6g}"
                   + (" (default)" if cfg.pml.alpha is None else "")
-                  if cfg.pml.enabled else "disabled"),
+                  if disc.damping else "disabled"),
         "tol": cfg.pml.tol,
-        "d0": ";".join(f"{ax}={v:.6g}" for ax, v in sorted(d0.items()))
+        "d0": ";".join(f"{t.axis}={t.d0:.6g}" for t in disc.damping)
               or "disabled",
         "diverged": diverged,
     }

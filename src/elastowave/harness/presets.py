@@ -24,6 +24,10 @@ _WHOLE = dict(rho=2670.0, cp=6000.0, cs=3464.0)
 # soft upper layer of the layered benchmark
 _SOFT = dict(rho=2600.0, cp=4000.0, cs=2000.0)
 
+# note of every 3D preset, whose benchmark leaves the frequency shift open
+_DEFAULT_ALPHA = ("layer alpha is not part of the 3D benchmark definitions;"
+                  " the built-in default cp/(10*layer width) applies")
+
 # free-surface positions of the nine half-space/layered receivers,
 # (y, z) offsets from the epicenter in km
 _SURFACE_RECEIVERS = (
@@ -105,15 +109,13 @@ def _hws3d(n=25):
             ReceiverSpec("r2", (8.4 * KM, 5.0 * KM, 5.0 * KM),
                          "velocity", None)),
         output=OutputSpec(),
-        notes=("layer alpha is not part of the 3D benchmark definitions;"
-               " the built-in default cp/(10*layer width) applies",))
+        notes=(_DEFAULT_ALPHA,))
 
 
-def _surface_cube():
-    # bounded cube shared by the half-space and layered benchmarks; the
-    # stated box already contains the layers on five sides, the free
-    # surface at x = 0 extends into them
-    n = 25
+def _surface_cube(n=25):
+    # bounded cube shared by the half-space and layered benchmarks, n
+    # elements across; the stated box already contains the layers on
+    # five sides, the free surface at x = 0 extends into them
     lo, hi = -2.287 * KM, 14.046 * KM
     dx = 16.333 * KM / n
     w = 3.0 * dx
@@ -137,8 +139,7 @@ def _hhs3d():
         sources=(SourceSpec("couple", (0.693 * KM, 0.0, 0.0),
                             _shear_moment(), "ramp", (("T", 0.1),)),),
         receivers=receivers, output=OutputSpec(),
-        notes=("layer alpha is not part of the 3D benchmark definitions;"
-               " the built-in default cp/(10*layer width) applies",))
+        notes=(_DEFAULT_ALPHA,))
 
 
 def _loh1():
@@ -153,8 +154,7 @@ def _loh1():
         sources=(SourceSpec("couple", (2.0 * KM, 0.0, 0.0),
                             _shear_moment(), "ramp", (("T", 0.1),)),),
         receivers=receivers, output=OutputSpec(),
-        notes=("layer alpha is not part of the 3D benchmark definitions;"
-               " the built-in default cp/(10*layer width) applies",
+        notes=(_DEFAULT_ALPHA,
                "1 km layer boundary falls inside an element row; the"
                " centroid rule moves it to the nearest element face",))
 
@@ -197,12 +197,9 @@ def _hws_elements(_, elements):
 
 
 def _cube_elements(cfg, elements):
-    dx = 16.333 * KM / elements
-    w = 3.0 * dx
+    _, dx, widths, _, _ = _surface_cube(elements)
     return replace(
-        cfg, spacing=dx,
-        pml=replace(cfg.pml, widths=(("x", 0.0, w), ("y", w, w),
-                                     ("z", w, w))),
+        cfg, spacing=dx, pml=replace(cfg.pml, widths=widths),
         notes=cfg.notes + (f"{elements} elements across (canonical 25)",))
 
 

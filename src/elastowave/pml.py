@@ -71,7 +71,8 @@ class AxisDamping:
     The layer damps the first lo and the last hi elements along the axis,
     every other element axis whole.  damp holds the nodal damping of
     each damped element along the axis, low end first, shape
-    (lo + hi, n_nodes).
+    (lo + hi, n_nodes); d0 is the peak of its profile and alpha the
+    frequency shift of the auxiliary equations.
     """
 
     axis: str
@@ -79,6 +80,7 @@ class AxisDamping:
     lo: int
     hi: int
     damp: np.ndarray
+    d0: float
     alpha: float
 
 
@@ -107,15 +109,26 @@ def interior_box(mesh: CartesianMesh, widths):
 
 
 def build_damping(mesh: CartesianMesh, ops: ElementOperators, widths,
-                  d0, alpha):
+                  d0=None, alpha=None, tol=None):
     """Per-axis damping tables for a mesh.
 
     widths: dict axis name -> (low, high) layer widths, zero to disable.
-    d0: peak damping, scalar or dict per axis name.
+    d0: peak damping; None derives each axis's peak from the reflection
+    tolerance tol at the fastest P speed over the wider of its layers.
+    alpha: frequency shift; None means 0.15 1/s in 2D and cp/(10 w) in
+    3D, w being the widest layer.
     Returns a list of AxisDamping, one entry per axis that has damped
     elements; an empty list means the layers are disabled everywhere.
     """
     lo, hi = interior_box(mesh, widths)
+    widest = max((max(w) for w in widths.values()), default=0.0)
+    if widest == 0.0:
+        return []
+    if d0 is None and tol is None:
+        raise InvalidTol("layers need a peak damping d0 or a tolerance tol")
+    cp = max(m.cp for m in mesh.materials)
+    if alpha is None:
+        alpha = 0.15 if mesh.dim == 2 else cp / (10.0 * widest)
     tables = []
     for ax, name in enumerate(axes_of(mesh.dim)):
         w_lo, w_hi = widths.get(name, (0.0, 0.0))
@@ -124,11 +137,13 @@ def build_damping(mesh: CartesianMesh, ops: ElementOperators, widths,
         k_hi = int((centers > hi[ax]).sum())
         if k_lo + k_hi == 0:
             continue
-        peak = d0[name] if isinstance(d0, dict) else float(d0)
+        peak = float(d0_from_tol(cp, max(w_lo, w_hi), tol)
+                     if d0 is None else d0)
         count = mesh.counts[ax]
         x = node_coordinates(mesh, ax, ops.rule.nodes,
                              np.r_[:k_lo, count - k_hi:count])
         damp = damping_at(x.reshape(k_lo + k_hi, -1), lo[ax], hi[ax],
                           w_lo, w_hi, peak)
-        tables.append(AxisDamping(name, ax, k_lo, k_hi, damp, float(alpha)))
+        tables.append(AxisDamping(name, ax, k_lo, k_hi, damp, peak,
+                                  float(alpha)))
     return tables

@@ -355,6 +355,8 @@ def run(state, t_end, dt, sources=(), callbacks=()):
     exactly.  Callbacks fire on the initial state and after every step."""
     if not np.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
+    if not 0.0 < dt < np.inf:      # NaN fails too
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if t_end < state.t:
         raise ValueError(f"t_end {t_end} before current time {state.t}")
     for cb in callbacks:

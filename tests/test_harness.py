@@ -20,6 +20,9 @@ from elastowave.harness import config as cf
 from elastowave.harness import experiments as xp
 from elastowave.harness import presets as ps
 from elastowave.harness.config import OutputSpec, finalize, parse_config
+from elastowave.mesh import MeshSpec, build_mesh
+from elastowave.operators import build_operators
+from elastowave.pml import build_damping
 
 KM = 1000.0
 
@@ -388,6 +391,16 @@ def test_material_rejects_lame_pair_beside_speeds():
         parse_config(text)
 
 
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_pml_rejects_axis_given_whole_and_by_side(side):
+    # the later key used to win: x.lo = 5 km then x = 10 km gave (10, 10)
+    text = STRIP_TEXT.replace("[pml]\nx = 10 km\n",
+                              f"[pml]\nx.{side} = 5 km\nx = 10 km\n")
+    with pytest.raises(ValidationError,
+                       match=r"\[pml\]: give x or x.lo/x.hi, not both"):
+        parse_config(text)
+
+
 def test_default_notes_recorded():
     text = TINY_TEXT  # has no cfl, no alpha
     cfg = parse_config(text)
@@ -447,8 +460,13 @@ def test_hws3d_parameters():
     locs = [r.location for r in cfg.receivers]
     assert (4.4 * KM, 5 * KM, 5 * KM) in locs   # 1 km offset
     assert (8.4 * KM, 5 * KM, 5 * KM) in locs   # 5 km offset
-    # unspecified frequency shift resolves to cp/(10 w)
-    assert xp._effective_alpha(cfg) == pytest.approx(0.5)
+    # unspecified frequency shift resolves to cp/(10 w) in the tables
+    mins, maxs = zip(*cfg.box)
+    mesh = build_mesh(MeshSpec(dim=3, mins=mins, maxs=maxs,
+                               counts=cfg.counts(), materials=cfg.materials))
+    tables = build_damping(mesh, build_operators(1, "GLL"),
+                           cfg.pml.width_map(), tol=cfg.pml.tol)
+    assert [t.alpha for t in tables] == pytest.approx([0.5] * 3)
 
 
 def test_hhs3d_parameters():

@@ -108,6 +108,31 @@ def test_build_damping_nodal_values():
     assert row == pytest.approx([2.0, 2.0 * 0.125])
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_build_damping_resolves_peak_and_shift(dim):
+    # the fastest P speed sets each axis's peak over its wider layer;
+    # alpha defaults to 0.15 1/s in 2D and cp/(10 w) in 3D
+    slow = material_from_speeds(2700.0, 4000.0, 2000.0)
+    fast = material_from_speeds(2700.0, 6000.0, 3464.0)
+    mesh = build_mesh(MeshSpec(dim=dim, mins=(0.0,) * dim,
+                               maxs=(80.0,) * dim, counts=(8,) * dim,
+                               materials=(slow, fast), region_axis="x",
+                               region_threshold=40.0))
+    ops = build_operators(2, "GLL")
+    widths = {"x": (10.0, 20.0), "y": (0.0, 30.0)}
+    tables = pml.build_damping(mesh, ops, widths, tol=1e-3)
+    assert [t.axis for t in tables] == ["x", "y"]
+    assert [t.d0 for t in tables] == [pml.d0_from_tol(6000.0, w, 1e-3)
+                                      for w in (20.0, 30.0)]
+    for tab in tables:
+        assert tab.damp.max() == pytest.approx(tab.d0)
+        assert tab.alpha == (0.15 if dim == 2 else 6000.0 / 300.0)
+    explicit = pml.build_damping(mesh, ops, widths, 3.0, 0.7, tol=1e-3)
+    assert [(t.d0, t.alpha) for t in explicit] == [(3.0, 0.7)] * 2
+    with pytest.raises(InvalidTol, match="d0 or a tolerance"):
+        pml.build_damping(mesh, ops, widths)
+
+
 def test_build_damping_disabled():
     mesh = strip_mesh()
     ops = build_operators(3, "GLL")

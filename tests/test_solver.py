@@ -373,8 +373,19 @@ def test_run_step_accounting():
     assert all(b > a for a, b in zip(seen, seen[1:]))
 
 
-@pytest.mark.parametrize("t_end", [float("inf"), float("nan")])
-def test_run_rejects_non_finite_t_end(t_end):
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("t_end, dt, name", [
+    pytest.param(INF, 0.1, "t_end", id="t_end-inf"),
+    pytest.param(NAN, 0.1, "t_end", id="t_end-nan"),
+    # a NaN or infinite step returned the initial state without a word,
+    # a negative one marched backwards until the fields blew up
+    pytest.param(1.0, NAN, "dt", id="dt-nan"),
+    pytest.param(1.0, -0.1, "dt", id="dt-negative"),
+    pytest.param(1.0, INF, "dt", id="dt-inf"),
+])
+def test_run_rejects_bad_times(t_end, dt, name):
     disc = make_disc(counts=(2, 2), degree=1)
     st = solver.setup_state(disc)
     calls = []
@@ -382,10 +393,10 @@ def test_run_rejects_non_finite_t_end(t_end):
     def bounded(state):
         calls.append(state.t)
         if len(calls) > 3:
-            raise RuntimeError("run kept stepping towards a non-finite t_end")
+            raise RuntimeError(f"run kept stepping with a bad {name}")
 
-    with pytest.raises(ValueError, match="t_end"):
-        solver.run(st, t_end, 0.1, callbacks=[bounded])
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        solver.run(st, t_end, dt, callbacks=[bounded])
 
 
 def test_divergence_detected():
