@@ -27,6 +27,13 @@ is a basic-slice view; the auxiliary equations see the same derivative
 and face terms, the face terms scaled by theta, each one slice add.  The
 material map (1/rho on velocities, stiffness on stress rates) is applied
 once at the end, in place.
+
+`run` builds one Workspace and hands it to every `ader_step`; it dies
+when run returns, and a step called alone builds its own.  It holds two
+ping-pong stage results, the RHS scratch (traction gather, derivative,
+face planes, -d*w) and a bool buffer for the finiteness check, so a
+step allocates nothing state-sized but the sum the new state owns.
+`_rhs(Q, w, disc)` called without buffers returns fresh arrays.
 """
 
 from dataclasses import dataclass
@@ -153,11 +160,52 @@ class SimulationState:
     w: tuple  # parallel to disc.damping
 
 
-def setup_state(disc):
+def _zero_fields(disc):
+    """A zero Q and zero auxiliary fields, shaped for disc."""
     mesh, n = disc.mesh, disc.ops.n_nodes
     shape = (n_components(mesh.dim),) + mesh.counts + (n,) * mesh.dim
-    return SimulationState(disc=disc, t=0.0, Q=np.zeros(shape),
-                           w=tuple(np.zeros(s) for s, _ in disc.slabs))
+    return np.zeros(shape), tuple(np.zeros(s) for s, _ in disc.slabs)
+
+
+def setup_state(disc):
+    Q, w = _zero_fields(disc)
+    return SimulationState(disc=disc, t=0.0, Q=Q, w=w)
+
+
+class _Scratch:
+    """The scratch of one RHS, in one buffer: the traction gather and
+    the derivative, dim rows of the state each, then the face planes
+    that `fluctuation` needs beyond those it lays over the spent
+    derivative (five in all).  Before each damped axis the two rows hold
+    -d*w of one end of the layer: 2 dim rows on at most every element."""
+
+    def __init__(self, disc):
+        dim, n = disc.mesh.dim, disc.ops.n_nodes
+        plane = (dim,) + disc.mesh.counts + (n,) * (dim - 1)
+        rows = n * prod(plane)
+        self.buf = np.empty(2 * rows + max(0, 5 - n) * prod(plane))
+        self.gather = self.buf[:rows].reshape(plane + (n,))
+        self.der = self.buf[rows:2 * rows].reshape(plane + (n,))
+        self.planes = self.buf[rows:rows + 5 * prod(plane)].reshape(
+            (5,) + plane)
+
+
+class Workspace(_Scratch):
+    """The buffers of one run, built by `run` and handed to every
+    ader_step; they die when run returns.  Besides the RHS scratch: two
+    ping-pong stage results, each a Q and its auxiliary fields, and a
+    bool buffer for the finiteness check."""
+
+    def __init__(self, disc):
+        super().__init__(disc)
+        self.stages = (_zero_fields(disc), _zero_fields(disc))
+        q, w = self.stages[0]
+        self.finite = np.empty(max(a.size for a in (q, *w)), dtype=bool)
+
+
+def _view(buf, shape):
+    """The first prod(shape) entries of a contiguous buffer, as shape."""
+    return buf.reshape(-1)[:prod(shape)].reshape(shape)
 
 
 def nodal_coordinates(disc):
@@ -174,25 +222,31 @@ def nodal_coordinates(disc):
 _GEMM_BLOCK = 1 << 16
 
 
-def _diff(arr, node_ax, D):
-    """D along axis node_ax of a C-contiguous array: one batched matmul,
-    D @ (n, post) blocks of a (pre, n, post) view, or (rows, n) @ D.T
-    blocks when the node axis is last.
+def _diff(arr, node_ax, D, out=None):
+    """D along axis node_ax of a C-contiguous array, into out (a new
+    array if None): one batched matmul, D @ (n, post) blocks of a
+    (pre, n, post) view, or (rows, n) @ D.T blocks when the node axis is
+    last.
 
     Every product stays small.  One large product would be spread over
     the BLAS library's threads, whose workers then spin between calls
     and stall each call on whatever else holds the other cores, for no
     gain on these bandwidth-bound products."""
     shape = arr.shape
+    if out is None:
+        out = np.empty(shape)
     n = shape[node_ax]
     if node_ax < arr.ndim - 1:
-        return np.matmul(D, arr.reshape(prod(shape[:node_ax]), n, -1)
-                         ).reshape(shape)
+        blocks = (prod(shape[:node_ax]), n, -1)
+        np.matmul(D, arr.reshape(blocks), out=out.reshape(blocks))
+        return out
     rows, k = 1, node_ax
     while k > 0 and rows * shape[k - 1] * n * n <= _GEMM_BLOCK:
         k -= 1
         rows *= shape[k]
-    return np.matmul(arr.reshape(-1, rows, n), D.T).reshape(shape)
+    blocks = (-1, rows, n)
+    np.matmul(arr.reshape(blocks), D.T, out=out.reshape(blocks))
+    return out
 
 
 def _at(k, axis):
@@ -201,96 +255,126 @@ def _at(k, axis):
 
 
 def _add_rows(out, rows, val):
-    """out[rows] += val one component row at a time: in-place adds on
-    basic slices, where a fancy index would copy, add and write back."""
+    """out[rows] += val in place: at once for a slice of rows, else one
+    component row at a time on basic slices, where a fancy index would
+    copy, add and write back."""
+    if isinstance(rows, slice):
+        out[rows] += val
+        return
     for r, x in zip(rows, val):
         out[r] += x
 
 
-def _rhs(Q, w, disc):
+def _halves(disc, ax):
+    """(rows of Q, rows of w) of the velocities and of the traction slots
+    of axis ax."""
     dim = disc.mesh.dim
-    total = np.zeros(Q.shape)
-    dw = [None] * len(disc.damping)
+    return ((slice(None, dim),) * 2, (disc.slots[ax], slice(dim, None)))
+
+
+def _rhs(Q, w, disc, out=None, ws=None):
+    """The rates (dQ, dw) of the state (Q, w).  They overwrite out, a Q
+    and its auxiliary fields, and the RHS scratch comes from ws (a
+    Workspace); either one left out is allocated here, so _rhs(Q, w, disc)
+    returns fresh arrays."""
+    dim = disc.mesh.dim
+    if out is None:
+        out = (np.empty(Q.shape), tuple(np.empty(wi.shape) for wi in w))
+    if ws is None:
+        ws = _Scratch(disc)
+    total, dw = out
+    total.fill(0.0)
     layers = {tab.axis_index: pos for pos, tab in enumerate(disc.damping)}
     for ax in range(dim):
         pos = layers.get(ax)
         if pos is None:
-            _axis_terms(Q, ax, disc, total)
+            _axis_terms(Q, ax, disc, total, ws)
         else:
-            ws, parts = w[pos], disc.slabs[pos][1]
-            dws = dw[pos] = np.empty(ws.shape)
+            wpos, dws, parts = w[pos], dw[pos], disc.slabs[pos][1]
             # the decay of w, and -d*w on the same elements of Q
-            rows = (*range(dim), *disc.slots[ax])
+            halves = _halves(disc, ax)
             for q_el, w_el, neg_d, decay in parts:
-                np.multiply(decay, ws[w_el], out=dws[w_el])
-                _add_rows(total[q_el], rows, neg_d * ws[w_el])
-            _axis_terms(Q, ax, disc, total, dws, parts)
+                np.multiply(decay, wpos[w_el], out=dws[w_el])
+                neg_dw = _view(ws.buf, wpos[w_el].shape)
+                np.multiply(neg_d, wpos[w_el], out=neg_dw)
+                for rows, w_rows in halves:
+                    _add_rows(total[q_el], rows, neg_dw[w_rows])
+            _axis_terms(Q, ax, disc, total, ws, dws, parts)
 
     total[:dim] /= disc.rho_e
     s = total[dim:]
-    tr = s[:dim].sum(0)
+    tr = np.sum(s[:dim], axis=0, out=ws.gather[0])
     tr *= disc.lam_e
     s[:dim] *= 2 * disc.mu_e
     s[:dim] += tr
     s[dim:] *= disc.mu_e
-    return total, tuple(dw)
+    return out
 
 
-def _axis_terms(Q, ax, disc, total, dws=None, parts=()):
+def _axis_terms(Q, ax, disc, total, ws, dws=None, parts=()):
     """Adds the terms of axis ax to total, and to the slab parts of dws
     (damped elements, see _slabs) the same terms with the face terms
     scaled by theta: the velocity rows into dws[:dim], the traction
-    slots into dws[dim:].  Its temporaries die with the call, so they
-    never overlap those of the next axis."""
+    slots into dws[dim:].  The gather, derivative and face planes are
+    the scratch of ws, which the next axis overwrites."""
     dim = disc.mesh.dim
     node_ax = 1 + dim + ax
     slots, z = disc.slots[ax], disc.z[ax]
-    halves = ((range(dim), slice(None, dim)), (slots, slice(dim, None)))
-    v, t = Q[:dim], Q[slots]
+    halves = _halves(disc, ax)
+    v, t = Q[:dim], ws.gather
+    for row, slot in zip(t, slots):
+        row[...] = Q[slot]
 
     # A dQ/dxi: traction into the velocity rows, velocity into the slots
     for (rows, w_rows), src in zip(halves, (t, v)):
-        der = _diff(src, node_ax, disc.dmat[ax])
+        der = _diff(src, node_ax, disc.dmat[ax], ws.der)
         _add_rows(total, rows, der)
         for q_el, w_el, *_ in parts:
             dws[w_el][w_rows] += der[q_el]
-        del der     # freed before the next derivative is allocated
 
-    g_l, g_r = fluctuation(v, t, ax, disc)
+    g_l, g_r = fluctuation(v, t, ax, disc, ws.planes)
     for side, node, g in ((-1, 0, g_l), (1, -1, g_r)):
         # -H^-1 e F with F = (G; side * a^T G/Z), added straight onto
         # the face plane; the auxiliary fields take theta times it
         face = _at(node, node_ax)
-        fl = -disc.lift[ax] * g
-        for (rows, w_rows), f in zip(halves, (fl, fl / (side * z))):
+        g *= -disc.lift[ax]
+        # the outgoing waves of fluctuation are spent
+        fz = np.divide(g, side * z, out=ws.planes[2])
+        for (rows, w_rows), f in zip(halves, (g, fz)):
             _add_rows(total[face], rows, f)
-            if parts:
-                f = disc.theta * f
+            if parts and disc.theta != 1.0:     # f * 1.0 is f
+                f *= disc.theta
             for q_el, w_el, *_ in parts:
                 dws[w_el][face][w_rows] += f[q_el]
 
 
-def fluctuation(v, t, ax, disc):
+def fluctuation(v, t, ax, disc, planes=None):
     """The face pass of axis ax: G = inc - r out on the left (node 0) and
     right (node n-1) face planes of every element, minus tau times the
     neighbour's out on the interfaces, from the velocities v and the
-    tractions t of that axis."""
+    tractions t of that axis.  planes holds five face-plane buffers (new
+    ones if None): G left and right, out left and right, and a product;
+    the two G planes are returned."""
     node_ax = 1 + disc.mesh.dim + ax
     r_l, r_r, tau_l, tau_r = disc.faces[ax]
-    waves = []
-    for side, node, r in ((-1, 0, r_l), (1, -1, r_r)):
+    if planes is None:
+        planes = np.empty((5,) + v[_at(0, node_ax)].shape)
+    g_l, g_r, out_l, out_r, r_out = planes
+    # Z v - side T: Z v + T on the left, Z v - T on the right
+    for node, r, g, out, z_v_t in ((0, r_l, g_l, out_l, np.add),
+                                   (-1, r_r, g_r, out_r, np.subtract)):
         face = _at(node, node_ax)
-        g = disc.z[ax] * v[face]
-        out = t[face] * -side
-        out += g
+        np.multiply(disc.z[ax], v[face], out=g)
+        z_v_t(g, t[face], out=out)
         out *= 0.5      # (Z v - side T) / 2
         g -= out        # the incoming wave, (Z v + side T) / 2
-        g -= r * out
-        waves.append((g, out))
-    (g_l, out_l), (g_r, out_r) = waves
+        g -= np.multiply(r, out, out=r_out)
     lo, hi = _at(slice(None, -1), 1 + ax), _at(slice(1, None), 1 + ax)
-    g_l[hi] -= tau_l * out_r[lo]
-    g_r[lo] -= tau_r * out_l[hi]
+    # each out is spent once its neighbour's tau term is formed in it
+    out_r[lo] *= tau_l
+    g_l[hi] -= out_r[lo]
+    out_l[hi] *= tau_r
+    g_r[lo] -= out_l[hi]
     return g_l, g_r
 
 
@@ -318,26 +402,32 @@ def stable_dt(mesh, materials, degree, cfl, damping_rate=0.0):
     return dt
 
 
-def ader_step(state, dt, sources=()):
+def ader_step(state, dt, sources=(), ws=None):
     """Taylor step of order P+1: u += sum_k dt^k/k! u^(k) with
     u^(k+1) = L u^(k) + f^(k)(t_n).
 
-    Each term is scaled in place and added once the next stage has read
-    it, so the sum allocates nothing state-sized of its own."""
+    Stage k writes its term into ws.stages[k % 2], over the term before
+    last, which has been added by then; ws is a Workspace for state.disc,
+    built here if None.  Each term is scaled in place and added once the
+    next stage has read it, so the step allocates nothing state-sized
+    but the sum, which the new state owns."""
     disc = state.disc
+    if ws is None:
+        ws = Workspace(disc)
     acc = [state.Q.copy()] + [wi.copy() for wi in state.w]
     term_q, term_w = state.Q, state.w
     coef = 1.0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for k in range(1, disc.ops.degree + 2):
             prev = (term_q,) + term_w if k > 1 else ()
-            term_q, term_w = _rhs(term_q, term_w, disc)
+            term_q, term_w = _rhs(term_q, term_w, disc, ws.stages[k % 2], ws)
             _add_scaled(acc, prev, coef)
             for src in sources:
                 src.inject(term_q, state.t, k - 1)
             coef *= dt / k
         _add_scaled(acc, (term_q,) + term_w, coef)
-    if any(not np.isfinite(a).all() for a in acc):
+    if not all(np.isfinite(a, out=_view(ws.finite, a.shape)).all()
+               for a in acc):
         raise DivergenceDetected(f"non-finite field at t = {state.t + dt}")
     return SimulationState(disc=disc, t=state.t + dt, Q=acc[0],
                            w=tuple(acc[1:]))
@@ -352,7 +442,8 @@ def _add_scaled(acc, terms, coef):
 
 def run(state, t_end, dt, sources=(), callbacks=()):
     """Fixed-step march to t_end with a final truncated step landing on it
-    exactly.  Callbacks fire on the initial state and after every step."""
+    exactly.  Callbacks fire on the initial state and after every step.
+    One Workspace serves every step and dies when run returns."""
     if not np.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
     if not 0.0 < dt < np.inf:      # NaN fails too
@@ -361,10 +452,11 @@ def run(state, t_end, dt, sources=(), callbacks=()):
         raise ValueError(f"t_end {t_end} before current time {state.t}")
     for cb in callbacks:
         cb(state)
+    ws = Workspace(state.disc)
     eps = 1e-12 * max(dt, 1.0)
     while state.t < t_end - eps:
         step = min(dt, t_end - state.t)
-        state = ader_step(state, step, sources)
+        state = ader_step(state, step, sources, ws)
         for cb in callbacks:
             cb(state)
     return state

@@ -76,6 +76,16 @@ def test_linf():
     assert dg.linf_series(st) == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("dim,counts", [(2, (4, 4)), (3, (3, 2, 3))])
+def test_linf_equals_max_of_magnitudes(dim, counts):
+    # the largest magnitude, each rooted (v ** 2 summed over the
+    # components), bit for bit
+    st = solver.setup_state(make_disc(dim=dim, counts=counts))
+    st.Q[...] = np.random.default_rng(dim).standard_normal(st.Q.shape)
+    v = st.Q[:dim]
+    assert dg.linf_series(st) == float(np.sqrt((v ** 2).sum(axis=0)).max())
+
+
 def test_convergence_rate_oracles():
     rates = dg.convergence_rates([8.2513e-4, 1.3602e-5], [10.0, 5.0])
     assert rates[0] == pytest.approx(5.9228, abs=1e-3)

@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -11,8 +13,10 @@ from elastowave.mesh import MeshSpec, build_mesh
 from elastowave.operators import build_operators
 from elastowave.physics import material_from_speeds
 from elastowave.pml import build_damping
+from elastowave.sources import GaussianSTF, MomentTensorSource
 
 import rhs_oracle
+from test_operators import _thread_cpu_ticks
 
 
 def make_disc(dim=2, counts=(4, 4), degree=3, gamma=None, theta=1.0,
@@ -196,12 +200,14 @@ def _peak_states(fn, st):
 PEAK_WIDTHS = (None, {"x": (2.5, 2.5), "z": (0.0, 2.5)})
 
 
-@pytest.mark.parametrize("widths,bound", zip(PEAK_WIDTHS, (2.2, 2.7)))
+@pytest.mark.parametrize("widths,bound", zip(PEAK_WIDTHS, (2.2, 2.5)))
 def test_rhs_peak_allocation(widths, bound):
-    # the result, one axis's traction gather, derivative and face planes
-    # measure 1.9 states, plus the auxiliary rates (w's size, 0.33 states
-    # here) with layers.  Full-size derivative and lift scratch arrays
-    # took 4.4 / 4.7, a full-size face scratch (rhs_oracle) 5.6 / 6.1
+    # the result, the traction gather and derivative (1/3 state each),
+    # the one face plane that does not fit over the spent derivative and
+    # numpy's ufunc buffers (0.2 states at this size) measure 1.95
+    # states, plus the auxiliary rates (w's size, 0.33 states here) with
+    # layers.  Full-size derivative and lift scratch arrays took 4.4 /
+    # 4.7, a full-size face scratch (rhs_oracle) 5.6 / 6.1
     disc = make_disc(dim=3, counts=(6, 6, 6), degree=3, widths=widths)
     st = random_state(disc)
     assert _peak_states(lambda: solver._rhs(st.Q, st.w, disc), st) <= bound
@@ -209,13 +215,97 @@ def test_rhs_peak_allocation(widths, bound):
 
 @pytest.mark.parametrize("widths,bound", zip(PEAK_WIDTHS, (4.2, 5.3)))
 def test_step_peak_allocation(widths, bound):
-    # the sum and the previous term (each 1 + 0.33 states with layers)
-    # plus one RHS: 3.9 / 5.0 states; all nc rows in w (0.5 states)
-    # measured 5.4, a state-sized coef * term per stage on top of the
-    # RHS above 6.4 / 7.7
+    # a step called alone builds its workspace: the sum and two stage
+    # buffers (each 1 + 0.33 states with layers), the RHS scratch above
+    # and the bool buffer of the finiteness check (1/8 state) measure
+    # 4.1 / 5.1 states; all nc rows in w (0.5 states) measured 5.4, a
+    # state-sized coef * term per stage on top of the RHS above 6.4 / 7.7
     disc = make_disc(dim=3, counts=(6, 6, 6), degree=3, widths=widths)
     st = random_state(disc)
     assert _peak_states(lambda: solver.ader_step(st, 1e-3), st) <= bound
+
+
+def _every_axis(dim):
+    return {ax: (2.5, 2.5) for ax in "xyz"[:dim]}
+
+
+def _assert_bitwise(got, want):
+    assert got.t == want.t
+    for a, b in zip((got.Q, *got.w), (want.Q, *want.w), strict=True):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _poison(ws):
+    """Every workspace buffer filled with NaN, the bool one with False."""
+    stack = list(vars(ws).values())
+    while stack:
+        a = stack.pop()
+        if isinstance(a, tuple):
+            stack.extend(a)
+        else:
+            a.fill(False if a.dtype == bool else np.nan)
+
+
+@pytest.mark.parametrize("dim,counts", [(2, (5, 4)), (3, (4, 3, 4))])
+def test_workspace_reuse_bitwise(dim, counts):
+    # steps through one workspace match steps on fresh arrays; a step
+    # through a poisoned one matches too, so no buffer is read before
+    # the step writes it
+    disc = make_disc(dim=dim, counts=counts, degree=3, theta=0.5,
+                     widths=_every_axis(dim), d0=1.3, alpha=0.2,
+                     gamma=GAMMA_ALL_2D if dim == 2 else GAMMA_ALL_3D)
+    moment = np.eye(dim) + 0.3 * (1 - np.eye(dim))
+    src = MomentTensorSource(disc.mesh, disc.ops, (4.1,) * dim, moment,
+                             GaussianSTF(sigma=0.05, t0=0.08))
+    dt = 0.02
+    fresh = shared = random_state(disc, seed=6)
+    ws = solver.Workspace(disc)
+    for _ in range(5):
+        fresh = solver.ader_step(fresh, dt, [src])
+        shared = solver.ader_step(shared, dt, [src], ws)
+        _assert_bitwise(shared, fresh)
+    _poison(ws)
+    _assert_bitwise(solver.ader_step(fresh, dt, [src], ws),
+                    solver.ader_step(fresh, dt, [src]))
+
+
+@pytest.mark.parametrize("dim,counts", [(2, (64, 64)), (3, (10, 10, 10))])
+def test_step_through_workspace_allocates_only_the_result(dim, counts):
+    # the second step through one workspace allocates the state it
+    # returns and no state row: numpy's ufunc buffers (up to three of
+    # np.getbufsize() doubles) and element-sized factors stay within one
+    # face plane, which is smaller than a row here
+    disc = make_disc(dim=dim, counts=counts, degree=3, theta=0.5,
+                     widths=_every_axis(dim))
+    st = random_state(disc)
+    ws = solver.Workspace(disc)
+    plane = ws.planes[0].nbytes
+    assert 3 * np.getbufsize() * 8 < plane < ws.gather[0].nbytes
+    peak = _peak_states(lambda: solver.ader_step(st, 1e-3, (), ws), st)
+    returned = st.Q.nbytes + sum(wi.nbytes for wi in st.w)
+    assert peak * st.Q.nbytes <= returned + plane
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="per-thread CPU times need /proc")
+def test_step_runs_on_calling_thread():
+    # every product of a step, the out= ones included, stays below the
+    # BLAS library's threading threshold (see test_diff_runs_on_calling_
+    # thread), so other threads take no CPU time while it steps
+    disc = make_disc(dim=3, counts=(12, 12, 12), degree=3,
+                     widths=_every_axis(3))
+    st = random_state(disc)
+    ws = solver.Workspace(disc)
+    main = str(threading.get_native_id())
+    before = _thread_cpu_ticks()
+    for _ in range(20):
+        st = solver.ader_step(st, 1e-3, (), ws)
+    after = _thread_cpu_ticks()
+    own = after[main] - before.get(main, 0)
+    others = sum(t - before.get(tid, 0) for tid, t in after.items()
+                 if tid != main)
+    assert others <= 0.1 * own + 2, (own, others)
 
 
 def test_nodal_coordinates_match_affine_map():
