@@ -2,33 +2,13 @@
 
 Verbs: `run` a config file, `preset` a named benchmark, `check-operators`
 for the operator identities, `convergence` for an element-size refinement
-study.  The ELASTOWAVE_THREADS environment variable caps the linear
-algebra worker count (0 = auto); it is applied before the numeric
-libraries load, which is why the heavy imports happen inside main().
+study.  Package errors and failed file reads or writes are reported as
+one `error:` line with exit code 1.
 """
 
 import argparse
 import math
-import os
 import sys
-
-
-def _thread_cap():
-    raw = os.environ.get("ELASTOWAVE_THREADS")
-    if raw is None or not raw.strip():
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        sys.exit(f"ELASTOWAVE_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        sys.exit(f"ELASTOWAVE_THREADS must be >= 0, got {n}")
-    if n == 0:
-        return  # auto: leave the library defaults alone
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
-                "VECLIB_MAXIMUM_THREADS"):
-        os.environ[var] = str(n)
 
 
 def build_parser():
@@ -135,12 +115,11 @@ def _check_operators(max_degree):
 
 
 def main(argv=None):
-    _thread_cap()
     args = build_parser().parse_args(argv)
     from ..errors import ElastowaveError
     try:
         return _dispatch(args)
-    except ElastowaveError as exc:
+    except (ElastowaveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

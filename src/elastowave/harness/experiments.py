@@ -124,6 +124,9 @@ def run_experiment(cfg, output_dir=None, dt=None):
         rate = max((t.d0 + t.alpha for t in disc.damping), default=0.0)
         dt = solver.stable_dt(disc.mesh, cfg.materials, cfg.degree,
                               cfg.cfl, damping_rate=rate)
+    if output_dir is not None:
+        # an unusable directory fails here, not after the run
+        os.makedirs(output_dir, exist_ok=True)
 
     energy, linf_t, linf_v = [], [], []
     snap_times, snapshots = [], []
@@ -195,7 +198,7 @@ def run_experiment(cfg, output_dir=None, dt=None):
 
 
 def write_outputs(result, output_dir):
-    os.makedirs(output_dir, exist_ok=True)
+    """Writes the files of a run into output_dir, which exists."""
     cfg = result.config
     for spec, rec in zip(cfg.receivers, result.receivers):
         write_seismogram(os.path.join(output_dir,
@@ -307,6 +310,8 @@ def convergence_study(cfg, spacings, pad, output_dir=None,
     With `resolve`, the layer tolerance is re-derived at every level from
     the narrowest interior extent, so it tracks the grid's own resolution
     floor instead of staying fixed while the grid refines."""
+    if output_dir is not None:
+        os.makedirs(output_dir, exist_ok=True)
     errors = []
     for h in spacings:
         c = replace(cfg, spacing=float(h),
@@ -324,7 +329,6 @@ def convergence_study(cfg, spacings, pad, output_dir=None,
         errors.append(pml_error(run, ref))
     rates = convergence_rates(errors, spacings)
     if output_dir is not None:
-        os.makedirs(output_dir, exist_ok=True)
         write_convergence(os.path.join(output_dir, "convergence.csv"),
                           spacings, errors, rates)
     return errors, rates

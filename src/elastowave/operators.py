@@ -59,7 +59,6 @@ class QuadratureRule:
 @dataclass(frozen=True)
 class ElementOperators:
     rule: QuadratureRule
-    H: np.ndarray
     Qmat: np.ndarray
     D: np.ndarray
     B: np.ndarray
@@ -205,13 +204,13 @@ def build_operators(P, kind="GLL"):
             eL = np.zeros(n)
             eL[0] = 1.0  # Radau rule collocates the left endpoint
 
-    H = np.diag(w)
-    # H D integrates L_i L_j' exactly for all three kinds, so Qmat + Qmat^T = B
-    Qmat = H @ D
+    # diag(w) D integrates L_i L_j' exactly for all three kinds, so
+    # Qmat + Qmat^T = B
+    Qmat = w[:, None] * D
     B = np.outer(eR, eR) - np.outer(eL, eL)
-    for a in (H, Qmat, D, B, eL, eR, bary):
+    for a in (Qmat, D, B, eL, eR, bary):
         a.setflags(write=False)
-    return ElementOperators(rule=rule, H=H, Qmat=Qmat, D=D, B=B,
+    return ElementOperators(rule=rule, Qmat=Qmat, D=D, B=B,
                             eL=eL, eR=eR, bary=bary)
 
 

@@ -29,11 +29,11 @@ material map (1/rho on velocities, stiffness on stress rates) is applied
 once at the end, in place.
 
 `run` builds one Workspace and hands it to every `ader_step`; it dies
-when run returns, and a step called alone builds its own.  It holds two
-ping-pong stage results, the RHS scratch (traction gather, derivative,
-face planes, -d*w) and a bool buffer for the finiteness check, so a
-step allocates nothing state-sized but the sum the new state owns.
-`_rhs(Q, w, disc)` called without buffers returns fresh arrays.
+when run returns.  It holds two ping-pong stage results, the RHS scratch
+(traction gather, derivative, face planes, -d*w) and a bool buffer for
+the finiteness check.  Every kernel writes into buffers its caller
+passes, so a step allocates nothing state-sized but the sum the new
+state owns.
 """
 
 from dataclasses import dataclass
@@ -172,12 +172,17 @@ def setup_state(disc):
     return SimulationState(disc=disc, t=0.0, Q=Q, w=w)
 
 
-class _Scratch:
-    """The scratch of one RHS, in one buffer: the traction gather and
-    the derivative, dim rows of the state each, then the face planes
-    that `fluctuation` needs beyond those it lays over the spent
-    derivative (five in all).  Before each damped axis the two rows hold
-    -d*w of one end of the layer: 2 dim rows on at most every element."""
+class Workspace:
+    """The buffers of one run, built by `run` and handed to every
+    ader_step; they die when run returns.
+
+    The RHS scratch is one buffer: the traction gather and the
+    derivative, dim rows of the state each, then the face planes that
+    `fluctuation` needs beyond those it lays over the spent derivative
+    (five in all).  Before each damped axis the two rows hold -d*w of
+    one end of the layer: 2 dim rows on at most every element.  Besides
+    it: two ping-pong stage results, each a Q and its auxiliary fields,
+    and a bool buffer for the finiteness check."""
 
     def __init__(self, disc):
         dim, n = disc.mesh.dim, disc.ops.n_nodes
@@ -188,16 +193,6 @@ class _Scratch:
         self.der = self.buf[rows:2 * rows].reshape(plane + (n,))
         self.planes = self.buf[rows:rows + 5 * prod(plane)].reshape(
             (5,) + plane)
-
-
-class Workspace(_Scratch):
-    """The buffers of one run, built by `run` and handed to every
-    ader_step; they die when run returns.  Besides the RHS scratch: two
-    ping-pong stage results, each a Q and its auxiliary fields, and a
-    bool buffer for the finiteness check."""
-
-    def __init__(self, disc):
-        super().__init__(disc)
         self.stages = (_zero_fields(disc), _zero_fields(disc))
         q, w = self.stages[0]
         self.finite = np.empty(max(a.size for a in (q, *w)), dtype=bool)
@@ -222,19 +217,17 @@ def nodal_coordinates(disc):
 _GEMM_BLOCK = 1 << 16
 
 
-def _diff(arr, node_ax, D, out=None):
-    """D along axis node_ax of a C-contiguous array, into out (a new
-    array if None): one batched matmul, D @ (n, post) blocks of a
-    (pre, n, post) view, or (rows, n) @ D.T blocks when the node axis is
-    last.
+def _diff(arr, node_ax, D, out):
+    """D along axis node_ax of a C-contiguous array, into out, a
+    C-contiguous array of arr's shape: one batched matmul, D @ (n, post)
+    blocks of a (pre, n, post) view, or (rows, n) @ D.T blocks when the
+    node axis is last.
 
     Every product stays small.  One large product would be spread over
     the BLAS library's threads, whose workers then spin between calls
     and stall each call on whatever else holds the other cores, for no
     gain on these bandwidth-bound products."""
     shape = arr.shape
-    if out is None:
-        out = np.empty(shape)
     n = shape[node_ax]
     if node_ax < arr.ndim - 1:
         blocks = (prod(shape[:node_ax]), n, -1)
@@ -272,16 +265,11 @@ def _halves(disc, ax):
     return ((slice(None, dim),) * 2, (disc.slots[ax], slice(dim, None)))
 
 
-def _rhs(Q, w, disc, out=None, ws=None):
+def _rhs(Q, w, disc, out, ws):
     """The rates (dQ, dw) of the state (Q, w).  They overwrite out, a Q
-    and its auxiliary fields, and the RHS scratch comes from ws (a
-    Workspace); either one left out is allocated here, so _rhs(Q, w, disc)
-    returns fresh arrays."""
+    and its auxiliary fields, which is returned; the RHS scratch comes
+    from ws, a Workspace for disc."""
     dim = disc.mesh.dim
-    if out is None:
-        out = (np.empty(Q.shape), tuple(np.empty(wi.shape) for wi in w))
-    if ws is None:
-        ws = _Scratch(disc)
     total, dw = out
     total.fill(0.0)
     layers = {tab.axis_index: pos for pos, tab in enumerate(disc.damping)}
@@ -348,17 +336,15 @@ def _axis_terms(Q, ax, disc, total, ws, dws=None, parts=()):
                 dws[w_el][face][w_rows] += f[q_el]
 
 
-def fluctuation(v, t, ax, disc, planes=None):
+def fluctuation(v, t, ax, disc, planes):
     """The face pass of axis ax: G = inc - r out on the left (node 0) and
     right (node n-1) face planes of every element, minus tau times the
     neighbour's out on the interfaces, from the velocities v and the
-    tractions t of that axis.  planes holds five face-plane buffers (new
-    ones if None): G left and right, out left and right, and a product;
-    the two G planes are returned."""
+    tractions t of that axis.  planes holds five face-plane buffers: G
+    left and right, out left and right, and a product; the two G planes
+    are returned."""
     node_ax = 1 + disc.mesh.dim + ax
     r_l, r_r, tau_l, tau_r = disc.faces[ax]
-    if planes is None:
-        planes = np.empty((5,) + v[_at(0, node_ax)].shape)
     g_l, g_r, out_l, out_r, r_out = planes
     # Z v - side T: Z v + T on the left, Z v - T on the right
     for node, r, g, out, z_v_t in ((0, r_l, g_l, out_l, np.add),
@@ -402,18 +388,16 @@ def stable_dt(mesh, materials, degree, cfl, damping_rate=0.0):
     return dt
 
 
-def ader_step(state, dt, sources=(), ws=None):
+def ader_step(state, dt, sources, ws):
     """Taylor step of order P+1: u += sum_k dt^k/k! u^(k) with
     u^(k+1) = L u^(k) + f^(k)(t_n).
 
     Stage k writes its term into ws.stages[k % 2], over the term before
-    last, which has been added by then; ws is a Workspace for state.disc,
-    built here if None.  Each term is scaled in place and added once the
-    next stage has read it, so the step allocates nothing state-sized
-    but the sum, which the new state owns."""
+    last, which has been added by then; ws is a Workspace for state.disc.
+    Each term is scaled in place and added once the next stage has read
+    it, so the step allocates nothing state-sized but the sum, which the
+    new state owns."""
     disc = state.disc
-    if ws is None:
-        ws = Workspace(disc)
     acc = [state.Q.copy()] + [wi.copy() for wi in state.w]
     term_q, term_w = state.Q, state.w
     coef = 1.0

@@ -744,6 +744,40 @@ def test_cli_divergence_exit_code(tmp_path, monkeypatch, capsys):
     assert "(diverged)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("verb", ["run", "convergence"])
+def test_cli_reports_missing_config(tmp_path, capsys, verb):
+    # a missing file printed a FileNotFoundError traceback
+    missing = str(tmp_path / "missing.cfg")
+    levels = ["--levels", "2 km"] if verb == "convergence" else []
+    assert cli.main([verb, missing] + levels) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and missing in err
+
+
+def _no_step(*args, **kwargs):
+    raise AssertionError("stepped before making the output directory")
+
+
+@pytest.mark.parametrize("verb", ["run", "preset", "convergence"])
+def test_cli_unusable_output_dir_fails_before_stepping(tmp_path, monkeypatch,
+                                                      capsys, verb):
+    # an output directory under a file failed in write_outputs, with a
+    # traceback, only after the whole run
+    cfgfile = tmp_path / "tiny.cfg"
+    cfgfile.write_text(TINY_TEXT)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    monkeypatch.setattr(xp.solver, "run", _no_step)
+    argv = {"run": ["run", str(cfgfile)],
+            "preset": ["preset", "planewave", "--elements", "4"],
+            "convergence": ["convergence", str(cfgfile), "--levels", "2 km",
+                            "--pad", "4 km"]}[verb]
+    assert cli.main(argv + ["--output-dir", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and out in err
+
+
 def test_cli_check_operators(capsys):
     assert cli._check_operators(3) == 0
     stdout = capsys.readouterr().out
@@ -789,27 +823,6 @@ def test_cli_length_rejects_overflow():
     for huge in ("1e999", "1e999 km"):
         with pytest.raises(ParseError, match="finite"):
             cli._length(huge)
-
-
-def test_thread_cap(monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setenv("ELASTOWAVE_THREADS", "2")
-    cli._thread_cap()
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-
-    monkeypatch.setenv("ELASTOWAVE_THREADS", "abc")
-    with pytest.raises(SystemExit):
-        cli._thread_cap()
-    monkeypatch.setenv("ELASTOWAVE_THREADS", "-1")
-    with pytest.raises(SystemExit):
-        cli._thread_cap()
-    # 0 = auto: leave the environment alone
-    monkeypatch.setenv("ELASTOWAVE_THREADS", "0")
-    monkeypatch.setenv("OMP_NUM_THREADS", "7")
-    cli._thread_cap()
-    assert os.environ["OMP_NUM_THREADS"] == "7"
 
 
 def test_console_script_installed():

@@ -141,14 +141,15 @@ def test_diff_polynomial_exactness_with_metric():
     n = P + 1
     x = ops.rule.nodes
     const = np.full((2, n, n), 3.7)
-    assert np.abs(_diff(const, 1, ops.D * (2.0 / 1.0))).max() <= 1e-12
+    out = np.empty((2, n, n))
+    assert np.abs(_diff(const, 1, ops.D * (2.0 / 1.0), out)).max() <= 1e-12
     f = np.zeros((1, n, n))
     f[0] = x[:, None]  # component sampling f(x) = x, dx = 2 cancels the metric
-    np.testing.assert_allclose(_diff(f, 1, ops.D * (2.0 / 2.0))[0],
+    np.testing.assert_allclose(_diff(f, 1, ops.D * (2.0 / 2.0), out[:1])[0],
                                1.0, atol=1e-13)
     g = np.zeros((1, n, n))
     g[0] = x[:, None] ** 2
-    np.testing.assert_allclose(_diff(g, 1, ops.D * (2.0 / 2.0))[0],
+    np.testing.assert_allclose(_diff(g, 1, ops.D * (2.0 / 2.0), out[:1])[0],
                                np.broadcast_to(2 * x[:, None], (n, n)),
                                atol=1e-12)
 
@@ -170,11 +171,12 @@ def test_diff_runs_on_calling_thread():
     # other threads take no CPU time while it runs on a state-sized array
     ops = build_operators(3, "GLL")
     arr = np.random.default_rng(0).standard_normal((3,) + (12,) * 3 + (4,) * 3)
+    out = np.empty(arr.shape)
     main = str(threading.get_native_id())
     before = _thread_cpu_ticks()
     for _ in range(150):
         for node_ax in (4, 5, 6):
-            _diff(arr, node_ax, ops.D)
+            _diff(arr, node_ax, ops.D, out)
     after = _thread_cpu_ticks()
     own = after[main] - before.get(main, 0)
     others = sum(t - before.get(tid, 0) for tid, t in after.items()
@@ -186,7 +188,7 @@ def test_diff_never_aliases():
     ops = build_operators(2, "GLL")
     f = np.random.default_rng(1).standard_normal((1, 3, 3))
     before = f.copy()
-    _ = _diff(f, 2, ops.D * 2.0)
+    _diff(f, 2, ops.D * 2.0, np.empty(f.shape))
     assert (f == before).all()
 
 
@@ -196,6 +198,7 @@ def test_axis_commutativity():
     n = 4
     g = np.random.default_rng(2).standard_normal((9, 2, 3, n, n, n))
     sx, sy = 2.0 / 0.7, 2.0 / 1.3
-    dxy = _diff(_diff(g, 3, ops.D * sx), 4, ops.D * sy)
-    dyx = _diff(_diff(g, 4, ops.D * sy), 3, ops.D * sx)
+    gx, gy, dxy, dyx = (np.empty(g.shape) for _ in range(4))
+    _diff(_diff(g, 3, ops.D * sx, gx), 4, ops.D * sy, dxy)
+    _diff(_diff(g, 4, ops.D * sy, gy), 3, ops.D * sx, dyx)
     assert np.abs(dxy - dyx).max() <= 1e-11 * max(1, np.abs(dxy).max())

@@ -54,6 +54,12 @@ def random_state(disc, seed=0, scale=1.0):
     return st
 
 
+def fresh_rhs(Q, w, disc):
+    """The rates of (Q, w) in new arrays, through a new Workspace."""
+    out = (np.empty(Q.shape), tuple(np.empty(wi.shape) for wi in w))
+    return solver._rhs(Q, w, disc, out, solver.Workspace(disc))
+
+
 def energy(state):
     disc = state.disc
     mesh, ops = disc.mesh, disc.ops
@@ -78,7 +84,7 @@ def energy(state):
 def test_zero_state_zero_rhs():
     disc = make_disc(widths={"x": (2.5, 2.5)})
     st = solver.setup_state(disc)
-    dq, dw = solver._rhs(st.Q, st.w, disc)
+    dq, dw = fresh_rhs(st.Q, st.w, disc)
     assert not dq.any()
     assert all(not d.any() for d in dw)
 
@@ -89,7 +95,7 @@ def test_constant_velocity_interior_rhs():
     st = solver.setup_state(disc)
     st.Q[0] = 0.7
     st.Q[1] = -0.3
-    dq, _ = solver._rhs(st.Q, st.w, disc)
+    dq, _ = fresh_rhs(st.Q, st.w, disc)
     # interior elements see vanishing derivatives and zero fluctuations
     inner = dq[:, 1:-1, 1:-1]
     assert np.abs(inner).max() <= 1e-13
@@ -103,7 +109,7 @@ def test_rhs_linearity():
     comb = solver.SimulationState(
         disc=disc, t=0.0, Q=a * u.Q + b * v.Q,
         w=tuple(a * x + b * y for x, y in zip(u.w, v.w)))
-    ru, rv, rc = (solver._rhs(s.Q, s.w, disc) for s in (u, v, comb))
+    ru, rv, rc = (fresh_rhs(s.Q, s.w, disc) for s in (u, v, comb))
     want = a * ru[0] + b * rv[0]
     assert np.abs(rc[0] - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
     for duw, dvw, dcw in zip(ru[1], rv[1], rc[1]):
@@ -154,7 +160,7 @@ def test_rhs_matches_frozen_oracle(dim, counts, widths, theta, gamma, layered,
                      layered=layered)
     assert len(disc.damping) == len(widths or ())
     st = random_state(disc, seed=sum(counts))
-    dq, dw = solver._rhs(st.Q, st.w, disc)
+    dq, dw = fresh_rhs(st.Q, st.w, disc)
     legacy, full_w, kept = [], [], []
     for tab, wi in zip(disc.damping, st.w):
         ax, count = tab.axis_index, disc.mesh.counts[tab.axis_index]
@@ -200,29 +206,36 @@ def _peak_states(fn, st):
 PEAK_WIDTHS = (None, {"x": (2.5, 2.5), "z": (0.0, 2.5)})
 
 
-@pytest.mark.parametrize("widths,bound", zip(PEAK_WIDTHS, (2.2, 2.5)))
+@pytest.mark.parametrize("widths,bound", zip(PEAK_WIDTHS, (0.22, 0.22)))
 def test_rhs_peak_allocation(widths, bound):
-    # the result, the traction gather and derivative (1/3 state each),
-    # the one face plane that does not fit over the spent derivative and
-    # numpy's ufunc buffers (0.2 states at this size) measure 1.95
-    # states, plus the auxiliary rates (w's size, 0.33 states here) with
-    # layers.  Full-size derivative and lift scratch arrays took 4.4 /
-    # 4.7, a full-size face scratch (rhs_oracle) 5.6 / 6.1
+    # the result and the scratch are the workspace's, so an RHS allocates
+    # numpy's ufunc buffers, three of np.getbufsize() doubles: 0.20
+    # states at this size, with layers or without.  A fresh result and
+    # scratch per RHS took 1.95 / 2.29, full-size derivative and lift
+    # scratch arrays 4.4 / 4.7, a full-size face scratch (rhs_oracle)
+    # 5.6 / 6.1
     disc = make_disc(dim=3, counts=(6, 6, 6), degree=3, widths=widths)
     st = random_state(disc)
-    assert _peak_states(lambda: solver._rhs(st.Q, st.w, disc), st) <= bound
+    ws = solver.Workspace(disc)
+    peak = _peak_states(
+        lambda: solver._rhs(st.Q, st.w, disc, ws.stages[1], ws), st)
+    assert peak <= bound
 
 
 @pytest.mark.parametrize("widths,bound", zip(PEAK_WIDTHS, (4.2, 5.3)))
 def test_step_peak_allocation(widths, bound):
-    # a step called alone builds its workspace: the sum and two stage
-    # buffers (each 1 + 0.33 states with layers), the RHS scratch above
-    # and the bool buffer of the finiteness check (1/8 state) measure
-    # 4.1 / 5.1 states; all nc rows in w (0.5 states) measured 5.4, a
-    # state-sized coef * term per stage on top of the RHS above 6.4 / 7.7
+    # a new workspace and one step through it: the sum and two stage
+    # buffers (each 1 + 0.33 states with layers), the RHS scratch (the
+    # traction gather and derivative, 1/3 state each, and one face
+    # plane), the ufunc buffers and the bool buffer of the finiteness
+    # check (1/8 state) measure 4.08 / 5.08 states; all nc rows in w
+    # (0.5 states) measured 5.4, a state-sized coef * term per stage on
+    # top of a fresh RHS 6.4 / 7.7
     disc = make_disc(dim=3, counts=(6, 6, 6), degree=3, widths=widths)
     st = random_state(disc)
-    assert _peak_states(lambda: solver.ader_step(st, 1e-3), st) <= bound
+    peak = _peak_states(
+        lambda: solver.ader_step(st, 1e-3, (), solver.Workspace(disc)), st)
+    assert peak <= bound
 
 
 def _every_axis(dim):
@@ -249,9 +262,9 @@ def _poison(ws):
 
 @pytest.mark.parametrize("dim,counts", [(2, (5, 4)), (3, (4, 3, 4))])
 def test_workspace_reuse_bitwise(dim, counts):
-    # steps through one workspace match steps on fresh arrays; a step
-    # through a poisoned one matches too, so no buffer is read before
-    # the step writes it
+    # steps through one workspace match steps each through a new one; a
+    # step through a poisoned one matches too, so no buffer is read
+    # before the step writes it
     disc = make_disc(dim=dim, counts=counts, degree=3, theta=0.5,
                      widths=_every_axis(dim), d0=1.3, alpha=0.2,
                      gamma=GAMMA_ALL_2D if dim == 2 else GAMMA_ALL_3D)
@@ -262,12 +275,12 @@ def test_workspace_reuse_bitwise(dim, counts):
     fresh = shared = random_state(disc, seed=6)
     ws = solver.Workspace(disc)
     for _ in range(5):
-        fresh = solver.ader_step(fresh, dt, [src])
+        fresh = solver.ader_step(fresh, dt, [src], solver.Workspace(disc))
         shared = solver.ader_step(shared, dt, [src], ws)
         _assert_bitwise(shared, fresh)
     _poison(ws)
     _assert_bitwise(solver.ader_step(fresh, dt, [src], ws),
-                    solver.ader_step(fresh, dt, [src]))
+                    solver.ader_step(fresh, dt, [src], solver.Workspace(disc)))
 
 
 @pytest.mark.parametrize("dim,counts", [(2, (64, 64)), (3, (10, 10, 10))])
@@ -397,7 +410,7 @@ def test_ader_matches_truncated_matrix_exponential():
         e = np.zeros(nq)
         e[j] = 1.0
         st = unflatten_state(disc, e)
-        dq, dw = solver._rhs(st.Q, st.w, disc)
+        dq, dw = fresh_rhs(st.Q, st.w, disc)
         L[:, j] = flatten_state(
             solver.SimulationState(disc=disc, t=0.0, Q=dq, w=dw))
     rng = np.random.default_rng(3)
@@ -410,7 +423,8 @@ def test_ader_matches_truncated_matrix_exponential():
         term = L @ term
         coef *= dt / k
         expect += coef * term
-    got = flatten_state(solver.ader_step(unflatten_state(disc, u0), dt))
+    got = flatten_state(solver.ader_step(unflatten_state(disc, u0), dt, (),
+                                         solver.Workspace(disc)))
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
@@ -427,8 +441,9 @@ def test_damping_off_trajectories_bitwise_equal():
     for disc in (base, with_tables_0, with_tables_1):
         st = solver.setup_state(disc)
         st.Q[...] = q0
+        ws = solver.Workspace(disc)
         for _ in range(5):
-            st = solver.ader_step(st, dt)
+            st = solver.ader_step(st, dt, (), ws)
         results.append(st.Q)
     assert np.array_equal(results[0], results[1])
     assert np.array_equal(results[0], results[2])
@@ -443,8 +458,9 @@ def test_energy_nonincreasing(dim, counts):
     st = random_state(disc, seed=11)
     dt = solver.stable_dt(disc.mesh, disc.mesh.materials, 2, 0.5)
     e_prev = energy(st)
+    ws = solver.Workspace(disc)
     for _ in range(60):
-        st = solver.ader_step(st, dt)
+        st = solver.ader_step(st, dt, (), ws)
         e = energy(st)
         assert e <= e_prev * (1.0 + 1e-10)
         e_prev = e
@@ -494,7 +510,7 @@ def test_divergence_detected():
     st = solver.setup_state(disc)
     st.Q[0, 0, 0, 0, 0] = np.inf
     with pytest.raises(DivergenceDetected):
-        solver.ader_step(st, 0.01)
+        solver.ader_step(st, 0.01, (), solver.Workspace(disc))
 
 
 def test_plane_strain_embedding_matches_2d():
@@ -522,9 +538,10 @@ def test_plane_strain_embedding_matches_2d():
         s3.Q[c3] = s2.Q[c2][:, :, None, :, :, None]
 
     dt = solver.stable_dt(d2.mesh, d2.mesh.materials, 2, 0.5)
+    ws2, ws3 = solver.Workspace(d2), solver.Workspace(d3)
     for _ in range(10):
-        s2 = solver.ader_step(s2, dt)
-        s3 = solver.ader_step(s3, dt)
+        s2 = solver.ader_step(s2, dt, (), ws2)
+        s3 = solver.ader_step(s3, dt, (), ws3)
     scale = np.abs(s2.Q).max()
     for c2, c3 in comp_map:
         diff = s3.Q[c3] - s2.Q[c2][:, :, None, :, :, None]
