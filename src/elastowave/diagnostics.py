@@ -42,7 +42,9 @@ def discrete_energy(state):
     sq = np.einsum("cen,cen,n->ce", q, q, wgt)
     tr = q[dim:2 * dim].sum(0)
     sq_tr = np.einsum("en,en,n->e", tr, tr, wgt)
-    rho, lam, mu = (a.ravel() for a in (disc.rho_e, disc.lam_e, disc.mu_e))
+    grid = mesh.counts + (1,) * dim     # the tables are compact
+    rho, lam, mu = (np.broadcast_to(a, grid).ravel()
+                    for a in (disc.rho_e, disc.lam_e, disc.mu_e))
     dens = (rho * sq[:dim].sum(0)
             + (sq[dim:2 * dim].sum(0) - lam / (dim * lam + 2 * mu) * sq_tr)
             / (2 * mu)

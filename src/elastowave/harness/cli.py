@@ -69,6 +69,20 @@ def _length(token):
     return value
 
 
+def _load_config(path):
+    """The parsed config file at path; text that does not decode is a
+    ParseError, like any other malformed config."""
+    from ..errors import ParseError
+    from .config import parse_config
+    try:
+        with open(path) as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not a text config file: {exc}") \
+            from None
+    return parse_config(text)
+
+
 def _report(result, output_dir):
     meta = result.metadata
     print(f"elements {meta['elements']}, degree {meta['degree']},"
@@ -131,9 +145,7 @@ def _dispatch(args):
     from .experiments import convergence_study, run_experiment
 
     if args.verb == "run":
-        from .config import parse_config
-        with open(args.config) as f:
-            cfg = parse_config(f.read())
+        cfg = _load_config(args.config)
         result = run_experiment(cfg, args.output_dir)
         _report(result, args.output_dir)
         return 2 if result.diverged else 0
@@ -148,9 +160,7 @@ def _dispatch(args):
         return 2 if result.diverged else 0
 
     if args.verb == "convergence":
-        from .config import parse_config
-        with open(args.config) as f:
-            cfg = parse_config(f.read())
+        cfg = _load_config(args.config)
         levels = [_length(tok) for tok in args.levels.split(",")]
         pad = _length(args.pad)
         errors, rates = convergence_study(cfg, levels, pad,

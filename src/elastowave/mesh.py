@@ -134,7 +134,7 @@ def locate_point(mesh, point):
         lo, hi = mesh.mins[a], mesh.maxs[a]
         tol = _LOCATE_TOL * mesh.extent(a)
         x = float(point[a])
-        if x < lo - tol or x > hi + tol:
+        if not lo - tol <= x <= hi + tol:      # NaN fails too
             raise PointOutsideDomain(
                 f"coordinate {x} outside [{lo}, {hi}] on axis {a}")
         x = min(max(x, lo), hi)

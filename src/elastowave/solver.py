@@ -8,32 +8,35 @@ of the element grid whose axis xi holds the layer's low and high end,
 and only in the rows its equation touches: the velocities, then the
 traction slots of xi, shape (2 dim, E_x, .., lo + hi, .., n, n[, n]).
 
-The update makes one pass per axis.  The derivative A dQ/dxi is one
-batched matmul per source (traction into the velocity rows, velocity
-into the traction slots) on a (pre, n, post) view, with 2/h folded into
-D.  Then `fluctuation` forms the fluctuations of every element's two
-faces from one formula.  At face side s (-1 left, +1 right) the
-outgoing characteristic is out = (Z v - s T)/2 and the incoming one
-inc = (Z v + s T)/2; the fluctuation is G = inc - r out - tau out_nb,
-where out_nb is the neighbour's outgoing wave across the face.  At an
-interface r = (Z - Z_nb)/(Z + Z_nb) and tau = 2 Z/(Z + Z_nb); at an
-outer face r is the mesh's gamma and tau = 0.  These are the upwind
-hat states of `flux`, folded into per-face coefficients once in
-discretize.  On GLL nodes the faces are node planes 0 and n-1, so each
-fluctuation plane is lifted by one scalar straight onto its node plane
-of the result.  The damped elements of an axis are a prefix and a suffix
-of that element axis, so every auxiliary gather, decay (d*w) and scatter
-is a basic-slice view; the auxiliary equations see the same derivative
-and face terms, the face terms scaled by theta, each one slice add.  The
-material map (1/rho on velocities, stiffness on stress rates) is applied
-once at the end, in place.
+The update makes one pass per axis.  First `fluctuation` forms the
+fluctuations of every element's two faces from one formula.  At face
+side s (-1 left, +1 right) the outgoing characteristic is
+out = (Z v - s T)/2 and the incoming one inc = (Z v + s T)/2; the
+fluctuation is G = inc - r out - tau out_nb, where out_nb is the
+neighbour's outgoing wave across the face.  At an interface
+r = (Z - Z_nb)/(Z + Z_nb) and tau = 2 Z/(Z + Z_nb); at an outer face r
+is the mesh's gamma and tau = 0.  These are the upwind hat states of
+`flux`, folded into per-face coefficients once in discretize.  Then the
+derivative A dQ/dxi is one batched matmul per source (traction into the
+velocity rows, velocity into the traction slots) on a (pre, n, post)
+view, with 2/h folded into D.  On GLL nodes the faces are node planes 0
+and n-1, so each fluctuation plane, scaled by one lift scalar, is added
+onto its node plane of the derivative, and the derivative then onto the
+result in contiguous adds.  The damped elements of an axis are a
+prefix and a suffix of that element axis, so every auxiliary gather,
+decay (d*w) and scatter is a basic-slice view; the auxiliary equations
+take the same derivative with its face terms, one slice add each, and
+for theta != 1 (theta - 1) times the face terms on their face planes.
+The material map (1/rho on velocities, stiffness on stress rates) is
+applied once at the end, in place.  The per-element tables are compact,
+so their products with face planes and rows run long inner loops.
 
 `run` builds one Workspace and hands it to every `ader_step`; it dies
-when run returns.  It holds two ping-pong stage results, the RHS scratch
-(traction gather, derivative, face planes, -d*w) and a bool buffer for
-the finiteness check.  Every kernel writes into buffers its caller
-passes, so a step allocates nothing state-sized but the sum the new
-state owns.
+when run returns.  It holds two ping-pong stage results, the RHS
+scratch (traction gather, fluctuation planes, derivative, -d*w) and a
+bool buffer for the finiteness check.  Every kernel writes into buffers
+its caller passes, so a step allocates nothing state-sized but the sum
+the new state owns.
 """
 
 from dataclasses import dataclass
@@ -51,9 +54,8 @@ from .physics import axes_of, n_components, sig_slots
 
 @dataclass(frozen=True)
 class Discretization:
-    """Shared immutable tables: mesh, operators, materials broadcast to
-    element grids, per-axis derivatives and impedances, face lift
-    scalars, damping.
+    """Shared immutable tables: mesh, operators, materials per element,
+    per-axis derivatives and impedances, face lift scalars, damping.
 
     The state has mesh.dim velocity and n_components(mesh.dim) total
     components.  Per axis, faces holds the reflection and transmission
@@ -61,13 +63,18 @@ class Discretization:
     lift scales a fluctuation plane onto node plane 0 or n-1; the GLL
     weights are symmetric, so one scalar serves both faces.  slabs
     holds, per damping table, the auxiliary field's shape and its
-    element slices (see _slabs)."""
+    element slices (see _slabs).
+
+    The per-element tables (rho_e, lam_e, mu_e, z, faces) are compact:
+    every element axis along which one is constant has length 1 (see
+    _compact), so they broadcast to, but need not equal, the shapes
+    noted below."""
 
     mesh: object
     ops: object
     theta: float
     damping: tuple
-    rho_e: np.ndarray
+    rho_e: np.ndarray   # counts + (1,)*dim
     lam_e: np.ndarray
     mu_e: np.ndarray
     dmat: tuple     # per axis: the nodal derivative D scaled by 2 / h
@@ -118,6 +125,18 @@ def _face_coefficients(z, ax, gamma_lo, gamma_hi):
     return r_l, r_r, 2 * z[hi] / den, 2 * z[lo] / den
 
 
+def _compact(table, axes):
+    """table cut to length 1 along each of axes on which it is constant:
+    the smallest shape that broadcasts back to it.  numpy then runs its
+    inner loops over the whole run of stride-0 axes and the node axes
+    after them, not over one element's face or node block."""
+    for k in axes:
+        first = table[_at(slice(0, 1), k)]
+        if table.shape[k] > 1 and (table == first).all():
+            table = first
+    return np.ascontiguousarray(table)
+
+
 def discretize(mesh, ops, theta=1.0, damping=()):
     """GLL nodes only: the end nodes are the element faces, so each face
     trace is a node plane and each lift a scalar times that plane."""
@@ -130,21 +149,23 @@ def discretize(mesh, ops, theta=1.0, damping=()):
     mu = np.array([m.mu for m in mesh.materials])[mesh.material_ids]
     zp = rho * np.sqrt((2 * mu + lam) / rho)
     zs = rho * np.sqrt(mu / rho)
-    tail = (1,) * dim
+    tail, elems = (1,) * dim, range(1, 1 + dim)
     z, faces, lift, slot_list = [], [], [], []
     for ax, name in enumerate(axes_of(dim)):
         zax = np.stack([zp if f == ax else zs for f in range(dim)])
-        z.append(zax.reshape((dim,) + mesh.counts + (1,) * (dim - 1)))
-        faces.append(_face_coefficients(z[-1], ax, mesh.gamma[(name, -1)],
-                                        mesh.gamma[(name, 1)]))
+        zax = zax.reshape((dim,) + mesh.counts + (1,) * (dim - 1))
+        faces.append(tuple(
+            _compact(c, elems) for c in _face_coefficients(
+                zax, ax, mesh.gamma[(name, -1)], mesh.gamma[(name, 1)])))
+        z.append(_compact(zax, elems))
         lift.append(2.0 / mesh.spacings[ax] / ops.rule.weights[0])
         slot_list.append(np.array(sig_slots(name, dim)))
     damping = tuple(damping)
+    rho_e, lam_e, mu_e = (_compact(a.reshape(mesh.counts + tail), range(dim))
+                          for a in (rho, lam, mu))
     return Discretization(
         mesh=mesh, ops=ops, theta=float(theta), damping=damping,
-        rho_e=rho.reshape(mesh.counts + tail),
-        lam_e=lam.reshape(mesh.counts + tail),
-        mu_e=mu.reshape(mesh.counts + tail),
+        rho_e=rho_e, lam_e=lam_e, mu_e=mu_e,
         dmat=tuple(ops.D * (2.0 / h) for h in mesh.spacings),
         z=tuple(z), faces=tuple(faces), lift=tuple(lift),
         slots=tuple(slot_list),
@@ -176,23 +197,27 @@ class Workspace:
     """The buffers of one run, built by `run` and handed to every
     ader_step; they die when run returns.
 
-    The RHS scratch is one buffer: the traction gather and the
-    derivative, dim rows of the state each, then the face planes that
-    `fluctuation` needs beyond those it lays over the spent derivative
-    (five in all).  Before each damped axis the two rows hold -d*w of
-    one end of the layer: 2 dim rows on at most every element.  Besides
-    it: two ping-pong stage results, each a Q and its auxiliary fields,
-    and a bool buffer for the finiteness check."""
+    The RHS scratch is one buffer: the traction gather, dim rows of the
+    state; the two fluctuation planes G left and right; the derivative,
+    dim rows again; and as many face planes after it as `fluctuation`'s
+    three temporaries need beyond those they lay over the derivative,
+    which is not formed yet when they are.  planes is the five face
+    planes `fluctuation` takes, from G left on.  Before each damped axis
+    the start of the buffer holds -d*w of one end of the layer: 2 dim
+    rows on at most every element.  Besides it: two ping-pong stage
+    results, each a Q and its auxiliary fields, and a bool buffer for
+    the finiteness check."""
 
     def __init__(self, disc):
         dim, n = disc.mesh.dim, disc.ops.n_nodes
         plane = (dim,) + disc.mesh.counts + (n,) * (dim - 1)
-        rows = n * prod(plane)
-        self.buf = np.empty(2 * rows + max(0, 5 - n) * prod(plane))
+        size = prod(plane)
+        rows = n * size
+        self.buf = np.empty(2 * rows + (2 + max(0, 3 - n)) * size)
         self.gather = self.buf[:rows].reshape(plane + (n,))
-        self.der = self.buf[rows:2 * rows].reshape(plane + (n,))
-        self.planes = self.buf[rows:rows + 5 * prod(plane)].reshape(
-            (5,) + plane)
+        self.planes = self.buf[rows:rows + 5 * size].reshape((5,) + plane)
+        self.der = self.buf[rows + 2 * size:2 * rows + 2 * size].reshape(
+            plane + (n,))
         self.stages = (_zero_fields(disc), _zero_fields(disc))
         q, w = self.stages[0]
         self.finite = np.empty(max(a.size for a in (q, *w)), dtype=bool)
@@ -307,33 +332,42 @@ def _axis_terms(Q, ax, disc, total, ws, dws=None, parts=()):
     the scratch of ws, which the next axis overwrites."""
     dim = disc.mesh.dim
     node_ax = 1 + dim + ax
-    slots, z = disc.slots[ax], disc.z[ax]
-    halves = _halves(disc, ax)
     v, t = Q[:dim], ws.gather
-    for row, slot in zip(t, slots):
+    for row, slot in zip(t, disc.slots[ax]):
         row[...] = Q[slot]
-
-    # A dQ/dxi: traction into the velocity rows, velocity into the slots
-    for (rows, w_rows), src in zip(halves, (t, v)):
+    # -H^-1 e F with F = (G; side a^T G / Z), side -1 on the left face:
+    # -lift G onto the velocity rows, -side lift G / Z onto the slots.
+    # G left is scaled by +lift, so the velocity rows take -g_l and g_r
+    # and the slots g_l / Z and g_r / Z.
+    g_l, g_r = fluctuation(v, t, ax, disc, ws.planes)
+    g_l *= disc.lift[ax]
+    g_r *= -disc.lift[ax]
+    left, right = _at(0, node_ax), _at(-1, node_ax)
+    # A dQ/dxi with the face terms added on its node planes 0 and n-1:
+    # traction into the velocity rows, velocity into the slots
+    for (rows, w_rows), src, sign_l in zip(_halves(disc, ax), (t, v),
+                                           (-1.0, 1.0)):
         der = _diff(src, node_ax, disc.dmat[ax], ws.der)
+        if src is t:
+            der[left] -= g_l
+        else:               # the velocity rows are done with G
+            g_l /= disc.z[ax]
+            g_r /= disc.z[ax]
+            der[left] += g_l
+        der[right] += g_r
         _add_rows(total, rows, der)
         for q_el, w_el, *_ in parts:
             dws[w_el][w_rows] += der[q_el]
-
-    g_l, g_r = fluctuation(v, t, ax, disc, ws.planes)
-    for side, node, g in ((-1, 0, g_l), (1, -1, g_r)):
-        # -H^-1 e F with F = (G; side * a^T G/Z), added straight onto
-        # the face plane; the auxiliary fields take theta times it
-        face = _at(node, node_ax)
-        g *= -disc.lift[ax]
-        # the outgoing waves of fluctuation are spent
-        fz = np.divide(g, side * z, out=ws.planes[2])
-        for (rows, w_rows), f in zip(halves, (g, fz)):
-            _add_rows(total[face], rows, f)
-            if parts and disc.theta != 1.0:     # f * 1.0 is f
-                f *= disc.theta
+        if not parts or disc.theta == 1.0:
+            continue
+        # the auxiliary fields take theta times the face terms: add
+        # (theta - 1) times them, formed in the spent traction gather
+        for node, g, scale in ((left, g_l, sign_l * (disc.theta - 1.0)),
+                               (right, g_r, disc.theta - 1.0)):
             for q_el, w_el, *_ in parts:
-                dws[w_el][face][w_rows] += f[q_el]
+                f = np.multiply(g[q_el], scale,
+                                out=_view(ws.gather, g[q_el].shape))
+                dws[w_el][node][w_rows] += f
 
 
 def fluctuation(v, t, ax, disc, planes):
@@ -341,8 +375,10 @@ def fluctuation(v, t, ax, disc, planes):
     right (node n-1) face planes of every element, minus tau times the
     neighbour's out on the interfaces, from the velocities v and the
     tractions t of that axis.  planes holds five face-plane buffers: G
-    left and right, out left and right, and a product; the two G planes
-    are returned."""
+    left and right, then out left and right and a product, temporaries
+    that may lie over any scratch the caller has not filled yet (the
+    derivative, in _axis_terms); the two G planes are returned.  The
+    coefficient tables broadcast over the face nodes (see _compact)."""
     node_ax = 1 + disc.mesh.dim + ax
     r_l, r_r, tau_l, tau_r = disc.faces[ax]
     g_l, g_r, out_l, out_r, r_out = planes

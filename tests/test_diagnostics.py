@@ -46,26 +46,33 @@ def test_energy_scaling_and_positivity():
 
 
 def test_energy_matches_elementwise_reference():
+    # one material, then a second, stiffer one in the first element
+    # column, where the material tables vary along x only
     m = material_from_speeds(2700.0, 6.0, 3.464)
-    spec = MeshSpec(dim=2, mins=(0.0, 0.0), maxs=(10.0, 10.0), counts=(3, 2),
-                    materials=(m,))
-    disc = solver.discretize(build_mesh(spec), build_operators(2, "GLL"))
-    st = solver.setup_state(disc)
-    rng = np.random.default_rng(8)
-    st.Q[...] = rng.standard_normal(st.Q.shape)
-    mesh, ops = disc.mesh, disc.ops
-    S = np.linalg.inv(m.C[np.ix_([0, 1, 3], [0, 1, 3])])  # xx, yy, xy
-    wq = ops.rule.weights
-    total = 0.0
-    for idx in np.ndindex(*mesh.counts):
-        for a in range(ops.n_nodes):
-            for b in range(ops.n_nodes):
-                q = st.Q[(slice(None),) + idx + (a, b)]
-                total += wq[a] * wq[b] * (
-                    0.5 * m.rho * (q[:2] ** 2).sum()
-                    + 0.5 * q[2:] @ S @ q[2:])
-    total *= mesh.jacobian
-    assert dg.discrete_energy(st).E == pytest.approx(total, rel=1e-12)
+    layered = dict(materials=(m, material_from_speeds(3000.0, 8.0, 4.5)),
+                   region_axis="x", region_threshold=3.0)
+    for extra in ({"materials": (m,)}, layered):
+        spec = MeshSpec(dim=2, mins=(0.0, 0.0), maxs=(10.0, 10.0),
+                        counts=(3, 2), **extra)
+        disc = solver.discretize(build_mesh(spec), build_operators(2, "GLL"))
+        st = solver.setup_state(disc)
+        rng = np.random.default_rng(8)
+        st.Q[...] = rng.standard_normal(st.Q.shape)
+        mesh, ops = disc.mesh, disc.ops
+        wq = ops.rule.weights
+        total = 0.0
+        for idx in np.ndindex(*mesh.counts):
+            mat = mesh.materials[mesh.material_ids[idx]]
+            # the compliance of the stresses xx, yy, xy
+            S = np.linalg.inv(mat.C[np.ix_([0, 1, 3], [0, 1, 3])])
+            for a in range(ops.n_nodes):
+                for b in range(ops.n_nodes):
+                    q = st.Q[(slice(None),) + idx + (a, b)]
+                    total += wq[a] * wq[b] * (
+                        0.5 * mat.rho * (q[:2] ** 2).sum()
+                        + 0.5 * q[2:] @ S @ q[2:])
+        total *= mesh.jacobian
+        assert dg.discrete_energy(st).E == pytest.approx(total, rel=1e-12)
 
 
 def test_linf():

@@ -754,6 +754,19 @@ def test_cli_reports_missing_config(tmp_path, capsys, verb):
     assert err.startswith("error:") and missing in err
 
 
+@pytest.mark.parametrize("verb", ["run", "convergence"])
+def test_cli_reports_undecodable_config(tmp_path, capsys, verb):
+    # a binary file (elastowave run /bin/true) printed a
+    # UnicodeDecodeError traceback
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00\xd0\xff\xfe")
+    levels = ["--levels", "2 km"] if verb == "convergence" else []
+    assert cli.main([verb, str(binary)] + levels) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(binary) in err
+    assert err.count("\n") == 1
+
+
 def _no_step(*args, **kwargs):
     raise AssertionError("stepped before making the output directory")
 

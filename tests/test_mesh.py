@@ -119,6 +119,15 @@ def test_locate_point_examples():
     assert elem[0] == 1 and ref[0] == 1.0
 
 
+@pytest.mark.parametrize("point,axis", [((np.nan, 5.0), 0),
+                                        ((5.0, np.nan), 1)])
+def test_locate_point_rejects_nan(point, axis):
+    # NaN passed both range tests and failed in int(): a bare ValueError
+    m = msh.build_mesh(spec2d())
+    with pytest.raises(PointOutsideDomain, match=f"on axis {axis}$"):
+        msh.locate_point(m, point)
+
+
 def test_locate_roundtrip_loh1_source():
     s = msh.MeshSpec(dim=3, mins=(0.0, -2.287e3, -2.287e3),
                      maxs=(16.333e3, 14.046e3, 14.046e3),
