@@ -7,7 +7,6 @@ one `error:` line with exit code 1.
 """
 
 import argparse
-import math
 import sys
 
 
@@ -54,19 +53,8 @@ def build_parser():
 
 
 def _length(token):
-    from ..errors import ParseError
-    from .config import _NUM_RE, _UNITS
-    parts = token.strip().split()
-    if len(parts) == 1 and _NUM_RE.match(parts[0]):
-        value = float(parts[0])
-    elif len(parts) == 2 and _NUM_RE.match(parts[0]) \
-            and parts[1] in ("m", "km"):
-        value = float(parts[0]) * _UNITS[parts[1]]
-    else:
-        raise ParseError(f"bad length {token!r}; write `2500` or `2.5 km`")
-    if not math.isfinite(value):
-        raise ParseError(f"length {token!r} must be finite")
-    return value
+    from .config import parse_length
+    return parse_length(token)
 
 
 def _load_config(path):

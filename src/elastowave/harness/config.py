@@ -1,14 +1,28 @@
-"""Run configuration: file format, unit handling, validation.
+"""Run configuration: the file format, its reader, and the rules a run
+configuration must meet.
 
 The format is sectioned plain text.  A section header is `[name]` or
 `[name.sub]`, a setting is `key = value`, and `#` starts a comment.
 Dimensional values carry a unit tag after the number (`5 km`,
-`2.7 g/cm3`); bare numbers are taken as SI or dimensionless.  Everything
-is stored internally in SI base units (m, s, kg, Pa, N*m).
+`2.7 g/cm3`); bare numbers are taken as SI.  The dimensionless keys
+(`dimension`, `degree`, `cfl`, `tol`, `theta`, `nx`/`ny`/`nz` and the
+reflection values) take bare numbers only.  Everything is stored
+internally in SI base units (m, s, kg, Pa, N*m).
 
-Parsing failures (bad syntax, unknown units) raise ParseError with the
-offending line number.  Semantic problems are collected and raised as a
-single ValidationError that lists every violation, not just the first.
+Two jobs, kept apart:
+
+- `parse_config` reads text into a RunConfig.  Bad syntax, a unit it
+  does not know or a key does not take, and a non-finite number raise
+  ParseError with the line number.  Unknown sections and keys are
+  findings.  A missing required section or key, or a material section
+  that gives no valid material, is reported once, with the other
+  findings, and no RunConfig is built.  A missing dimension, or one
+  other than 2 or 3, stops the reader where it is read: every extent
+  and point has one entry per axis.
+- `validate` is the one rulebook for values.  `parse_config` runs it on
+  what it read and `finalize` on a config built in code, so both meet
+  the same rules.  All findings are raised as one ValidationError that
+  names each cause once.
 """
 
 import dataclasses
@@ -37,12 +51,16 @@ _UNITS = {
     "m2": 1.0,
     "km2": 1e6,
 }
+_LENGTHS = {"m": 1.0, "km": 1000.0}
+_BARE = {}                 # dimensionless: no unit tag
+_REQUIRED = object()       # default of a key that must be given
 
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _AXIS_RE = "(" + "|".join(AXES) + ")"
 _GAMMA_WORDS = {"free": 1.0, "absorbing": 0.0, "clamped": -1.0}
 _SECTIONS = ("mesh", "boundary", "pml", "time", "initial", "output")
 _NAMED_SECTIONS = ("material", "source", "receiver")   # also [head.NAME]
+_REQUIRED_SECTIONS = ("mesh", "material", "time")
 
 
 @dataclass(frozen=True)
@@ -132,18 +150,26 @@ class RunConfig:
         return tuple(lo), tuple(hi)
 
 
-def _quantity(raw, lineno):
+def _quantity(raw, where, units=_UNITS):
+    """The number in raw, scaled to SI by its unit tag, which must be
+    one of `units` (none at all for _BARE); `where` leads each error."""
     parts = raw.split()
     if not (len(parts) in (1, 2) and _NUM_RE.match(parts[0])):
-        raise ParseError(
-            f"line {lineno}: expected `number [unit]`, got {raw!r}")
+        raise ParseError(f"{where}: expected `number [unit]`, got {raw!r}")
     unit = parts[1] if len(parts) == 2 else None
-    if unit is not None and unit not in _UNITS:
-        raise ParseError(f"line {lineno}: unknown unit {unit!r}")
-    value = float(parts[0]) * _UNITS.get(unit, 1.0)
+    if unit is not None and unit not in units:
+        raise ParseError(f"{where}: unknown unit {unit!r}" if units else
+                         f"{where}: expected a bare number, got {raw!r}")
+    value = float(parts[0]) * units.get(unit, 1.0)
     if not math.isfinite(value):
-        raise ParseError(f"line {lineno}: {raw!r} must be finite")
+        raise ParseError(f"{where}: {raw!r} must be finite")
     return value
+
+
+def parse_length(token):
+    """A length written `2500` or `2.5 km`, in m."""
+    return _quantity(token, f"bad length {token!r} (write `2500` or"
+                            f" `2.5 km`)", _LENGTHS)
 
 
 def _tokenize(text):
@@ -185,48 +211,30 @@ def _tokenize(text):
 
 
 class _Section:
-    """Typed getters over one section's raw entries; tracks consumption
-    so leftover keys can be reported."""
+    """One section's raw entries; records the keys read, so leftover
+    ones can be reported, and appends each absent required key to
+    `missing`."""
 
-    def __init__(self, name, entries):
+    def __init__(self, name, entries, missing):
         self.name = name
         self.entries = entries
+        self.missing = missing
         self.seen = set()
 
-    def has(self, key):
-        return key in self.entries
-
-    def raw(self, key, default=None):
+    def get(self, key, units=_UNITS, default=None):
+        """The value of key: a number in SI units, or its text with
+        units=None.  An absent key gives default; with _REQUIRED it is
+        reported missing and gives None."""
         self.seen.add(key)
         if key not in self.entries:
-            return default
-        return self.entries[key][0]
-
-    def num(self, key, default=None):
-        self.seen.add(key)
-        if key not in self.entries:
+            if default is _REQUIRED:
+                self.missing.append(f"[{self.name}]: missing {key}")
+                return None
             return default
         raw, lineno = self.entries[key]
-        return _quantity(raw, lineno)
-
-    def word(self, key, default=None):
-        self.seen.add(key)
-        if key not in self.entries:
-            return default
-        raw, lineno = self.entries[key]
-        if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_-]*", raw):
-            raise ParseError(f"line {lineno}: expected a word, got {raw!r}")
-        return raw
-
-    def integer(self, key, default=None):
-        self.seen.add(key)
-        if key not in self.entries:
-            return default
-        raw, lineno = self.entries[key]
-        v = _quantity(raw, lineno)
-        if v != int(v):
-            raise ParseError(f"line {lineno}: {key} must be an integer")
-        return int(v)
+        if units is None:
+            return raw
+        return _quantity(raw, f"line {lineno}", units)
 
     def unknown_keys(self):
         return [k for k in self.entries if k not in self.seen]
@@ -235,266 +243,217 @@ class _Section:
 def _gamma_value(raw, lineno):
     if raw in _GAMMA_WORDS:
         return _GAMMA_WORDS[raw]
-    vals = []
-    for p in raw.split(","):
-        if not _NUM_RE.match(p.strip()):
-            raise ParseError(
-                f"line {lineno}: reflection value must be"
-                f" {', '.join(_GAMMA_WORDS)} or numeric, got {raw!r}")
-        vals.append(float(p))
-    return vals[0] if len(vals) == 1 else tuple(vals)
+    where = (f"line {lineno}: reflection value must be"
+             f" {', '.join(_GAMMA_WORDS)} or numeric")
+    vals = tuple(_quantity(p, where, _BARE) for p in raw.split(","))
+    return vals[0] if len(vals) == 1 else vals
 
 
-def _point(sec, dim, violations, what):
-    coords = []
-    missing = []
-    for name in axes_of(dim):
-        v = sec.num(name)
-        if v is None:
-            missing.append(name)
-        else:
-            coords.append(v)
-    if missing:
-        violations.append(
-            f"[{sec.name}]: {what} needs coordinates {', '.join(missing)}")
-        return None
-    return tuple(coords)
+def _whole(value):
+    """A whole-numbered float as an int; anything else unchanged."""
+    return int(value) if isinstance(value, float) and value.is_integer() \
+        else value
 
 
-def _build_material(sec, violations):
-    rho = sec.num("rho")
-    cp, cs, lam, mu = (sec.num(k) for k in ("cp", "cs", "lam", "mu"))
-    if rho is None:
-        violations.append(f"[{sec.name}]: missing rho")
-        return None
+def _point(sec, dim):
+    return tuple(sec.get(a, default=_REQUIRED) for a in axes_of(dim))
+
+
+def _build_material(sec):
+    """The section's MaterialModel, or None with the cause reported."""
+    rho = sec.get("rho", default=_REQUIRED)
+    cp, cs, lam, mu = (sec.get(k) for k in ("cp", "cs", "lam", "mu"))
     speeds = cp is not None or cs is not None
     lame = lam is not None or mu is not None
+    if rho is None:
+        return None
     if speeds and lame:
-        violations.append(f"[{sec.name}]: give cp/cs or lam/mu, not both")
-        return None
-    try:
-        if speeds:
-            if cp is None or cs is None:
-                violations.append(f"[{sec.name}]: needs both cp and cs")
-                return None
-            return material_from_speeds(rho, cp, cs)
-        if lame:
-            if lam is None or mu is None:
-                violations.append(f"[{sec.name}]: needs both lam and mu")
-                return None
-            return material_from_lame(rho, lam, mu)
-    except Exception as exc:  # invalid parameter combinations
-        violations.append(f"[{sec.name}]: {exc}")
-        return None
-    violations.append(f"[{sec.name}]: needs cp/cs or lam/mu")
+        cause = "give cp/cs or lam/mu, not both"
+    elif speeds and (cp is None or cs is None):
+        cause = "needs both cp and cs"
+    elif lame and (lam is None or mu is None):
+        cause = "needs both lam and mu"
+    elif not (speeds or lame):
+        cause = "needs cp/cs or lam/mu"
+    else:
+        try:
+            return (material_from_speeds(rho, cp, cs) if speeds
+                    else material_from_lame(rho, lam, mu))
+        except Exception as exc:  # invalid parameter combinations
+            cause = str(exc)
+    sec.missing.append(f"[{sec.name}]: {cause}")
     return None
 
 
+def _report(findings):
+    if findings:
+        raise ValidationError("\n".join(findings))
+
+
 def parse_config(text):
-    """Parse and validate configuration text into a RunConfig."""
-    violations = []
+    """Read configuration text into a RunConfig and validate it."""
+    missing = []     # what leaves the RunConfig unbuildable
+    faults = []      # the reader's other findings
     notes = []
     secs = {}
     for name, entries in _tokenize(text).items():
         head, dot, _ = name.partition(".")
         if head in _NAMED_SECTIONS or head in _SECTIONS and not dot:
-            secs[name] = _Section(name, entries)
+            secs[name] = _Section(name, entries, missing)
         else:
-            violations.append(f"unknown section [{name}]")
+            faults.append(f"unknown section [{name}]")
+    missing += [f"missing [{name}] section" for name in _REQUIRED_SECTIONS
+                if name not in secs]
 
-    def get_sec(name):
-        return secs.get(name) or _Section(name, {})
+    def section(name):
+        # the absence of a required section is its one cause, so an
+        # absent section reports no missing keys
+        return secs.get(name) or _Section(name, {}, [])
+
+    def named(head):
+        return [s for s in secs if s.partition(".")[0] == head]
 
     # mesh
-    if "mesh" not in secs:
-        violations.append("missing [mesh] section")
-    mesh = get_sec("mesh")
-    dim = mesh.integer("dimension", 0)
-    box = []
-    for name in axes_of(max(dim, 2)):
-        lo, hi = mesh.num(name + "min"), mesh.num(name + "max")
-        if lo is None or hi is None:
-            if "mesh" in secs and dim:
-                violations.append(f"[mesh]: missing {name}min/{name}max")
-            box.append((0.0, 1.0))
-        else:
-            box.append((lo, hi))
-    spacing = mesh.num("dx", 0.0)
-    degree = mesh.integer("degree", 0) or 0
-    if "mesh" in secs:
-        if not mesh.has("dx"):
-            violations.append("[mesh]: missing dx")
-        if not mesh.has("degree"):
-            violations.append("[mesh]: missing degree")
+    mesh = section("mesh")
+    dim = _whole(mesh.get("dimension", _BARE, _REQUIRED))
+    bad_dim = [] if dim is None else _dimension_faults(dim)
+    if dim is None or bad_dim:
+        # every extent and point has one entry per axis: read no further
+        _report(missing + bad_dim + faults)
+    axes = axes_of(dim)
+    box = tuple((mesh.get(a + "min", default=_REQUIRED),
+                 mesh.get(a + "max", default=_REQUIRED)) for a in axes)
+    spacing = mesh.get("dx", default=_REQUIRED)
+    degree = _whole(mesh.get("degree", _BARE, _REQUIRED))
 
     # materials
-    mat_secs = [s for s in secs if s == "material"
-                or s.startswith("material.")]
     materials = []
     region = None
-    for name in sorted(mat_secs, key=lambda s: (s != "material", s)):
+    for name in sorted(named("material"), key=lambda s: (s != "material", s)):
         sec = secs[name]
-        m = _build_material(sec, violations)
+        materials.append(_build_material(sec))
         if name != "material":
-            axis = sec.word("axis")
-            below = sec.num("below")
+            axis, below = sec.get("axis", None), sec.get("below")
             if axis is None or below is None:
-                violations.append(
+                missing.append(
                     f"[{name}]: secondary material needs axis and below")
             elif region is not None:
-                violations.append("only one secondary material region"
-                                  " is supported")
+                faults.append("only one secondary material region"
+                              " is supported")
             else:
-                region = (axis, below, len(materials))
-        if m is not None:
-            materials.append(m)
-    if "material" not in secs:
-        violations.append("missing [material] section")
+                region = (axis, below, len(materials) - 1)
 
     # boundary
     boundary = []
-    bsec = get_sec("boundary")
-    for key in list(bsec.entries):
-        raw, lineno = bsec.entries[key]
-        bsec.seen.add(key)
+    bsec = section("boundary")
+    for key, (raw, lineno) in bsec.entries.items():
         mm = re.fullmatch(_AXIS_RE + r"\.(lo|hi)", key)
-        if not mm:
-            violations.append(f"[boundary]: unknown face {key!r}")
-            continue
-        side = -1 if mm.group(2) == "lo" else 1
-        boundary.append((mm.group(1), side, _gamma_value(raw, lineno)))
+        if mm:
+            bsec.seen.add(key)
+            side = -1 if mm.group(2) == "lo" else 1
+            boundary.append((mm.group(1), side, _gamma_value(raw, lineno)))
 
-    # pml
-    psec = get_sec("pml")
+    # pml; a key that is neither a width nor read below is unknown
+    psec = section("pml")
     widths = {}
-    for key in list(psec.entries):
-        if key in ("tol", "d0", "alpha", "theta"):
-            continue
-        raw, lineno = psec.entries[key]
-        psec.seen.add(key)
+    for key in psec.entries:
         mm = re.fullmatch(_AXIS_RE + r"(\.(lo|hi))?", key)
         if not mm:
-            violations.append(f"[pml]: unknown key {key!r}")
             continue
-        w = _quantity(raw, lineno)
-        ax = mm.group(1)
+        w = psec.get(key)
+        ax, side = mm.group(1), mm.group(3)
         lo, hi = widths.get(ax, (0.0, 0.0))
-        if mm.group(3) == "lo":
-            lo = w
-        elif mm.group(3) == "hi":
-            hi = w
-        else:
-            if psec.has(ax + ".lo") or psec.has(ax + ".hi"):
-                violations.append(
-                    f"[pml]: give {ax} or {ax}.lo/{ax}.hi, not both")
-            lo = hi = w
-        widths[ax] = (lo, hi)
+        if side is None and (ax + ".lo" in psec.entries
+                             or ax + ".hi" in psec.entries):
+            faults.append(f"[pml]: give {ax} or {ax}.lo/{ax}.hi, not both")
+        widths[ax] = (lo if side == "hi" else w, hi if side == "lo" else w)
     pml = PmlSpec(
         widths=tuple((ax, lo, hi) for ax, (lo, hi) in sorted(widths.items())),
-        tol=psec.num("tol"), d0=psec.num("d0"),
-        alpha=psec.num("alpha"), theta=psec.num("theta", 1.0))
-    if pml.enabled and not psec.has("alpha"):
+        tol=psec.get("tol", _BARE), d0=psec.get("d0"),
+        alpha=psec.get("alpha"), theta=psec.get("theta", _BARE, 1.0))
+    if pml.enabled and "alpha" not in psec.entries:
         notes.append("pml alpha defaulted to 0.15 1/s" if dim == 2
                      else "pml alpha defaulted to cp/(10*layer width)")
-    if pml.enabled and not psec.has("theta"):
+    if pml.enabled and "theta" not in psec.entries:
         notes.append("pml theta defaulted to 1")
 
     # time
-    if "time" not in secs:
-        violations.append("missing [time] section")
-    tsec = get_sec("time")
-    t_end = tsec.num("tend", 0.0)
-    if "time" in secs and not tsec.has("tend"):
-        violations.append("[time]: missing tend")
-    cfl = tsec.num("cfl", 0.9)
-    if "time" in secs and not tsec.has("cfl"):
+    tsec = section("time")
+    t_end = tsec.get("tend", default=_REQUIRED)
+    cfl = tsec.get("cfl", _BARE, 0.9)
+    if "cfl" not in tsec.entries:
         notes.append("cfl defaulted to 0.9")
 
     # sources
     sources = []
-    for name in [s for s in secs if s == "source"
-                 or s.startswith("source.")]:
+    for name in named("source"):
         sec = secs[name]
-        loc = _point(sec, dim or 2, violations, "source")
         # keys mxx, myy, ..., one per stress component
-        vals = {s: sec.num("m" + s[1:], 0.0) for s in stress_names(dim or 2)}
-        axes = axes_of(dim or 2)
+        vals = {s: sec.get("m" + s[1:], default=0.0)
+                for s in stress_names(dim)}
         moment = tuple(tuple(vals[stress_name(a, b)] for b in axes)
                        for a in axes)
-        stf = sec.word("stf", "")
-        params = {}
+        stf = sec.get("stf", None, _REQUIRED)
         if stf == "gaussian":
-            params["sigma"] = sec.num("sigma", 0.0)
-            params["t0"] = sec.num("t0", 0.0)
+            params = {"sigma": sec.get("sigma", default=_REQUIRED),
+                      "t0": sec.get("t0", default=0.0)}
         elif stf == "ramp":
-            params["T"] = sec.num("T", 0.0)
+            params = {"T": sec.get("T", default=_REQUIRED)}
         else:
-            violations.append(
-                f"[{name}]: stf must be gaussian or ramp, got {stf!r}")
-        sid = name.partition(".")[2] or "source"
-        if loc is not None:
-            sources.append(SourceSpec(sid, loc, moment, stf,
-                                      tuple(sorted(params.items()))))
+            params = {}
+        sources.append(SourceSpec(
+            name.partition(".")[2] or "source", _point(sec, dim), moment,
+            stf, tuple(sorted(params.items()))))
 
     # receivers
-    receivers = []
-    for name in [s for s in secs if s == "receiver"
-                 or s.startswith("receiver.")]:
-        sec = secs[name]
-        loc = _point(sec, dim or 2, violations, "receiver")
-        comps = sec.word("components", "velocity")
-        interval = sec.num("interval")
-        rid = name.partition(".")[2] or "receiver"
-        if loc is not None:
-            receivers.append(ReceiverSpec(rid, loc, comps, interval))
+    receivers = [
+        ReceiverSpec(name.partition(".")[2] or "receiver",
+                     _point(secs[name], dim),
+                     secs[name].get("components", None, "velocity"),
+                     secs[name].get("interval"))
+        for name in named("receiver")]
 
     # initial condition
     initial = None
     if "initial" in secs:
         sec = secs["initial"]
-        kind = sec.word("type", "")
+        kind = sec.get("type", None, _REQUIRED)
         params = {}
         if kind == "velocity-gaussian":
-            loc = _point(sec, dim or 2, violations, "initial center")
-            params["center"] = loc
-            params["halfwidth"] = sec.num("halfwidth", 0.0)
-            params["amplitude"] = sec.num("amplitude", 1.0)
-            comps = sec.raw("components")
-            params["components"] = tuple(
-                c.strip() for c in comps.split(",")) if comps else None
+            comps = sec.get("components", None)
+            params = {"center": _point(sec, dim),
+                      "halfwidth": sec.get("halfwidth", default=_REQUIRED),
+                      "amplitude": sec.get("amplitude", default=1.0),
+                      "components": tuple(c.strip()
+                                          for c in comps.split(","))
+                      if comps else None}
         elif kind == "plane-wave":
-            n = tuple(sec.num("n" + a, 0.0) for a in axes_of(dim or 2))
-            params["n"] = n
-            params["mode"] = sec.word("mode", "P")
-            params["center"] = sec.num("center", 0.0)
-            params["width"] = sec.num("width", 1.0)
-        else:
-            violations.append(
-                f"[initial]: type must be velocity-gaussian or plane-wave,"
-                f" got {kind!r}")
+            params = {"n": tuple(sec.get("n" + a, _BARE, 0.0) for a in axes),
+                      "mode": sec.get("mode", None, "P"),
+                      "center": sec.get("center", default=0.0),
+                      "width": sec.get("width", default=1.0)}
         initial = InitialSpec(kind, tuple(sorted(params.items())))
 
     # output
-    osec = get_sec("output")
+    osec = section("output")
     output = OutputSpec(
-        seismogram_interval=osec.num("seismogram_interval"),
-        series_interval=osec.num("series_interval"),
-        snapshot_interval=osec.num("snapshot_interval"),
-        snapshot_format=osec.word("snapshot_format", "binary"))
+        seismogram_interval=osec.get("seismogram_interval"),
+        series_interval=osec.get("series_interval"),
+        snapshot_interval=osec.get("snapshot_interval"),
+        snapshot_format=osec.get("snapshot_format", None, "binary"))
 
     for name, sec in secs.items():
-        for k in sec.unknown_keys():
-            violations.append(f"[{name}]: unknown key {k!r}")
+        faults += [f"[{name}]: unknown key {k!r}" for k in sec.unknown_keys()]
+    if missing:
+        _report(missing + faults)
 
     cfg = RunConfig(
-        dimension=dim, box=tuple(box), spacing=spacing, degree=degree,
+        dimension=dim, box=box, spacing=spacing, degree=degree,
         cfl=cfl, t_end=t_end, materials=tuple(materials), region=region,
         boundary=tuple(boundary), pml=pml, sources=tuple(sources),
         receivers=tuple(receivers), initial=initial, output=output,
         notes=tuple(notes))
-    violations.extend(validate(cfg))
-    if violations:
-        raise ValidationError("\n".join(dict.fromkeys(violations)))
+    _report(faults + validate(cfg))
     return cfg
 
 
@@ -519,13 +478,34 @@ def _non_finite(value, path):
         yield path, value
 
 
+def _dimension_faults(dim):
+    return [] if dim in (2, 3) else [f"dimension must be 2 or 3, got {dim}"]
+
+
+def _off_grid(what, length, spacing):
+    """The finding if length is not a whole number of elements."""
+    n = length / spacing
+    if abs(n - round(n)) > 1e-6 * max(1.0, n) or round(n) < 1:
+        yield (f"{what} {length} is not a whole number of elements of"
+               f" size {spacing}")
+
+
+def _point_faults(what, point, cfg):
+    """The finding if point lacks one entry per axis or lies outside
+    the box."""
+    if len(point or ()) != cfg.dimension:
+        yield f"{what} is not {cfg.dimension}-dimensional"
+    elif not _inside(point, cfg.box):
+        yield f"{what} {point} outside the box"
+
+
 def validate(cfg):
     """All invariant violations for a config, as a list of messages."""
     v = [f"{path} must be finite, got {x}" for f in dataclasses.fields(cfg)
          for path, x in _non_finite(getattr(cfg, f.name), f.name)]
-    if cfg.dimension not in (2, 3):
-        v.append(f"dimension must be 2 or 3, got {cfg.dimension}")
-        return v  # nothing downstream is meaningful
+    bad_dim = _dimension_faults(cfg.dimension)
+    if bad_dim:
+        return v + bad_dim  # nothing downstream is meaningful
     if len(cfg.box) != cfg.dimension:
         v.append(f"box has {len(cfg.box)} axes for dimension"
                  f" {cfg.dimension}")
@@ -540,11 +520,8 @@ def validate(cfg):
         if hi <= lo:
             v.append(f"{ax} extent [{lo}, {hi}] is empty")
             continue
-        n = (hi - lo) / cfg.spacing
-        if abs(n - round(n)) > 1e-6 * max(1.0, n) or round(n) < 1:
-            v.append(f"{ax} extent {hi - lo} is not a whole number"
-                     f" of elements of size {cfg.spacing}")
-    if not 1 <= cfg.degree <= MAX_DEGREE:
+        v += _off_grid(f"{ax} extent", hi - lo, cfg.spacing)
+    if cfg.degree not in range(1, MAX_DEGREE + 1):
         v.append(f"degree must lie in [1, {MAX_DEGREE}], got {cfg.degree}")
     if not 0.0 < cfg.cfl <= 1.0:
         v.append(f"cfl must lie in (0, 1], got {cfg.cfl}")
@@ -586,10 +563,7 @@ def validate(cfg):
             if w < 0.0:
                 v.append(f"pml {ax}.{label} width is negative")
             elif 0.0 < w < math.inf:
-                k = w / cfg.spacing
-                if abs(k - round(k)) > 1e-6 * max(1.0, k) or round(k) < 1:
-                    v.append(f"pml {ax}.{label} width {w} is not a whole"
-                             f" number of elements of size {cfg.spacing}")
+                v += _off_grid(f"pml {ax}.{label} width", w, cfg.spacing)
         blo, bhi = cfg.box[axes.index(ax)]
         if blo + lo >= bhi - hi:
             v.append(f"pml layers on {ax} leave no interior")
@@ -608,25 +582,22 @@ def validate(cfg):
             v.append(f"pml theta must lie in [0, 1], got {pml.theta}")
 
     for s in cfg.sources:
-        if len(s.location) != cfg.dimension:
-            v.append(f"source {s.sid}: location is not"
-                     f" {cfg.dimension}-dimensional")
-        elif not _inside(s.location, cfg.box):
-            v.append(f"source {s.sid}: location {s.location} outside"
-                     f" the box")
+        v += _point_faults(f"source {s.sid}: location", s.location, cfg)
         params = dict(s.stf_params)
+        if s.stf not in ("gaussian", "ramp"):
+            v.append(f"source {s.sid}: stf must be gaussian or ramp,"
+                     f" got {s.stf!r}")
         if s.stf == "gaussian" and params.get("sigma", 0.0) <= 0.0:
             v.append(f"source {s.sid}: gaussian sigma must be positive")
         if s.stf == "ramp" and params.get("T", 0.0) <= 0.0:
             v.append(f"source {s.sid}: ramp T must be positive")
 
+    rids = [r.rid for r in cfg.receivers]
+    for rid in dict.fromkeys(r for r in rids if rids.count(r) > 1):
+        v.append(f"receiver {rid}: name given to {rids.count(rid)}"
+                 f" receivers; names must be unique")
     for r in cfg.receivers:
-        if len(r.location) != cfg.dimension:
-            v.append(f"receiver {r.rid}: location is not"
-                     f" {cfg.dimension}-dimensional")
-        elif not _inside(r.location, cfg.box):
-            v.append(f"receiver {r.rid}: location {r.location} outside"
-                     f" the box")
+        v += _point_faults(f"receiver {r.rid}: location", r.location, cfg)
         if r.components not in ("velocity", "all"):
             v.append(f"receiver {r.rid}: components must be velocity"
                      f" or all")
@@ -635,10 +606,12 @@ def validate(cfg):
                      f" and finite")
 
     ini = cfg.initial
+    if ini is not None and ini.kind not in ("velocity-gaussian",
+                                            "plane-wave"):
+        v.append(f"initial type must be velocity-gaussian or plane-wave,"
+                 f" got {ini.kind!r}")
     if ini is not None and ini.kind == "velocity-gaussian":
-        center = ini.get("center")
-        if center is not None and not _inside(center, cfg.box):
-            v.append(f"initial center {center} outside the box")
+        v += _point_faults("initial center", ini.get("center"), cfg)
         if (ini.get("halfwidth") or 0.0) <= 0.0:
             v.append("initial halfwidth must be positive")
         names = velocity_names(cfg.dimension)
@@ -648,8 +621,11 @@ def validate(cfg):
                          f" {cfg.dimension}D (expected one of"
                          f" {', '.join(names)})")
     if ini is not None and ini.kind == "plane-wave":
-        n = ini.get("n", ())
-        if not any(x != 0.0 for x in n):
+        n = ini.get("n") or ()
+        if len(n) != cfg.dimension:
+            v.append(f"initial plane-wave direction n has {len(n)}"
+                     f" entries in {cfg.dimension}D")
+        elif not any(x != 0.0 for x in n):
             v.append("initial plane-wave direction is zero")
         if ini.get("mode") not in ("P", "S"):
             v.append(f"initial plane-wave mode must be P or S,"
@@ -674,7 +650,5 @@ def validate(cfg):
 
 def finalize(cfg):
     """Validate a programmatically built config; raises ValidationError."""
-    violations = validate(cfg)
-    if violations:
-        raise ValidationError("\n".join(violations))
+    _report(validate(cfg))
     return cfg

@@ -414,6 +414,100 @@ def test_default_notes_recorded():
     assert cfg.pml.alpha is None
 
 
+def _without_section(text, name):
+    return re.sub(r"\[" + re.escape(name) + r"\]\n(.+\n)+", "", text)
+
+
+@pytest.mark.parametrize("text, cause", [
+    (STRIP_TEXT.replace("dx = 5 km\n", ""), "[mesh]: missing dx"),
+    (STRIP_TEXT.replace("degree = 5\n", ""), "[mesh]: missing degree"),
+    (STRIP_TEXT.replace("tend = 100\n", ""), "[time]: missing tend"),
+    (_without_section(STRIP_TEXT, "time"), "missing [time] section"),
+    (_without_section(STRIP_TEXT, "mesh"), "missing [mesh] section"),
+    (_without_section(STRIP_TEXT, "material"), "missing [material] section"),
+    (STRIP_TEXT.replace("rho = 2.7 g/cm3\n", ""), "[material]: missing rho"),
+    (STRIP_TEXT.replace("xmax = 60 km\n", ""), "[mesh]: missing xmax"),
+    (STRIP_TEXT.replace("dimension = 2", "dimension = 4"),
+     "dimension must be 2 or 3, got 4"),
+    (STRIP_TEXT + "\n[material.b]\nrho = 2.6 g/cm3\ncp = 4 km/s\n"
+     "cs = 2 km/s\n",
+     "[material.b]: secondary material needs axis and below"),
+], ids=["dx", "degree", "tend", "time", "mesh", "material", "rho", "xmax",
+        "dimension", "material.b"])
+def test_each_cause_reported_once(text, cause):
+    # each came with 1-3 follow-on findings, most about stand-in values
+    with pytest.raises(ValidationError) as ei:
+        parse_config(text)
+    assert str(ei.value) == cause
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("degree = 5", "degree = 5 s", 9),
+    ("dimension = 2", "dimension = 2 km", 3),
+    ("tol = 1e-6", "tol = 1e-9 km", 24),
+    ("theta = 1", "theta = 1 s", 26),
+    ("cfl = 0.9", "cfl = 0.9 s", 30),
+])
+def test_dimensionless_keys_take_bare_numbers(old, new, line):
+    # degree = 5 s read as 5, dimension = 2 km as 2000
+    with pytest.raises(ParseError,
+                       match=f"line {line}: expected a bare number"):
+        parse_config(STRIP_TEXT.replace(old, new))
+    cfg = parse_config(STRIP_TEXT.replace("interval = 0.1",
+                                          "interval = 0.1 s"))
+    assert cfg.spacing == 5 * KM and cfg.receivers[0].interval == 0.1
+
+
+def _code_built_cases():
+    strip, hws = ps.preset("strip2d"), ps.preset("hws3d", elements=4)
+    wave = ps.planewave_config(dim=3, elements=4, degree=1)
+    yield "stf must be gaussian or ramp, got 'boxcar'", replace(
+        hws, sources=(replace(hws.sources[0], stf="boxcar"),))
+    yield ("initial type must be velocity-gaussian or plane-wave,"
+           " got 'spike'"), replace(strip, initial=cf.InitialSpec("spike", ()))
+    yield "plane-wave direction n has 2 entries in 3D", replace(
+        wave, initial=replace(wave.initial, params=_replace_param(
+            wave.initial.params, "n", (1.0, 0.0))))
+    yield "initial center is not 3-dimensional", replace(
+        hws, initial=cf.InitialSpec("velocity-gaussian", (
+            ("center", (5 * KM, 5 * KM)), ("halfwidth", 1 * KM))))
+
+
+@pytest.mark.parametrize("cause, cfg", list(_code_built_cases()),
+                         ids=["stf", "initial-type", "plane-wave-n",
+                              "gaussian-center"])
+def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
+    # each passed finalize; the first three failed in build_problem with
+    # a bare ValueError, the last ran with z dropped from the centre
+    with pytest.raises(ValidationError, match=re.escape(cause)):
+        finalize(cfg)
+
+
+def test_receiver_names_are_unique():
+    # both receivers wrote seismogram_receiver.csv, the later one winning
+    text = (STRIP_TEXT + "\n[receiver]\nx = 1 km\ny = 1 km\n"
+            "\n[receiver.receiver]\nx = 2 km\ny = 2 km\n")
+    with pytest.raises(ValidationError, match="receiver receiver: name"
+                       " given to 2 receivers; names must be unique"):
+        parse_config(text)
+    cfg = ps.preset("strip2d")
+    with pytest.raises(ValidationError, match="receiver probe: name given"
+                       " to 2 receivers"):
+        finalize(replace(cfg, receivers=cfg.receivers * 2))
+
+
+def test_readme_config_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert blocks
+    cfgs = [parse_config(block) for block in blocks]
+    # the first is the strip example, the strip2d benchmark's set-up
+    pre = ps.preset("strip2d")
+    assert cfgs[0].box == pre.box and cfgs[0].spacing == pre.spacing
+    assert cfgs[0].pml.widths == pre.pml.widths
+    assert cfgs[0].boundary_map() == pre.boundary_map()
+
+
 # ---------------------------------------------------------------- presets
 
 def test_strip2d_parameters():
