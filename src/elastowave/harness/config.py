@@ -27,6 +27,7 @@ Two jobs, kept apart:
 
 import dataclasses
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -58,6 +59,8 @@ _REQUIRED = object()       # default of a key that must be given
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _AXIS_RE = "(" + "|".join(AXES) + ")"
 _GAMMA_WORDS = {"free": 1.0, "absorbing": 0.0, "clamped": -1.0}
+# the parameters of each source-time function, its width first
+_STF_PARAMS = {"gaussian": ("sigma", "t0"), "ramp": ("T",)}
 _SECTIONS = ("mesh", "boundary", "pml", "time", "initial", "output")
 _NAMED_SECTIONS = ("material", "source", "receiver")   # also [head.NAME]
 _REQUIRED_SECTIONS = ("mesh", "material", "time")
@@ -399,8 +402,9 @@ def parse_config(text):
                       "t0": sec.get("t0", default=0.0)}
         elif stf == "ramp":
             params = {"T": sec.get("T", default=_REQUIRED)}
-        else:
+        else:   # report the unknown kind alone, not its parameters
             params = {}
+            sec.seen.update(sec.entries)
         sources.append(SourceSpec(
             name.partition(".")[2] or "source", _point(sec, dim), moment,
             stf, tuple(sorted(params.items()))))
@@ -432,6 +436,8 @@ def parse_config(text):
                       "mode": sec.get("mode", None, "P"),
                       "center": sec.get("center", default=0.0),
                       "width": sec.get("width", default=1.0)}
+        else:   # report the unknown kind alone, not its parameters
+            sec.seen.update(sec.entries)
         initial = InitialSpec(kind, tuple(sorted(params.items())))
 
     # output
@@ -521,7 +527,9 @@ def validate(cfg):
             v.append(f"{ax} extent [{lo}, {hi}] is empty")
             continue
         v += _off_grid(f"{ax} extent", hi - lo, cfg.spacing)
-    if cfg.degree not in range(1, MAX_DEGREE + 1):
+    if not isinstance(cfg.degree, numbers.Integral):
+        v.append(f"degree must be an integer, got {cfg.degree!r}")
+    elif cfg.degree not in range(1, MAX_DEGREE + 1):
         v.append(f"degree must lie in [1, {MAX_DEGREE}], got {cfg.degree}")
     if not 0.0 < cfg.cfl <= 1.0:
         v.append(f"cfl must lie in (0, 1], got {cfg.cfl}")
@@ -584,13 +592,16 @@ def validate(cfg):
     for s in cfg.sources:
         v += _point_faults(f"source {s.sid}: location", s.location, cfg)
         params = dict(s.stf_params)
-        if s.stf not in ("gaussian", "ramp"):
+        if s.stf not in _STF_PARAMS:
             v.append(f"source {s.sid}: stf must be gaussian or ramp,"
                      f" got {s.stf!r}")
-        if s.stf == "gaussian" and params.get("sigma", 0.0) <= 0.0:
-            v.append(f"source {s.sid}: gaussian sigma must be positive")
-        if s.stf == "ramp" and params.get("T", 0.0) <= 0.0:
-            v.append(f"source {s.sid}: ramp T must be positive")
+            continue
+        for key in _STF_PARAMS[s.stf]:
+            if key not in params:
+                v.append(f"source {s.sid}: {s.stf} stf needs {key}")
+        width = _STF_PARAMS[s.stf][0]
+        if params.get(width, 1.0) <= 0.0:
+            v.append(f"source {s.sid}: {s.stf} {width} must be positive")
 
     rids = [r.rid for r in cfg.receivers]
     for rid in dict.fromkeys(r for r in rids if rids.count(r) > 1):

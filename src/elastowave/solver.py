@@ -16,27 +16,40 @@ fluctuation is G = inc - r out - tau out_nb, where out_nb is the
 neighbour's outgoing wave across the face.  At an interface
 r = (Z - Z_nb)/(Z + Z_nb) and tau = 2 Z/(Z + Z_nb); at an outer face r
 is the mesh's gamma and tau = 0.  These are the upwind hat states of
-`flux`, folded into per-face coefficients once in discretize.  Then the
-derivative A dQ/dxi is one batched matmul per source (traction into the
-velocity rows, velocity into the traction slots) on a (pre, n, post)
-view, with 2/h folded into D.  On GLL nodes the faces are node planes 0
-and n-1, so each fluctuation plane, scaled by one lift scalar, is added
-onto its node plane of the derivative, and the derivative then onto the
-result in contiguous adds.  The damped elements of an axis are a
-prefix and a suffix of that element axis, so every auxiliary gather,
-decay (d*w) and scatter is a basic-slice view; the auxiliary equations
-take the same derivative with its face terms, one slice add each, and
-for theta != 1 (theta - 1) times the face terms on their face planes.
-The material map (1/rho on velocities, stiffness on stress rates) is
+`flux`.  As inc = Z v - out, and (1 + r)/2 = tau/2 at an interface,
+G = Z v - c (2 out + 2 out_nb) with one coefficient per face, built
+once in discretize: c = Z/(Z + Z_nb) at an interface, whose two faces
+share the sum of their outgoing waves, and (1 + gamma)/2 with
+out_nb = 0 at an outer face.  Then the derivative A dQ/dxi is one
+matmul per source (traction into the velocity rows, velocity into the
+traction slots) on a (pre, n, post) view, with 2/h folded into D:
+batched D @ (n, post) blocks, or where the rows n post are short (the
+last node axis, and the middle one up to degree 3) 2-D row blocks times
+kron(D, I_post).T.  On GLL nodes the faces are node planes 0 and n-1,
+so each fluctuation plane, scaled by one lift scalar, is added onto its
+node plane of the derivative.  A row of the result that no earlier axis
+has written takes its derivative straight (every row of the first
+axis, then the stress rows new to an axis), so no row is zero-filled;
+the others take it from scratch in contiguous adds.  The damped
+elements of an axis are a prefix and a suffix of that element axis:
+the decay -(d + alpha) w and -d w are one product each over the whole
+auxiliary field, and the adds of -d w into Q and every scatter are
+basic-slice views per layer end.  The auxiliary equations take the
+same derivative with its face terms, one slice add each, and for
+theta != 1 (theta - 1) times the face terms on their face planes.  The
+material map (1/rho on velocities, stiffness on stress rates) is
 applied once at the end, in place.  The per-element tables are compact,
 so their products with face planes and rows run long inner loops.
 
-`run` builds one Workspace and hands it to every `ader_step`; it dies
-when run returns.  It holds two ping-pong stage results, the RHS
-scratch (traction gather, fluctuation planes, derivative, -d*w) and a
-bool buffer for the finiteness check.  Every kernel writes into buffers
-its caller passes, so a step allocates nothing state-sized but the sum
-the new state owns.
+An RHS takes a scale, which rides the derivative matrix, the lift
+scalar and the layer tables, so an ADER stage forms its Taylor term
+dt^k/k! u^(k) in one pass and the step adds each term once.  `run`
+builds one Workspace and hands it to every `ader_step`; it dies when
+run returns.  It holds two ping-pong stage results, the RHS scratch
+(traction gather, fluctuation planes, derivative, scaled layer tables,
+-d*w) and a bool buffer for the finiteness check.  Every kernel writes
+into buffers its caller passes, so a step allocates nothing state-sized
+but the new state.
 """
 
 from dataclasses import dataclass
@@ -58,12 +71,13 @@ class Discretization:
     per-axis derivatives and impedances, face lift scalars, damping.
 
     The state has mesh.dim velocity and n_components(mesh.dim) total
-    components.  Per axis, faces holds the reflection and transmission
-    coefficients of the face fluctuations (see _face_coefficients), and
-    lift scales a fluctuation plane onto node plane 0 or n-1; the GLL
-    weights are symmetric, so one scalar serves both faces.  slabs
-    holds, per damping table, the auxiliary field's shape and its
-    element slices (see _slabs).
+    components.  Per axis, faces holds the coefficients c of the face
+    fluctuations on the left and the right faces (see
+    _face_coefficients), and lift scales a fluctuation plane onto node
+    plane 0 or n-1; the GLL weights are symmetric, so one scalar serves
+    both faces.  slabs
+    holds, per damping table, the auxiliary field's shape, its decay
+    tables and its element slices per layer end (see _slabs).
 
     The per-element tables (rho_e, lam_e, mu_e, z, faces) are compact:
     every element axis along which one is constant has length 1 (see
@@ -79,7 +93,7 @@ class Discretization:
     mu_e: np.ndarray
     dmat: tuple     # per axis: the nodal derivative D scaled by 2 / h
     z: tuple        # per axis: (dim,) + counts + (1,)*(dim-1)
-    faces: tuple    # per axis: (r left, r right, tau left, tau right)
+    faces: tuple    # per axis: (c left, c right)
     lift: tuple     # per axis: 2 / (h * w_0)
     slots: tuple    # per axis traction component slots in the state vector
     slabs: tuple    # parallel to damping: see _slabs
@@ -88,10 +102,11 @@ class Discretization:
 def _slabs(tab, counts, n):
     """The damped elements of one axis as basic slices: the first tab.lo
     and the last tab.hi elements along it, every other element axis whole.
-    Returns the shape of the auxiliary field and, per nonempty end,
-    (element slice of Q, element slice of w, -d, -(d + alpha)).
-    d is materialized over every axis after the element axis, so numpy's
-    inner loops run over contiguous runs rather than single node rows."""
+    Returns the shape of the auxiliary field and the tables -d and
+    -(d + alpha) over all of its elements, both layer ends, with per
+    nonempty end (element slice of Q, element slice of w).  d is
+    materialized over every axis after the element axis, so numpy's inner
+    loops run over contiguous runs rather than single node rows."""
     ax, dim = tab.axis_index, len(counts)
     k = tab.lo + tab.hi
     tail = counts[ax + 1:] + (n,) * dim
@@ -99,30 +114,29 @@ def _slabs(tab, counts, n):
                          + (1,) * (dim - 1 - ax))
     d = np.ascontiguousarray(np.broadcast_to(d, (k,) + tail))
     d = d.reshape((1,) * (1 + ax) + d.shape)
-    parts = []
+    ends = []
     high = slice(counts[ax] - tab.hi, counts[ax])
     for q_el, w_el in ((slice(0, tab.lo),) * 2, (high, slice(tab.lo, k))):
         if w_el.stop > w_el.start:
-            q_el, w_el = _at(q_el, 1 + ax), _at(w_el, 1 + ax)
-            parts.append((q_el, w_el, -d[w_el], -(d[w_el] + tab.alpha)))
-    return (2 * dim,) + counts[:ax] + (k,) + tail, tuple(parts)
+            ends.append((_at(q_el, 1 + ax), _at(w_el, 1 + ax)))
+    return (2 * dim,) + counts[:ax] + (k,) + tail, (-d, -(d + tab.alpha),
+                                                    tuple(ends))
 
 
 def _face_coefficients(z, ax, gamma_lo, gamma_hi):
-    """r and tau of G = inc - r out - tau out_nb (see the module
-    docstring) on face planes of z's shape: r at every element's left and
-    right face, the outer ones gamma per wave family; tau on the left
-    faces of all elements but the first and the right faces of all but
-    the last, the interfaces."""
+    """c of G = Z v - c (2 out + 2 out_nb) (see the module docstring) on
+    face planes of z's shape, at every element's left and right face:
+    Z / (Z + Z_nb) at the interfaces, (1 + gamma) / 2 per wave family at
+    the outer faces."""
     lo, hi = _at(slice(None, -1), 1 + ax), _at(slice(1, None), 1 + ax)
     den = z[lo] + z[hi]
-    r_l, r_r = np.empty(z.shape), np.empty(z.shape)
-    r_l[hi] = (z[hi] - z[lo]) / den
-    r_r[lo] = -r_l[hi]
+    c_l, c_r = np.empty(z.shape), np.empty(z.shape)
+    c_l[hi] = z[hi] / den
+    c_r[lo] = z[lo] / den
     fam = (len(z),) + (1,) * (z.ndim - 1)
-    r_l[_at(slice(0, 1), 1 + ax)] = gamma_lo.reshape(fam)
-    r_r[_at(slice(-1, None), 1 + ax)] = gamma_hi.reshape(fam)
-    return r_l, r_r, 2 * z[hi] / den, 2 * z[lo] / den
+    c_l[_at(slice(0, 1), 1 + ax)] = (1.0 + gamma_lo.reshape(fam)) / 2
+    c_r[_at(slice(-1, None), 1 + ax)] = (1.0 + gamma_hi.reshape(fam)) / 2
+    return c_l, c_r
 
 
 def _compact(table, axes):
@@ -199,12 +213,12 @@ class Workspace:
 
     The RHS scratch is one buffer: the traction gather, dim rows of the
     state; the two fluctuation planes G left and right; the derivative,
-    dim rows again; and as many face planes after it as `fluctuation`'s
-    three temporaries need beyond those they lay over the derivative,
-    which is not formed yet when they are.  planes is the five face
-    planes `fluctuation` takes, from G left on.  Before each damped axis
-    the start of the buffer holds -d*w of one end of the layer: 2 dim
-    rows on at most every element.  Besides it: two ping-pong stage
+    dim rows again.  planes is the four face planes `fluctuation` takes,
+    from G left on: its two temporaries lie over the derivative, which
+    is not formed yet when they are.  Around each damped axis the start
+    of the buffer holds one layer table scaled by the stage factor, and
+    after the axis's terms -d*w behind it: 2 dim rows on the layer's
+    slab, at most every element.  Besides it: two ping-pong stage
     results, each a Q and its auxiliary fields, and a bool buffer for
     the finiteness check."""
 
@@ -213,9 +227,11 @@ class Workspace:
         plane = (dim,) + disc.mesh.counts + (n,) * (dim - 1)
         size = prod(plane)
         rows = n * size
-        self.buf = np.empty(2 * rows + (2 + max(0, 3 - n)) * size)
+        self.buf = np.empty(max(
+            [2 * rows + 2 * size]
+            + [neg_d.size + prod(shape) for shape, (neg_d, *_) in disc.slabs]))
         self.gather = self.buf[:rows].reshape(plane + (n,))
-        self.planes = self.buf[rows:rows + 5 * size].reshape((5,) + plane)
+        self.planes = self.buf[rows:rows + 4 * size].reshape((4,) + plane)
         self.der = self.buf[rows + 2 * size:2 * rows + 2 * size].reshape(
             plane + (n,))
         self.stages = (_zero_fields(disc), _zero_fields(disc))
@@ -237,33 +253,42 @@ def nodal_coordinates(disc):
             for ax in range(mesh.dim)]
 
 
-# Entries (rows * n * n) of one product in _diff: small enough that the
+# Entries (rows * m * m) of one product in _diff: small enough that the
 # BLAS library computes it on the calling thread.
 _GEMM_BLOCK = 1 << 16
+# Longest row n * post that _diff multiplies by kron(D, I_post): on a 3D
+# middle node axis, (rows, 16) @ (16, 16) blocks beat the batched
+# (4, 4) @ (4, 4) items 1.3-2x at degree 3; at degree 5, (36, 36) blocks
+# gain nothing over the batched (6, 6) @ (6, 6) ones or lose to them.
+_KRON_ROW = 16
 
 
 def _diff(arr, node_ax, D, out):
     """D along axis node_ax of a C-contiguous array, into out, a
-    C-contiguous array of arr's shape: one batched matmul, D @ (n, post)
-    blocks of a (pre, n, post) view, or (rows, n) @ D.T blocks when the
-    node axis is last.
+    C-contiguous array of arr's shape, seen as (pre, n, post) with n the
+    node axis.  Long rows (n post > _KRON_ROW, the node axis not last)
+    take one batched matmul, D @ (n, post) blocks.  Short rows take
+    (rows, n post) @ kron(D, I_post).T blocks, the last node axis
+    (post = 1) (rows, n) @ D.T.
 
     Every product stays small.  One large product would be spread over
     the BLAS library's threads, whose workers then spin between calls
     and stall each call on whatever else holds the other cores, for no
     gain on these bandwidth-bound products."""
     shape = arr.shape
-    n = shape[node_ax]
-    if node_ax < arr.ndim - 1:
-        blocks = (prod(shape[:node_ax]), n, -1)
+    n, post = shape[node_ax], prod(shape[node_ax + 1:])
+    if post > 1 and n * post > _KRON_ROW:
+        blocks = (prod(shape[:node_ax]), n, post)
         np.matmul(D, arr.reshape(blocks), out=out.reshape(blocks))
         return out
+    m = n * post
+    op = D if post == 1 else np.kron(D, np.eye(post))
     rows, k = 1, node_ax
-    while k > 0 and rows * shape[k - 1] * n * n <= _GEMM_BLOCK:
+    while k > 0 and rows * shape[k - 1] * m * m <= _GEMM_BLOCK:
         k -= 1
         rows *= shape[k]
-    blocks = (-1, rows, n)
-    np.matmul(arr.reshape(blocks), D.T, out=out.reshape(blocks))
+    blocks = (-1, rows, m)
+    np.matmul(arr.reshape(blocks), op.T, out=out.reshape(blocks))
     return out
 
 
@@ -287,32 +312,37 @@ def _halves(disc, ax):
     """(rows of Q, rows of w) of the velocities and of the traction slots
     of axis ax."""
     dim = disc.mesh.dim
-    return ((slice(None, dim),) * 2, (disc.slots[ax], slice(dim, None)))
+    return ((slice(0, dim),) * 2, (disc.slots[ax], slice(dim, None)))
 
 
-def _rhs(Q, w, disc, out, ws):
-    """The rates (dQ, dw) of the state (Q, w).  They overwrite out, a Q
-    and its auxiliary fields, which is returned; the RHS scratch comes
-    from ws, a Workspace for disc."""
+def _rhs(Q, w, disc, out, ws, scale):
+    """scale times the rates (dQ, dw) of the state (Q, w); on a Taylor
+    term with scale dt/k, the next term but its source.  They overwrite
+    out, a Q and its auxiliary fields, which is returned; the RHS scratch
+    comes from ws, a Workspace for disc.  The factor rides the derivative
+    matrix, the lift scalar and the layer tables."""
     dim = disc.mesh.dim
     total, dw = out
-    total.fill(0.0)
     layers = {tab.axis_index: pos for pos, tab in enumerate(disc.damping)}
     for ax in range(dim):
+        dmat, lift = scale * disc.dmat[ax], scale * disc.lift[ax]
         pos = layers.get(ax)
         if pos is None:
-            _axis_terms(Q, ax, disc, total, ws)
-        else:
-            wpos, dws, parts = w[pos], dw[pos], disc.slabs[pos][1]
-            # the decay of w, and -d*w on the same elements of Q
-            halves = _halves(disc, ax)
-            for q_el, w_el, neg_d, decay in parts:
-                np.multiply(decay, wpos[w_el], out=dws[w_el])
-                neg_dw = _view(ws.buf, wpos[w_el].shape)
-                np.multiply(neg_d, wpos[w_el], out=neg_dw)
-                for rows, w_rows in halves:
-                    _add_rows(total[q_el], rows, neg_dw[w_rows])
-            _axis_terms(Q, ax, disc, total, ws, dws, parts)
+            _axis_terms(Q, ax, disc, total, ws, dmat, lift)
+            continue
+        wpos, dws = w[pos], dw[pos]
+        neg_d, decay, ends = disc.slabs[pos][1]
+        # the decay of w over the whole layer, then the terms of the axis
+        np.multiply(_scaled(decay, scale, ws), wpos, out=dws)
+        _axis_terms(Q, ax, disc, total, ws, dmat, lift, dws, ends)
+        # -d*w, added on the same elements of Q once the axis has written
+        # or added its terms there
+        tab = _scaled(neg_d, scale, ws)
+        neg_dw = np.multiply(tab, wpos, out=_view(ws.buf[tab.size:],
+                                                  wpos.shape))
+        for q_el, w_el in ends:
+            for rows, w_rows in _halves(disc, ax):
+                _add_rows(total[q_el], rows, neg_dw[w_el][w_rows])
 
     total[:dim] /= disc.rho_e
     s = total[dim:]
@@ -324,12 +354,21 @@ def _rhs(Q, w, disc, out, ws):
     return out
 
 
-def _axis_terms(Q, ax, disc, total, ws, dws=None, parts=()):
-    """Adds the terms of axis ax to total, and to the slab parts of dws
-    (damped elements, see _slabs) the same terms with the face terms
-    scaled by theta: the velocity rows into dws[:dim], the traction
-    slots into dws[dim:].  The gather, derivative and face planes are
-    the scratch of ws, which the next axis overwrites."""
+def _scaled(table, scale, ws):
+    """scale * table, at the start of the RHS scratch of ws."""
+    return np.multiply(table, scale, out=_view(ws.buf, table.shape))
+
+
+def _axis_terms(Q, ax, disc, total, ws, dmat, lift, dws=None, ends=()):
+    """The terms of axis ax, derivative matrix dmat and lift scalar lift,
+    into total, and added to the slab ends of dws (damped elements, see
+    _slabs) with the face terms scaled by theta: the velocity rows into
+    dws[:dim], the traction slots into dws[dim:].  Each row of total
+    that no earlier axis has written (every row, on the first axis) takes
+    its derivative straight, the others add it from the scratch; the
+    velocity rows go as one block, the slots one row at a time.  The
+    gather, derivative and face planes are the scratch of ws, which the
+    next axis overwrites."""
     dim = disc.mesh.dim
     node_ax = 1 + dim + ax
     v, t = Q[:dim], ws.gather
@@ -337,66 +376,70 @@ def _axis_terms(Q, ax, disc, total, ws, dws=None, parts=()):
         row[...] = Q[slot]
     # -H^-1 e F with F = (G; side a^T G / Z), side -1 on the left face:
     # -lift G onto the velocity rows, -side lift G / Z onto the slots.
-    # G left is scaled by +lift, so the velocity rows take -g_l and g_r
-    # and the slots g_l / Z and g_r / Z.
+    # g holds the face terms of the rows at hand: -lift G, then for the
+    # slots lift G / Z on the left and -lift G / Z on the right.
     g_l, g_r = fluctuation(v, t, ax, disc, ws.planes)
-    g_l *= disc.lift[ax]
-    g_r *= -disc.lift[ax]
+    g_l *= -lift
+    g_r *= -lift
     left, right = _at(0, node_ax), _at(-1, node_ax)
     # A dQ/dxi with the face terms added on its node planes 0 and n-1:
-    # traction into the velocity rows, velocity into the slots
-    for (rows, w_rows), src, sign_l in zip(_halves(disc, ax), (t, v),
-                                           (-1.0, 1.0)):
-        der = _diff(src, node_ax, disc.dmat[ax], ws.der)
+    # traction into the velocity rows, velocity into the slots.  Each
+    # piece is m rows from row i of src, g and the half w_rows of dws, and
+    # from row r of total, with whether an earlier axis has written them:
+    # the first axis writes the velocity rows, and slot i of axis ax, the
+    # stress of axes ax and i, is written first by axis min(ax, i).
+    for (rows, w_rows), src in zip(_halves(disc, ax), (t, v)):
         if src is t:
-            der[left] -= g_l
+            pieces = ((0, 0, dim, ax > 0),)
         else:               # the velocity rows are done with G
-            g_l /= disc.z[ax]
+            g_l /= -disc.z[ax]
             g_r /= disc.z[ax]
-            der[left] += g_l
-        der[right] += g_r
-        _add_rows(total, rows, der)
-        for q_el, w_el, *_ in parts:
-            dws[w_el][w_rows] += der[q_el]
-        if not parts or disc.theta == 1.0:
+            pieces = tuple((i, r, 1, i < ax) for i, r in enumerate(rows))
+        for i, r, m, added in pieces:
+            dest = total[r:r + m]
+            der = _view(ws.der, dest.shape) if added else dest
+            _diff(src[i:i + m], node_ax, dmat, der)
+            der[left] += g_l[i:i + m]
+            der[right] += g_r[i:i + m]
+            if added:
+                dest += der
+            w = w_rows.start + i
+            for q_el, w_el in ends:
+                dws[w:w + m][w_el] += der[q_el]
+        if not ends or disc.theta == 1.0:
             continue
         # the auxiliary fields take theta times the face terms: add
         # (theta - 1) times them, formed in the spent traction gather
-        for node, g, scale in ((left, g_l, sign_l * (disc.theta - 1.0)),
-                               (right, g_r, disc.theta - 1.0)):
-            for q_el, w_el, *_ in parts:
-                f = np.multiply(g[q_el], scale,
+        for node, g in ((left, g_l), (right, g_r)):
+            for q_el, w_el in ends:
+                f = np.multiply(g[q_el], disc.theta - 1.0,
                                 out=_view(ws.gather, g[q_el].shape))
                 dws[w_el][node][w_rows] += f
 
 
 def fluctuation(v, t, ax, disc, planes):
-    """The face pass of axis ax: G = inc - r out on the left (node 0) and
-    right (node n-1) face planes of every element, minus tau times the
-    neighbour's out on the interfaces, from the velocities v and the
-    tractions t of that axis.  planes holds five face-plane buffers: G
-    left and right, then out left and right and a product, temporaries
-    that may lie over any scratch the caller has not filled yet (the
-    derivative, in _axis_terms); the two G planes are returned.  The
-    coefficient tables broadcast over the face nodes (see _compact)."""
+    """The face pass of axis ax: G = Z v - c (2 out + 2 out_nb) on the
+    left (node 0) and right (node n-1) face planes of every element, with
+    out_nb = 0 at the outer faces, from the velocities v and the tractions
+    t of that axis.  planes holds four face-plane buffers: G left and
+    right, then 2 out left and right, temporaries that may lie over any
+    scratch the caller has not filled yet (the derivative, in
+    _axis_terms); the two G planes are returned.  The coefficient tables
+    broadcast over the face nodes (see _compact)."""
     node_ax = 1 + disc.mesh.dim + ax
-    r_l, r_r, tau_l, tau_r = disc.faces[ax]
-    g_l, g_r, out_l, out_r, r_out = planes
-    # Z v - side T: Z v + T on the left, Z v - T on the right
-    for node, r, g, out, z_v_t in ((0, r_l, g_l, out_l, np.add),
-                                   (-1, r_r, g_r, out_r, np.subtract)):
+    g_l, g_r, out_l, out_r = planes
+    # 2 out = Z v - side T: Z v + T on the left, Z v - T on the right
+    for node, g, out, z_v_t in ((0, g_l, out_l, np.add),
+                                (-1, g_r, out_r, np.subtract)):
         face = _at(node, node_ax)
         np.multiply(disc.z[ax], v[face], out=g)
         z_v_t(g, t[face], out=out)
-        out *= 0.5      # (Z v - side T) / 2
-        g -= out        # the incoming wave, (Z v + side T) / 2
-        g -= np.multiply(r, out, out=r_out)
+    # both faces of an interface take the sum of its two outgoing waves
     lo, hi = _at(slice(None, -1), 1 + ax), _at(slice(1, None), 1 + ax)
-    # each out is spent once its neighbour's tau term is formed in it
-    out_r[lo] *= tau_l
-    g_l[hi] -= out_r[lo]
-    out_l[hi] *= tau_r
-    g_r[lo] -= out_l[hi]
+    out_l[hi] += out_r[lo]
+    out_r[lo] = out_l[hi]
+    for g, c, out in zip((g_l, g_r), disc.faces[ax], (out_l, out_r)):
+        g -= np.multiply(c, out, out=out)
     return g_l, g_r
 
 
@@ -425,39 +468,38 @@ def stable_dt(mesh, materials, degree, cfl, damping_rate=0.0):
 
 
 def ader_step(state, dt, sources, ws):
-    """Taylor step of order P+1: u += sum_k dt^k/k! u^(k) with
-    u^(k+1) = L u^(k) + f^(k)(t_n).
+    """Taylor step of order P+1: u += sum_k T_k with T_k = dt^k/k! u^(k)
+    and u^(k+1) = L u^(k) + f^(k)(t_n).
 
-    Stage k writes its term into ws.stages[k % 2], over the term before
-    last, which has been added by then; ws is a Workspace for state.disc.
-    Each term is scaled in place and added once the next stage has read
-    it, so the step allocates nothing state-sized but the sum, which the
-    new state owns."""
+    Each stage forms its term whole, T_k = (dt/k) L T_(k-1) + c_k
+    f^(k-1) with c_k = dt^k/k!: the RHS takes the factor dt/k and the
+    sources inject c_k f^(k-1).  Stage k writes T_k into
+    ws.stages[k % 2], over T_(k-2); ws is a Workspace for state.disc.
+    The first stage's sum Q + T_1 is the new state, and each later term
+    is added to it, so the step allocates nothing state-sized but the new
+    state."""
     disc = state.disc
-    acc = [state.Q.copy()] + [wi.copy() for wi in state.w]
     term_q, term_w = state.Q, state.w
     coef = 1.0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for k in range(1, disc.ops.degree + 2):
-            prev = (term_q,) + term_w if k > 1 else ()
-            term_q, term_w = _rhs(term_q, term_w, disc, ws.stages[k % 2], ws)
-            _add_scaled(acc, prev, coef)
-            for src in sources:
-                src.inject(term_q, state.t, k - 1)
             coef *= dt / k
-        _add_scaled(acc, (term_q,) + term_w, coef)
+            term_q, term_w = _rhs(term_q, term_w, disc, ws.stages[k % 2], ws,
+                                  dt / k)
+            for src in sources:
+                src.inject(term_q, state.t, k - 1, coef)
+            terms = (term_q,) + term_w
+            if k == 1:
+                acc = [np.add(a, term)
+                       for a, term in zip((state.Q,) + state.w, terms)]
+            else:
+                for a, term in zip(acc, terms):
+                    a += term
     if not all(np.isfinite(a, out=_view(ws.finite, a.shape)).all()
                for a in acc):
         raise DivergenceDetected(f"non-finite field at t = {state.t + dt}")
     return SimulationState(disc=disc, t=state.t + dt, Q=acc[0],
                            w=tuple(acc[1:]))
-
-
-def _add_scaled(acc, terms, coef):
-    """acc += coef * terms, array by array, overwriting the terms."""
-    for a, term in zip(acc, terms):
-        term *= coef
-        a += term
 
 
 def run(state, t_end, dt, sources=(), callbacks=()):

@@ -84,8 +84,10 @@ class MomentTensorSource:
                           "injected into the owning element only")
         self.stencil = stencil / mesh.jacobian
 
-    def inject(self, dq, t, k=0):
-        g = self.stf.eval(t, k)
+    def inject(self, dq, t, k=0, scale=1.0):
+        """Adds scale times the k-th time derivative of the source at t
+        to the rates dq."""
+        g = scale * self.stf.eval(t, k)
         if g == 0.0:
             return
         nv = self.dim

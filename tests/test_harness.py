@@ -432,8 +432,14 @@ def _without_section(text, name):
     (STRIP_TEXT + "\n[material.b]\nrho = 2.6 g/cm3\ncp = 4 km/s\n"
      "cs = 2 km/s\n",
      "[material.b]: secondary material needs axis and below"),
+    # an unknown kind's parameters were each an "unknown key" as well
+    (STRIP_TEXT + "\n[source.s]\nx = 0\ny = 25 km\nmxx = 1\n"
+     "stf = boxcar\nsigma = 0.1\nt0 = 0.5\n",
+     "source s: stf must be gaussian or ramp, got 'boxcar'"),
+    (STRIP_TEXT.replace("type = velocity-gaussian", "type = spike"),
+     "initial type must be velocity-gaussian or plane-wave, got 'spike'"),
 ], ids=["dx", "degree", "tend", "time", "mesh", "material", "rho", "xmax",
-        "dimension", "material.b"])
+        "dimension", "material.b", "stf", "initial-type"])
 def test_each_cause_reported_once(text, cause):
     # each came with 1-3 follow-on findings, most about stand-in values
     with pytest.raises(ValidationError) as ei:
@@ -471,14 +477,20 @@ def _code_built_cases():
     yield "initial center is not 3-dimensional", replace(
         hws, initial=cf.InitialSpec("velocity-gaussian", (
             ("center", (5 * KM, 5 * KM)), ("halfwidth", 1 * KM))))
+    src = hws.sources[0]
+    yield f"source {src.sid}: gaussian stf needs t0", replace(
+        hws, sources=(replace(src, stf_params=(("sigma", 0.1),)),))
+    yield "degree must be an integer, got 2.0", replace(strip, degree=2.0)
 
 
 @pytest.mark.parametrize("cause, cfg", list(_code_built_cases()),
                          ids=["stf", "initial-type", "plane-wave-n",
-                              "gaussian-center"])
+                              "gaussian-center", "stf-params", "degree"])
 def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
     # each passed finalize; the first three failed in build_problem with
-    # a bare ValueError, the last ran with z dropped from the centre
+    # a bare ValueError, the fourth ran with z dropped from the centre,
+    # the fifth failed there with a bare KeyError and the last in
+    # build_operators, with "must be in [1, 16], got 2.0"
     with pytest.raises(ValidationError, match=re.escape(cause)):
         finalize(cfg)
 

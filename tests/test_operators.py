@@ -184,6 +184,25 @@ def test_diff_runs_on_calling_thread():
     assert others <= 0.1 * own + 2, (own, others)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_diff_matches_einsum_on_every_node_axis(dim, n):
+    # rows of n * post <= 16 values take the kron(D, I_post) product (the
+    # 3D middle axis and the 2D first one up to n = 4, the 3D first one
+    # at n = 2), longer ones the batched D @ (n, post) one, the last axis
+    # (rows, n) @ D.T
+    rng = np.random.default_rng(10 * dim + n)
+    D = rng.standard_normal((n, n))
+    arr = rng.standard_normal((2,) + (3, 2, 2)[:dim] + (n,) * dim)
+    letters = "abcdefgh"[:arr.ndim]
+    for node_ax in range(1 + dim, arr.ndim):
+        out = np.full(arr.shape, np.nan)
+        assert _diff(arr, node_ax, D, out) is out
+        want = np.einsum(f"z{letters[node_ax]},{letters}->"
+                         + letters.replace(letters[node_ax], "z"), D, arr)
+        assert np.abs(out - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_diff_never_aliases():
     ops = build_operators(2, "GLL")
     f = np.random.default_rng(1).standard_normal((1, 3, 3))

@@ -57,7 +57,7 @@ def random_state(disc, seed=0, scale=1.0):
 def fresh_rhs(Q, w, disc):
     """The rates of (Q, w) in new arrays, through a new Workspace."""
     out = (np.empty(Q.shape), tuple(np.empty(wi.shape) for wi in w))
-    return solver._rhs(Q, w, disc, out, solver.Workspace(disc))
+    return solver._rhs(Q, w, disc, out, solver.Workspace(disc), 1.0)
 
 
 def energy(state):
@@ -229,7 +229,7 @@ def test_rhs_peak_allocation(widths):
     assert 3 * np.getbufsize() * st.Q.itemsize < row
     ws = solver.Workspace(disc)
     peak = _peak_states(
-        lambda: solver._rhs(st.Q, st.w, disc, ws.stages[1], ws), st)
+        lambda: solver._rhs(st.Q, st.w, disc, ws.stages[1], ws, 1e-3), st)
     assert peak * st.Q.nbytes < row
 
 
@@ -271,13 +271,19 @@ def _poison(ws):
             a.fill(False if a.dtype == bool else np.nan)
 
 
-@pytest.mark.parametrize("dim,counts", [(2, (5, 4)), (3, (4, 3, 4))])
-def test_workspace_reuse_bitwise(dim, counts):
+@pytest.mark.parametrize("dim,counts,widths", [
+    (2, (5, 4), _every_axis(2)), (3, (4, 3, 4), _every_axis(3)),
+    # layers on y only: the first axis writes its result rows with no
+    # layer terms, y writes the stress rows new to it, then adds its
+    # layer's terms
+    (3, (4, 3, 4), {"y": (2.5, 2.5)}),
+], ids=["2-counts0", "3-counts1", "3-y-only"])
+def test_workspace_reuse_bitwise(dim, counts, widths):
     # steps through one workspace match steps each through a new one; a
     # step through a poisoned one matches too, so no buffer is read
     # before the step writes it
     disc = make_disc(dim=dim, counts=counts, degree=3, theta=0.5,
-                     widths=_every_axis(dim), d0=1.3, alpha=0.2,
+                     widths=widths, d0=1.3, alpha=0.2,
                      gamma=GAMMA_ALL_2D if dim == 2 else GAMMA_ALL_3D)
     moment = np.eye(dim) + 0.3 * (1 - np.eye(dim))
     src = MomentTensorSource(disc.mesh, disc.ops, (4.1,) * dim, moment,
@@ -292,6 +298,33 @@ def test_workspace_reuse_bitwise(dim, counts):
     _poison(ws)
     _assert_bitwise(solver.ader_step(fresh, dt, [src], ws),
                     solver.ader_step(fresh, dt, [src], solver.Workspace(disc)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_step_with_source_matches_taylor_sum(dim):
+    # the stage terms carry dt/k through the RHS and c_k = dt^k/k! through
+    # the source; the reference sums c_k u^(k), u^(k) = L u^(k-1) +
+    # f^(k-1)(t), each formed unscaled
+    disc = make_disc(dim=dim, counts=(3,) * dim, degree=3, theta=0.5,
+                     widths=_every_axis(dim), d0=1.3, alpha=0.2,
+                     gamma=GAMMA_ALL_2D if dim == 2 else GAMMA_ALL_3D)
+    moment = np.eye(dim) + 0.3 * (1 - np.eye(dim))
+    src = MomentTensorSource(disc.mesh, disc.ops, (4.1,) * dim, moment,
+                             GaussianSTF(sigma=0.05, t0=0.08))
+    st = random_state(disc, seed=8)
+    st.t, dt = 0.06, 0.02
+    want = [st.Q.copy(), *(wi.copy() for wi in st.w)]
+    term, coef = (st.Q, st.w), 1.0
+    for k in range(1, disc.ops.degree + 2):
+        term = fresh_rhs(*term, disc)
+        src.inject(term[0], st.t, k - 1)
+        coef *= dt / k
+        for acc, part in zip(want, (term[0], *term[1])):
+            acc += coef * part
+    got = solver.ader_step(st, dt, [src], solver.Workspace(disc))
+    assert got.t == st.t + dt
+    for a, b in zip((got.Q, *got.w), want, strict=True):
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
 
 @pytest.mark.parametrize("dim,counts", [(2, (64, 64)), (3, (10, 10, 10))])
