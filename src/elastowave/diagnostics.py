@@ -65,18 +65,26 @@ def linf_series(state):
     return float(np.sqrt(sq.max()))
 
 
+def check_levels(spacings, errors=None):
+    """Raises DegenerateError unless the levels give convergence rates:
+    at least 2 of them, one positive error each, positive and decreasing
+    spacings.  Without errors (before the runs) each level counts as
+    giving one."""
+    h = np.asarray(spacings, dtype=float)
+    e = np.ones(h.size) if errors is None else np.asarray(errors, float)
+    if e.size < 2 or e.size != h.size:
+        raise DegenerateError("need matching errors/spacings with >= 2 levels")
+    if (e <= 0).any():
+        raise DegenerateError("zero or negative error leaves the rate undefined")
+    if (h <= 0).any() or (np.diff(h) >= 0).any():
+        raise DegenerateError("spacings must be positive and decreasing")
+
+
 def convergence_rates(errors, spacings):
     """log(e_i/e_{i+1}) / log(h_i/h_{i+1}) for each adjacent level pair."""
-    errors = np.asarray(errors, dtype=float)
-    spacings = np.asarray(spacings, dtype=float)
-    if errors.size < 2 or errors.size != spacings.size:
-        raise DegenerateError("need matching errors/spacings with >= 2 levels")
-    if (errors <= 0).any():
-        raise DegenerateError("zero or negative error leaves the rate undefined")
-    if (spacings <= 0).any() or (np.diff(spacings) >= 0).any():
-        raise DegenerateError("spacings must be positive and decreasing")
-    return list(np.log(errors[:-1] / errors[1:])
-                / np.log(spacings[:-1] / spacings[1:]))
+    check_levels(spacings, errors)
+    e, h = np.asarray(errors, float), np.asarray(spacings, float)
+    return list(np.log(e[:-1] / e[1:]) / np.log(h[:-1] / h[1:]))
 
 
 def _bump(u):

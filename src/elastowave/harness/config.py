@@ -36,6 +36,7 @@ from ..operators import MAX_DEGREE
 from ..physics import (AXES, axes_of, material_from_lame,
                        material_from_speeds, stress_name, stress_names,
                        velocity_names)
+from ..sources import STF_KINDS
 
 _UNITS = {
     "m": 1.0,
@@ -54,13 +55,11 @@ _UNITS = {
 }
 _LENGTHS = {"m": 1.0, "km": 1000.0}
 _BARE = {}                 # dimensionless: no unit tag
-_REQUIRED = object()       # default of a key that must be given
+_REQUIRED = dataclasses.MISSING    # default of a key that must be given
 
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _AXIS_RE = "(" + "|".join(AXES) + ")"
 _GAMMA_WORDS = {"free": 1.0, "absorbing": 0.0, "clamped": -1.0}
-# the parameters of each source-time function, its width first
-_STF_PARAMS = {"gaussian": ("sigma", "t0"), "ramp": ("T",)}
 _SECTIONS = ("mesh", "boundary", "pml", "time", "initial", "output")
 _NAMED_SECTIONS = ("material", "source", "receiver")   # also [head.NAME]
 _REQUIRED_SECTIONS = ("mesh", "material", "time")
@@ -397,11 +396,9 @@ def parse_config(text):
         moment = tuple(tuple(vals[stress_name(a, b)] for b in axes)
                        for a in axes)
         stf = sec.get("stf", None, _REQUIRED)
-        if stf == "gaussian":
-            params = {"sigma": sec.get("sigma", default=_REQUIRED),
-                      "t0": sec.get("t0", default=0.0)}
-        elif stf == "ramp":
-            params = {"T": sec.get("T", default=_REQUIRED)}
+        if stf in STF_KINDS:
+            params = {f.name: sec.get(f.name, default=f.default)
+                      for f in dataclasses.fields(STF_KINDS[stf])}
         else:   # report the unknown kind alone, not its parameters
             params = {}
             sec.seen.update(sec.entries)
@@ -544,12 +541,17 @@ def validate(cfg):
         if axis not in axes:
             v.append(f"region axis {axis!r} not valid in"
                      f" {cfg.dimension}D")
-        elif not (idx < len(cfg.materials)):
-            v.append(f"region material index {idx} out of range")
-        else:
-            lo, hi = cfg.box[axes.index(axis)]
+        if not isinstance(threshold, numbers.Real):
+            v.append(f"region threshold must be a finite number,"
+                     f" got {threshold!r}")
+        elif axis in axes and math.isfinite(threshold):
+            lo = cfg.box[axes.index(axis)][0]
             if threshold <= lo + 0.5 * cfg.spacing:
                 v.append("region threshold selects no elements")
+        if not (isinstance(idx, numbers.Integral)
+                and 0 <= idx < len(cfg.materials)):
+            v.append(f"region material index must be an integer in"
+                     f" [0, {len(cfg.materials)}), got {idx!r}")
 
     for ax, side, g in cfg.boundary:
         vals = g if isinstance(g, tuple) else (g,)
@@ -592,14 +594,14 @@ def validate(cfg):
     for s in cfg.sources:
         v += _point_faults(f"source {s.sid}: location", s.location, cfg)
         params = dict(s.stf_params)
-        if s.stf not in _STF_PARAMS:
-            v.append(f"source {s.sid}: stf must be gaussian or ramp,"
-                     f" got {s.stf!r}")
+        if s.stf not in STF_KINDS:
+            v.append(f"source {s.sid}: stf must be"
+                     f" {' or '.join(STF_KINDS)}, got {s.stf!r}")
             continue
-        for key in _STF_PARAMS[s.stf]:
-            if key not in params:
-                v.append(f"source {s.sid}: {s.stf} stf needs {key}")
-        width = _STF_PARAMS[s.stf][0]
+        keys = [f.name for f in dataclasses.fields(STF_KINDS[s.stf])]
+        v += [f"source {s.sid}: {s.stf} stf needs {key}"
+              for key in keys if key not in params]
+        width = keys[0]
         if params.get(width, 1.0) <= 0.0:
             v.append(f"source {s.sid}: {s.stf} {width} must be positive")
 

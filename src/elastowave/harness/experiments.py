@@ -3,64 +3,112 @@ artifacts, and derive the companion runs (enlarged reference, plain
 absorbing truncation) used for error measurement."""
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .. import solver
-from ..diagnostics import (convergence_rates, discrete_energy,
+from ..diagnostics import (check_levels, convergence_rates, discrete_energy,
                            linf_series, pml_error, seismogram_misfit,
                            write_convergence, write_series, PlaneWaveSpec,
                            plane_wave_state)
 from ..errors import DivergenceDetected
-from ..mesh import MeshSpec, build_mesh
+from ..mesh import build_mesh
 from ..operators import build_operators
 from ..physics import axes_of, velocity_names
 from ..pml import build_damping, resolve_tol
-from ..sources import (GaussianSTF, IntervalGate, MomentTensorSource,
-                       RampSTF, Receiver, write_seismogram)
+from ..sources import (IntervalGate, MomentTensorSource, Receiver,
+                       STF_KINDS, write_seismogram)
 from .config import PmlSpec, finalize
 
 
 @dataclass
 class RunResult:
+    """The record of one run, and the last callback of its solver.run.
+
+    Each call notes the time reached and samples the series and the
+    snapshots on their gates.  With no series interval the series
+    samples every call; with no snapshot interval no snapshot is taken.
+    """
+
     config: object
     disc: object
     dt: float
-    t_end: float            # time actually reached
-    diverged: bool
-    snap_times: list
-    snapshots: list         # velocity fields, one array per snapshot
-    interior: tuple         # (lo, hi) box without layers, None if no pml
-    source_location: tuple
     receivers: list
-    energy: list            # EnergySample
-    linf_times: list
-    linf_values: list
-    metadata: dict
+    t_end: float            # time actually reached
+    diverged: bool = False
+    note: str = None        # why the run stopped short of tend
+    energy: list = field(default_factory=list)        # EnergySample
+    linf_values: list = field(default_factory=list)
+    snap_times: list = field(default_factory=list)
+    snapshots: list = field(default_factory=list)     # velocity fields
     state: object = None    # final state; None if the run diverged
 
+    def __post_init__(self):
+        out = self.config.output
+        self._series_gate = IntervalGate(out.series_interval)
+        self._snap_gate = IntervalGate(out.snapshot_interval)
 
-def _build_stf(spec):
-    params = dict(spec.stf_params)
-    if spec.stf == "gaussian":
-        return GaussianSTF(sigma=params["sigma"], t0=params["t0"])
-    if spec.stf == "ramp":
-        return RampSTF(T=params["T"])
-    raise ValueError(f"unknown stf {spec.stf!r}")
+    def __call__(self, state):
+        self.t_end = state.t
+        if self._series_gate(state.t):
+            self.energy.append(discrete_energy(state))
+            self.linf_values.append(linf_series(state))
+        if self.config.output.snapshot_interval is not None \
+                and self._snap_gate(state.t):
+            self.snap_times.append(state.t)
+            self.snapshots.append(np.array(state.Q[:self.config.dimension]))
+
+    @property
+    def linf_times(self):
+        return [s.t for s in self.energy]
+
+    @property
+    def interior(self):
+        """Box without layers, None if the run has none."""
+        cfg = self.config
+        return cfg.interior() if cfg.pml.enabled else None
+
+    @property
+    def source_location(self):
+        cfg, ini = self.config, self.config.initial
+        if cfg.sources:
+            return cfg.sources[0].location
+        if ini is not None and ini.kind == "velocity-gaussian":
+            return ini.get("center")
+        return tuple(0.5 * (lo + hi) for lo, hi in cfg.box)
+
+    @property
+    def metadata(self):
+        cfg, damping = self.config, self.disc.damping
+        return {
+            "dimension": cfg.dimension,
+            "box": ";".join(f"{lo:g}..{hi:g}" for lo, hi in cfg.box),
+            "elements": "x".join(str(n) for n in cfg.counts()),
+            "dx": cfg.spacing,
+            "degree": cfg.degree,
+            "quadrature": "GLL",
+            "cfl": cfg.cfl,
+            "dt": self.dt,
+            "tend": cfg.t_end,
+            "t_reached": self.t_end,
+            "theta": cfg.pml.theta,
+            "alpha": (f"{damping[0].alpha:.6g}"
+                      + (" (default)" if cfg.pml.alpha is None else "")
+                      if damping else "disabled"),
+            "tol": cfg.pml.tol,
+            "d0": ";".join(f"{t.axis}={t.d0:.6g}" for t in damping)
+                  or "disabled",
+            "diverged": self.diverged,
+            "notes": cfg.notes + ((self.note,) if self.note else ()),
+        }
 
 
 def build_problem(cfg):
     """Config -> (discretization, initial state, sources, receivers)."""
-    mins = tuple(b[0] for b in cfg.box)
-    maxs = tuple(b[1] for b in cfg.box)
-    spec = MeshSpec(
-        dim=cfg.dimension, mins=mins, maxs=maxs, counts=cfg.counts(),
-        materials=cfg.materials, gamma=dict(cfg.boundary_map()),
-        region_axis=cfg.region[0] if cfg.region else None,
-        region_threshold=cfg.region[1] if cfg.region else None,
-        region_material=cfg.region[2] if cfg.region else 1)
-    mesh = build_mesh(spec)
+    mesh = build_mesh(tuple(b[0] for b in cfg.box),
+                      tuple(b[1] for b in cfg.box), cfg.counts(),
+                      cfg.materials, cfg.boundary_map(), cfg.region)
     ops = build_operators(cfg.degree, "GLL")
     damping = build_damping(mesh, ops, cfg.pml.width_map(), cfg.pml.d0,
                             cfg.pml.alpha, cfg.pml.tol)
@@ -71,7 +119,7 @@ def build_problem(cfg):
     srcs = tuple(
         MomentTensorSource(mesh, ops, s.location,
                            np.asarray(s.moment, dtype=float),
-                           _build_stf(s))
+                           STF_KINDS[s.stf](**dict(s.stf_params)))
         for s in cfg.sources)
     recs = tuple(
         Receiver(mesh, ops, r.location, components=r.components,
@@ -105,14 +153,6 @@ def _apply_initial(state, cfg):
         raise ValueError(f"unknown initial kind {ini.kind!r}")
 
 
-def _source_point(cfg):
-    if cfg.sources:
-        return cfg.sources[0].location
-    if cfg.initial is not None and cfg.initial.kind == "velocity-gaussian":
-        return cfg.initial.get("center")
-    return tuple(0.5 * (lo + hi) for lo, hi in cfg.box)
-
-
 def run_experiment(cfg, output_dir=None, dt=None):
     """Run one configuration; returns a RunResult and, when output_dir
     is given, writes seismograms, series, snapshots and metadata.
@@ -128,70 +168,13 @@ def run_experiment(cfg, output_dir=None, dt=None):
         # an unusable directory fails here, not after the run
         os.makedirs(output_dir, exist_ok=True)
 
-    energy, linf_t, linf_v = [], [], []
-    snap_times, snapshots = [], []
-    series_gate = IntervalGate(cfg.output.series_interval)
-    snap_gate = IntervalGate(cfg.output.snapshot_interval)
-
-    def sample_series(st):
-        if not series_gate(st.t):
-            return
-        energy.append(discrete_energy(st))
-        linf_t.append(st.t)
-        linf_v.append(linf_series(st))
-
-    def sample_snapshot(st):
-        if cfg.output.snapshot_interval is None or not snap_gate(st.t):
-            return
-        snap_times.append(st.t)
-        snapshots.append(np.array(st.Q[:cfg.dimension]))
-
-    progress = {"t": state.t}
-
-    def track(st):
-        progress["t"] = st.t
-
-    callbacks = list(recs) + [sample_series, sample_snapshot, track]
-    diverged = False
-    note = None
+    result = RunResult(cfg, disc, dt, list(recs), t_end=state.t)
     try:
-        state = solver.run(state, cfg.t_end, dt, sources=srcs,
-                           callbacks=callbacks)
+        result.state = solver.run(state, cfg.t_end, dt, sources=srcs,
+                                  callbacks=recs + (result,))
     except DivergenceDetected as exc:
-        diverged = True
-        note = f"diverged at t = {progress['t']:.6g} s: {exc}"
-    t_reached = progress["t"]
-
-    meta = {
-        "dimension": cfg.dimension,
-        "box": ";".join(f"{lo:g}..{hi:g}" for lo, hi in cfg.box),
-        "elements": "x".join(str(n) for n in cfg.counts()),
-        "dx": cfg.spacing,
-        "degree": cfg.degree,
-        "quadrature": "GLL",
-        "cfl": cfg.cfl,
-        "dt": dt,
-        "tend": cfg.t_end,
-        "t_reached": t_reached,
-        "theta": cfg.pml.theta,
-        "alpha": (f"{disc.damping[0].alpha:.6g}"
-                  + (" (default)" if cfg.pml.alpha is None else "")
-                  if disc.damping else "disabled"),
-        "tol": cfg.pml.tol,
-        "d0": ";".join(f"{t.axis}={t.d0:.6g}" for t in disc.damping)
-              or "disabled",
-        "diverged": diverged,
-    }
-    notes = cfg.notes + ((note,) if note else ())
-
-    result = RunResult(
-        config=cfg, disc=disc, dt=dt, t_end=t_reached, diverged=diverged,
-        snap_times=snap_times, snapshots=snapshots,
-        interior=cfg.interior() if cfg.pml.enabled else None,
-        source_location=_source_point(cfg), receivers=list(recs),
-        energy=energy, linf_times=linf_t, linf_values=linf_v,
-        metadata=dict(meta, notes=notes),
-        state=None if diverged else state)
+        result.diverged = True
+        result.note = f"diverged at t = {result.t_end:.6g} s: {exc}"
     if output_dir is not None:
         write_outputs(result, output_dir)
     return result
@@ -312,6 +295,7 @@ def convergence_study(cfg, spacings, pad, output_dir=None,
     floor instead of staying fixed while the grid refines."""
     if output_dir is not None:
         os.makedirs(output_dir, exist_ok=True)
+    check_levels(spacings)
     errors = []
     for h in spacings:
         c = replace(cfg, spacing=float(h),

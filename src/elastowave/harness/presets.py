@@ -228,7 +228,7 @@ def preset(name, elements=None, degree=None, theta=None, tend=None):
             f"unknown preset {name!r}; choose from"
             f" {', '.join(PRESET_NAMES)}")
     build, rescale, note_degree = _PRESETS[name]
-    cfg = build()
+    cfg = canonical = build()
     if elements is not None:
         if elements < 1:
             raise ValidationError(f"elements must be at least 1, got {elements}")
@@ -237,20 +237,12 @@ def preset(name, elements=None, degree=None, theta=None, tend=None):
         cfg = replace(cfg, degree=degree)
         if note_degree:
             cfg = replace(cfg, notes=cfg.notes + (
-                f"degree set to {degree} (canonical {preset_degree(name)})",))
+                f"degree set to {degree} (canonical {canonical.degree})",))
     if theta is not None:
         cfg = replace(cfg, pml=replace(cfg.pml, theta=float(theta)),
                       notes=cfg.notes + (f"theta set to {theta:g}",))
     if tend is not None:
         cfg = replace(cfg, t_end=float(tend), notes=cfg.notes + (
             f"tend set to {tend:g} s (canonical"
-            f" {preset_tend(name):g} s)",))
+            f" {canonical.t_end:g} s)",))
     return finalize(cfg)
-
-
-def preset_degree(name):
-    return _PRESETS[name][0]().degree
-
-
-def preset_tend(name):
-    return _PRESETS[name][0]().t_end

@@ -1,6 +1,6 @@
 """Structured Cartesian multi-element grid with affine reference mapping."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,20 +12,6 @@ from .errors import (
 from .physics import axes_of
 
 _LOCATE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class MeshSpec:
-    dim: int
-    mins: tuple
-    maxs: tuple
-    counts: tuple
-    materials: tuple
-    gamma: dict = field(default_factory=dict)
-    # optional slab of a second material: ids by element centroid
-    region_axis: str = None
-    region_threshold: float = None
-    region_material: int = 1
 
 
 @dataclass(frozen=True)
@@ -64,45 +50,48 @@ def _normalize_gamma(value, dim):
     return arr
 
 
-def build_mesh(spec):
-    """Validate a MeshSpec and derive spacings, material ids, face tags."""
-    d = spec.dim
+def build_mesh(mins, maxs, counts, materials, gamma=None, region=None):
+    """Validate a box and derive spacings, material ids, face tags.
+
+    The dimension is len(mins).  gamma maps (axis, side) to reflection
+    coefficients, absorbing where a face is absent.  region is an
+    optional (axis, threshold, material index) triple: the elements
+    whose centroid lies below the threshold on that axis take the
+    indexed material, the others material 0."""
+    d = len(mins)
     if d not in (2, 3):
         raise InvalidExtent(f"dimension must be 2 or 3, got {d}")
-    if len(spec.mins) != d or len(spec.maxs) != d or len(spec.counts) != d:
+    if len(maxs) != d or len(counts) != d:
         raise InvalidExtent("mins/maxs/counts must match the dimension")
-    for lo, hi, n in zip(spec.mins, spec.maxs, spec.counts):
+    for lo, hi, n in zip(mins, maxs, counts):
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
             raise InvalidExtent(f"box side [{lo}, {hi}] is empty")
         if int(n) < 1:
             raise InvalidExtent(f"element count {n} must be >= 1")
-    spacings = tuple((hi - lo) / n for lo, hi, n in
-                     zip(spec.mins, spec.maxs, spec.counts))
+    spacings = tuple((hi - lo) / n for lo, hi, n in zip(mins, maxs, counts))
 
     axes = axes_of(d)
-    gamma = {}
-    for ax in axes:
-        for side in (-1, 1):
-            raw = spec.gamma.get((ax, side), 0.0)  # absorbing by default
-            gamma[(ax, side)] = _normalize_gamma(raw, d)
+    given = gamma or {}
+    gamma = {(ax, side): _normalize_gamma(given.get((ax, side), 0.0), d)
+             for ax in axes for side in (-1, 1)}
 
-    mesh = CartesianMesh(dim=d, mins=tuple(map(float, spec.mins)),
-                         maxs=tuple(map(float, spec.maxs)),
-                         counts=tuple(map(int, spec.counts)),
-                         spacings=spacings, materials=tuple(spec.materials),
-                         material_ids=np.zeros(spec.counts, dtype=np.intp),
+    mesh = CartesianMesh(dim=d, mins=tuple(map(float, mins)),
+                         maxs=tuple(map(float, maxs)),
+                         counts=tuple(map(int, counts)),
+                         spacings=spacings, materials=tuple(materials),
+                         material_ids=np.zeros(counts, dtype=np.intp),
                          gamma=gamma)
-    if spec.region_axis is not None:
-        if spec.region_axis not in axes or spec.region_threshold is None:
+    if region is not None:
+        axis, threshold, index = region
+        if axis not in axes or threshold is None:
             raise InvalidExtent(
                 f"region needs a {d}D mesh axis and a region_threshold,"
-                f" got {spec.region_axis!r} and {spec.region_threshold}")
-        ai = axes.index(spec.region_axis)
-        if not 0 <= spec.region_material < len(spec.materials):
-            raise InvalidExtent(
-                f"region material id {spec.region_material} out of range")
-        below = element_centers(mesh, ai) < spec.region_threshold
-        np.moveaxis(mesh.material_ids, ai, 0)[below] = spec.region_material
+                f" got {axis!r} and {threshold}")
+        if index not in range(len(materials)):
+            raise InvalidExtent(f"region material id {index} out of range")
+        ai = axes.index(axis)
+        below = element_centers(mesh, ai) < threshold
+        np.moveaxis(mesh.material_ids, ai, 0)[below] = index
     return mesh
 
 

@@ -59,6 +59,11 @@ class RampSTF:
         return np.exp(-t / self.T) * (a * t + b)
 
 
+# source-time functions by config name: the fields are the config keys,
+# the width first, and a field's default is its key's default
+STF_KINDS = {"gaussian": GaussianSTF, "ramp": RampSTF}
+
+
 def _point_stencil(mesh, ops, location, weights=1.0):
     """Owning element, reference coordinates and tensor Lagrange basis of
     a point, each 1D factor of the basis divided by weights."""

@@ -23,7 +23,7 @@ from elastowave.diagnostics import (PlaneWaveSpec, discrete_energy,
 from elastowave.harness import experiments as xp
 from elastowave.harness import presets as ps
 from elastowave.harness.config import finalize
-from elastowave.mesh import MeshSpec, build_mesh
+from elastowave.mesh import build_mesh
 from elastowave.operators import build_operators
 from elastowave.pml import resolve_tol
 
@@ -155,11 +155,9 @@ def test_criterion_04_energy_decay():
     worst = -np.inf
     for P in (2, 5):
         ops = build_operators(P, "GLL")
-        mesh = build_mesh(MeshSpec(
-            dim=2, mins=(0.0, 0.0), maxs=(4e3, 4e3), counts=(4, 4),
-            materials=(mat,),
-            gamma={("x", -1): 1.0, ("x", 1): 0.0,
-                   ("y", -1): -1.0, ("y", 1): 0.5}))
+        mesh = build_mesh(
+            (0.0, 0.0), (4e3, 4e3), (4, 4), (mat,),
+            {("x", -1): 1.0, ("x", 1): 0.0, ("y", -1): -1.0, ("y", 1): 0.5})
         disc = solver.discretize(mesh, ops)
         state = solver.setup_state(disc)
         rng = np.random.default_rng(97)

@@ -4,7 +4,7 @@ import pytest
 from elastowave import diagnostics as dg
 from elastowave import solver
 from elastowave.errors import DegenerateError, GeometryInsufficient
-from elastowave.mesh import MeshSpec, build_mesh
+from elastowave.mesh import build_mesh
 from elastowave.operators import build_operators
 from elastowave.physics import (
     coefficient_matrix,
@@ -18,16 +18,14 @@ from test_solver import fresh_rhs
 
 def make_disc(dim=2, counts=(4, 4), degree=3, extent=8.0, material=None):
     m = material or material_from_speeds(2.0, 2.0, 1.0)
-    spec = MeshSpec(dim=dim, mins=(0.0,) * dim, maxs=(extent,) * dim,
-                    counts=counts, materials=(m,))
-    return solver.discretize(build_mesh(spec), build_operators(degree, "GLL"))
+    mesh = build_mesh((0.0,) * dim, (extent,) * dim, counts, (m,))
+    return solver.discretize(mesh, build_operators(degree, "GLL"))
 
 
 def test_energy_zero_and_single_node():
     m = material_from_lame(2.0, 1.0, 1.0)
-    spec = MeshSpec(dim=2, mins=(0.0, 0.0), maxs=(2.0, 2.0), counts=(1, 1),
-                    materials=(m,))
-    disc = solver.discretize(build_mesh(spec), build_operators(1, "GLL"))
+    mesh = build_mesh((0.0, 0.0), (2.0, 2.0), (1, 1), (m,))
+    disc = solver.discretize(mesh, build_operators(1, "GLL"))
     st = solver.setup_state(disc)
     assert dg.discrete_energy(st).E == 0.0
     st.Q[0, 0, 0, 0, 0] = 1.0  # unit vx, J = 1, node weight 1x1, rho = 2
@@ -50,11 +48,10 @@ def test_energy_matches_elementwise_reference():
     # column, where the material tables vary along x only
     m = material_from_speeds(2700.0, 6.0, 3.464)
     layered = dict(materials=(m, material_from_speeds(3000.0, 8.0, 4.5)),
-                   region_axis="x", region_threshold=3.0)
+                   region=("x", 3.0, 1))
     for extra in ({"materials": (m,)}, layered):
-        spec = MeshSpec(dim=2, mins=(0.0, 0.0), maxs=(10.0, 10.0),
-                        counts=(3, 2), **extra)
-        disc = solver.discretize(build_mesh(spec), build_operators(2, "GLL"))
+        mesh = build_mesh((0.0, 0.0), (10.0, 10.0), (3, 2), **extra)
+        disc = solver.discretize(mesh, build_operators(2, "GLL"))
         st = solver.setup_state(disc)
         rng = np.random.default_rng(8)
         st.Q[...] = rng.standard_normal(st.Q.shape)
@@ -160,9 +157,9 @@ def test_plane_wave_nodal_sampling():
 def test_plane_wave_needs_homogeneous_medium():
     m1 = material_from_speeds(2.0, 2.0, 1.0)
     m2 = material_from_speeds(2.5, 3.0, 1.5)
-    spec = MeshSpec(dim=2, mins=(0.0, 0.0), maxs=(8.0, 8.0), counts=(4, 4),
-                    materials=(m1, m2), region_axis="x", region_threshold=4.0)
-    disc = solver.discretize(build_mesh(spec), build_operators(2, "GLL"))
+    mesh = build_mesh((0.0, 0.0), (8.0, 8.0), (4, 4), (m1, m2),
+                      region=("x", 4.0, 1))
+    disc = solver.discretize(mesh, build_operators(2, "GLL"))
     pw = dg.PlaneWaveSpec(n=(1.0, 0.0), mode="P", center=4.0, width=2.0)
     with pytest.raises(ValueError, match="needs a homogeneous medium"):
         dg.plane_wave_state(pw, disc, 0.0)
@@ -180,10 +177,8 @@ def test_rhs_matches_analytic_plane_wave_derivative():
     degree = 3
     errs = []
     for k in (16, 32):
-        spec = MeshSpec(dim=2, mins=(0.0, 0.0), maxs=(10.0, 10.0),
-                        counts=(k, k), materials=(m,), gamma=gam)
-        disc = solver.discretize(build_mesh(spec),
-                                 build_operators(degree, "GLL"))
+        mesh = build_mesh((0.0, 0.0), (10.0, 10.0), (k, k), (m,), gam)
+        disc = solver.discretize(mesh, build_operators(degree, "GLL"))
         pw = dg.PlaneWaveSpec(n=(1.0, 0.0), mode="P", center=5.0, width=2.0)
         st = solver.setup_state(disc)
         st.Q[...] = dg.plane_wave_state(pw, disc, 0.0)
@@ -212,9 +207,8 @@ def fake_run(counts, extent, interior, seed=0, t_end=0.5, mins=None):
     m = material_from_speeds(2.0, 2.0, 1.0)
     mins = mins or (0.0, 0.0)
     maxs = (mins[0] + extent[0], mins[1] + extent[1])
-    spec = MeshSpec(dim=2, mins=mins, maxs=maxs, counts=counts,
-                    materials=(m,))
-    disc = solver.discretize(build_mesh(spec), build_operators(2, "GLL"))
+    mesh = build_mesh(mins, maxs, counts, (m,))
+    disc = solver.discretize(mesh, build_operators(2, "GLL"))
     rng = np.random.default_rng(seed)
     snaps = [rng.standard_normal((2,) + disc.mesh.counts + (3, 3))
              for _ in range(3)]

@@ -14,6 +14,7 @@ import pytest
 
 import elastowave
 from elastowave.errors import (
+    DegenerateError,
     ParseError,
     UnknownPreset,
     ValidationError,
@@ -23,7 +24,7 @@ from elastowave.harness import config as cf
 from elastowave.harness import experiments as xp
 from elastowave.harness import presets as ps
 from elastowave.harness.config import OutputSpec, finalize, parse_config
-from elastowave.mesh import MeshSpec, build_mesh
+from elastowave.mesh import build_mesh
 from elastowave.operators import build_operators
 from elastowave.pml import build_damping
 
@@ -481,16 +482,28 @@ def _code_built_cases():
     yield f"source {src.sid}: gaussian stf needs t0", replace(
         hws, sources=(replace(src, stf_params=(("sigma", 0.1),)),))
     yield "degree must be an integer, got 2.0", replace(strip, degree=2.0)
+    loh = ps.preset("loh1", elements=9, degree=1, tend=0.1)
+    yield "region threshold must be a finite number, got None", replace(
+        loh, region=("x", None, 1))
+    yield "region material index must be an integer in [0, 2), got -1", \
+        replace(loh, region=("x", 1000.0, -1))
+    yield "region material index must be an integer in [0, 2), got 1.5", \
+        replace(loh, region=("x", 1000.0, 1.5))
 
 
 @pytest.mark.parametrize("cause, cfg", list(_code_built_cases()),
                          ids=["stf", "initial-type", "plane-wave-n",
-                              "gaussian-center", "stf-params", "degree"])
+                              "gaussian-center", "stf-params", "degree",
+                              "region-threshold", "region-negative-index",
+                              "region-fractional-index"])
 def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
     # each passed finalize; the first three failed in build_problem with
     # a bare ValueError, the fourth ran with z dropped from the centre,
-    # the fifth failed there with a bare KeyError and the last in
-    # build_operators, with "must be in [1, 16], got 2.0"
+    # the fifth failed there with a bare KeyError and the sixth in
+    # build_operators, with "must be in [1, 16], got 2.0".  Of the region
+    # cases, a missing threshold made validate itself raise TypeError, a
+    # negative index failed in build_mesh and a fractional one ran with
+    # the index truncated
     with pytest.raises(ValidationError, match=re.escape(cause)):
         finalize(cfg)
 
@@ -571,8 +584,7 @@ def test_hws3d_parameters():
     assert (8.4 * KM, 5 * KM, 5 * KM) in locs   # 5 km offset
     # unspecified frequency shift resolves to cp/(10 w) in the tables
     mins, maxs = zip(*cfg.box)
-    mesh = build_mesh(MeshSpec(dim=3, mins=mins, maxs=maxs,
-                               counts=cfg.counts(), materials=cfg.materials))
+    mesh = build_mesh(mins, maxs, cfg.counts(), cfg.materials)
     tables = build_damping(mesh, build_operators(1, "GLL"),
                            cfg.pml.width_map(), tol=cfg.pml.tol)
     assert [t.alpha for t in tables] == pytest.approx([0.5] * 3)
@@ -758,6 +770,46 @@ def test_energy_series_file(tiny_run):
     assert len(res.energy) == len(t)
 
 
+def test_sampling_rules(monkeypatch):
+    # no series interval: one energy and one L-inf sample per step and
+    # one of the initial state; no snapshot interval: no snapshot
+    steps = []
+    ader_step = xp.solver.ader_step
+
+    def counted(*args):
+        steps.append(args[0].t)
+        return ader_step(*args)
+
+    monkeypatch.setattr(xp.solver, "ader_step", counted)
+    cfg = ps.preset("strip2d", elements=10, degree=2, tend=2.0)
+    assert cfg.output == OutputSpec()
+    res = xp.run_experiment(cfg)
+    assert len(steps) > 1
+    assert len(res.energy) == len(res.linf_values) == len(steps) + 1
+    assert list(res.linf_times) == [s.t for s in res.energy]
+    assert [s.t for s in res.energy[:-1]] == steps
+    assert res.snap_times == [] and res.snapshots == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_divergence_is_recorded(tmp_path):
+    # at 3x its stable step the strip blows up within a second of wall
+    # time; the L-inf samples overflow to inf before the state does, so
+    # their finiteness is not asserted
+    cfg = ps.preset("strip2d", elements=10, degree=2, tend=200.0)
+    stable = xp.run_experiment(finalize(replace(cfg, t_end=1e-3))).dt
+    res = xp.run_experiment(cfg, str(tmp_path), dt=3 * stable)
+    assert res.diverged and res.state is None
+    assert 0.0 < res.t_end < cfg.t_end
+    assert res.t_end == res.energy[-1].t == res.linf_times[-1]
+    note = res.metadata["notes"][-1]
+    assert note.startswith(f"diverged at t = {res.t_end:.6g} s: ")
+    meta = (tmp_path / "metadata.txt").read_text().splitlines()
+    assert "diverged = True" in meta
+    assert f"t_reached = {res.t_end}" in meta
+    assert meta[-1] == f"note = {note}"
+
+
 def test_bitwise_reproducibility(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     xp.run_experiment(tiny_strip(), str(a))
@@ -874,7 +926,7 @@ def test_cli_reports_undecodable_config(tmp_path, capsys, verb):
 
 
 def _no_step(*args, **kwargs):
-    raise AssertionError("stepped before making the output directory")
+    raise AssertionError("stepped before the inputs were checked")
 
 
 @pytest.mark.parametrize("verb", ["run", "preset", "convergence"])
@@ -895,6 +947,24 @@ def test_cli_unusable_output_dir_fails_before_stepping(tmp_path, monkeypatch,
     assert cli.main(argv + ["--output-dir", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and out in err
+
+
+@pytest.mark.parametrize("levels, cause", [
+    ("10 km", "need matching errors/spacings with >= 2 levels"),
+    ("5 km,10 km", "spacings must be positive and decreasing")])
+def test_convergence_levels_checked_before_the_first_run(
+        tmp_path, monkeypatch, capsys, levels, cause):
+    # the study ran each level and its reference, 2 and 4 runs, before
+    # convergence_rates rejected the levels
+    cfgfile = tmp_path / "strip.cfg"
+    cfgfile.write_text(STRIP_TEXT)
+    monkeypatch.setattr(xp.solver, "run", _no_step)
+    assert cli.main(["convergence", str(cfgfile), "--levels", levels,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {cause}\n"
+    spacings = [cli._length(tok) for tok in levels.split(",")]
+    with pytest.raises(DegenerateError, match=re.escape(cause)):
+        xp.convergence_study(parse_config(STRIP_TEXT), spacings, 60 * KM)
 
 
 def test_cli_check_operators(capsys):

@@ -16,61 +16,65 @@ MAT = material_from_lame(1.0, 1.0, 1.0)
 
 
 def spec2d(**kw):
-    base = dict(dim=2, mins=(0.0, 0.0), maxs=(10.0, 10.0), counts=(2, 2),
+    """build_mesh's arguments for a 2x2 grid on [0, 10]^2, updated by kw."""
+    base = dict(mins=(0.0, 0.0), maxs=(10.0, 10.0), counts=(2, 2),
                 materials=(MAT,))
     base.update(kw)
-    return msh.MeshSpec(**base)
+    return base
 
 
 def test_strip_geometry():
     # 120 km x 50 km box at 5 km spacing: 24 x 10 elements
     s = spec2d(mins=(-60e3, 0.0), maxs=(60e3, 50e3), counts=(24, 10))
-    m = msh.build_mesh(s)
+    m = msh.build_mesh(**s)
     assert m.spacings == (5e3, 5e3)
     assert m.counts == (24, 10)
 
 
 def test_unit_box_jacobian():
-    s = msh.MeshSpec(dim=3, mins=(0, 0, 0), maxs=(1, 1, 1), counts=(1, 1, 1),
-                     materials=(MAT,))
-    m = msh.build_mesh(s)
+    m = msh.build_mesh((0, 0, 0), (1, 1, 1), (1, 1, 1), (MAT,))
+    assert m.dim == 3
     assert m.jacobian == pytest.approx(1 / 8)
 
 
 def test_loh1_element_count():
-    s = msh.MeshSpec(dim=3, mins=(0.0, -2.287e3, -2.287e3),
-                     maxs=(16.333e3, 14.046e3, 14.046e3),
-                     counts=(25, 25, 25), materials=(MAT,))
-    m = msh.build_mesh(s)
+    m = msh.build_mesh((0.0, -2.287e3, -2.287e3),
+                       (16.333e3, 14.046e3, 14.046e3), (25, 25, 25), (MAT,))
     assert m.counts == (25, 25, 25)
 
 
 def test_extent_validation():
     with pytest.raises(InvalidExtent):
-        msh.build_mesh(spec2d(maxs=(0.0, 10.0)))
+        msh.build_mesh(**spec2d(maxs=(0.0, 10.0)))
     with pytest.raises(InvalidExtent):
-        msh.build_mesh(spec2d(counts=(0, 2)))
+        msh.build_mesh(**spec2d(counts=(0, 2)))
+
+
+@pytest.mark.parametrize("mins, maxs, counts", [
+    ((0.0, 0.0), (1.0, 1.0, 1.0), (1, 1, 1)),
+    ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1, 1)),
+    ((0.0,) * 4, (1.0,) * 4, (1,) * 4)])
+def test_dimension_is_read_from_mins(mins, maxs, counts):
     with pytest.raises(InvalidExtent):
-        msh.build_mesh(msh.MeshSpec(dim=4, mins=(0,) * 4, maxs=(1,) * 4,
-                                    counts=(1,) * 4, materials=(MAT,)))
+        msh.build_mesh(mins, maxs, counts, (MAT,))
 
 
 @pytest.mark.parametrize("axis", ["q", "z"])
 def test_region_axis_must_be_a_mesh_axis(axis):
     with pytest.raises(InvalidExtent, match=f"'{axis}'"):
-        msh.build_mesh(spec2d(materials=(MAT, MAT), region_axis=axis,
-                              region_threshold=5.0))
+        msh.build_mesh(**spec2d(materials=(MAT, MAT), region=(axis, 5.0, 1)))
 
 
 def test_region_needs_a_threshold():
     with pytest.raises(InvalidExtent, match="region_threshold"):
-        msh.build_mesh(spec2d(materials=(MAT, MAT), region_axis="x"))
+        msh.build_mesh(**spec2d(materials=(MAT, MAT),
+                                region=("x", None, 1)))
 
 
 def test_gamma_validation():
     with pytest.raises(InvalidReflectionCoefficient):
-        msh.build_mesh(spec2d(gamma={("x", -1): 1.5}))
-    m = msh.build_mesh(spec2d(gamma={("y", -1): 1.0, ("x", 1): (1.0, -1.0)}))
+        msh.build_mesh(**spec2d(gamma={("x", -1): 1.5}))
+    m = msh.build_mesh(**spec2d(gamma={("y", -1): 1.0, ("x", 1): (1.0, -1.0)}))
     assert (m.gamma[("y", -1)] == 1.0).all()
     assert tuple(m.gamma[("x", 1)]) == (1.0, -1.0)
     assert (m.gamma[("y", 1)] == 0.0).all()  # absorbing default
@@ -80,7 +84,7 @@ def test_gamma_validation():
 def test_gamma_validation_rejects_nan(gamma):
     # a NaN reflection coefficient used to pass as [nan nan]
     with pytest.raises(InvalidReflectionCoefficient):
-        msh.build_mesh(spec2d(gamma={("x", 1): gamma}))
+        msh.build_mesh(**spec2d(gamma={("x", 1): gamma}))
 
 
 def to_physical(m, elem, ref):
@@ -97,14 +101,14 @@ def to_physical(m, elem, ref):
 
 
 def test_to_physical_edges():
-    m = msh.build_mesh(spec2d())
+    m = msh.build_mesh(**spec2d())
     assert to_physical(m, (0, 0), (-1.0, -1.0)) == (0.0, 0.0)
     assert to_physical(m, (0, 0), (1.0, 1.0)) == (5.0, 5.0)
     assert to_physical(m, (1, 1), (0.0, 0.0)) == (7.5, 7.5)
 
 
 def test_locate_point_examples():
-    m = msh.build_mesh(spec2d())
+    m = msh.build_mesh(**spec2d())
     elem, ref = msh.locate_point(m, (2.5, 2.5))
     assert elem == (0, 0) and ref == (0.0, 0.0)
     # point exactly on the internal edge goes to the lower element
@@ -123,16 +127,14 @@ def test_locate_point_examples():
                                         ((5.0, np.nan), 1)])
 def test_locate_point_rejects_nan(point, axis):
     # NaN passed both range tests and failed in int(): a bare ValueError
-    m = msh.build_mesh(spec2d())
+    m = msh.build_mesh(**spec2d())
     with pytest.raises(PointOutsideDomain, match=f"on axis {axis}$"):
         msh.locate_point(m, point)
 
 
 def test_locate_roundtrip_loh1_source():
-    s = msh.MeshSpec(dim=3, mins=(0.0, -2.287e3, -2.287e3),
-                     maxs=(16.333e3, 14.046e3, 14.046e3),
-                     counts=(25, 25, 25), materials=(MAT,))
-    m = msh.build_mesh(s)
+    m = msh.build_mesh((0.0, -2.287e3, -2.287e3),
+                       (16.333e3, 14.046e3, 14.046e3), (25, 25, 25), (MAT,))
     pt = (2e3, 0.0, 0.0)
     elem, ref = msh.locate_point(m, pt)
     back = to_physical(m, elem, ref)
@@ -142,7 +144,7 @@ def test_locate_roundtrip_loh1_source():
 @given(st.floats(0.001, 9.999), st.floats(0.001, 9.999))
 @settings(max_examples=80, deadline=None)
 def test_locate_roundtrip_property(x, y):
-    m = msh.build_mesh(spec2d(counts=(3, 4)))
+    m = msh.build_mesh(**spec2d(counts=(3, 4)))
     elem, ref = msh.locate_point(m, (x, y))
     back = to_physical(m, elem, ref)
     assert abs(back[0] - x) <= 1e-12 * 10
@@ -153,12 +155,9 @@ def test_locate_roundtrip_property(x, y):
 def test_material_region_by_centroid():
     soft = material_from_speeds(2600.0, 4000.0, 2000.0)
     hard = material_from_speeds(2700.0, 6000.0, 3464.0)
-    s = msh.MeshSpec(dim=3, mins=(0.0, -2.287e3, -2.287e3),
-                     maxs=(16.333e3, 14.046e3, 14.046e3),
-                     counts=(25, 25, 25), materials=(hard, soft),
-                     region_axis="x", region_threshold=1e3,
-                     region_material=1)
-    m = msh.build_mesh(s)
+    m = msh.build_mesh((0.0, -2.287e3, -2.287e3),
+                       (16.333e3, 14.046e3, 14.046e3), (25, 25, 25),
+                       (hard, soft), region=("x", 1e3, 1))
     dx = m.spacings[0]
     for i in range(25):
         want = 1 if (i + 0.5) * dx < 1e3 else 0

@@ -3,7 +3,7 @@ import pytest
 
 from elastowave import pml
 from elastowave.errors import InvalidExtent, InvalidTol
-from elastowave.mesh import MeshSpec, build_mesh
+from elastowave.mesh import build_mesh
 from elastowave.operators import build_operators
 from elastowave.physics import material_from_speeds
 
@@ -63,10 +63,8 @@ def test_resolve_tol_values():
 
 def strip_mesh():
     m = material_from_speeds(2700.0, 6000.0, 3464.0)
-    spec = MeshSpec(dim=2, mins=(-60.0, 0.0), maxs=(60.0, 50.0),
-                    counts=(24, 10), materials=(m,),
-                    gamma={("y", -1): 1.0, ("y", 1): 1.0})
-    return build_mesh(spec)
+    return build_mesh((-60.0, 0.0), (60.0, 50.0), (24, 10), (m,),
+                      {("y", -1): 1.0, ("y", 1): 1.0})
 
 
 def test_interior_box():
@@ -114,10 +112,8 @@ def test_build_damping_resolves_peak_and_shift(dim):
     # alpha defaults to 0.15 1/s in 2D and cp/(10 w) in 3D
     slow = material_from_speeds(2700.0, 4000.0, 2000.0)
     fast = material_from_speeds(2700.0, 6000.0, 3464.0)
-    mesh = build_mesh(MeshSpec(dim=dim, mins=(0.0,) * dim,
-                               maxs=(80.0,) * dim, counts=(8,) * dim,
-                               materials=(slow, fast), region_axis="x",
-                               region_threshold=40.0))
+    mesh = build_mesh((0.0,) * dim, (80.0,) * dim, (8,) * dim,
+                      (slow, fast), region=("x", 40.0, 1))
     ops = build_operators(2, "GLL")
     widths = {"x": (10.0, 20.0), "y": (0.0, 30.0)}
     tables = pml.build_damping(mesh, ops, widths, tol=1e-3)

@@ -9,7 +9,7 @@ import pytest
 
 from elastowave import solver
 from elastowave.errors import DivergenceDetected, UnsupportedDegree
-from elastowave.mesh import MeshSpec, build_mesh
+from elastowave.mesh import build_mesh
 from elastowave.operators import build_operators
 from elastowave.physics import material_from_speeds
 from elastowave.pml import build_damping
@@ -27,11 +27,8 @@ def make_disc(dim=2, counts=(4, 4), degree=3, gamma=None, theta=1.0,
     mats = (material_from_speeds(2.0, 2.0, 1.0),)
     if layered:
         mats += (material_from_speeds(3.0, 4.0, 2.1),)
-    spec = MeshSpec(dim=dim, mins=(0.0,) * dim, maxs=(extent,) * dim,
-                    counts=counts, materials=mats, gamma=gamma or {},
-                    region_axis="x" if layered else None,
-                    region_threshold=extent / 2 if layered else None)
-    mesh = build_mesh(spec)
+    mesh = build_mesh((0.0,) * dim, (extent,) * dim, counts, mats, gamma,
+                      ("x", extent / 2, 1) if layered else None)
     if layered == "mixed":
         mats += (material_from_speeds(1.5, 3.0, 1.2),
                  material_from_speeds(2.5, 5.0, 3.0))
@@ -382,9 +379,8 @@ def test_nodal_coordinates_match_affine_map():
 def test_face_impedances():
     # Z = rho c per wave family: cp for the family normal to the face
     m = material_from_speeds(2700.0, 6000.0, 3464.0)
-    spec = MeshSpec(dim=3, mins=(0.0,) * 3, maxs=(1.0,) * 3, counts=(1, 1, 1),
-                    materials=(m,))
-    disc = solver.discretize(build_mesh(spec), build_operators(1, "GLL"))
+    mesh = build_mesh((0.0,) * 3, (1.0,) * 3, (1, 1, 1), (m,))
+    disc = solver.discretize(mesh, build_operators(1, "GLL"))
     for ax in range(3):
         for fam in range(3):
             want = 1.62e7 if fam == ax else 2700.0 * 3464.0
@@ -446,9 +442,7 @@ def test_setup_state_auxiliary_shapes(dim, counts, widths, ends, shapes):
 
 def test_stable_dt_benchmark():
     m = material_from_speeds(2700.0, 6.0, 3.464)
-    spec = MeshSpec(dim=2, mins=(0.0, 0.0), maxs=(120.0, 50.0),
-                    counts=(24, 10), materials=(m,))
-    mesh = build_mesh(spec)
+    mesh = build_mesh((0.0, 0.0), (120.0, 50.0), (24, 10), (m,))
     dt = solver.stable_dt(mesh, mesh.materials, 5, 0.9)
     assert dt == pytest.approx(0.05905, abs=5e-5)
     assert solver.stable_dt(mesh, mesh.materials, 5, 0.45) == pytest.approx(dt / 2)
@@ -594,16 +588,15 @@ def test_plane_strain_embedding_matches_2d():
     # like its 2D restriction on the shared components
     m = material_from_speeds(2.0, 2.0, 1.0)
     gamma2 = {("x", -1): 1.0, ("x", 1): 0.0, ("y", -1): 0.0, ("y", 1): 1.0}
-    spec2 = MeshSpec(dim=2, mins=(0.0, 0.0), maxs=(6.0, 4.0), counts=(3, 2),
-                     materials=(m,), gamma=gamma2)
+    mesh2 = build_mesh((0.0, 0.0), (6.0, 4.0), (3, 2), (m,), gamma2)
     gamma3 = dict(gamma2)
     gamma3[("z", -1)] = (1.0, 1.0, -1.0)
     gamma3[("z", 1)] = (1.0, 1.0, -1.0)
-    spec3 = MeshSpec(dim=3, mins=(0.0, 0.0, 0.0), maxs=(6.0, 4.0, 4.0),
-                     counts=(3, 2, 2), materials=(m,), gamma=gamma3)
+    mesh3 = build_mesh((0.0, 0.0, 0.0), (6.0, 4.0, 4.0), (3, 2, 2), (m,),
+                       gamma3)
     ops = build_operators(2, "GLL")
-    d2 = solver.discretize(build_mesh(spec2), ops)
-    d3 = solver.discretize(build_mesh(spec3), ops)
+    d2 = solver.discretize(mesh2, ops)
+    d3 = solver.discretize(mesh3, ops)
 
     rng = np.random.default_rng(5)
     s2 = solver.setup_state(d2)

@@ -3,7 +3,7 @@ import pytest
 
 from elastowave import solver, sources
 from elastowave.errors import UnsupportedOrder
-from elastowave.mesh import MeshSpec, build_mesh
+from elastowave.mesh import build_mesh
 from elastowave.operators import build_operators
 from elastowave.physics import material_from_speeds
 
@@ -75,9 +75,7 @@ def at_time(state, t):
 
 def make_setup(dim=2, degree=3):
     m = material_from_speeds(2.0, 2.0, 1.0)
-    spec = MeshSpec(dim=dim, mins=(0.0,) * dim, maxs=(8.0,) * dim,
-                    counts=(4,) * dim, materials=(m,))
-    mesh = build_mesh(spec)
+    mesh = build_mesh((0.0,) * dim, (8.0,) * dim, (4,) * dim, (m,))
     ops = build_operators(degree, "GLL")
     return mesh, ops, solver.discretize(mesh, ops)
 
