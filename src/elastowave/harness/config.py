@@ -536,7 +536,11 @@ def validate(cfg):
         v.append("no materials defined")
     if len(cfg.materials) > 1 and cfg.region is None:
         v.append("secondary material defined without a region rule")
-    if cfg.region is not None:
+    if cfg.region is not None and not (isinstance(cfg.region, tuple)
+                                       and len(cfg.region) == 3):
+        v.append("region must be (axis, threshold, material index),"
+                 f" got {cfg.region!r}")
+    elif cfg.region is not None:
         axis, threshold, idx = cfg.region
         if axis not in axes:
             v.append(f"region axis {axis!r} not valid in"

@@ -43,13 +43,13 @@ so their products with face planes and rows run long inner loops.
 
 An RHS takes a scale, which rides the derivative matrix, the lift
 scalar and the layer tables, so an ADER stage forms its Taylor term
-dt^k/k! u^(k) in one pass and the step adds each term once.  `run`
-builds one Workspace and hands it to every `ader_step`; it dies when
-run returns.  It holds two ping-pong stage results, the RHS scratch
-(traction gather, fluctuation planes, derivative, scaled layer tables,
--d*w) and a bool buffer for the finiteness check.  Every kernel writes
-into buffers its caller passes, so a step allocates nothing state-sized
-but the new state.
+dt^k/k! u^(k) in one pass and the step adds each term once into the
+state it advances.  `run` builds one Workspace and hands it to every
+`ader_step`; it dies when run returns.  It holds two ping-pong stage
+results, the RHS scratch (traction gather, fluctuation planes,
+derivative, scaled layer tables, -d*w) and a bool buffer for the
+finiteness check.  Every kernel writes into buffers its caller passes,
+so a step allocates nothing state-sized.
 """
 
 from dataclasses import dataclass
@@ -297,24 +297,6 @@ def _at(k, axis):
     return (slice(None),) * axis + (k,)
 
 
-def _add_rows(out, rows, val):
-    """out[rows] += val in place: at once for a slice of rows, else one
-    component row at a time on basic slices, where a fancy index would
-    copy, add and write back."""
-    if isinstance(rows, slice):
-        out[rows] += val
-        return
-    for r, x in zip(rows, val):
-        out[r] += x
-
-
-def _halves(disc, ax):
-    """(rows of Q, rows of w) of the velocities and of the traction slots
-    of axis ax."""
-    dim = disc.mesh.dim
-    return ((slice(0, dim),) * 2, (disc.slots[ax], slice(dim, None)))
-
-
 def _rhs(Q, w, disc, out, ws, scale):
     """scale times the rates (dQ, dw) of the state (Q, w); on a Taylor
     term with scale dt/k, the next term but its source.  They overwrite
@@ -336,13 +318,16 @@ def _rhs(Q, w, disc, out, ws, scale):
         np.multiply(_scaled(decay, scale, ws), wpos, out=dws)
         _axis_terms(Q, ax, disc, total, ws, dmat, lift, dws, ends)
         # -d*w, added on the same elements of Q once the axis has written
-        # or added its terms there
+        # or added its terms there; the slots one row each on basic
+        # slices, where a fancy index would copy, add and write back
         tab = _scaled(neg_d, scale, ws)
         neg_dw = np.multiply(tab, wpos, out=_view(ws.buf[tab.size:],
                                                   wpos.shape))
         for q_el, w_el in ends:
-            for rows, w_rows in _halves(disc, ax):
-                _add_rows(total[q_el], rows, neg_dw[w_el][w_rows])
+            dest, src = total[q_el], neg_dw[w_el]
+            dest[:dim] += src[:dim]
+            for r, x in zip(disc.slots[ax], src[dim:]):
+                dest[r] += x
 
     total[:dim] /= disc.rho_e
     s = total[dim:]
@@ -388,13 +373,14 @@ def _axis_terms(Q, ax, disc, total, ws, dmat, lift, dws=None, ends=()):
     # from row r of total, with whether an earlier axis has written them:
     # the first axis writes the velocity rows, and slot i of axis ax, the
     # stress of axes ax and i, is written first by axis min(ax, i).
-    for (rows, w_rows), src in zip(_halves(disc, ax), (t, v)):
+    for src, w_rows in ((t, slice(0, dim)), (v, slice(dim, None))):
         if src is t:
             pieces = ((0, 0, dim, ax > 0),)
         else:               # the velocity rows are done with G
             g_l /= -disc.z[ax]
             g_r /= disc.z[ax]
-            pieces = tuple((i, r, 1, i < ax) for i, r in enumerate(rows))
+            pieces = tuple((i, r, 1, i < ax)
+                           for i, r in enumerate(disc.slots[ax]))
         for i, r, m, added in pieces:
             dest = total[r:r + m]
             der = _view(ws.der, dest.shape) if added else dest
@@ -468,17 +454,17 @@ def stable_dt(mesh, materials, degree, cfl, damping_rate=0.0):
 
 
 def ader_step(state, dt, sources, ws):
-    """Taylor step of order P+1: u += sum_k T_k with T_k = dt^k/k! u^(k)
-    and u^(k+1) = L u^(k) + f^(k)(t_n).
+    """Taylor step of order P+1, in place: u += sum_k T_k with
+    T_k = dt^k/k! u^(k) and u^(k+1) = L u^(k) + f^(k)(t_n).
 
     Each stage forms its term whole, T_k = (dt/k) L T_(k-1) + c_k
     f^(k-1) with c_k = dt^k/k!: the RHS takes the factor dt/k and the
     sources inject c_k f^(k-1).  Stage k writes T_k into
     ws.stages[k % 2], over T_(k-2); ws is a Workspace for state.disc.
-    The first stage's sum Q + T_1 is the new state, and each later term
-    is added to it, so the step allocates nothing state-sized but the new
-    state."""
-    disc = state.disc
+    Each term is added into state.Q and state.w, which stage 1 reads
+    first, so the step allocates nothing state-sized.  Returns state,
+    advanced by dt; after DivergenceDetected its fields are not finite."""
+    disc, fields = state.disc, (state.Q,) + state.w
     term_q, term_w = state.Q, state.w
     coef = 1.0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
@@ -488,24 +474,34 @@ def ader_step(state, dt, sources, ws):
                                   dt / k)
             for src in sources:
                 src.inject(term_q, state.t, k - 1, coef)
-            terms = (term_q,) + term_w
-            if k == 1:
-                acc = [np.add(a, term)
-                       for a, term in zip((state.Q,) + state.w, terms)]
-            else:
-                for a, term in zip(acc, terms):
-                    a += term
-    if not all(np.isfinite(a, out=_view(ws.finite, a.shape)).all()
-               for a in acc):
-        raise DivergenceDetected(f"non-finite field at t = {state.t + dt}")
-    return SimulationState(disc=disc, t=state.t + dt, Q=acc[0],
-                           w=tuple(acc[1:]))
+            for a, term in zip(fields, (term_q,) + term_w):
+                a += term
+    state.t += dt
+    for a, tab in zip(fields, (None,) + disc.damping):
+        if not np.isfinite(a, out=_view(ws.finite, a.shape)).all():
+            raise DivergenceDetected(_blow_up(state, a, tab))
+    return state
+
+
+def _blow_up(state, field, tab):
+    """Where field (Q, or the auxiliary field of table tab) is first not
+    finite in C order: the element, and its region by its layers."""
+    counts, damping = state.disc.mesh.counts, state.disc.damping
+    first = np.unravel_index(np.argmin(np.isfinite(field)), field.shape)
+    elem = [int(e) for e in first[1:1 + len(counts)]]
+    name = "Q" if tab is None else f"auxiliary field of axis {tab.axis}"
+    if tab is not None and elem[tab.axis_index] >= tab.lo:  # the high end
+        elem[tab.axis_index] += counts[tab.axis_index] - tab.lo - tab.hi
+    layers = sum(not t.lo <= elem[t.axis_index] < counts[t.axis_index] - t.hi
+                 for t in damping)
+    return (f"non-finite {name} at t = {state.t} in element {tuple(elem)}"
+            f" ({('interior', 'layer', 'corner')[min(layers, 2)]})")
 
 
 def run(state, t_end, dt, sources=(), callbacks=()):
-    """Fixed-step march to t_end with a final truncated step landing on it
-    exactly.  Callbacks fire on the initial state and after every step.
-    One Workspace serves every step and dies when run returns."""
+    """March state in place to t_end in steps of dt, the last truncated
+    to land on t_end exactly; returns state.  Callbacks see this one state
+    at the start and after every step: one that keeps fields must copy."""
     if not np.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
     if not 0.0 < dt < np.inf:      # NaN fails too
@@ -518,7 +514,7 @@ def run(state, t_end, dt, sources=(), callbacks=()):
     eps = 1e-12 * max(dt, 1.0)
     while state.t < t_end - eps:
         step = min(dt, t_end - state.t)
-        state = ader_step(state, step, sources, ws)
+        ader_step(state, step, sources, ws)
         for cb in callbacks:
             cb(state)
     return state

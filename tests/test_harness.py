@@ -1,5 +1,6 @@
 """Config parsing, presets, experiment drivers, CLI."""
 
+import copy
 import os
 import re
 import shutil
@@ -489,13 +490,17 @@ def _code_built_cases():
         replace(loh, region=("x", 1000.0, -1))
     yield "region material index must be an integer in [0, 2), got 1.5", \
         replace(loh, region=("x", 1000.0, 1.5))
+    for region in (("x", 1000.0), ("x", 1000.0, 1, 2), "x"):
+        yield ("region must be (axis, threshold, material index), got"
+               f" {region!r}"), replace(loh, region=region)
 
 
 @pytest.mark.parametrize("cause, cfg", list(_code_built_cases()),
                          ids=["stf", "initial-type", "plane-wave-n",
                               "gaussian-center", "stf-params", "degree",
                               "region-threshold", "region-negative-index",
-                              "region-fractional-index"])
+                              "region-fractional-index", "region-pair",
+                              "region-quadruple", "region-string"])
 def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
     # each passed finalize; the first three failed in build_problem with
     # a bare ValueError, the fourth ran with z dropped from the centre,
@@ -503,7 +508,8 @@ def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
     # build_operators, with "must be in [1, 16], got 2.0".  Of the region
     # cases, a missing threshold made validate itself raise TypeError, a
     # negative index failed in build_mesh and a fractional one ran with
-    # the index truncated
+    # the index truncated; a region not of three entries made validate
+    # raise "not enough values to unpack" (or too many)
     with pytest.raises(ValidationError, match=re.escape(cause)):
         finalize(cfg)
 
@@ -789,6 +795,35 @@ def test_sampling_rules(monkeypatch):
     assert list(res.linf_times) == [s.t for s in res.energy]
     assert [s.t for s in res.energy[:-1]] == steps
     assert res.snap_times == [] and res.snapshots == []
+
+
+def test_snapshots_and_samples_outlive_later_steps(monkeypatch):
+    # the run steps one state in place, so a snapshot or a receiver
+    # sample that kept a view of its fields would read a later step's
+    # values: replay fresh copies of the callbacks on copies of every
+    # state they saw
+    seen, replays = [], []
+    run = xp.solver.run
+
+    def keep(st):
+        seen.append(replace(st, Q=st.Q.copy(),
+                            w=tuple(wi.copy() for wi in st.w)))
+
+    def copying(state, t_end, dt, sources=(), callbacks=()):
+        replays.extend(copy.deepcopy(callbacks))
+        return run(state, t_end, dt, sources, tuple(callbacks) + (keep,))
+
+    monkeypatch.setattr(xp.solver, "run", copying)
+    res = xp.run_experiment(tiny_strip())
+    for st in seen:
+        for cb in replays:
+            cb(st)
+    (again, replay), rec = replays, res.receivers[0]
+    assert len(res.snapshots) > 1 and len(rec.samples) > 1
+    for got, want in ((res.snapshots, replay.snapshots),
+                      (rec.samples, again.samples)):
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
