@@ -174,7 +174,7 @@ def run_experiment(cfg, output_dir=None, dt=None):
                                   callbacks=recs + (result,))
     except DivergenceDetected as exc:
         result.diverged = True
-        result.note = f"diverged at t = {result.t_end:.6g} s: {exc}"
+        result.note = f"diverged: {exc}"
     if output_dir is not None:
         write_outputs(result, output_dir)
     return result

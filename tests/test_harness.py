@@ -838,8 +838,12 @@ def test_divergence_is_recorded(tmp_path):
     assert res.diverged and res.state is None
     assert 0.0 < res.t_end < cfg.t_end
     assert res.t_end == res.energy[-1].t == res.linf_times[-1]
+    # the note names the failed step by its start and end, in one format
     note = res.metadata["notes"][-1]
-    assert note.startswith(f"diverged at t = {res.t_end:.6g} s: ")
+    step = f"from t = {res.t_end:.6g} to {res.t_end + res.dt:.6g} s"
+    assert re.fullmatch(
+        rf"diverged: non-finite Q in the step {re.escape(step)}, in element"
+        r" \(\d+, \d+\) \((interior|layer|corner)\)", note), note
     meta = (tmp_path / "metadata.txt").read_text().splitlines()
     assert "diverged = True" in meta
     assert f"t_reached = {res.t_end}" in meta

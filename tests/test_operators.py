@@ -203,6 +203,25 @@ def test_diff_matches_einsum_on_every_node_axis(dim, n):
         assert np.abs(out - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_diff_slab_rows_bitwise(dim, n):
+    # the RHS differentiates one slab of element rows of the first element
+    # axis at a time.  A slab's short-row products take fewer rows (on 3D
+    # at n = 4, (576, 4) @ (4, 4) blocks on one row, not (2880, 4) on the
+    # grid), and each product row comes out bit for bit the same
+    rng = np.random.default_rng(10 * dim + n)
+    D = rng.standard_normal((n, n))
+    for m in (1, dim):
+        arr = rng.standard_normal((m,) + (5, 3, 4)[:dim] + (n,) * dim)
+        for node_ax in range(1 + dim, arr.ndim):
+            whole = _diff(arr, node_ax, D, np.empty(arr.shape))
+            for start, stop in ((0, 1), (1, 3), (3, 5), (4, 5)):
+                slab = np.ascontiguousarray(arr[:, start:stop])
+                got = _diff(slab, node_ax, D, np.empty(slab.shape))
+                assert np.array_equal(got, whole[:, start:stop])
+
+
 def test_diff_never_aliases():
     ops = build_operators(2, "GLL")
     f = np.random.default_rng(1).standard_normal((1, 3, 3))

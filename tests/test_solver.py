@@ -14,7 +14,7 @@ from elastowave.mesh import build_mesh
 from elastowave.operators import build_operators
 from elastowave.physics import material_from_speeds
 from elastowave.pml import build_damping
-from elastowave.sources import GaussianSTF, MomentTensorSource
+from elastowave.sources import GaussianSTF, MomentTensorSource, Receiver
 
 import rhs_oracle
 from test_operators import _thread_cpu_ticks
@@ -237,16 +237,24 @@ def test_rhs_peak_allocation(widths):
     assert peak * st.Q.nbytes < row
 
 
-@pytest.mark.parametrize("widths,bound", zip(PEAK_WIDTHS, (3.3, 4.0)))
-def test_step_peak_allocation(widths, bound):
+@pytest.mark.parametrize("widths,bound,rows", [
+    pytest.param(PEAK_WIDTHS[0], 3.3, None, id="None-3.3"),
+    pytest.param(PEAK_WIDTHS[1], 4.0, None, id="widths1-4.0"),
+    pytest.param(PEAK_WIDTHS[1], 2.2, 1, id="widths1-2.2-slabs")])
+def test_step_peak_allocation(monkeypatch, widths, bound, rows):
     # a new workspace and one step through it: two stage buffers (each
     # 1 + 0.33 states with layers), the RHS scratch (the traction gather
     # and derivative, 1/3 state each, and one face plane), the ufunc
     # buffers and the bool buffer of the finiteness check (1/8 state)
     # measure 3.16 / 3.83 states.  A new state for the sum measured
     # 4.16 / 5.16, all nc rows in w (0.5 states) on top of it 5.4, and a
-    # state-sized coef * term per stage on top of a fresh RHS 6.4 / 7.7
+    # state-sized coef * term per stage on top of a fresh RHS 6.4 / 7.7.
+    # In slabs of one element row, one stage buffer, and a slab's result
+    # and scratch, measure 2.04 states: 3.86 as one slab
     disc = make_disc(dim=3, counts=(6, 6, 6), degree=3, widths=widths)
+    if rows:
+        _slab_rows(monkeypatch, disc, rows)
+        assert len(solver.Workspace(disc).slabs) == 6
     st = random_state(disc)
     peak = _peak_states(
         lambda: solver.ader_step(st, 1e-3, (), solver.Workspace(disc)), st)
@@ -265,13 +273,15 @@ def _assert_bitwise(got, want):
 
 
 def _poison(ws):
-    """Every workspace buffer filled with NaN, the bool one with False."""
+    """Every workspace buffer filled with NaN, the bool one with False.
+    The slab records are skipped: their scratch and results are views of
+    these buffers, and their tables are the discretization's."""
     stack = list(vars(ws).values())
     while stack:
         a = stack.pop()
         if isinstance(a, tuple):
             stack.extend(a)
-        else:
+        elif isinstance(a, np.ndarray):
             a.fill(False if a.dtype == bool else np.nan)
 
 
@@ -304,6 +314,107 @@ def test_workspace_reuse_bitwise(dim, counts, widths):
     poisoned = copy_state(fresh)
     _assert_bitwise(solver.ader_step(poisoned, dt, [src], ws),
                     solver.ader_step(fresh, dt, [src], solver.Workspace(disc)))
+
+
+def _slab_rows(monkeypatch, disc, rows):
+    """Sets the slab size so that disc's slabs are at most `rows` element
+    rows high, and as few as that allows."""
+    q, w = solver._field_shapes(disc)
+    doubles = sum(int(np.prod(s)) for s in (q, *w))
+    monkeypatch.setattr(solver, "_SLAB_BYTES",
+                        -(-rows * 8 * doubles // disc.mesh.counts[0]))
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+@pytest.mark.parametrize("dim,counts", [(2, (5, 4)), (3, (5, 3, 4))],
+                         ids=["2d", "3d"])
+def test_rhs_slab_count_bitwise(monkeypatch, dim, counts, theta, rows):
+    # layers on every axis (x damps rows 0 and 4), a reflection coefficient
+    # per wave family on every face and impedances that jump across every
+    # face: one slab and slabs of `rows` rows give the same bits, into a
+    # separate result and in place
+    disc = make_disc(dim=dim, counts=counts, degree=3, theta=theta,
+                     widths=_every_axis(dim), d0=1.3, alpha=0.2,
+                     gamma=GAMMA_ALL_2D if dim == 2 else GAMMA_ALL_3D,
+                     layered="mixed")
+    assert [(t.lo, t.hi) for t in disc.damping][0] == (1, 1)
+    st = random_state(disc, seed=11)
+    one = solver.Workspace(disc)
+    _slab_rows(monkeypatch, disc, rows)
+    ws = solver.Workspace(disc)
+    assert len(one.slabs) == 1 and len(ws.slabs) == -(-5 // rows)
+    assert max(s.stop - s.start for s in ws.slabs) == rows
+    want = solver._rhs(st.Q, st.w, disc, one.stages[1], one, 0.3)
+    got = solver._rhs(st.Q, st.w, disc, ws.stages[0], ws, 0.3)
+    assert got is ws.stages[0]
+    in_place = copy_state(st)
+    solver._rhs(in_place.Q, in_place.w, disc, (in_place.Q, in_place.w), ws,
+                0.3)
+    for q, w in (got, (in_place.Q, in_place.w)):
+        _assert_bitwise(solver.SimulationState(disc, 0.0, q, w),
+                        solver.SimulationState(disc, 0.0, *want))
+
+
+@pytest.mark.filterwarnings("ignore:source sits on an element boundary")
+def test_benchmark_grids_split_into_slabs():
+    # hws3d at 8 elements has 14 element rows with layers on every axis,
+    # the 3D plane wave 12 rows without layers, the strip 24 x 10 in 2D
+    from elastowave.harness import experiments, presets
+    for cfg, heights in (
+            (presets.preset("hws3d", elements=8, degree=3), [2] * 7),
+            (presets.planewave_config(dim=3, elements=12, degree=3), [6, 6]),
+            (presets.preset("strip2d"), [24])):
+        disc = experiments.build_problem(cfg)[0]
+        assert np.diff(solver._slab_bounds(disc)).tolist() == heights
+
+
+def test_slab_workspace_holds_one_term(monkeypatch):
+    # one stage result of the state's shapes, which the stages after the
+    # first rewrite in place, and slab-sized result and scratch: as one
+    # slab the workspace holds two stage results and grid-sized scratch
+    disc = make_disc(dim=3, counts=(6, 4, 4), degree=3,
+                     widths=_every_axis(3))
+    st = solver.setup_state(disc)
+    state = st.Q.nbytes + sum(wi.nbytes for wi in st.w)
+
+    def held(ws):
+        stages = [a for q, w in ws.stages for a in (q, *w)]
+        return stages, sum(a.nbytes for a in stages + [
+            ws.buf, ws.result, ws.halo, ws.finite])
+
+    assert held(solver.Workspace(disc))[1] > 2 * state
+    _slab_rows(monkeypatch, disc, 1)
+    ws = solver.Workspace(disc)
+    stages, total = held(ws)
+    assert len(ws.slabs) == 6
+    assert [a.shape for a in stages] == [a.shape for a in (st.Q, *st.w)]
+    assert state < total < 1.5 * state
+
+
+def test_run_slab_count_bitwise(monkeypatch):
+    # a layered run with a source and a receiver, through one slab and
+    # through one-row slabs, whose stages after the first run in place
+    disc = make_disc(dim=3, counts=(5, 3, 4), degree=3, theta=0.5,
+                     widths=_every_axis(3), d0=1.3, alpha=0.2,
+                     gamma=GAMMA_ALL_3D, layered="mixed")
+    moment = np.eye(3) + 0.3 * (1 - np.eye(3))
+    src = MomentTensorSource(disc.mesh, disc.ops, (4.1,) * 3, moment,
+                             GaussianSTF(sigma=0.05, t0=0.08))
+    runs = []
+    for rows in (None, 1):
+        if rows:
+            _slab_rows(monkeypatch, disc, rows)
+            assert len(solver.Workspace(disc).slabs) == 5
+        st = random_state(disc, seed=12, scale=1e-3)
+        rec = Receiver(disc.mesh, disc.ops, (6.3, 2.2, 7.7))
+        solver.run(st, 0.1, 0.02, sources=[src], callbacks=[rec])
+        monkeypatch.undo()
+        runs.append((st, rec))
+    (st1, rec1), (st2, rec2) = runs
+    _assert_bitwise(st2, st1)
+    assert len(rec1.samples) == 6
+    assert np.array_equal(np.array(rec2.samples), np.array(rec1.samples))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -339,14 +450,14 @@ def test_step_through_workspace_allocates_only_the_result(dim, counts):
     # the second step through one workspace adds into the state it is
     # given and allocates no state row: numpy's ufunc buffers (up to
     # three of np.getbufsize() doubles) and element-sized factors stay
-    # within one face plane, which is smaller than a row here.  A new
-    # state for the sum took 1.04 / 1.02 states on top
+    # within one face plane of the grid, which is smaller than a row
+    # here.  A new state for the sum took 1.04 / 1.02 states on top
     disc = make_disc(dim=dim, counts=counts, degree=3, theta=0.5,
                      widths=_every_axis(dim))
     st = random_state(disc)
     ws = solver.Workspace(disc)
-    plane = ws.planes[0].nbytes
-    assert 3 * np.getbufsize() * 8 < plane < ws.gather[0].nbytes
+    plane = st.Q[:dim, ..., 0].nbytes
+    assert 3 * np.getbufsize() * 8 < plane < st.Q[0].nbytes
     peak = _peak_states(lambda: solver.ader_step(st, 1e-3, (), ws), st)
     assert peak * st.Q.nbytes <= plane
 
@@ -608,7 +719,8 @@ def test_divergence_detected():
         st = solver.setup_state(disc)
         st.Q[0, 0, 0, 0, 0] = np.inf
         with pytest.raises(DivergenceDetected, match=re.escape(
-                f"non-finite Q at t = 0.01 in element (0, 0) ({region})")):
+                "non-finite Q in the step from t = 0 to 0.01 s, in element"
+                f" (0, 0) ({region})")):
             solver.ader_step(st, 0.01, (), solver.Workspace(disc))
 
 
@@ -625,9 +737,10 @@ def test_divergence_names_auxiliary_element(x, y_slab, elem, region):
     w_y = st.w[1]
     w_y[0, x, y_slab, 1] = np.nan
     w_y[3, 0, 0, 0] = np.inf
-    assert solver._blow_up(st, w_y, disc.damping[1]) == (
-        f"non-finite auxiliary field of axis y at t = 0.0 in element {elem}"
-        f" ({region})")
+    st.t = 0.25
+    assert solver._blow_up(st, 0.125, w_y, disc.damping[1]) == (
+        "non-finite auxiliary field of axis y in the step from t = 0.125 to"
+        f" 0.25 s, in element {elem} ({region})")
 
 
 def test_plane_strain_embedding_matches_2d():
