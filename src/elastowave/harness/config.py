@@ -482,6 +482,8 @@ def _non_finite(value, path):
 
 
 def _dimension_faults(dim):
+    if not isinstance(dim, numbers.Integral):
+        return [f"dimension must be an integer, got {dim!r}"]
     return [] if dim in (2, 3) else [f"dimension must be 2 or 3, got {dim}"]
 
 

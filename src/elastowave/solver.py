@@ -53,14 +53,13 @@ layer terms and the material map stay inside a slab; an x face between
 two slabs takes the neighbour row's outgoing wave, read from the input
 before either slab's rows are written, so the result is bitwise the same
 for any slab count.  `run` builds one Workspace and hands it to every
-`ader_step`; it dies when run returns.  It holds the RHS scratch of the
-largest slab (traction gather, fluctuation planes, derivative, scaled
-layer tables, -d*w) and a slab-sized bool buffer for the finiteness
-check.  A grid of one slab takes two ping-pong stage results; a grid of
-several takes one, which each stage after the first overwrites in place
-slab by slab, and one slab's result.  Every kernel writes into buffers
-its caller passes, so a step allocates nothing state-sized, and a run of
-several slabs holds two state-sized arrays: the state and one term.
+`ader_step`; it dies when run returns.  It holds the RHS scratch and the
+result of the largest slab, a slab-sized bool buffer for the finiteness
+check, and one stage result, which each stage after the first overwrites
+in place slab by slab.  Every kernel writes into buffers its caller
+passes, so a step allocates nothing state-sized.  A run holds the state,
+the stage result and the slab result: on a grid of several slabs two
+state-sized arrays, on a grid of one slab three.
 """
 
 from dataclasses import dataclass, replace
@@ -286,8 +285,7 @@ class _Slab:
     """The element rows start:stop of axis 0 and what _rhs needs to form
     their rates: per field (Q, then the auxiliary fields) the index of
     the rows, disc's tables on them (see _restrict), their result in
-    Workspace.result (None for a grid of one slab, whose result is
-    written straight), and the RHS scratch shaped for them."""
+    Workspace.result, and the RHS scratch shaped for them."""
 
     start: int
     stop: int
@@ -324,26 +322,21 @@ class Workspace:
     the stage factor, and after the axis's terms -d*w behind it: 2 dim
     rows on the layer's damped elements of the slab.
 
-    A grid of one slab takes two ping-pong stage results, each a Q and
-    its auxiliary fields, which _rhs writes straight.  A grid of several
-    takes one stage result, which every stage after the first rewrites
-    in place, and result, where _rhs forms each slab's rates before they
-    go into their rows; halo holds three face planes of one row of
-    elements, the outgoing waves across slab faces on axis 0.
-    finite is a bool buffer for the finiteness check, slab by slab."""
+    stage is one stage result, a Q and its auxiliary fields, which every
+    stage after the first rewrites in place; result is where _rhs forms
+    each slab's rates before they go into their rows.  halo holds three
+    face planes of one row of elements, the outgoing waves across slab
+    faces on axis 0.  finite is a bool buffer for the finiteness check,
+    slab by slab."""
 
     def __init__(self, disc):
         dim, n = disc.mesh.dim, disc.ops.n_nodes
         bounds = _slab_bounds(disc)
-        one = len(bounds) == 2
-        q_shape, w_shapes = _field_shapes(disc)
+        q_shape, _ = _field_shapes(disc)
         face = disc.mesh.counts[1:] + (n,) * (dim - 1)
         parts, scratch = [], []
         for start, stop in zip(bounds, bounds[1:]):
-            if one:
-                sub, index = disc, (_at(slice(None), 1),) * (1 + len(w_shapes))
-            else:
-                sub, index = _restrict(disc, start, stop)
+            sub, index = _restrict(disc, start, stop)
             fields = [q_shape[:1] + (stop - start,) + q_shape[2:]]
             fields += [s for s, _ in sub.layers]
             plane = (dim, stop - start) + face
@@ -353,19 +346,16 @@ class Workspace:
         sizes = [[prod(s) for s in part[4]] for part in parts]
         self.buf = np.empty(max(scratch))
         self.finite = np.empty(max(map(max, sizes)), dtype=bool)
-        self.stages = tuple(_zero_fields(disc) for _ in range(2 if one else 1))
-        self.result = np.empty(0 if one else max(map(sum, sizes)))
+        self.stage = _zero_fields(disc)
+        self.result = np.empty(max(map(sum, sizes)))
         self.halo = np.empty((3, dim, 1) + face)
         slabs = []
         for start, stop, index, sub, fields, plane in parts:
             size = prod(plane)
             rows = n * size
-            out = None
-            if not one:
-                q, *w = _lay_out(self.result, fields)
-                out = (q, tuple(w))
+            q, *w = _lay_out(self.result, fields)
             slabs.append(_Slab(
-                start, stop, index, sub, out, self.buf,
+                start, stop, index, sub, (q, tuple(w)), self.buf,
                 self.buf[:rows].reshape(plane + (n,)),
                 self.buf[rows:rows + 4 * size].reshape((4,) + plane),
                 self.buf[rows + 2 * size:2 * rows + 2 * size].reshape(
@@ -434,21 +424,19 @@ def _at(k, axis):
 def _rhs(Q, w, disc, out, ws, scale):
     """scale times the rates (dQ, dw) of the state (Q, w); on a Taylor
     term with scale dt/k, the next term but its source.  They overwrite
-    out, a Q and its auxiliary fields, which is returned; the RHS scratch
-    comes from ws, a Workspace for disc.  The factor rides the derivative
-    matrix, the lift scalar and the layer tables.
+    out, a Q and its auxiliary fields, which is returned and may be (Q, w)
+    itself; the RHS scratch comes from ws, a Workspace for disc.  The
+    factor rides the derivative matrix, the lift scalar and the layer
+    tables.
 
-    The rates are formed slab by slab (see Workspace).  A grid of several
-    slabs forms each in ws.result; its material map writes Q's rows of
-    out, and then its auxiliary rates are copied into theirs, so out may
-    be (Q, w) itself.  A face between two slabs takes each side's
-    outgoing wave into ws.halo from the rows before the slab writes
-    them."""
-    slabs = ws.slabs
-    if len(slabs) == 1:
-        return _slab_rhs(Q, w, slabs[0].disc, out, slabs[0], scale,
-                         (None, None), out[0])
+    The rates are formed slab by slab (see Workspace), each in its slab's
+    result; its material map writes Q's rows of out, and then its
+    auxiliary rates are copied into theirs.  A face between two slabs
+    takes each side's outgoing wave into ws.halo from the rows before the
+    slab writes them."""
     total, dw = out
+    terms = [(scale * d, scale * h) for d, h in zip(disc.dmat, disc.lift)]
+    slabs = ws.slabs
     prev, nxt, save = ws.halo
     for slab in slabs:
         last = slab is slabs[-1]
@@ -456,7 +444,7 @@ def _rhs(Q, w, disc, out, ws, scale):
             _outgoing(Q, disc, slab.stop, 0, nxt)
             _outgoing(Q, disc, slab.stop - 1, -1, save)
         q, *w_rows = (a[i] for a, i in zip((Q, *w), slab.index))
-        _slab_rhs(q, w_rows, slab.disc, slab.out, slab, scale,
+        _slab_rhs(q, w_rows, slab, scale, terms,
                   (None if slab.start == 0 else prev, None if last else nxt),
                   total[slab.index[0]])
         for a, i, part in zip(dw, slab.index[1:], slab.out[1]):
@@ -481,33 +469,31 @@ def _outgoing(Q, disc, row, node, out):
     return out
 
 
-def _slab_rhs(Q, w, disc, out, scratch, scale, halo, dest):
-    """The rates of `_rhs` on one slab: Q and w its rows, disc's tables
-    on them, out its result, scratch a _Slab holding its RHS scratch.
+def _slab_rhs(Q, w, slab, scale, terms, halo, dest):
+    """The rates of `_rhs` on one slab: Q and w its rows, slab its _Slab,
+    terms per axis the derivative matrix and the lift scalar times scale.
     halo holds the outgoing waves across its faces on axis 0 (see
     fluctuation), None where the face is the grid's.  The material map
-    writes the rates of Q from out[0] into dest, which may be out[0]."""
+    writes the rates of Q from the slab's result into dest."""
+    disc, (total, dw) = slab.disc, slab.out
     dim = disc.mesh.dim
-    total, dw = out
     layers = {tab.axis_index: pos for pos, tab in enumerate(disc.damping)}
-    for ax in range(dim):
-        dmat, lift = scale * disc.dmat[ax], scale * disc.lift[ax]
+    for ax, (dmat, lift) in enumerate(terms):
         edges = halo if ax == 0 else (None, None)
         pos = layers.get(ax)
         if pos is None:
-            _axis_terms(Q, ax, disc, total, scratch, dmat, lift, edges)
+            _axis_terms(Q, ax, slab, dmat, lift, edges)
             continue
         wpos, dws = w[pos], dw[pos]
         neg_d, decay, ends = disc.layers[pos][1]
         # the decay of w over the whole layer, then the terms of the axis
-        np.multiply(_scaled(decay, scale, scratch), wpos, out=dws)
-        _axis_terms(Q, ax, disc, total, scratch, dmat, lift, edges, dws,
-                    ends)
+        np.multiply(_scaled(decay, scale, slab), wpos, out=dws)
+        _axis_terms(Q, ax, slab, dmat, lift, edges, dws, ends)
         # -d*w, added on the same elements of Q once the axis has written
         # or added its terms there; the slots one row each on basic
         # slices, where a fancy index would copy, add and write back
-        tab = _scaled(neg_d, scale, scratch)
-        neg_dw = np.multiply(tab, wpos, out=_view(scratch.buf[tab.size:],
+        tab = _scaled(neg_d, scale, slab)
+        neg_dw = np.multiply(tab, wpos, out=_view(slab.buf[tab.size:],
                                                   wpos.shape))
         for q_el, w_el in ends:
             rates, src = total[q_el], neg_dw[w_el]
@@ -517,40 +503,40 @@ def _slab_rhs(Q, w, disc, out, scratch, scale, halo, dest):
 
     np.divide(total[:dim], disc.rho_e, out=dest[:dim])
     s = total[dim:]
-    tr = np.sum(s[:dim], axis=0, out=scratch.gather[0])
+    tr = np.sum(s[:dim], axis=0, out=slab.gather[0])
     tr *= disc.lam_e
     s[:dim] *= 2 * disc.mu_e
     np.add(s[:dim], tr, out=dest[dim:2 * dim])
     np.multiply(s[dim:], disc.mu_e, out=dest[2 * dim:])
-    return out
 
 
-def _scaled(table, scale, scratch):
+def _scaled(table, scale, slab):
     """scale * table, at the start of the RHS scratch."""
-    return np.multiply(table, scale, out=_view(scratch.buf, table.shape))
+    return np.multiply(table, scale, out=_view(slab.buf, table.shape))
 
 
-def _axis_terms(Q, ax, disc, total, scratch, dmat, lift, halo, dws=None,
-                ends=()):
-    """The terms of axis ax, derivative matrix dmat and lift scalar lift,
-    into total, and added to the layer ends of dws (damped elements, see
-    _layer_tables) with the face terms scaled by theta: the velocity rows into
-    dws[:dim], the traction slots into dws[dim:].  Each row of total
-    that no earlier axis has written (every row, on the first axis) takes
-    its derivative straight, the others add it from the scratch; the
-    velocity rows go as one block, the slots one row at a time.  The
-    gather, derivative and face planes are those of scratch, which the
-    next axis overwrites; halo goes to `fluctuation`."""
+def _axis_terms(Q, ax, slab, dmat, lift, halo, dws=None, ends=()):
+    """The terms of axis ax on one slab, derivative matrix dmat and lift
+    scalar lift, into the slab's result, and added to the layer ends of
+    dws (damped elements, see _layer_tables) with the face terms scaled
+    by theta: the velocity rows into dws[:dim], the traction slots into
+    dws[dim:].  Each row of the result that no earlier axis has written
+    (every row, on the first axis) takes its derivative straight, the
+    others add it from the scratch; the velocity rows go as one block,
+    the slots one row at a time.  The gather, derivative and face planes
+    are the slab's scratch, which the next axis overwrites; halo goes to
+    `fluctuation`."""
+    disc, total = slab.disc, slab.out[0]
     dim = disc.mesh.dim
     node_ax = 1 + dim + ax
-    v, t = Q[:dim], scratch.gather
+    v, t = Q[:dim], slab.gather
     for row, slot in zip(t, disc.slots[ax]):
         row[...] = Q[slot]
     # -H^-1 e F with F = (G; side a^T G / Z), side -1 on the left face:
     # -lift G onto the velocity rows, -side lift G / Z onto the slots.
     # g holds the face terms of the rows at hand: -lift G, then for the
     # slots lift G / Z on the left and -lift G / Z on the right.
-    g_l, g_r = fluctuation(v, t, ax, disc, scratch.planes, halo)
+    g_l, g_r = fluctuation(v, t, ax, disc, slab.planes, halo)
     g_l *= -lift
     g_r *= -lift
     left, right = _at(0, node_ax), _at(-1, node_ax)
@@ -570,7 +556,7 @@ def _axis_terms(Q, ax, disc, total, scratch, dmat, lift, halo, dws=None,
                            for i, r in enumerate(disc.slots[ax]))
         for i, r, m, added in pieces:
             dest = total[r:r + m]
-            der = _view(scratch.der, dest.shape) if added else dest
+            der = _view(slab.der, dest.shape) if added else dest
             _diff(src[i:i + m], node_ax, dmat, der)
             der[left] += g_l[i:i + m]
             der[right] += g_r[i:i + m]
@@ -586,7 +572,7 @@ def _axis_terms(Q, ax, disc, total, scratch, dmat, lift, halo, dws=None,
         for node, g in ((left, g_l), (right, g_r)):
             for q_el, w_el in ends:
                 f = np.multiply(g[q_el], disc.theta - 1.0,
-                                out=_view(scratch.gather, g[q_el].shape))
+                                out=_view(slab.gather, g[q_el].shape))
                 dws[w_el][node][w_rows] += f
 
 
@@ -654,21 +640,19 @@ def ader_step(state, dt, sources, ws):
 
     Each stage forms its term whole, T_k = (dt/k) L T_(k-1) + c_k
     f^(k-1) with c_k = dt^k/k!: the RHS takes the factor dt/k and the
-    sources inject c_k f^(k-1).  ws is a Workspace for state.disc.  On a
-    grid of one slab stage k writes T_k into ws.stages[k % 2], over
-    T_(k-2); on a grid of several, into ws.stages[0], over T_(k-1) (see
-    _rhs).  Each term is added into state.Q and state.w, which stage 1
-    reads first, so the step allocates nothing state-sized.  Returns
-    state, advanced by dt; after DivergenceDetected its fields are not
-    finite."""
+    sources inject c_k f^(k-1).  ws is a Workspace for state.disc.
+    Stage k writes T_k into ws.stage, over T_(k-1) (see _rhs).  Each
+    term is added into state.Q and state.w, which stage 1 reads first, so
+    the step allocates nothing state-sized.  Returns state, advanced by
+    dt; after DivergenceDetected its fields are not finite."""
     disc, fields = state.disc, (state.Q,) + state.w
     term_q, term_w = state.Q, state.w
     coef, start = 1.0, state.t
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for k in range(1, disc.ops.degree + 2):
             coef *= dt / k
-            term_q, term_w = _rhs(term_q, term_w, disc,
-                                  ws.stages[k % len(ws.stages)], ws, dt / k)
+            term_q, term_w = _rhs(term_q, term_w, disc, ws.stage, ws,
+                                  dt / k)
             for src in sources:
                 src.inject(term_q, state.t, k - 1, coef)
             for a, term in zip(fields, (term_q,) + term_w):

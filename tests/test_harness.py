@@ -483,6 +483,8 @@ def _code_built_cases():
     yield f"source {src.sid}: gaussian stf needs t0", replace(
         hws, sources=(replace(src, stf_params=(("sigma", 0.1),)),))
     yield "degree must be an integer, got 2.0", replace(strip, degree=2.0)
+    yield "dimension must be an integer, got 2.0", replace(
+        strip, dimension=2.0)
     loh = ps.preset("loh1", elements=9, degree=1, tend=0.1)
     yield "region threshold must be a finite number, got None", replace(
         loh, region=("x", None, 1))
@@ -498,18 +500,20 @@ def _code_built_cases():
 @pytest.mark.parametrize("cause, cfg", list(_code_built_cases()),
                          ids=["stf", "initial-type", "plane-wave-n",
                               "gaussian-center", "stf-params", "degree",
-                              "region-threshold", "region-negative-index",
+                              "dimension", "region-threshold",
+                              "region-negative-index",
                               "region-fractional-index", "region-pair",
                               "region-quadruple", "region-string"])
 def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
     # each passed finalize; the first three failed in build_problem with
     # a bare ValueError, the fourth ran with z dropped from the centre,
-    # the fifth failed there with a bare KeyError and the sixth in
-    # build_operators, with "must be in [1, 16], got 2.0".  Of the region
-    # cases, a missing threshold made validate itself raise TypeError, a
-    # negative index failed in build_mesh and a fractional one ran with
-    # the index truncated; a region not of three entries made validate
-    # raise "not enough values to unpack" (or too many)
+    # the fifth failed there with a bare KeyError, the sixth in
+    # build_operators, with "must be in [1, 16], got 2.0", and the seventh
+    # in validate itself, with "slice indices must be integers".  Of the
+    # region cases, a missing threshold made validate itself raise
+    # TypeError, a negative index failed in build_mesh and a fractional
+    # one ran with the index truncated; a region not of three entries made
+    # validate raise "not enough values to unpack" (or too many)
     with pytest.raises(ValidationError, match=re.escape(cause)):
         finalize(cfg)
 

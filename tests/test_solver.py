@@ -233,7 +233,7 @@ def test_rhs_peak_allocation(widths):
     assert 3 * np.getbufsize() * st.Q.itemsize < row
     ws = solver.Workspace(disc)
     peak = _peak_states(
-        lambda: solver._rhs(st.Q, st.w, disc, ws.stages[1], ws, 1e-3), st)
+        lambda: solver._rhs(st.Q, st.w, disc, ws.stage, ws, 1e-3), st)
     assert peak * st.Q.nbytes < row
 
 
@@ -242,15 +242,17 @@ def test_rhs_peak_allocation(widths):
     pytest.param(PEAK_WIDTHS[1], 4.0, None, id="widths1-4.0"),
     pytest.param(PEAK_WIDTHS[1], 2.2, 1, id="widths1-2.2-slabs")])
 def test_step_peak_allocation(monkeypatch, widths, bound, rows):
-    # a new workspace and one step through it: two stage buffers (each
-    # 1 + 0.33 states with layers), the RHS scratch (the traction gather
-    # and derivative, 1/3 state each, and one face plane), the ufunc
+    # a new workspace and one step through it: as one slab, the stage
+    # result and the slab's result (each 1 + 0.33 states with layers),
+    # the RHS scratch (the traction gather and derivative, 1/3 state
+    # each, and one face plane), the slab's x layer tables, the ufunc
     # buffers and the bool buffer of the finiteness check (1/8 state)
-    # measure 3.16 / 3.83 states.  A new state for the sum measured
-    # 4.16 / 5.16, all nc rows in w (0.5 states) on top of it 5.4, and a
-    # state-sized coef * term per stage on top of a fresh RHS 6.4 / 7.7.
-    # In slabs of one element row, one stage buffer, and a slab's result
-    # and scratch, measure 2.04 states: 3.86 as one slab
+    # measure 3.21 / 3.95 states; two ping-pong stage results measured
+    # 3.21 / 3.87.  A new state for the sum measured 4.16 / 5.16, all nc
+    # rows in w (0.5 states) on top of it 5.4, and a state-sized
+    # coef * term per stage on top of a fresh RHS 6.4 / 7.7.  In slabs of
+    # one element row, the stage result and a slab's result and scratch
+    # measure 2.06 states
     disc = make_disc(dim=3, counts=(6, 6, 6), degree=3, widths=widths)
     if rows:
         _slab_rows(monkeypatch, disc, rows)
@@ -332,8 +334,8 @@ def _slab_rows(monkeypatch, disc, rows):
 def test_rhs_slab_count_bitwise(monkeypatch, dim, counts, theta, rows):
     # layers on every axis (x damps rows 0 and 4), a reflection coefficient
     # per wave family on every face and impedances that jump across every
-    # face: one slab and slabs of `rows` rows give the same bits, into a
-    # separate result and in place
+    # face: one slab and slabs of `rows` rows, each through the same slab
+    # loop, give the same bits, into a separate result and in place
     disc = make_disc(dim=dim, counts=counts, degree=3, theta=theta,
                      widths=_every_axis(dim), d0=1.3, alpha=0.2,
                      gamma=GAMMA_ALL_2D if dim == 2 else GAMMA_ALL_3D,
@@ -345,13 +347,16 @@ def test_rhs_slab_count_bitwise(monkeypatch, dim, counts, theta, rows):
     ws = solver.Workspace(disc)
     assert len(one.slabs) == 1 and len(ws.slabs) == -(-5 // rows)
     assert max(s.stop - s.start for s in ws.slabs) == rows
-    want = solver._rhs(st.Q, st.w, disc, one.stages[1], one, 0.3)
-    got = solver._rhs(st.Q, st.w, disc, ws.stages[0], ws, 0.3)
-    assert got is ws.stages[0]
-    in_place = copy_state(st)
-    solver._rhs(in_place.Q, in_place.w, disc, (in_place.Q, in_place.w), ws,
-                0.3)
-    for q, w in (got, (in_place.Q, in_place.w)):
+    want = solver._rhs(st.Q, st.w, disc, one.stage, one, 0.3)
+    got = solver._rhs(st.Q, st.w, disc, ws.stage, ws, 0.3)
+    assert want is one.stage and got is ws.stage
+    results = [got]
+    for work in (one, ws):
+        in_place = copy_state(st)
+        solver._rhs(in_place.Q, in_place.w, disc,
+                    (in_place.Q, in_place.w), work, 0.3)
+        results.append((in_place.Q, in_place.w))
+    for q, w in results:
         _assert_bitwise(solver.SimulationState(disc, 0.0, q, w),
                         solver.SimulationState(disc, 0.0, *want))
 
@@ -370,31 +375,30 @@ def test_benchmark_grids_split_into_slabs():
 
 
 def test_slab_workspace_holds_one_term(monkeypatch):
-    # one stage result of the state's shapes, which the stages after the
-    # first rewrite in place, and slab-sized result and scratch: as one
-    # slab the workspace holds two stage results and grid-sized scratch
+    # on every grid one stage result of the state's shapes, which the
+    # stages after the first rewrite in place, and one slab's result and
+    # scratch: slab-sized in slabs, grid-sized as one slab
     disc = make_disc(dim=3, counts=(6, 4, 4), degree=3,
                      widths=_every_axis(3))
     st = solver.setup_state(disc)
     state = st.Q.nbytes + sum(wi.nbytes for wi in st.w)
 
     def held(ws):
-        stages = [a for q, w in ws.stages for a in (q, *w)]
-        return stages, sum(a.nbytes for a in stages + [
-            ws.buf, ws.result, ws.halo, ws.finite])
+        q, w = ws.stage
+        assert [a.shape for a in (q, *w)] == [a.shape for a in (st.Q, *st.w)]
+        return sum(a.nbytes for a in (q, *w, ws.buf, ws.result, ws.halo,
+                                      ws.finite))
 
-    assert held(solver.Workspace(disc))[1] > 2 * state
+    assert held(solver.Workspace(disc)) > 2 * state
     _slab_rows(monkeypatch, disc, 1)
     ws = solver.Workspace(disc)
-    stages, total = held(ws)
     assert len(ws.slabs) == 6
-    assert [a.shape for a in stages] == [a.shape for a in (st.Q, *st.w)]
-    assert state < total < 1.5 * state
+    assert state < held(ws) < 1.5 * state
 
 
 def test_run_slab_count_bitwise(monkeypatch):
     # a layered run with a source and a receiver, through one slab and
-    # through one-row slabs, whose stages after the first run in place
+    # through one-row slabs
     disc = make_disc(dim=3, counts=(5, 3, 4), degree=3, theta=0.5,
                      widths=_every_axis(3), d0=1.3, alpha=0.2,
                      gamma=GAMMA_ALL_3D, layered="mixed")
