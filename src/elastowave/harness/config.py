@@ -559,6 +559,10 @@ def validate(cfg):
             v.append(f"region material index must be an integer in"
                      f" [0, {len(cfg.materials)}), got {idx!r}")
 
+    faces = [(ax, side) for ax, side, _ in cfg.boundary]
+    for ax, side in dict.fromkeys(f for f in faces if faces.count(f) > 1):
+        v.append(f"boundary {ax}.{'lo' if side < 0 else 'hi'}: given"
+                 f" {faces.count((ax, side))} times; give each face once")
     for ax, side, g in cfg.boundary:
         vals = g if isinstance(g, tuple) else (g,)
         if isinstance(g, tuple) and len(g) not in (1, cfg.dimension):
@@ -571,6 +575,10 @@ def validate(cfg):
             v.append(f"boundary face {ax} not valid in {cfg.dimension}D")
 
     pml = cfg.pml
+    named = [ax for ax, _, _ in pml.widths]
+    for ax in dict.fromkeys(a for a in named if named.count(a) > 1):
+        v.append(f"pml axis {ax}: given {named.count(ax)} times;"
+                 f" give each axis once")
     for ax, lo, hi in pml.widths:
         if ax not in axes:
             v.append(f"pml axis {ax} not valid in {cfg.dimension}D")

@@ -53,13 +53,14 @@ layer terms and the material map stay inside a slab; an x face between
 two slabs takes the neighbour row's outgoing wave, read from the input
 before either slab's rows are written, so the result is bitwise the same
 for any slab count.  `run` builds one Workspace and hands it to every
-`ader_step`; it dies when run returns.  It holds the RHS scratch and the
-result of the largest slab, a slab-sized bool buffer for the finiteness
-check, and one stage result, which each stage after the first overwrites
-in place slab by slab.  Every kernel writes into buffers its caller
+`ader_step`; it dies when run returns.  It holds the RHS scratch of the
+largest slab, the slab result of Q's rates, whose bools the finiteness
+check borrows, and one stage result, which each stage after the first
+overwrites in place slab by slab: the auxiliary rates straight, Q's
+through the material map.  Every kernel writes into buffers its caller
 passes, so a step allocates nothing state-sized.  A run holds the state,
 the stage result and the slab result: on a grid of several slabs two
-state-sized arrays, on a grid of one slab three.
+state-sized arrays, on a grid of one slab two and a Q-sized third.
 """
 
 from dataclasses import dataclass, replace
@@ -85,9 +86,9 @@ class Discretization:
     fluctuations on the left and the right faces (see
     _face_coefficients), and lift scales a fluctuation plane onto node
     plane 0 or n-1; the GLL weights are symmetric, so one scalar serves
-    both faces.  layers
-    holds, per damping table, the auxiliary field's shape, its decay
-    tables and its element slices per layer end (see _layer_tables).
+    both faces.  layers holds, per damping table, the auxiliary field's
+    shape, its decay tables and its element slices per layer end (see
+    _layer_tables).
 
     The per-element tables (rho_e, lam_e, mu_e, z, faces) are compact:
     every element axis along which one is constant has length 1 (see
@@ -124,13 +125,20 @@ def _layer_tables(tab, counts, n):
                          + (1,) * (dim - 1 - ax))
     d = np.ascontiguousarray(np.broadcast_to(d, (k,) + tail))
     d = d.reshape((1,) * (1 + ax) + d.shape)
+    return (2 * dim,) + counts[:ax] + (k,) + tail, (
+        -d, -(d + tab.alpha), _layer_ends(tab.lo, tab.hi, counts[ax], ax))
+
+
+def _layer_ends(lo, hi, count, ax):
+    """Per nonempty end of a layer holding the first lo and the last hi
+    of count elements along axis ax: (element slice of Q, element slice
+    of w)."""
     ends = []
-    high = slice(counts[ax] - tab.hi, counts[ax])
-    for q_el, w_el in ((slice(0, tab.lo),) * 2, (high, slice(tab.lo, k))):
+    high = slice(count - hi, count)
+    for q_el, w_el in ((slice(0, lo),) * 2, (high, slice(lo, lo + hi))):
         if w_el.stop > w_el.start:
             ends.append((_at(q_el, 1 + ax), _at(w_el, 1 + ax)))
-    return (2 * dim,) + counts[:ax] + (k,) + tail, (-d, -(d + tab.alpha),
-                                                    tuple(ends))
+    return tuple(ends)
 
 
 def _face_coefficients(z, ax, gamma_lo, gamma_hi):
@@ -248,16 +256,15 @@ def _slab_bounds(disc):
 def _restrict(disc, start, stop):
     """disc on the element rows start:stop of axis 0, and per field (Q,
     then the auxiliary fields) the index of those rows.  The per-element
-    tables are cut to the rows, and each layer's tables are those of the
-    rows' grid, on which a layer of axis 0 damps the rows of its ends
-    among them.  The mesh stays the whole grid's."""
-    count, n = disc.mesh.counts[0], disc.ops.n_nodes
-    counts = (stop - start,) + disc.mesh.counts[1:]
+    tables are cut to the rows.  A layer of axis 0 damps the rows of its
+    ends among them: its tables are views of those rows of the grid's,
+    and its ends lie in the slab.  The mesh stays the whole grid's."""
+    count = disc.mesh.counts[0]
     rows, layers = [slice(start, stop)], []
     for tab, (shape, tables) in zip(disc.damping, disc.layers):
         if tab.axis_index:
             rows.append(slice(start, stop))
-            layers.append((shape[:1] + counts[:1] + shape[2:], tables))
+            layers.append((shape[:1] + (stop - start,) + shape[2:], tables))
             continue
         # the damped rows among them: how many the low and the high end
         # hold, and the first of them in the auxiliary field
@@ -265,8 +272,9 @@ def _restrict(disc, start, stop):
         hi = max(stop - max(start, count - tab.hi), 0)
         first = min(start, tab.lo) + max(start - count + tab.hi, 0)
         rows.append(slice(first, first + lo + hi))
-        layers.append(_layer_tables(
-            replace(tab, lo=lo, hi=hi, damp=tab.damp[rows[-1]]), counts, n))
+        layers.append((shape[:1] + (lo + hi,) + shape[2:], (
+            *(t[_at(rows[-1], 1)] for t in tables[:2]),
+            _layer_ends(lo, hi, stop - start, 0))))
 
     def cut(table, axis):
         if table.shape[axis] == 1:
@@ -284,27 +292,20 @@ def _restrict(disc, start, stop):
 class _Slab:
     """The element rows start:stop of axis 0 and what _rhs needs to form
     their rates: per field (Q, then the auxiliary fields) the index of
-    the rows, disc's tables on them (see _restrict), their result in
-    Workspace.result, and the RHS scratch shaped for them."""
+    the rows, disc's tables on them (see _restrict), the result of Q's
+    rates on them in Workspace.result, and the RHS scratch shaped for
+    them, neg_dw the part after the axis terms' scratch."""
 
     start: int
     stop: int
     index: tuple
     disc: Discretization
-    out: tuple
+    out: np.ndarray
     buf: np.ndarray
     gather: np.ndarray
     planes: np.ndarray
     der: np.ndarray
-
-
-def _lay_out(buf, shapes):
-    """Arrays of shapes laid end to end from the start of buf."""
-    views, at = [], 0
-    for shape in shapes:
-        views.append(buf[at:at + prod(shape)].reshape(shape))
-        at += prod(shape)
-    return views
+    neg_dw: np.ndarray
 
 
 class Workspace:
@@ -319,15 +320,16 @@ class Workspace:
     `fluctuation` takes, from G left on: its two temporaries lie over
     the derivative, which is not formed yet when they are.  Around each
     damped axis the start of the buffer holds one layer table scaled by
-    the stage factor, and after the axis's terms -d*w behind it: 2 dim
-    rows on the layer's damped elements of the slab.
+    the stage factor, and -d*w lies behind the axis terms' scratch: 2
+    dim rows on the layer's damped elements of the slab.
 
     stage is one stage result, a Q and its auxiliary fields, which every
     stage after the first rewrites in place; result is where _rhs forms
-    each slab's rates before they go into their rows.  halo holds three
-    face planes of one row of elements, the outgoing waves across slab
-    faces on axis 0.  finite is a bool buffer for the finiteness check,
-    slab by slab."""
+    the rates of Q on one slab before the material map writes them into
+    their rows.  halo holds three face planes of one row of elements, the
+    outgoing waves across slab faces on axis 0.  Between steps result is
+    idle, and the finiteness check, slab by slab, writes its bools there:
+    no field's slab holds more values than Q's."""
 
     def __init__(self, disc):
         dim, n = disc.mesh.dim, disc.ops.n_nodes
@@ -337,29 +339,26 @@ class Workspace:
         parts, scratch = [], []
         for start, stop in zip(bounds, bounds[1:]):
             sub, index = _restrict(disc, start, stop)
-            fields = [q_shape[:1] + (stop - start,) + q_shape[2:]]
-            fields += [s for s, _ in sub.layers]
             plane = (dim, stop - start) + face
-            parts.append((start, stop, index, sub, fields, plane))
-            scratch += [2 * (n + 1) * prod(plane)] + [
-                neg_d.size + prod(s) for s, (neg_d, *_) in sub.layers]
-        sizes = [[prod(s) for s in part[4]] for part in parts]
+            terms = 2 * (n + 1) * prod(plane)
+            parts.append((start, stop, index, sub, plane, terms))
+            scratch += [terms] + [terms + prod(s) for s, _ in sub.layers]
         self.buf = np.empty(max(scratch))
-        self.finite = np.empty(max(map(max, sizes)), dtype=bool)
         self.stage = _zero_fields(disc)
-        self.result = np.empty(max(map(sum, sizes)))
+        self.result = np.empty(q_shape[:1] + (max(np.diff(bounds)),)
+                               + q_shape[2:])
         self.halo = np.empty((3, dim, 1) + face)
         slabs = []
-        for start, stop, index, sub, fields, plane in parts:
+        for start, stop, index, sub, plane, terms in parts:
             size = prod(plane)
             rows = n * size
-            q, *w = _lay_out(self.result, fields)
             slabs.append(_Slab(
-                start, stop, index, sub, (q, tuple(w)), self.buf,
-                self.buf[:rows].reshape(plane + (n,)),
+                start, stop, index, sub, _view(
+                    self.result, q_shape[:1] + (stop - start,) + q_shape[2:]),
+                self.buf, self.buf[:rows].reshape(plane + (n,)),
                 self.buf[rows:rows + 4 * size].reshape((4,) + plane),
-                self.buf[rows + 2 * size:2 * rows + 2 * size].reshape(
-                    plane + (n,))))
+                self.buf[rows + 2 * size:terms].reshape(plane + (n,)),
+                self.buf[terms:]))
         self.slabs = tuple(slabs)
 
 
@@ -429,11 +428,11 @@ def _rhs(Q, w, disc, out, ws, scale):
     factor rides the derivative matrix, the lift scalar and the layer
     tables.
 
-    The rates are formed slab by slab (see Workspace), each in its slab's
-    result; its material map writes Q's rows of out, and then its
-    auxiliary rates are copied into theirs.  A face between two slabs
-    takes each side's outgoing wave into ws.halo from the rows before the
-    slab writes them."""
+    The rates are formed slab by slab (see Workspace): the auxiliary
+    rates straight into their rows of out, Q's in the slab result, which
+    the material map writes into Q's rows of out.  A face between two
+    slabs takes each side's outgoing wave into ws.halo from the rows
+    before the slab writes them."""
     total, dw = out
     terms = [(scale * d, scale * h) for d, h in zip(disc.dmat, disc.lift)]
     slabs = ws.slabs
@@ -444,11 +443,10 @@ def _rhs(Q, w, disc, out, ws, scale):
             _outgoing(Q, disc, slab.stop, 0, nxt)
             _outgoing(Q, disc, slab.stop - 1, -1, save)
         q, *w_rows = (a[i] for a, i in zip((Q, *w), slab.index))
+        dest, *dw_rows = (a[i] for a, i in zip((total, *dw), slab.index))
         _slab_rhs(q, w_rows, slab, scale, terms,
                   (None if slab.start == 0 else prev, None if last else nxt),
-                  total[slab.index[0]])
-        for a, i, part in zip(dw, slab.index[1:], slab.out[1]):
-            a[i] = part
+                  dest, dw_rows)
         prev, save = save, prev
     return out
 
@@ -469,13 +467,14 @@ def _outgoing(Q, disc, row, node, out):
     return out
 
 
-def _slab_rhs(Q, w, slab, scale, terms, halo, dest):
+def _slab_rhs(Q, w, slab, scale, terms, halo, dest, dw):
     """The rates of `_rhs` on one slab: Q and w its rows, slab its _Slab,
     terms per axis the derivative matrix and the lift scalar times scale.
     halo holds the outgoing waves across its faces on axis 0 (see
-    fluctuation), None where the face is the grid's.  The material map
-    writes the rates of Q from the slab's result into dest."""
-    disc, (total, dw) = slab.disc, slab.out
+    fluctuation), None where the face is the grid's.  The rates of w go
+    into dw, its rows of the result, which may be w itself; the material
+    map writes the rates of Q from the slab's result into dest."""
+    disc, total = slab.disc, slab.out
     dim = disc.mesh.dim
     layers = {tab.axis_index: pos for pos, tab in enumerate(disc.damping)}
     for ax, (dmat, lift) in enumerate(terms):
@@ -486,15 +485,15 @@ def _slab_rhs(Q, w, slab, scale, terms, halo, dest):
             continue
         wpos, dws = w[pos], dw[pos]
         neg_d, decay, ends = disc.layers[pos][1]
-        # the decay of w over the whole layer, then the terms of the axis
+        # -d*w and the decay of w over the whole layer, both read before
+        # dws, which in place is w, is written; then the terms of the axis
+        neg_dw = np.multiply(_scaled(neg_d, scale, slab), wpos,
+                             out=_view(slab.neg_dw, wpos.shape))
         np.multiply(_scaled(decay, scale, slab), wpos, out=dws)
         _axis_terms(Q, ax, slab, dmat, lift, edges, dws, ends)
         # -d*w, added on the same elements of Q once the axis has written
         # or added its terms there; the slots one row each on basic
         # slices, where a fancy index would copy, add and write back
-        tab = _scaled(neg_d, scale, slab)
-        neg_dw = np.multiply(tab, wpos, out=_view(slab.buf[tab.size:],
-                                                  wpos.shape))
         for q_el, w_el in ends:
             rates, src = total[q_el], neg_dw[w_el]
             rates[:dim] += src[:dim]
@@ -526,7 +525,7 @@ def _axis_terms(Q, ax, slab, dmat, lift, halo, dws=None, ends=()):
     the slots one row at a time.  The gather, derivative and face planes
     are the slab's scratch, which the next axis overwrites; halo goes to
     `fluctuation`."""
-    disc, total = slab.disc, slab.out[0]
+    disc, total = slab.disc, slab.out
     dim = disc.mesh.dim
     node_ax = 1 + dim + ax
     v, t = Q[:dim], slab.gather
@@ -661,7 +660,8 @@ def ader_step(state, dt, sources, ws):
     for pos, (a, tab) in enumerate(zip(fields, (None,) + disc.damping)):
         for slab in ws.slabs:
             part = a[slab.index[pos]]
-            if not np.isfinite(part, out=_view(ws.finite, part.shape)).all():
+            finite = _view(ws.result.view(bool), part.shape)
+            if not np.isfinite(part, out=finite).all():
                 raise DivergenceDetected(_blow_up(state, start, a, tab))
     return state
 

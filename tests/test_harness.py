@@ -495,6 +495,11 @@ def _code_built_cases():
     for region in (("x", 1000.0), ("x", 1000.0, 1, 2), "x"):
         yield ("region must be (axis, threshold, material index), got"
                f" {region!r}"), replace(loh, region=region)
+    yield "pml axis x: given 2 times; give each axis once", replace(
+        strip, pml=replace(strip.pml, widths=strip.pml.widths + (
+            ("x", 20 * KM, 20 * KM),)))
+    yield "boundary y.lo: given 2 times; give each face once", replace(
+        strip, boundary=strip.boundary + (("y", -1, 0.0),))
 
 
 @pytest.mark.parametrize("cause, cfg", list(_code_built_cases()),
@@ -503,7 +508,8 @@ def _code_built_cases():
                               "dimension", "region-threshold",
                               "region-negative-index",
                               "region-fractional-index", "region-pair",
-                              "region-quadruple", "region-string"])
+                              "region-quadruple", "region-string",
+                              "pml-axis-twice", "boundary-face-twice"])
 def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
     # each passed finalize; the first three failed in build_problem with
     # a bare ValueError, the fourth ran with z dropped from the centre,
@@ -513,7 +519,9 @@ def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
     # region cases, a missing threshold made validate itself raise
     # TypeError, a negative index failed in build_mesh and a fractional
     # one ran with the index truncated; a region not of three entries made
-    # validate raise "not enough values to unpack" (or too many)
+    # validate raise "not enough values to unpack" (or too many).  A
+    # layer axis or a boundary face given twice ran with the last entry
+    # alone, the free top of the strip turned absorbing
     with pytest.raises(ValidationError, match=re.escape(cause)):
         finalize(cfg)
 

@@ -238,21 +238,23 @@ def test_rhs_peak_allocation(widths):
 
 
 @pytest.mark.parametrize("widths,bound,rows", [
-    pytest.param(PEAK_WIDTHS[0], 3.3, None, id="None-3.3"),
-    pytest.param(PEAK_WIDTHS[1], 4.0, None, id="widths1-4.0"),
-    pytest.param(PEAK_WIDTHS[1], 2.2, 1, id="widths1-2.2-slabs")])
+    pytest.param(PEAK_WIDTHS[0], 3.15, None, id="None-3.15"),
+    pytest.param(PEAK_WIDTHS[1], 3.75, None, id="widths1-3.75"),
+    pytest.param(PEAK_WIDTHS[1], 2.0, 1, id="widths1-2.0-slabs")])
 def test_step_peak_allocation(monkeypatch, widths, bound, rows):
     # a new workspace and one step through it: as one slab, the stage
-    # result and the slab's result (each 1 + 0.33 states with layers),
-    # the RHS scratch (the traction gather and derivative, 1/3 state
-    # each, and one face plane), the slab's x layer tables, the ufunc
-    # buffers and the bool buffer of the finiteness check (1/8 state)
-    # measure 3.21 / 3.95 states; two ping-pong stage results measured
-    # 3.21 / 3.87.  A new state for the sum measured 4.16 / 5.16, all nc
-    # rows in w (0.5 states) on top of it 5.4, and a state-sized
-    # coef * term per stage on top of a fresh RHS 6.4 / 7.7.  In slabs of
-    # one element row, the stage result and a slab's result and scratch
-    # measure 2.06 states
+    # result (1 + 0.33 states with layers), the slab's result of Q's
+    # rates (1 state), whose bools the finiteness check borrows, the RHS
+    # scratch (the traction gather and derivative, 1/3 state each, one
+    # face plane and -d*w) and the ufunc buffers measure 3.08 / 3.64
+    # states.  The auxiliary rates in the slab result, a bool buffer of
+    # its own and the x layer tables copied per slab measured 3.21 /
+    # 3.95, two ping-pong stage results 3.21 / 3.87, a new state for the
+    # sum 4.16 / 5.16, all nc rows in w (0.5 states) on top of it 5.4,
+    # and a state-sized coef * term per stage on top of a fresh RHS
+    # 6.4 / 7.7.  In slabs of one element row, the stage result and a
+    # slab's result and scratch measure 1.94 states (2.06 with the
+    # copies above)
     disc = make_disc(dim=3, counts=(6, 6, 6), degree=3, widths=widths)
     if rows:
         _slab_rows(monkeypatch, disc, rows)
@@ -386,14 +388,34 @@ def test_slab_workspace_holds_one_term(monkeypatch):
     def held(ws):
         q, w = ws.stage
         assert [a.shape for a in (q, *w)] == [a.shape for a in (st.Q, *st.w)]
-        return sum(a.nbytes for a in (q, *w, ws.buf, ws.result, ws.halo,
-                                      ws.finite))
+        return sum(a.nbytes for a in (q, *w, ws.buf, ws.result, ws.halo))
 
     assert held(solver.Workspace(disc)) > 2 * state
     _slab_rows(monkeypatch, disc, 1)
     ws = solver.Workspace(disc)
     assert len(ws.slabs) == 6
     assert state < held(ws) < 1.5 * state
+
+
+def test_slabs_view_the_grids_layer_tables(monkeypatch):
+    # a slab's x layer tables -d and -(d + alpha) are views of the rows
+    # of the grid's tables that its damped rows take, equal to them, on
+    # one slab and on one-row slabs through both layer ends
+    disc = make_disc(dim=3, counts=(5, 3, 4), degree=3,
+                     widths=_every_axis(3))
+    pos = [t.axis_index for t in disc.damping].index(0)
+    grid = disc.layers[pos][1][:2]
+    for rows in (None, 1):
+        if rows:
+            _slab_rows(monkeypatch, disc, rows)
+        slabs = solver.Workspace(disc).slabs
+        damped = [s for s in slabs if s.disc.layers[pos][0][1]]
+        assert len(damped) == (1 if rows is None else 2)
+        for slab in damped:
+            i = slab.index[1 + pos]
+            for mine, theirs in zip(slab.disc.layers[pos][1][:2], grid):
+                assert np.shares_memory(mine, theirs)
+                assert np.array_equal(mine, theirs[i])
 
 
 def test_run_slab_count_bitwise(monkeypatch):
