@@ -9,10 +9,16 @@ one `error:` line with exit code 1.
 import argparse
 import sys
 
+import numpy as np
+
+from ..errors import ElastowaveError, ParseError, UnsupportedDegree
+from ..operators import MAX_DEGREE, build_operators
+from . import experiments
+from .config import parse_config, parse_length
+from .presets import preset
+
 
 def build_parser():
-    from ..operators import MAX_DEGREE
-
     p = argparse.ArgumentParser(
         prog="elastowave",
         description="wave propagation runs with absorbing layers")
@@ -52,16 +58,9 @@ def build_parser():
     return p
 
 
-def _length(token):
-    from .config import parse_length
-    return parse_length(token)
-
-
 def _load_config(path):
     """The parsed config file at path; text that does not decode is a
     ParseError, like any other malformed config."""
-    from ..errors import ParseError
-    from .config import parse_config
     try:
         with open(path) as f:
             text = f.read()
@@ -84,11 +83,6 @@ def _report(result, output_dir):
 
 
 def _check_operators(max_degree):
-    import numpy as np
-
-    from ..errors import UnsupportedDegree
-    from ..operators import MAX_DEGREE, build_operators
-
     if not 1 <= max_degree <= MAX_DEGREE:
         raise UnsupportedDegree(
             f"--max-degree must lie in [1, {MAX_DEGREE}], got {max_degree}")
@@ -118,7 +112,6 @@ def _check_operators(max_degree):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    from ..errors import ElastowaveError
     try:
         return _dispatch(args)
     except (ElastowaveError, OSError) as exc:
@@ -130,30 +123,27 @@ def _dispatch(args):
     if args.verb == "check-operators":
         return _check_operators(args.max_degree)
 
-    from .experiments import convergence_study, run_experiment
-
     if args.verb == "run":
         cfg = _load_config(args.config)
-        result = run_experiment(cfg, args.output_dir)
+        result = experiments.run_experiment(cfg, args.output_dir)
         _report(result, args.output_dir)
         return 2 if result.diverged else 0
 
     if args.verb == "preset":
-        from .presets import preset
         cfg = preset(args.name, elements=args.elements,
                      degree=args.degree, theta=args.theta,
                      tend=args.tend)
-        result = run_experiment(cfg, args.output_dir)
+        result = experiments.run_experiment(cfg, args.output_dir)
         _report(result, args.output_dir)
         return 2 if result.diverged else 0
 
     if args.verb == "convergence":
         cfg = _load_config(args.config)
-        levels = [_length(tok) for tok in args.levels.split(",")]
-        pad = _length(args.pad)
-        errors, rates = convergence_study(cfg, levels, pad,
-                                          output_dir=args.output_dir,
-                                          resolve=args.resolve_tol)
+        levels = [parse_length(tok) for tok in args.levels.split(",")]
+        pad = parse_length(args.pad)
+        errors, rates = experiments.convergence_study(
+            cfg, levels, pad, output_dir=args.output_dir,
+            resolve=args.resolve_tol)
         print("dx,error,rate")
         for k, (h, e) in enumerate(zip(levels, errors)):
             rate = "" if k == 0 else f"{rates[k - 1]:.4f}"

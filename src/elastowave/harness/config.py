@@ -481,6 +481,22 @@ def _non_finite(value, path):
         yield path, value
 
 
+def _well_formed(what, entries, form, v):
+    """The entries that are tuples of as many items as form names; each
+    other one is reported in v as `what[i] must be (form)`."""
+    good = []
+    for i, entry in enumerate(entries):
+        if isinstance(entry, tuple) and len(entry) == len(form.split(",")):
+            good.append(entry)
+        else:
+            v.append(f"{what}[{i}] must be ({form}), got {entry!r}")
+    return good
+
+
+def _real(x):
+    return isinstance(x, numbers.Real)
+
+
 def _dimension_faults(dim):
     if not isinstance(dim, numbers.Integral):
         return [f"dimension must be an integer, got {dim!r}"]
@@ -515,8 +531,10 @@ def validate(cfg):
         v.append(f"box has {len(cfg.box)} axes for dimension"
                  f" {cfg.dimension}")
         return v
-    if not cfg.spacing > 0.0:
-        v.append(f"dx must be positive, got {cfg.spacing}")
+    if len(_well_formed("box", cfg.box, "lo, hi", v)) < cfg.dimension:
+        return v
+    if not (_real(cfg.spacing) and cfg.spacing > 0.0):
+        v.append(f"dx must be positive, got {cfg.spacing!r}")
         return v
     axes = axes_of(cfg.dimension)
     for ax, (lo, hi) in zip(axes, cfg.box):
@@ -530,9 +548,10 @@ def validate(cfg):
         v.append(f"degree must be an integer, got {cfg.degree!r}")
     elif cfg.degree not in range(1, MAX_DEGREE + 1):
         v.append(f"degree must lie in [1, {MAX_DEGREE}], got {cfg.degree}")
-    if not 0.0 < cfg.cfl <= 1.0:
+    if not (_real(cfg.cfl) and 0.0 < cfg.cfl <= 1.0):
         v.append(f"cfl must lie in (0, 1], got {cfg.cfl}")
-    if not math.isfinite(cfg.t_end) or cfg.t_end <= 0.0:
+    if not (_real(cfg.t_end) and math.isfinite(cfg.t_end)
+            and cfg.t_end > 0.0):
         v.append(f"tend must be positive and finite, got {cfg.t_end}")
     if not cfg.materials:
         v.append("no materials defined")
@@ -559,22 +578,27 @@ def validate(cfg):
             v.append(f"region material index must be an integer in"
                      f" [0, {len(cfg.materials)}), got {idx!r}")
 
-    faces = [(ax, side) for ax, side, _ in cfg.boundary]
+    boundary = _well_formed("boundary", cfg.boundary, "axis, side, gamma", v)
+    faces = [(ax, side) for ax, side, _ in boundary]
     for ax, side in dict.fromkeys(f for f in faces if faces.count(f) > 1):
         v.append(f"boundary {ax}.{'lo' if side < 0 else 'hi'}: given"
                  f" {faces.count((ax, side))} times; give each face once")
-    for ax, side, g in cfg.boundary:
+    for ax, side, g in boundary:
         vals = g if isinstance(g, tuple) else (g,)
         if isinstance(g, tuple) and len(g) not in (1, cfg.dimension):
             v.append(f"boundary {ax}.{'lo' if side < 0 else 'hi'}:"
                      f" need 1 or {cfg.dimension} values")
-        if not all(abs(x) <= 1.0 for x in vals):     # NaN fails too
+        if not all(map(_real, vals)):
+            v.append(f"boundary {ax}.{'lo' if side < 0 else 'hi'}:"
+                     f" gamma must be numeric, got {g!r}")
+        elif not all(abs(x) <= 1.0 for x in vals):     # NaN fails too
             v.append(f"boundary {ax}.{'lo' if side < 0 else 'hi'}:"
                      f" |gamma| must not exceed 1, got {g}")
         if ax not in axes:
             v.append(f"boundary face {ax} not valid in {cfg.dimension}D")
 
-    pml = cfg.pml
+    pml = dataclasses.replace(cfg.pml, widths=tuple(_well_formed(
+        "pml.widths", cfg.pml.widths, "axis, lo, hi", v)))
     named = [ax for ax, _, _ in pml.widths]
     for ax in dict.fromkeys(a for a in named if named.count(a) > 1):
         v.append(f"pml axis {ax}: given {named.count(ax)} times;"
@@ -602,7 +626,7 @@ def validate(cfg):
             v.append(f"pml d0 must be nonnegative, got {pml.d0}")
         if pml.alpha is not None and pml.alpha < 0.0:
             v.append(f"pml alpha must be nonnegative, got {pml.alpha}")
-        if not 0.0 <= pml.theta <= 1.0:
+        if not (_real(pml.theta) and 0.0 <= pml.theta <= 1.0):
             v.append(f"pml theta must lie in [0, 1], got {pml.theta}")
 
     for s in cfg.sources:

@@ -10,15 +10,13 @@ import numpy as np
 from .. import solver
 from ..diagnostics import (check_levels, convergence_rates, discrete_energy,
                            linf_series, pml_error, seismogram_misfit,
-                           write_convergence, write_series, PlaneWaveSpec,
-                           plane_wave_state)
+                           PlaneWaveSpec, plane_wave_state)
 from ..errors import DivergenceDetected
 from ..mesh import build_mesh
 from ..operators import build_operators
 from ..physics import axes_of, velocity_names
 from ..pml import build_damping, resolve_tol
-from ..sources import (IntervalGate, MomentTensorSource, Receiver,
-                       STF_KINDS, write_seismogram)
+from ..sources import IntervalGate, MomentTensorSource, Receiver, STF_KINDS
 from .config import PmlSpec, finalize
 
 
@@ -182,65 +180,62 @@ def run_experiment(cfg, output_dir=None, dt=None):
 
 def write_outputs(result, output_dir):
     """Writes the files of a run into output_dir, which exists."""
-    cfg = result.config
+    cfg, disc = result.config, result.disc
     for spec, rec in zip(cfg.receivers, result.receivers):
-        write_seismogram(os.path.join(output_dir,
-                                      f"seismogram_{spec.rid}.csv"), rec)
+        _write_csv(os.path.join(output_dir, f"seismogram_{spec.rid}.csv"),
+                   ("t", *rec.names),
+                   ((t, *vals) for t, vals in zip(rec.times, rec.samples)))
     if result.energy:
-        write_series(os.path.join(output_dir, "energy.csv"),
-                     [s.t for s in result.energy],
-                     [s.E for s in result.energy])
-        write_series(os.path.join(output_dir, "linf.csv"),
-                     result.linf_times, result.linf_values)
+        _write_csv(os.path.join(output_dir, "energy.csv"), ("t", "value"),
+                   ((s.t, s.E) for s in result.energy))
+        _write_csv(os.path.join(output_dir, "linf.csv"), ("t", "value"),
+                   zip(result.linf_times, result.linf_values))
+    names = velocity_names(cfg.dimension)
     for k, (t, snap) in enumerate(zip(result.snap_times,
                                       result.snapshots)):
         base = os.path.join(output_dir, f"snapshot_{k:04d}")
         if cfg.output.snapshot_format == "csv":
-            _write_snapshot_csv(base + ".csv", result.disc, snap, t)
+            cols = [np.broadcast_to(c, snap[0].shape).ravel()
+                    for c in solver.nodal_coordinates(disc)]
+            _write_csv(base + ".csv", axes_of(cfg.dimension) + names,
+                       zip(*cols, *(v.ravel() for v in snap)),
+                       comment=f"time = {t:.16e}")
         else:
-            _write_snapshot_binary(base, result.disc, snap, t)
-    with open(os.path.join(output_dir, "metadata.txt"), "w") as f:
-        meta = result.metadata
-        for key in sorted(k for k in meta if k != "notes"):
-            f.write(f"{key} = {meta[key]}\n")
-        for line in meta.get("notes", ()):
-            f.write(f"note = {line}\n")
+            # one little-endian float64 .bin per component, element-major
+            # (element indices outer, node indices inner, C order), and a
+            # text sidecar with the shape
+            _write_pairs(base + ".txt", (
+                ("time", f"{t:.16e}"), ("dimension", cfg.dimension),
+                ("elements", "x".join(str(c) for c in disc.mesh.counts)),
+                ("nodes_per_axis", disc.ops.n_nodes),
+                ("degree", disc.ops.degree), ("components", ",".join(names)),
+                ("layout", "element-major, C order, little-endian float64")))
+            for name, v in zip(names, snap):
+                with open(f"{base}_{name}.bin", "wb") as f:
+                    f.write(np.ascontiguousarray(v).astype("<f8").tobytes())
+    meta = result.metadata
+    _write_pairs(os.path.join(output_dir, "metadata.txt"),
+                 [(key, meta[key]) for key in sorted(meta) if key != "notes"]
+                 + [("note", line) for line in meta["notes"]])
 
 
-def _write_snapshot_binary(base, disc, snap, t):
-    """One little-endian float64 .bin per component, element-major
-    (element indices outer, node indices inner, C order), plus a text
-    sidecar with the shape."""
-    mesh = disc.mesh
-    n = disc.ops.n_nodes
-    names = velocity_names(mesh.dim)
-    with open(base + ".txt", "w") as f:
-        f.write(f"time = {t:.16e}\n")
-        f.write(f"dimension = {mesh.dim}\n")
-        f.write("elements = " + "x".join(str(c) for c in mesh.counts)
-                + "\n")
-        f.write(f"nodes_per_axis = {n}\n")
-        f.write(f"degree = {disc.ops.degree}\n")
-        f.write("components = " + ",".join(names) + "\n")
-        f.write("layout = element-major, C order, little-endian"
-                " float64\n")
-    for c, name in enumerate(names):
-        with open(f"{base}_{name}.bin", "wb") as f:
-            f.write(np.ascontiguousarray(snap[c]).astype("<f8").tobytes())
-
-
-def _write_snapshot_csv(path, disc, snap, t):
-    mesh = disc.mesh
-    coords = solver.nodal_coordinates(disc)
-    names = velocity_names(mesh.dim)
+def _write_csv(path, header, rows, comment=None):
+    """CSV file: an optional `# comment` line, the header names, then one
+    line per row.  Numbers are written as %.16e; a text cell (the
+    convergence table's rate) is written as it is."""
     with open(path, "w") as f:
-        f.write(f"# time = {t:.16e}\n")
-        f.write(",".join(axes_of(mesh.dim) + names) + "\n")
-        cols = [np.broadcast_to(c, snap[0].shape).ravel()
-                for c in coords] + [snap[c].ravel()
-                                    for c in range(mesh.dim)]
-        for row in zip(*cols):
-            f.write(",".join(f"{x:.16e}" for x in row) + "\n")
+        if comment is not None:
+            f.write(f"# {comment}\n")
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(x if isinstance(x, str) else f"{x:.16e}"
+                             for x in row) + "\n")
+
+
+def _write_pairs(path, pairs):
+    """Text file of one `key = value` line per pair."""
+    with open(path, "w") as f:
+        f.writelines(f"{key} = {value}\n" for key, value in pairs)
 
 
 def _snap_up(value, h):
@@ -313,8 +308,10 @@ def convergence_study(cfg, spacings, pad, output_dir=None,
         errors.append(pml_error(run, ref))
     rates = convergence_rates(errors, spacings)
     if output_dir is not None:
-        write_convergence(os.path.join(output_dir, "convergence.csv"),
-                          spacings, errors, rates)
+        # the first level has no rate
+        rate_text = [""] + [f"{r:.4f}" for r in rates]
+        _write_csv(os.path.join(output_dir, "convergence.csv"),
+                   ("h", "error", "rate"), zip(spacings, errors, rate_text))
     return errors, rates
 
 

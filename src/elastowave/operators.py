@@ -76,7 +76,6 @@ class ElementOperators:
 
 
 def _gll_rule(P):
-    n = P + 1
     if P == 1:
         x = np.array([-1.0, 1.0])
     else:
@@ -192,17 +191,8 @@ def build_operators(P, kind="GLL"):
                 D[i, j] = (bary[j] / bary[i]) / (x[i] - x[j])
         D[i, i] = -np.sum(D[i, :])
 
-    if kind == "GLL":
-        eL = np.zeros(n)
-        eL[0] = 1.0
-        eR = np.zeros(n)
-        eR[-1] = 1.0
-    else:
-        eL = _basis_at(x, bary, -1.0)
-        eR = _basis_at(x, bary, 1.0)
-        if kind == "GLR":
-            eL = np.zeros(n)
-            eL[0] = 1.0  # Radau rule collocates the left endpoint
+    # basis values at the ends: unit vectors where a rule holds the end
+    eL, eR = _basis_at(x, bary, -1.0), _basis_at(x, bary, 1.0)
 
     # diag(w) D integrates L_i L_j' exactly for all three kinds, so
     # Qmat + Qmat^T = B

@@ -155,10 +155,3 @@ class Receiver:
     def series(self):
         return np.asarray(self.times), np.asarray(self.samples)
 
-
-def write_seismogram(path, receiver):
-    """CSV with header t,vx,vy[,vz,...], one row per sample, %.16e."""
-    with open(path, "w") as f:
-        f.write("t," + ",".join(receiver.names) + "\n")
-        for t, vals in zip(receiver.times, receiver.samples):
-            f.write(",".join(f"{x:.16e}" for x in (t, *vals)) + "\n")

@@ -1,18 +1,22 @@
 """Session wiring: replay the acceptance-criteria lines after the run.
 
 test_acceptance.py appends one verdict line per criterion to a scratch
-file as it goes; plain pytest hides stdout of passing tests, so the
-summary hook below re-prints the collected lines at the end.
+file as it goes, and the same verdict as a JSON record to a second one;
+both are cleared at session start.  Plain pytest hides stdout of passing
+tests, so the summary hook below re-prints the collected lines at the end.
 """
 
 import os
 
-_LINES = os.path.join(os.path.dirname(__file__), ".acceptance_lines")
+_HERE = os.path.dirname(__file__)
+_LINES = os.path.join(_HERE, ".acceptance_lines")
+_RECORDS = os.path.join(_HERE, ".acceptance.jsonl")
 
 
 def pytest_sessionstart(session):
-    if os.path.exists(_LINES):
-        os.remove(_LINES)
+    for path in (_LINES, _RECORDS):
+        if os.path.exists(path):
+            os.remove(path)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -268,6 +268,17 @@ def test_pml_error_reference_must_hold_the_interior():
         dg.pml_error(run, ref)
 
 
+def test_pml_error_takes_the_layered_run_first():
+    # the arguments were swapped to put the run with an interior first
+    interior = ((2.0, 0.0), (6.0, 8.0))
+    run = fake_run((4, 4), (8.0, 8.0), interior, seed=2)
+    ref = fake_run((8, 4), (16.0, 8.0), None, seed=2, mins=(-4.0, 0.0))
+    dg.pml_error(run, ref)
+    with pytest.raises(GeometryInsufficient,
+                       match="the first argument, declares no interior"):
+        dg.pml_error(ref, run)
+
+
 def test_misfit():
     t = np.linspace(0.0, 1.0, 50)
     a = np.column_stack([np.sin(4 * t), np.cos(4 * t)])
@@ -276,17 +287,3 @@ def test_misfit():
     with pytest.raises(DegenerateError):
         dg.seismogram_misfit(t, a, t, 0 * a)
 
-
-def test_series_csv_roundtrip(tmp_path):
-    t = np.array([0.0, 0.5, 1.0])
-    v = np.array([1.0, 0.25, 1e-7])
-    path = tmp_path / "energy.csv"
-    dg.write_series(path, t, v)
-    t2, v2 = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
-    assert np.array_equal(t, t2) and np.array_equal(v, v2)
-    cpath = tmp_path / "conv.csv"
-    dg.write_convergence(cpath, [10.0, 5.0], [8.2513e-4, 1.3602e-5], [5.9228])
-    lines = cpath.read_text().splitlines()
-    assert lines[0] == "h,error,rate"
-    assert lines[1].endswith(",")
-    assert lines[2].endswith("5.9228")

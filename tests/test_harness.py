@@ -500,6 +500,22 @@ def _code_built_cases():
             ("x", 20 * KM, 20 * KM),)))
     yield "boundary y.lo: given 2 times; give each face once", replace(
         strip, boundary=strip.boundary + (("y", -1, 0.0),))
+    small = ps.preset("strip2d", elements=10, degree=2, tend=1)
+    yield "boundary[0] must be (axis, side, gamma), got ('x', -1)", replace(
+        small, boundary=(("x", -1),) + small.boundary[1:])
+    yield "pml.widths[0] must be (axis, lo, hi), got ('x', 10000.0)", \
+        replace(small, pml=replace(small.pml, widths=(("x", 1e4),)))
+    yield "box[1] must be (lo, hi), got (0.0,)", replace(
+        small, box=(small.box[0], (0.0,)))
+    yield "dx must be positive, got '5'", replace(small, spacing="5")
+    yield "tend must be positive and finite, got None", replace(
+        small, t_end=None)
+    yield "cfl must lie in (0, 1], got None", replace(small, cfl=None)
+    yield "pml theta must lie in [0, 1], got None", replace(
+        small, pml=replace(small.pml, theta=None))
+    yield "boundary y.lo: gamma must be numeric, got 'free'", replace(
+        small, boundary=tuple((ax, side, "free" if (ax, side) == ("y", -1)
+                               else g) for ax, side, g in small.boundary))
 
 
 @pytest.mark.parametrize("cause, cfg", list(_code_built_cases()),
@@ -509,7 +525,10 @@ def _code_built_cases():
                               "region-negative-index",
                               "region-fractional-index", "region-pair",
                               "region-quadruple", "region-string",
-                              "pml-axis-twice", "boundary-face-twice"])
+                              "pml-axis-twice", "boundary-face-twice",
+                              "boundary-pair", "pml-width-pair",
+                              "box-side", "spacing-text", "tend-none",
+                              "cfl-none", "theta-none", "gamma-word"])
 def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
     # each passed finalize; the first three failed in build_problem with
     # a bare ValueError, the fourth ran with z dropped from the centre,
@@ -521,7 +540,10 @@ def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
     # one ran with the index truncated; a region not of three entries made
     # validate raise "not enough values to unpack" (or too many).  A
     # layer axis or a boundary face given twice ran with the last entry
-    # alone, the free top of the strip turned absorbing
+    # alone, the free top of the strip turned absorbing.  The last eight
+    # made validate itself raise a bare ValueError (a boundary entry, a
+    # layer width or a box side of too few items) or TypeError (a dx given
+    # as text, no tend, cfl or theta, a reflection value given as a word)
     with pytest.raises(ValidationError, match=re.escape(cause)):
         finalize(cfg)
 
@@ -788,6 +810,38 @@ def test_energy_series_file(tiny_run):
     assert len(res.energy) == len(t)
 
 
+def test_series_csv_roundtrip(tiny_run, monkeypatch, tmp_path):
+    cfg, res, out = tiny_run
+    for name, values in (("energy.csv", [s.E for s in res.energy]),
+                         ("linf.csv", res.linf_values)):
+        assert (out / name).read_text().splitlines()[0] == "t,value"
+        t, v = np.loadtxt(out / name, delimiter=",", skiprows=1,
+                          unpack=True)
+        assert np.array_equal(t, res.linf_times)
+        assert np.array_equal(v, values)
+    # the convergence table of two levels whose errors are given, at the
+    # rate 5.9228 between them
+    errors = iter([1e-5 * 2 ** 5.9228, 1e-5])
+    monkeypatch.setattr(xp, "run_experiment",
+                        lambda cfg, dt=None: SimpleNamespace(dt=1.0))
+    monkeypatch.setattr(xp, "pml_error", lambda run, ref: next(errors))
+    xp.convergence_study(cfg, [10 * KM, 5 * KM], 60 * KM, str(tmp_path))
+    lines = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert lines[0] == "h,error,rate"
+    assert lines[1].endswith(",")
+    assert lines[2].endswith("5.9228")
+
+
+def test_seismogram_roundtrip(tiny_run):
+    cfg, res, out = tiny_run
+    path = out / f"seismogram_{cfg.receivers[0].rid}.csv"
+    assert path.read_text().splitlines()[0] == "t,vx,vy"
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    times, samples = res.receivers[0].series()
+    assert np.array_equal(data[:, 0], times)
+    assert np.array_equal(data[:, 1:], samples)
+
+
 def test_sampling_rules(monkeypatch):
     # no series interval: one energy and one L-inf sample per step and
     # one of the initial state; no snapshot interval: no snapshot
@@ -1014,7 +1068,7 @@ def test_convergence_levels_checked_before_the_first_run(
     assert cli.main(["convergence", str(cfgfile), "--levels", levels,
                      "--output-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {cause}\n"
-    spacings = [cli._length(tok) for tok in levels.split(",")]
+    spacings = [cli.parse_length(tok) for tok in levels.split(",")]
     with pytest.raises(DegenerateError, match=re.escape(cause)):
         xp.convergence_study(parse_config(STRIP_TEXT), spacings, 60 * KM)
 
@@ -1053,17 +1107,17 @@ def test_cli_convergence_verb(tmp_path, capsys):
 
 
 def test_cli_length_parsing():
-    assert cli._length("2.5 km") == 2500.0
-    assert cli._length("250") == 250.0
+    assert cli.parse_length("2.5 km") == 2500.0
+    assert cli.parse_length("250") == 250.0
     for bad in ("2.5 smoots", "5 s"):
         with pytest.raises(ParseError, match="bad length"):
-            cli._length(bad)
+            cli.parse_length(bad)
 
 
 def test_cli_length_rejects_overflow():
     for huge in ("1e999", "1e999 km"):
         with pytest.raises(ParseError, match="finite"):
-            cli._length(huge)
+            cli.parse_length(huge)
 
 
 def test_console_script_installed():

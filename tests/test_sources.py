@@ -221,20 +221,3 @@ def test_interval_gate_rejects_bad_interval(interval):
     with pytest.raises(ValueError, match="interval must be positive"):
         sources.IntervalGate(interval)
 
-
-def test_seismogram_roundtrip(tmp_path):
-    mesh, ops, disc = make_setup()
-    rec = sources.Receiver(mesh, ops, (3.0, 3.0))
-    st = solver.setup_state(disc)
-    rng = np.random.default_rng(9)
-    for t in (0.0, 0.1, 0.2):
-        st.Q[...] = rng.standard_normal(st.Q.shape)
-        rec(at_time(st, t))
-    path = tmp_path / "rec.csv"
-    sources.write_seismogram(path, rec)
-    text = path.read_text().splitlines()
-    assert text[0] == "t,vx,vy"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    times, samples = rec.series()
-    assert np.array_equal(data[:, 0], times)
-    assert np.array_equal(data[:, 1:], samples)
