@@ -533,6 +533,10 @@ def validate(cfg):
         return v
     if len(_well_formed("box", cfg.box, "lo, hi", v)) < cfg.dimension:
         return v
+    faults = [f"box[{i}] must be numbers (lo, hi), got {side!r}"
+              for i, side in enumerate(cfg.box) if not all(map(_real, side))]
+    if faults:
+        return v + faults
     if not (_real(cfg.spacing) and cfg.spacing > 0.0):
         v.append(f"dx must be positive, got {cfg.spacing!r}")
         return v
@@ -608,24 +612,30 @@ def validate(cfg):
             v.append(f"pml axis {ax} not valid in {cfg.dimension}D")
             continue
         for w, label in ((lo, "lo"), (hi, "hi")):
-            if w < 0.0:
+            if not _real(w):
+                v.append(f"pml {ax}.{label} width must be a number,"
+                         f" got {w!r}")
+            elif w < 0.0:
                 v.append(f"pml {ax}.{label} width is negative")
             elif 0.0 < w < math.inf:
                 v += _off_grid(f"pml {ax}.{label} width", w, cfg.spacing)
         blo, bhi = cfg.box[axes.index(ax)]
-        if blo + lo >= bhi - hi:
+        if _real(lo) and _real(hi) and blo + lo >= bhi - hi:
             v.append(f"pml layers on {ax} leave no interior")
+    # the layers of numeric widths; the others are reported above
+    pml = dataclasses.replace(pml, widths=tuple(
+        e for e in pml.widths if all(map(_real, e[1:]))))
     if pml.enabled:
         if pml.tol is None and pml.d0 is None:
             v.append("pml enabled but neither tol nor d0 given")
         if pml.tol is not None and pml.d0 is not None:
             v.append("pml tol and d0 are both set; give exactly one")
-        if pml.tol is not None and not 0.0 < pml.tol < 1.0:
-            v.append(f"pml tol must lie in (0, 1), got {pml.tol}")
-        if pml.d0 is not None and pml.d0 < 0.0:
-            v.append(f"pml d0 must be nonnegative, got {pml.d0}")
-        if pml.alpha is not None and pml.alpha < 0.0:
-            v.append(f"pml alpha must be nonnegative, got {pml.alpha}")
+        if pml.tol is not None and not (_real(pml.tol)
+                                        and 0.0 < pml.tol < 1.0):
+            v.append(f"pml tol must lie in (0, 1), got {pml.tol!r}")
+        for label, x in (("d0", pml.d0), ("alpha", pml.alpha)):
+            if x is not None and (not _real(x) or x < 0.0):
+                v.append(f"pml {label} must be nonnegative, got {x!r}")
         if not (_real(pml.theta) and 0.0 <= pml.theta <= 1.0):
             v.append(f"pml theta must lie in [0, 1], got {pml.theta}")
 
@@ -652,7 +662,8 @@ def validate(cfg):
         if r.components not in ("velocity", "all"):
             v.append(f"receiver {r.rid}: components must be velocity"
                      f" or all")
-        if r.interval is not None and not 0.0 < r.interval < math.inf:
+        if r.interval is not None and not (_real(r.interval)
+                                           and 0.0 < r.interval < math.inf):
             v.append(f"receiver {r.rid}: interval must be positive"
                      f" and finite")
 
@@ -691,7 +702,7 @@ def validate(cfg):
     for label, val in (("seismogram_interval", out.seismogram_interval),
                        ("series_interval", out.series_interval),
                        ("snapshot_interval", out.snapshot_interval)):
-        if val is not None and not 0.0 < val < math.inf:
+        if val is not None and not (_real(val) and 0.0 < val < math.inf):
             v.append(f"output {label} must be positive and finite")
     if out.snapshot_format not in ("binary", "csv"):
         v.append(f"output snapshot_format must be binary or csv,"

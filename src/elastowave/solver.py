@@ -50,21 +50,30 @@ state it advances.
 The RHS runs one slab of element rows along the first element axis at a
 time, a few MiB of Q and w each (_SLAB_BYTES).  The y and z faces, the
 layer terms and the material map stay inside a slab; an x face between
-two slabs takes the neighbour row's outgoing wave, read from the input
-before either slab's rows are written, so the result is bitwise the same
-for any slab count.  `run` builds one Workspace and hands it to every
-`ader_step`; it dies when run returns.  It holds the RHS scratch of the
-largest slab, the slab result of Q's rates, whose bools the finiteness
-check borrows, and one stage result, which each stage after the first
-overwrites in place slab by slab: the auxiliary rates straight, Q's
-through the material map.  Every kernel writes into buffers its caller
-passes, so a step allocates nothing state-sized.  A run holds the state,
-the stage result and the slab result: on a grid of several slabs two
-state-sized arrays, on a grid of one slab two and a Q-sized third.
+two slabs takes the neighbour row's outgoing wave, so the result is
+bitwise the same for any slab count.  An ADER step is one sweep over the
+slabs: at sweep j, stage k = 1..P+1 forms the Taylor term T_k on slab
+j - k + 1, over T_(k-1) in that slab's buffer of a ring of min(P+1,
+slabs) slab buffers per field, injects the sources in the slab and adds
+the term into the state's rows of the slab.  T_(k-1) on the next slab
+was formed earlier in the same sweep; the outgoing wave of the previous
+slab's last row was saved per stage before that slab was overwritten,
+at stage 1 before the state's rows took T_1.  So each slab sees the
+inputs a whole-grid stage would give it.  `run` builds one Workspace
+and hands it to every `ader_step`; it dies when run returns.  It holds
+the RHS scratch of the largest slab, the slab result of Q's rates, whose
+bools the finiteness check borrows, and the ring.  Every kernel writes
+into buffers its caller passes, so a step allocates nothing state-sized.
+A run holds the state, the ring and the slab result: on a grid of more
+slabs than P+1, one state-sized array and P+2 slabs; on a grid of at
+most P+1 slabs the ring is the whole grid, two state-sized arrays, and
+on a grid of one slab a Q-sized third.
 """
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from math import prod
+from operator import mul
 
 import numpy as np
 
@@ -102,7 +111,8 @@ class Discretization:
     rho_e: np.ndarray   # counts + (1,)*dim
     lam_e: np.ndarray
     mu_e: np.ndarray
-    dmat: tuple     # per axis: the nodal derivative D scaled by 2 / h
+    dmat: tuple     # per axis: the nodal derivative D scaled by 2 / h, in
+                    # the shape _diff applies it (see _diff_matrix)
     z: tuple        # per axis: (dim,) + counts + (1,)*(dim-1)
     faces: tuple    # per axis: (c left, c right)
     lift: tuple     # per axis: 2 / (h * w_0)
@@ -182,7 +192,7 @@ def discretize(mesh, ops, theta=1.0, damping=()):
     zp = rho * np.sqrt((2 * mu + lam) / rho)
     zs = rho * np.sqrt(mu / rho)
     tail, elems = (1,) * dim, range(1, 1 + dim)
-    z, faces, lift, slot_list = [], [], [], []
+    z, faces, lift, slot_list, dmat = [], [], [], [], []
     for ax, name in enumerate(axes_of(dim)):
         zax = np.stack([zp if f == ax else zs for f in range(dim)])
         zax = zax.reshape((dim,) + mesh.counts + (1,) * (dim - 1))
@@ -191,6 +201,8 @@ def discretize(mesh, ops, theta=1.0, damping=()):
                 zax, ax, mesh.gamma[(name, -1)], mesh.gamma[(name, 1)])))
         z.append(_compact(zax, elems))
         lift.append(2.0 / mesh.spacings[ax] / ops.rule.weights[0])
+        dmat.append(_diff_matrix(ops.D * (2.0 / mesh.spacings[ax]),
+                                 ops.n_nodes ** (dim - 1 - ax)))
         slot_list.append(np.array(sig_slots(name, dim)))
     damping = tuple(damping)
     rho_e, lam_e, mu_e = (_compact(a.reshape(mesh.counts + tail), range(dim))
@@ -198,7 +210,7 @@ def discretize(mesh, ops, theta=1.0, damping=()):
     return Discretization(
         mesh=mesh, ops=ops, theta=float(theta), damping=damping,
         rho_e=rho_e, lam_e=lam_e, mu_e=mu_e,
-        dmat=tuple(ops.D * (2.0 / h) for h in mesh.spacings),
+        dmat=tuple(dmat),
         z=tuple(z), faces=tuple(faces), lift=tuple(lift),
         slots=tuple(slot_list),
         layers=tuple(_layer_tables(tab, mesh.counts, ops.n_nodes)
@@ -220,19 +232,15 @@ def _field_shapes(disc):
             tuple(s for s, _ in disc.layers))
 
 
-def _zero_fields(disc):
-    """A zero Q and zero auxiliary fields, shaped for disc."""
-    q, w = _field_shapes(disc)
-    return np.zeros(q), tuple(np.zeros(s) for s in w)
-
-
 def setup_state(disc):
-    Q, w = _zero_fields(disc)
-    return SimulationState(disc=disc, t=0.0, Q=Q, w=w)
+    q, w = _field_shapes(disc)
+    return SimulationState(disc=disc, t=0.0, Q=np.zeros(q),
+                           w=tuple(np.zeros(s) for s in w))
 
 
-# Bytes of Q and its auxiliary fields per slab: _rhs forms the rates one
-# slab of element rows along axis 0 at a time (see Workspace).  4 MiB
+# Bytes of Q and its auxiliary fields per slab: a stage forms the rates
+# one slab of element rows along axis 0 at a time, and the Workspace
+# holds the Taylor terms of min(P+1, slabs) slabs (see ader_step).  4 MiB
 # takes 2 rows per slab on 14^3 elements at degree 3 with layers on every
 # axis, 6 on 12^3 without, and keeps a 2D strip of 24x10 elements one
 # slab.  Against one slab, a step took 3% longer in 2-row slabs and 16%
@@ -290,11 +298,12 @@ def _restrict(disc, start, stop):
 
 @dataclass(frozen=True)
 class _Slab:
-    """The element rows start:stop of axis 0 and what _rhs needs to form
-    their rates: per field (Q, then the auxiliary fields) the index of
+    """The element rows start:stop of axis 0 and what a stage needs to
+    form their rates: per field (Q, then the auxiliary fields) the index of
     the rows, disc's tables on them (see _restrict), the result of Q's
-    rates on them in Workspace.result, and the RHS scratch shaped for
-    them, neg_dw the part after the axis terms' scratch."""
+    rates on them in Workspace.result, the RHS scratch shaped for them,
+    neg_dw the part after the axis terms' scratch, and per field the
+    slab's Taylor term, its buffer of Workspace.ring."""
 
     start: int
     stop: int
@@ -306,14 +315,15 @@ class _Slab:
     planes: np.ndarray
     der: np.ndarray
     neg_dw: np.ndarray
+    term: tuple
 
 
 class Workspace:
     """The buffers of one run, built by `run` and handed to every
     ader_step; they die when run returns.
 
-    _rhs forms the rates one slab of element rows along axis 0 at a time
-    (slabs, see _slab_bounds), so its scratch is sized to the largest
+    A stage forms the rates one slab of element rows along axis 0 at a
+    time (slabs, see _slab_bounds), so its scratch is sized to the largest
     slab.  The RHS scratch is one buffer: the traction gather, dim rows
     of the slab; the two fluctuation planes G left and right; the
     derivative, dim rows again.  planes is the four face planes
@@ -323,13 +333,16 @@ class Workspace:
     the stage factor, and -d*w lies behind the axis terms' scratch: 2
     dim rows on the layer's damped elements of the slab.
 
-    stage is one stage result, a Q and its auxiliary fields, which every
-    stage after the first rewrites in place; result is where _rhs forms
-    the rates of Q on one slab before the material map writes them into
-    their rows.  halo holds three face planes of one row of elements, the
-    outgoing waves across slab faces on axis 0.  Between steps result is
-    idle, and the finiteness check, slab by slab, writes its bools there:
-    no field's slab holds more values than Q's."""
+    ring holds per field min(P+1, slabs) buffers, each of that field's
+    largest slab: slab s keeps its Taylor terms in buffer s mod len, each
+    stage after the first rewriting the last in place (see _sweep).
+    result is where a stage forms the rates of Q on one slab before the
+    material map writes them into the slab's term.  halo holds face planes
+    of one row of elements, the outgoing waves across slab faces on axis
+    0: per stage those of the last rows of the two latest slabs, then
+    that of the next slab's first row.  Between steps result is idle,
+    and the finiteness check, slab by slab, writes its bools there: no
+    field's slab holds more values than Q's."""
 
     def __init__(self, disc):
         dim, n = disc.mesh.dim, disc.ops.n_nodes
@@ -341,24 +354,32 @@ class Workspace:
             sub, index = _restrict(disc, start, stop)
             plane = (dim, stop - start) + face
             terms = 2 * (n + 1) * prod(plane)
-            parts.append((start, stop, index, sub, plane, terms))
-            scratch += [terms] + [terms + prod(s) for s, _ in sub.layers]
+            shapes = [q_shape[:1] + (stop - start,) + q_shape[2:]]
+            shapes += [shape for shape, _ in sub.layers]
+            parts.append((start, stop, index, sub, plane, terms, shapes))
+            scratch += [terms] + [terms + prod(s) for s in shapes[1:]]
         self.buf = np.empty(max(scratch))
-        self.stage = _zero_fields(disc)
-        self.result = np.empty(q_shape[:1] + (max(np.diff(bounds)),)
-                               + q_shape[2:])
-        self.halo = np.empty((3, dim, 1) + face)
+        # per field, the values of its largest slab
+        largest = [max(map(prod, f)) for f in zip(*(p[-1] for p in parts))]
+        length = min(disc.ops.degree + 1, len(parts))
+        self.ring = tuple(np.empty((length, values)) for values in largest)
+        self.result = np.empty(largest[0])
+        # per stage two planes, then one: none on a grid of one slab
+        planes = 2 * disc.ops.degree + 3 if len(parts) > 1 else 0
+        self.halo = np.empty((planes, dim, 1) + face)
         slabs = []
-        for start, stop, index, sub, plane, terms in parts:
+        for s, (start, stop, index, sub, plane, terms, shapes) in \
+                enumerate(parts):
             size = prod(plane)
             rows = n * size
             slabs.append(_Slab(
-                start, stop, index, sub, _view(
-                    self.result, q_shape[:1] + (stop - start,) + q_shape[2:]),
+                start, stop, index, sub, _view(self.result, shapes[0]),
                 self.buf, self.buf[:rows].reshape(plane + (n,)),
                 self.buf[rows:rows + 4 * size].reshape((4,) + plane),
                 self.buf[rows + 2 * size:terms].reshape(plane + (n,)),
-                self.buf[terms:]))
+                self.buf[terms:],
+                tuple(_view(r[s % len(r)], shape)
+                      for r, shape in zip(self.ring, shapes))))
         self.slabs = tuple(slabs)
 
 
@@ -386,13 +407,22 @@ _GEMM_BLOCK = 1 << 16
 _KRON_ROW = 16
 
 
+def _diff_matrix(D, post):
+    """D as _diff applies it along a node axis with post values per node
+    after it: kron(D, I_post) on short rows (see _diff), else D."""
+    if post == 1 or len(D) * post > _KRON_ROW:
+        return D
+    return np.kron(D, np.eye(post))
+
+
 def _diff(arr, node_ax, D, out):
     """D along axis node_ax of a C-contiguous array, into out, a
     C-contiguous array of arr's shape, seen as (pre, n, post) with n the
     node axis.  Long rows (n post > _KRON_ROW, the node axis not last)
     take one batched matmul, D @ (n, post) blocks.  Short rows take
     (rows, n post) @ kron(D, I_post).T blocks, the last node axis
-    (post = 1) (rows, n) @ D.T.
+    (post = 1) (rows, n) @ D.T.  D is the nodal derivative, or already
+    in the shape it is applied in (_diff_matrix).
 
     Every product stays small.  One large product would be spread over
     the BLAS library's threads, whose workers then spin between calls
@@ -405,7 +435,7 @@ def _diff(arr, node_ax, D, out):
         np.matmul(D, arr.reshape(blocks), out=out.reshape(blocks))
         return out
     m = n * post
-    op = D if post == 1 else np.kron(D, np.eye(post))
+    op = D if len(D) == m else _diff_matrix(D, post)
     rows, k = 1, node_ax
     while k > 0 and rows * shape[k - 1] * m * m <= _GEMM_BLOCK:
         k -= 1
@@ -421,40 +451,71 @@ def _at(k, axis):
 
 
 def _rhs(Q, w, disc, out, ws, scale):
-    """scale times the rates (dQ, dw) of the state (Q, w); on a Taylor
-    term with scale dt/k, the next term but its source.  They overwrite
-    out, a Q and its auxiliary fields, which is returned and may be (Q, w)
-    itself; the RHS scratch comes from ws, a Workspace for disc.  The
-    factor rides the derivative matrix, the lift scalar and the layer
-    tables.
-
-    The rates are formed slab by slab (see Workspace): the auxiliary
-    rates straight into their rows of out, Q's in the slab result, which
-    the material map writes into Q's rows of out.  A face between two
-    slabs takes each side's outgoing wave into ws.halo from the rows
-    before the slab writes them."""
-    total, dw = out
-    terms = [(scale * d, scale * h) for d, h in zip(disc.dmat, disc.lift)]
-    slabs = ws.slabs
-    prev, nxt, save = ws.halo
-    for slab in slabs:
-        last = slab is slabs[-1]
-        if not last:
-            _outgoing(Q, disc, slab.stop, 0, nxt)
-            _outgoing(Q, disc, slab.stop - 1, -1, save)
-        q, *w_rows = (a[i] for a, i in zip((Q, *w), slab.index))
-        dest, *dw_rows = (a[i] for a, i in zip((total, *dw), slab.index))
-        _slab_rhs(q, w_rows, slab, scale, terms,
-                  (None if slab.start == 0 else prev, None if last else nxt),
-                  dest, dw_rows)
-        prev, save = save, prev
+    """scale times the rates (dQ, dw) of the state (Q, w), the one-stage
+    sweep (see _sweep) over the whole grid.  They overwrite out, a Q and
+    its auxiliary fields, which is returned and may be (Q, w) itself; the
+    scratch comes from ws, a Workspace for disc."""
+    _sweep(ws, disc, (Q, *w), (scale,), (out[0], *out[1]), np.copyto)
     return out
 
 
+def _add(dst, term):
+    dst += term
+
+
+def _sweep(ws, disc, fields, scales, into, take, sources=(), t=0.0):
+    """Stage k = 1..len(scales) forms T_k = scales[k-1] L T_(k-1) + c_k
+    f^(k-1)(t) from T_0 = fields, a Q and its auxiliary fields, with c_k
+    the product of the first k scales and f the sources; each term, slab
+    by slab, goes to the same rows of into through take(rows, term).
+
+    One sweep over the slabs: at sweep j, stage k forms T_k on slab
+    j - k + 1 in that slab's buffer of ws.ring, over T_(k-1) (see
+    Workspace).  Its rates read T_(k-1) on the slab, on the first row of
+    the next slab, formed earlier in the same sweep, and the outgoing
+    wave of the previous slab's last row, saved in ws.halo before that
+    slab's input was overwritten; take comes after the save, so into may
+    be fields.  The factor rides the derivative matrix, the lift scalar
+    and the layer tables."""
+    slabs, stages = ws.slabs, len(scales)
+    count = len(slabs)
+    terms = [[(scale * d, scale * h) for d, h in zip(disc.dmat, disc.lift)]
+             for scale in scales]
+    coefs = list(accumulate(scales, mul))
+    inside = [[src for src in sources if slab.start <= src.elem[0] < slab.stop]
+              for slab in slabs]
+
+    def given(k, slab):
+        """T_(k-1) on slab's rows."""
+        if k > 1:
+            return slab.term
+        return tuple(a[i] for a, i in zip(fields, slab.index))
+
+    for j in range(count + stages - 1):
+        for k in range(max(1, j + 2 - count), min(j + 1, stages) + 1):
+            s = j - k + 1
+            slab, saved = slabs[s], ws.halo[2 * k - 2:2 * k]
+            q, *w = given(k, slab)
+            halo = [saved[(s - 1) % 2] if s else None, None]
+            if s < count - 1:
+                ahead = slabs[s + 1]
+                halo[1] = _outgoing(given(k, ahead)[0], ahead.disc, 0, 0,
+                                    ws.halo[-1])
+                _outgoing(q, slab.disc, slab.stop - slab.start - 1, -1,
+                          saved[s % 2])
+            dq, *dw = slab.term
+            _slab_rhs(q, w, slab, scales[k - 1], terms[k - 1], halo, dq, dw)
+            for src in inside[s]:
+                src.inject(dq, t, k - 1, coefs[k - 1], slab.start)
+            for a, i, term in zip(into, slab.index, slab.term):
+                take(a[i], term)
+
+
 def _outgoing(Q, disc, row, node, out):
-    """2 out, the outgoing wave of element row `row` of axis 0 across its
-    face at node plane node (0 left, -1 right) of axis 0, as `fluctuation`
-    forms it: Z v + T on the left, Z v - T on the right; into out."""
+    """2 out, the outgoing wave of element row `row` of axis 0 of Q, the
+    rows of a slab and disc its tables, across its face at node plane
+    node (0 left, -1 right) of axis 0, as `fluctuation` forms it: Z v + T
+    on the left, Z v - T on the right; into out."""
     dim = disc.mesh.dim
     face = (slice(row, row + 1),) + (slice(None),) * (dim - 1) + (node,)
     z = disc.z[0]
@@ -468,7 +529,7 @@ def _outgoing(Q, disc, row, node, out):
 
 
 def _slab_rhs(Q, w, slab, scale, terms, halo, dest, dw):
-    """The rates of `_rhs` on one slab: Q and w its rows, slab its _Slab,
+    """The rates of one stage on one slab: Q and w its rows, slab its _Slab,
     terms per axis the derivative matrix and the lift scalar times scale.
     halo holds the outgoing waves across its faces on axis 0 (see
     fluctuation), None where the face is the grid's.  The rates of w go
@@ -639,23 +700,18 @@ def ader_step(state, dt, sources, ws):
 
     Each stage forms its term whole, T_k = (dt/k) L T_(k-1) + c_k
     f^(k-1) with c_k = dt^k/k!: the RHS takes the factor dt/k and the
-    sources inject c_k f^(k-1).  ws is a Workspace for state.disc.
-    Stage k writes T_k into ws.stage, over T_(k-1) (see _rhs).  Each
-    term is added into state.Q and state.w, which stage 1 reads first, so
-    the step allocates nothing state-sized.  Returns state, advanced by
-    dt; after DivergenceDetected its fields are not finite."""
+    sources inject c_k f^(k-1).  ws is a Workspace for state.disc.  The
+    step is one sweep over the slabs (see _sweep): each stage of a slab
+    writes its term over the last in the slab's ring buffer, and adds it
+    into the slab's rows of state.Q and state.w, after stage 1 has read
+    them and saved the outgoing wave the next slab needs, so the step
+    allocates nothing state-sized.  Returns state, advanced by dt; after
+    DivergenceDetected its fields are not finite."""
     disc, fields = state.disc, (state.Q,) + state.w
-    term_q, term_w = state.Q, state.w
-    coef, start = 1.0, state.t
+    start = state.t
+    scales = [dt / k for k in range(1, disc.ops.degree + 2)]
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for k in range(1, disc.ops.degree + 2):
-            coef *= dt / k
-            term_q, term_w = _rhs(term_q, term_w, disc, ws.stage, ws,
-                                  dt / k)
-            for src in sources:
-                src.inject(term_q, state.t, k - 1, coef)
-            for a, term in zip(fields, (term_q,) + term_w):
-                a += term
+        _sweep(ws, disc, fields, scales, fields, _add, sources, start)
     state.t += dt
     for pos, (a, tab) in enumerate(zip(fields, (None,) + disc.damping)):
         for slab in ws.slabs:

@@ -89,14 +89,16 @@ class MomentTensorSource:
                           "injected into the owning element only")
         self.stencil = stencil / mesh.jacobian
 
-    def inject(self, dq, t, k=0, scale=1.0):
+    def inject(self, dq, t, k=0, scale=1.0, start=0):
         """Adds scale times the k-th time derivative of the source at t
-        to the rates dq."""
+        to the rates dq, which hold the element rows from `start` on of
+        the first element axis, the source's among them."""
         g = scale * self.stf.eval(t, k)
         if g == 0.0:
             return
         nv = self.dim
-        sel = (slice(nv, nv + self.m_voigt.size),) + self.elem
+        sel = ((slice(nv, nv + self.m_voigt.size), self.elem[0] - start)
+               + self.elem[1:])
         dq[sel] += (self.m_voigt.reshape((-1,) + (1,) * self.dim)
                     * (g * self.stencil))
 

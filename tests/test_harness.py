@@ -516,6 +516,18 @@ def _code_built_cases():
     yield "boundary y.lo: gamma must be numeric, got 'free'", replace(
         small, boundary=tuple((ax, side, "free" if (ax, side) == ("y", -1)
                                else g) for ax, side, g in small.boundary))
+    yield "pml tol must lie in (0, 1), got '1e-6'", replace(
+        small, pml=replace(small.pml, tol="1e-6"))
+    yield "pml x.lo width must be a number, got '10 km'", replace(
+        small, pml=replace(small.pml, widths=(("x", "10 km", 1e4),)))
+    yield "box[0] must be numbers (lo, hi), got ('0', 50000.0)", replace(
+        small, box=(("0", 5e4), small.box[1]))
+    yield "output series_interval must be positive and finite", replace(
+        small, output=replace(small.output, series_interval="0.5"))
+    yield "pml d0 must be nonnegative, got '16'", replace(
+        small, pml=replace(small.pml, tol=None, d0="16"))
+    yield "receiver probe: interval must be positive and finite", replace(
+        small, receivers=(replace(small.receivers[0], interval="0.5"),))
 
 
 @pytest.mark.parametrize("cause, cfg", list(_code_built_cases()),
@@ -528,7 +540,10 @@ def _code_built_cases():
                               "pml-axis-twice", "boundary-face-twice",
                               "boundary-pair", "pml-width-pair",
                               "box-side", "spacing-text", "tend-none",
-                              "cfl-none", "theta-none", "gamma-word"])
+                              "cfl-none", "theta-none", "gamma-word",
+                              "tol-text", "pml-width-text", "box-text",
+                              "series-interval-text", "d0-text",
+                              "receiver-interval-text"])
 def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
     # each passed finalize; the first three failed in build_problem with
     # a bare ValueError, the fourth ran with z dropped from the centre,
@@ -543,7 +558,10 @@ def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
     # alone, the free top of the strip turned absorbing.  The last eight
     # made validate itself raise a bare ValueError (a boundary entry, a
     # layer width or a box side of too few items) or TypeError (a dx given
-    # as text, no tend, cfl or theta, a reflection value given as a word)
+    # as text, no tend, cfl or theta, a reflection value given as a word);
+    # so did, with a TypeError, the last six: a layer tol, a layer width,
+    # a box side, a series interval, a layer d0 and a receiver interval
+    # given as text
     with pytest.raises(ValidationError, match=re.escape(cause)):
         finalize(cfg)
 

@@ -58,10 +58,15 @@ def copy_state(st):
                                   w=tuple(wi.copy() for wi in st.w))
 
 
+def new_fields(Q, w):
+    """New arrays of the shapes of Q and its auxiliary fields w."""
+    return np.empty(Q.shape), tuple(np.empty(wi.shape) for wi in w)
+
+
 def fresh_rhs(Q, w, disc):
     """The rates of (Q, w) in new arrays, through a new Workspace."""
-    out = (np.empty(Q.shape), tuple(np.empty(wi.shape) for wi in w))
-    return solver._rhs(Q, w, disc, out, solver.Workspace(disc), 1.0)
+    return solver._rhs(Q, w, disc, new_fields(Q, w), solver.Workspace(disc),
+                       1.0)
 
 
 def energy(state):
@@ -232,29 +237,34 @@ def test_rhs_peak_allocation(widths):
     row = st.Q[0].nbytes
     assert 3 * np.getbufsize() * st.Q.itemsize < row
     ws = solver.Workspace(disc)
+    out = new_fields(st.Q, st.w)
     peak = _peak_states(
-        lambda: solver._rhs(st.Q, st.w, disc, ws.stage, ws, 1e-3), st)
+        lambda: solver._rhs(st.Q, st.w, disc, out, ws, 1e-3), st)
     assert peak * st.Q.nbytes < row
 
 
 @pytest.mark.parametrize("widths,bound,rows", [
-    pytest.param(PEAK_WIDTHS[0], 3.15, None, id="None-3.15"),
-    pytest.param(PEAK_WIDTHS[1], 3.75, None, id="widths1-3.75"),
-    pytest.param(PEAK_WIDTHS[1], 2.0, 1, id="widths1-2.0-slabs")])
+    pytest.param(PEAK_WIDTHS[0], 3.1, None, id="None-3.1"),
+    pytest.param(PEAK_WIDTHS[1], 3.7, None, id="widths1-3.7"),
+    pytest.param(PEAK_WIDTHS[1], 1.95, 1, id="widths1-1.95-slabs"),
+    pytest.param(PEAK_WIDTHS[0], 1.3, 1, id="None-1.3-slabs")])
 def test_step_peak_allocation(monkeypatch, widths, bound, rows):
-    # a new workspace and one step through it: as one slab, the stage
-    # result (1 + 0.33 states with layers), the slab's result of Q's
-    # rates (1 state), whose bools the finiteness check borrows, the RHS
-    # scratch (the traction gather and derivative, 1/3 state each, one
-    # face plane and -d*w) and the ufunc buffers measure 3.08 / 3.64
-    # states.  The auxiliary rates in the slab result, a bool buffer of
-    # its own and the x layer tables copied per slab measured 3.21 /
-    # 3.95, two ping-pong stage results 3.21 / 3.87, a new state for the
-    # sum 4.16 / 5.16, all nc rows in w (0.5 states) on top of it 5.4,
-    # and a state-sized coef * term per stage on top of a fresh RHS
-    # 6.4 / 7.7.  In slabs of one element row, the stage result and a
-    # slab's result and scratch measure 1.94 states (2.06 with the
-    # copies above)
+    # a new workspace and one step through it: as one slab, the ring of
+    # one buffer per field (1 + 0.33 states with layers), the slab's
+    # result of Q's rates (1 state), whose bools the finiteness check
+    # borrows, the RHS scratch (the traction gather and derivative, 1/3
+    # state each, one face plane and -d*w) and the ufunc buffers measure
+    # 3.05 / 3.61 states.  A state-sized stage result and three halo
+    # planes measured 3.08 / 3.64, the auxiliary rates in the slab result,
+    # a bool buffer of its own and the x layer tables copied per slab
+    # 3.21 / 3.95, two ping-pong stage results 3.21 / 3.87, a new state
+    # for the sum 4.16 / 5.16, all nc rows in w (0.5 states) on top of it
+    # 5.4, and a state-sized coef * term per stage on top of a fresh RHS
+    # 6.4 / 7.7.  In slabs of one element row, more slabs (6) than P+1,
+    # the ring holds the terms of four slabs (1.19 states with layers, of
+    # which the x layer's 0.44, twice its field of one damped row per
+    # end), and a slab's result and scratch: 1.88 / 1.24 states, where
+    # a state-sized stage result measured 1.94 / 1.49
     disc = make_disc(dim=3, counts=(6, 6, 6), degree=3, widths=widths)
     if rows:
         _slab_rows(monkeypatch, disc, rows)
@@ -289,20 +299,26 @@ def _poison(ws):
             a.fill(False if a.dtype == bool else np.nan)
 
 
-@pytest.mark.parametrize("dim,counts,widths", [
-    (2, (5, 4), _every_axis(2)), (3, (4, 3, 4), _every_axis(3)),
+@pytest.mark.parametrize("dim,counts,widths,rows", [
+    (2, (5, 4), _every_axis(2), None), (3, (4, 3, 4), _every_axis(3), None),
     # layers on y only: the first axis writes its result rows with no
     # layer terms, y writes the stress rows new to it, then adds its
     # layer's terms
-    (3, (4, 3, 4), {"y": (2.5, 2.5)}),
-], ids=["2-counts0", "3-counts1", "3-y-only"])
-def test_workspace_reuse_bitwise(dim, counts, widths):
+    (3, (4, 3, 4), {"y": (2.5, 2.5)}, None),
+    # one-row slabs: the ring of four slabs wraps, and the halo planes
+    # carry every stage's slab faces
+    (3, (6, 3, 4), _every_axis(3), 1),
+], ids=["2-counts0", "3-counts1", "3-y-only", "3-one-row-slabs"])
+def test_workspace_reuse_bitwise(monkeypatch, dim, counts, widths, rows):
     # steps through one workspace match steps each through a new one; a
     # step through a poisoned one matches too, so no buffer is read
     # before the step writes it
     disc = make_disc(dim=dim, counts=counts, degree=3, theta=0.5,
                      widths=widths, d0=1.3, alpha=0.2,
                      gamma=GAMMA_ALL_2D if dim == 2 else GAMMA_ALL_3D)
+    if rows:
+        _slab_rows(monkeypatch, disc, rows)
+        assert len(solver.Workspace(disc).ring[0]) == 4
     moment = np.eye(dim) + 0.3 * (1 - np.eye(dim))
     src = MomentTensorSource(disc.mesh, disc.ops, (4.1,) * dim, moment,
                              GaussianSTF(sigma=0.05, t0=0.08))
@@ -349,9 +365,9 @@ def test_rhs_slab_count_bitwise(monkeypatch, dim, counts, theta, rows):
     ws = solver.Workspace(disc)
     assert len(one.slabs) == 1 and len(ws.slabs) == -(-5 // rows)
     assert max(s.stop - s.start for s in ws.slabs) == rows
-    want = solver._rhs(st.Q, st.w, disc, one.stage, one, 0.3)
-    got = solver._rhs(st.Q, st.w, disc, ws.stage, ws, 0.3)
-    assert want is one.stage and got is ws.stage
+    want, got = new_fields(st.Q, st.w), new_fields(st.Q, st.w)
+    assert solver._rhs(st.Q, st.w, disc, want, one, 0.3) is want
+    assert solver._rhs(st.Q, st.w, disc, got, ws, 0.3) is got
     results = [got]
     for work in (one, ws):
         in_place = copy_state(st)
@@ -377,24 +393,33 @@ def test_benchmark_grids_split_into_slabs():
 
 
 def test_slab_workspace_holds_one_term(monkeypatch):
-    # on every grid one stage result of the state's shapes, which the
-    # stages after the first rewrite in place, and one slab's result and
-    # scratch: slab-sized in slabs, grid-sized as one slab
-    disc = make_disc(dim=3, counts=(6, 4, 4), degree=3,
+    # a ring of min(P+1, slabs) buffers per field, each of that field's
+    # largest slab, in which every stage of a slab rewrites the slab's
+    # term, and one slab's result and scratch: as one slab the ring is
+    # the state's size, in one-row slabs (8 rows, P+1 = 4) no array of
+    # the workspace is as large as Q, and all of them less than the state
+    # (the stage result alone was one state)
+    disc = make_disc(dim=3, counts=(8, 4, 4), degree=3,
                      widths=_every_axis(3))
     st = solver.setup_state(disc)
-    state = st.Q.nbytes + sum(wi.nbytes for wi in st.w)
+    state = sum(a.nbytes for a in (st.Q, *st.w))
 
     def held(ws):
-        q, w = ws.stage
-        assert [a.shape for a in (q, *w)] == [a.shape for a in (st.Q, *st.w)]
-        return sum(a.nbytes for a in (q, *w, ws.buf, ws.result, ws.halo))
+        arrays = (*ws.ring, ws.buf, ws.result, ws.halo)
+        largest = [max(t.size for t in terms)
+                   for terms in zip(*(s.term for s in ws.slabs))]
+        size = min(4, len(ws.slabs))
+        assert [r.shape for r in ws.ring] == [(size, n) for n in largest]
+        return sum(a.nbytes for a in arrays), max(a.size for a in arrays)
 
-    assert held(solver.Workspace(disc)) > 2 * state
+    nbytes, _ = held(solver.Workspace(disc))
+    assert nbytes > 2 * state
     _slab_rows(monkeypatch, disc, 1)
     ws = solver.Workspace(disc)
-    assert len(ws.slabs) == 6
-    assert state < held(ws) < 1.5 * state
+    assert len(ws.slabs) == 8
+    nbytes, largest = held(ws)
+    assert largest < st.Q.size
+    assert nbytes < 0.85 * state
 
 
 def test_slabs_view_the_grids_layer_tables(monkeypatch):
@@ -441,6 +466,60 @@ def test_run_slab_count_bitwise(monkeypatch):
     _assert_bitwise(st2, st1)
     assert len(rec1.samples) == 6
     assert np.array_equal(np.array(rec2.samples), np.array(rec1.samples))
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("degree", [1, 3])
+def test_sweep_slab_count_bitwise(monkeypatch, degree, rows):
+    # a layered run through one slab and through slabs of `rows` rows,
+    # 10 or 5 of them, so the ring of P+1 slab terms wraps (2 buffers at
+    # degree 1, 4 at degree 3): theta = 0.5, layers on every axis, one
+    # source in row 3 (the second row of a 2-row slab) and one in row 6
+    # (the first row of a slab either way), and a receiver
+    disc = make_disc(dim=3, counts=(10, 3, 4), degree=degree, theta=0.5,
+                     widths=_every_axis(3), d0=1.3, alpha=0.2,
+                     gamma=GAMMA_ALL_3D, layered="mixed")
+    moment = np.eye(3) + 0.3 * (1 - np.eye(3))
+    srcs = [MomentTensorSource(disc.mesh, disc.ops, (x, 4.1, 4.1), moment,
+                               GaussianSTF(sigma=0.05, t0=0.08))
+            for x in (3.5, 6.5)]
+    assert [s.elem[0] for s in srcs] == [3, 6]
+    runs = []
+    for slab_rows in (None, rows):
+        if slab_rows:
+            _slab_rows(monkeypatch, disc, slab_rows)
+            ws = solver.Workspace(disc)
+            assert len(ws.slabs) == 10 // rows
+            assert len(ws.ring[0]) == degree + 1
+        st = random_state(disc, seed=13, scale=1e-3)
+        rec = Receiver(disc.mesh, disc.ops, (6.3, 2.2, 7.7))
+        solver.run(st, 0.1, 0.02, sources=srcs, callbacks=[rec])
+        monkeypatch.undo()
+        runs.append((st, rec))
+    (st1, rec1), (st2, rec2) = runs
+    _assert_bitwise(st2, st1)
+    assert np.array_equal(np.array(rec2.samples), np.array(rec1.samples))
+
+
+def test_step_forms_no_kron(monkeypatch):
+    # the derivative matrices come from discretize in the shape _diff
+    # applies them, kron(D, I) on the short rows of the 3D middle node
+    # axis at degree 3, so a step in slabs forms none
+    disc = make_disc(dim=3, counts=(6, 4, 4), degree=3,
+                     widths=_every_axis(3))
+    _slab_rows(monkeypatch, disc, 2)
+    st, ws = random_state(disc), solver.Workspace(disc)
+    calls = []
+    kron = np.kron
+
+    def counted(*args):
+        calls.append(args)
+        return kron(*args)
+
+    monkeypatch.setattr(np, "kron", counted)
+    solver.ader_step(st, 1e-3, (), ws)
+    assert calls == []
+    assert solver._diff_matrix(disc.ops.D, 4).shape == (16, 16)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
