@@ -99,21 +99,22 @@ def _bump(u):
 class PlaneWaveSpec:
     """Traveling eigenmode Q(x,t) = Q0 * phi(n.x - c t).
 
-    n: unit propagation direction (length dim); mode "P" or "S";
-    polarization: shear polarization unit vector (S mode, 3D; optional in
-    2D where the in-plane choice is unique); center/width parametrize the
-    compact profile phi((s - center)/width).
+    n: propagation direction (length dim, normalized when used); mode
+    "P" or "S", the S mode polarized along a unit vector orthogonal to n
+    that follows from n (see plane_wave_polarization); center/width
+    parametrize the compact profile phi((s - center)/width).
     """
 
     n: tuple
     mode: str = "P"
     center: float = 0.0
     width: float = 1.0
-    polarization: tuple = None
 
 
 def plane_wave_polarization(pw, material, dim):
-    """Exact state-vector amplitude Q0 and speed c of the traveling mode."""
+    """Exact state-vector amplitude Q0 and speed c of the traveling mode.
+    An S mode is polarized in the plane in 2D, (-n_y, n_x), and in 3D
+    along n x e, e the unit axis of n's smallest component."""
     n = np.asarray(pw.n, dtype=float)
     if n.size != dim:
         raise ValueError(f"direction must have {dim} components")
@@ -126,17 +127,13 @@ def plane_wave_polarization(pw, material, dim):
         sig = -voigt(tau, dim) / c
     elif pw.mode == "S":
         c = material.cs
-        if pw.polarization is not None:
-            m = np.asarray(pw.polarization, dtype=float)
-        elif dim == 2:
+        if dim == 2:
             m = np.array([-n[1], n[0]])
         else:
             probe = np.zeros(3)
             probe[int(np.argmin(np.abs(n)))] = 1.0
             m = np.cross(n, probe)
         m = m / np.linalg.norm(m)
-        if abs(float(m @ n)) > 1e-12:
-            raise ValueError("shear polarization must be orthogonal to n")
         v = m
         tau = mu * (np.outer(n, m) + np.outer(m, n))
         sig = -voigt(tau, dim) / c
@@ -160,18 +157,15 @@ def plane_wave_state(pw, disc, t):
     return q0.reshape((-1,) + (1,) * (2 * mesh.dim)) * phi
 
 
-def reflection_arrival_bound(ref_box, interior, source, speed, faces=None):
-    """Earliest time a wave from `source` can bounce off a face of ref_box
-    and re-enter the interior box: mirror-path distance / speed.
-
-    faces limits the check to (axis, side) pairs; None means every face.
-    An empty list (no artificial faces) returns inf.
+def reflection_arrival_bound(ref_box, interior, source, speed, faces):
+    """Earliest time a wave from `source` can bounce off one of the faces
+    of ref_box, given as (axis, side) pairs, and re-enter the interior
+    box: mirror-path distance / speed.  No faces (no artificial ones)
+    return inf.
     """
     lo_r, hi_r = (np.asarray(a, dtype=float) for a in ref_box)
     lo_i, hi_i = (np.asarray(a, dtype=float) for a in interior)
     src = np.asarray(source, dtype=float)
-    if faces is None:
-        faces = [(ax, s) for ax in range(src.size) for s in (-1, 1)]
     best = np.inf
     for ax, side in faces:
         plane = lo_r[ax] if side == -1 else hi_r[ax]

@@ -3,16 +3,18 @@ configuration must meet.
 
 The format is sectioned plain text.  A section header is `[name]` or
 `[name.sub]`, a setting is `key = value`, and `#` starts a comment.
-Dimensional values carry a unit tag after the number (`5 km`,
-`2.7 g/cm3`); bare numbers are taken as SI.  The dimensionless keys
-(`dimension`, `degree`, `cfl`, `tol`, `theta`, `nx`/`ny`/`nz` and the
-reflection values) take bare numbers only.  Everything is stored
-internally in SI base units (m, s, kg, Pa, N*m).
+A dimensional key reads its value as one quantity (see _UNITS): a
+length, time, speed, density, stress, moment or rate, with an optional
+unit tag of that quantity after the number (`5 km`, `2.7 g/cm3`); bare
+numbers are taken as SI.  The dimensionless keys (`dimension`,
+`degree`, `cfl`, `tol`, `theta`, `nx`/`ny`/`nz` and the reflection
+values) take bare numbers only.  Everything is stored internally in SI
+base units (m, s, kg, Pa, N*m).
 
 Two jobs, kept apart:
 
-- `parse_config` reads text into a RunConfig.  Bad syntax, a unit it
-  does not know or a key does not take, and a non-finite number raise
+- `parse_config` reads text into a RunConfig.  Bad syntax, a unit tag
+  of another quantity than the key's, and a non-finite number raise
   ParseError with the line number.  Unknown sections and keys are
   findings.  A missing required section or key, or a material section
   that gives no valid material, is reported once, with the other
@@ -38,23 +40,17 @@ from ..physics import (AXES, axes_of, material_from_lame,
                        velocity_names)
 from ..sources import STF_KINDS
 
+# the unit tags of each quantity a key reads, with their SI factors
 _UNITS = {
-    "m": 1.0,
-    "km": 1000.0,
-    "s": 1.0,
-    "kg/m3": 1.0,
-    "g/cm3": 1000.0,
-    "m/s": 1.0,
-    "km/s": 1000.0,
-    "Pa": 1.0,
-    "GPa": 1e9,
-    "N*m": 1.0,
-    "1/s": 1.0,
-    "m2": 1.0,
-    "km2": 1e6,
+    "length": {"m": 1.0, "km": 1000.0},
+    "time": {"s": 1.0},
+    "speed": {"m/s": 1.0, "km/s": 1000.0},
+    "density": {"kg/m3": 1.0, "g/cm3": 1000.0},
+    "stress": {"Pa": 1.0, "GPa": 1e9},
+    "moment": {"N*m": 1.0},
+    "rate": {"1/s": 1.0},
+    "number": {},          # dimensionless: no unit tag
 }
-_LENGTHS = {"m": 1.0, "km": 1000.0}
-_BARE = {}                 # dimensionless: no unit tag
 _REQUIRED = dataclasses.MISSING    # default of a key that must be given
 
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -78,7 +74,6 @@ class SourceSpec:
 class ReceiverSpec:
     rid: str
     location: tuple
-    components: str = "velocity"
     interval: float = None
 
 
@@ -152,15 +147,18 @@ class RunConfig:
         return tuple(lo), tuple(hi)
 
 
-def _quantity(raw, where, units=_UNITS):
+def _quantity(raw, where, quantity):
     """The number in raw, scaled to SI by its unit tag, which must be
-    one of `units` (none at all for _BARE); `where` leads each error."""
+    one of the quantity's (none at all for a number); `where` leads each
+    error."""
     parts = raw.split()
     if not (len(parts) in (1, 2) and _NUM_RE.match(parts[0])):
         raise ParseError(f"{where}: expected `number [unit]`, got {raw!r}")
     unit = parts[1] if len(parts) == 2 else None
+    units = _UNITS[quantity]
     if unit is not None and unit not in units:
-        raise ParseError(f"{where}: unknown unit {unit!r}" if units else
+        raise ParseError(f"{where}: {unit!r} is not a unit of {quantity}"
+                         f" (use {' or '.join(units)})" if units else
                          f"{where}: expected a bare number, got {raw!r}")
     value = float(parts[0]) * units.get(unit, 1.0)
     if not math.isfinite(value):
@@ -171,7 +169,7 @@ def _quantity(raw, where, units=_UNITS):
 def parse_length(token):
     """A length written `2500` or `2.5 km`, in m."""
     return _quantity(token, f"bad length {token!r} (write `2500` or"
-                            f" `2.5 km`)", _LENGTHS)
+                            f" `2.5 km`)", "length")
 
 
 def _tokenize(text):
@@ -223,10 +221,10 @@ class _Section:
         self.missing = missing
         self.seen = set()
 
-    def get(self, key, units=_UNITS, default=None):
-        """The value of key: a number in SI units, or its text with
-        units=None.  An absent key gives default; with _REQUIRED it is
-        reported missing and gives None."""
+    def get(self, key, quantity, default=None):
+        """The value of key: a number of the quantity in SI units, or its
+        text with quantity None.  An absent key gives default; with
+        _REQUIRED it is reported missing and gives None."""
         self.seen.add(key)
         if key not in self.entries:
             if default is _REQUIRED:
@@ -234,9 +232,9 @@ class _Section:
                 return None
             return default
         raw, lineno = self.entries[key]
-        if units is None:
+        if quantity is None:
             return raw
-        return _quantity(raw, f"line {lineno}", units)
+        return _quantity(raw, f"line {lineno}", quantity)
 
     def unknown_keys(self):
         return [k for k in self.entries if k not in self.seen]
@@ -247,7 +245,7 @@ def _gamma_value(raw, lineno):
         return _GAMMA_WORDS[raw]
     where = (f"line {lineno}: reflection value must be"
              f" {', '.join(_GAMMA_WORDS)} or numeric")
-    vals = tuple(_quantity(p, where, _BARE) for p in raw.split(","))
+    vals = tuple(_quantity(p, where, "number") for p in raw.split(","))
     return vals[0] if len(vals) == 1 else vals
 
 
@@ -258,13 +256,14 @@ def _whole(value):
 
 
 def _point(sec, dim):
-    return tuple(sec.get(a, default=_REQUIRED) for a in axes_of(dim))
+    return tuple(sec.get(a, "length", _REQUIRED) for a in axes_of(dim))
 
 
 def _build_material(sec):
     """The section's MaterialModel, or None with the cause reported."""
-    rho = sec.get("rho", default=_REQUIRED)
-    cp, cs, lam, mu = (sec.get(k) for k in ("cp", "cs", "lam", "mu"))
+    rho = sec.get("rho", "density", _REQUIRED)
+    cp, cs = sec.get("cp", "speed"), sec.get("cs", "speed")
+    lam, mu = sec.get("lam", "stress"), sec.get("mu", "stress")
     speeds = cp is not None or cs is not None
     lame = lam is not None or mu is not None
     if rho is None:
@@ -317,16 +316,16 @@ def parse_config(text):
 
     # mesh
     mesh = section("mesh")
-    dim = _whole(mesh.get("dimension", _BARE, _REQUIRED))
+    dim = _whole(mesh.get("dimension", "number", _REQUIRED))
     bad_dim = [] if dim is None else _dimension_faults(dim)
     if dim is None or bad_dim:
         # every extent and point has one entry per axis: read no further
         _report(missing + bad_dim + faults)
     axes = axes_of(dim)
-    box = tuple((mesh.get(a + "min", default=_REQUIRED),
-                 mesh.get(a + "max", default=_REQUIRED)) for a in axes)
-    spacing = mesh.get("dx", default=_REQUIRED)
-    degree = _whole(mesh.get("degree", _BARE, _REQUIRED))
+    box = tuple((mesh.get(a + "min", "length", _REQUIRED),
+                 mesh.get(a + "max", "length", _REQUIRED)) for a in axes)
+    spacing = mesh.get("dx", "length", _REQUIRED)
+    degree = _whole(mesh.get("degree", "number", _REQUIRED))
 
     # materials
     materials = []
@@ -335,7 +334,7 @@ def parse_config(text):
         sec = secs[name]
         materials.append(_build_material(sec))
         if name != "material":
-            axis, below = sec.get("axis", None), sec.get("below")
+            axis, below = sec.get("axis", None), sec.get("below", "length")
             if axis is None or below is None:
                 missing.append(
                     f"[{name}]: secondary material needs axis and below")
@@ -362,7 +361,7 @@ def parse_config(text):
         mm = re.fullmatch(_AXIS_RE + r"(\.(lo|hi))?", key)
         if not mm:
             continue
-        w = psec.get(key)
+        w = psec.get(key, "length")
         ax, side = mm.group(1), mm.group(3)
         lo, hi = widths.get(ax, (0.0, 0.0))
         if side is None and (ax + ".lo" in psec.entries
@@ -371,8 +370,9 @@ def parse_config(text):
         widths[ax] = (lo if side == "hi" else w, hi if side == "lo" else w)
     pml = PmlSpec(
         widths=tuple((ax, lo, hi) for ax, (lo, hi) in sorted(widths.items())),
-        tol=psec.get("tol", _BARE), d0=psec.get("d0"),
-        alpha=psec.get("alpha"), theta=psec.get("theta", _BARE, 1.0))
+        tol=psec.get("tol", "number"), d0=psec.get("d0", "rate"),
+        alpha=psec.get("alpha", "rate"),
+        theta=psec.get("theta", "number", 1.0))
     if pml.enabled and "alpha" not in psec.entries:
         notes.append("pml alpha defaulted to 0.15 1/s" if dim == 2
                      else "pml alpha defaulted to cp/(10*layer width)")
@@ -381,8 +381,8 @@ def parse_config(text):
 
     # time
     tsec = section("time")
-    t_end = tsec.get("tend", default=_REQUIRED)
-    cfl = tsec.get("cfl", _BARE, 0.9)
+    t_end = tsec.get("tend", "time", _REQUIRED)
+    cfl = tsec.get("cfl", "number", 0.9)
     if "cfl" not in tsec.entries:
         notes.append("cfl defaulted to 0.9")
 
@@ -391,13 +391,13 @@ def parse_config(text):
     for name in named("source"):
         sec = secs[name]
         # keys mxx, myy, ..., one per stress component
-        vals = {s: sec.get("m" + s[1:], default=0.0)
+        vals = {s: sec.get("m" + s[1:], "moment", 0.0)
                 for s in stress_names(dim)}
         moment = tuple(tuple(vals[stress_name(a, b)] for b in axes)
                        for a in axes)
         stf = sec.get("stf", None, _REQUIRED)
-        if stf in STF_KINDS:
-            params = {f.name: sec.get(f.name, default=f.default)
+        if stf in STF_KINDS:    # every parameter is a time
+            params = {f.name: sec.get(f.name, "time", f.default)
                       for f in dataclasses.fields(STF_KINDS[stf])}
         else:   # report the unknown kind alone, not its parameters
             params = {}
@@ -410,8 +410,7 @@ def parse_config(text):
     receivers = [
         ReceiverSpec(name.partition(".")[2] or "receiver",
                      _point(secs[name], dim),
-                     secs[name].get("components", None, "velocity"),
-                     secs[name].get("interval"))
+                     secs[name].get("interval", "time"))
         for name in named("receiver")]
 
     # initial condition
@@ -423,16 +422,18 @@ def parse_config(text):
         if kind == "velocity-gaussian":
             comps = sec.get("components", None)
             params = {"center": _point(sec, dim),
-                      "halfwidth": sec.get("halfwidth", default=_REQUIRED),
-                      "amplitude": sec.get("amplitude", default=1.0),
+                      "halfwidth": sec.get("halfwidth", "length",
+                                           _REQUIRED),
+                      "amplitude": sec.get("amplitude", "speed", 1.0),
                       "components": tuple(c.strip()
                                           for c in comps.split(","))
                       if comps else None}
         elif kind == "plane-wave":
-            params = {"n": tuple(sec.get("n" + a, _BARE, 0.0) for a in axes),
+            params = {"n": tuple(sec.get("n" + a, "number", 0.0)
+                                 for a in axes),
                       "mode": sec.get("mode", None, "P"),
-                      "center": sec.get("center", default=0.0),
-                      "width": sec.get("width", default=1.0)}
+                      "center": sec.get("center", "length", 0.0),
+                      "width": sec.get("width", "length", 1.0)}
         else:   # report the unknown kind alone, not its parameters
             sec.seen.update(sec.entries)
         initial = InitialSpec(kind, tuple(sorted(params.items())))
@@ -440,9 +441,9 @@ def parse_config(text):
     # output
     osec = section("output")
     output = OutputSpec(
-        seismogram_interval=osec.get("seismogram_interval"),
-        series_interval=osec.get("series_interval"),
-        snapshot_interval=osec.get("snapshot_interval"),
+        seismogram_interval=osec.get("seismogram_interval", "time"),
+        series_interval=osec.get("series_interval", "time"),
+        snapshot_interval=osec.get("snapshot_interval", "time"),
         snapshot_format=osec.get("snapshot_format", None, "binary"))
 
     for name, sec in secs.items():
@@ -537,6 +538,8 @@ def validate(cfg):
               for i, side in enumerate(cfg.box) if not all(map(_real, side))]
     if faults:
         return v + faults
+    if _real(cfg.spacing) and not math.isfinite(cfg.spacing):
+        return v    # named above; every grid rule would follow from it
     if not (_real(cfg.spacing) and cfg.spacing > 0.0):
         v.append(f"dx must be positive, got {cfg.spacing!r}")
         return v
@@ -659,9 +662,6 @@ def validate(cfg):
                  f" receivers; names must be unique")
     for r in cfg.receivers:
         v += _point_faults(f"receiver {r.rid}: location", r.location, cfg)
-        if r.components not in ("velocity", "all"):
-            v.append(f"receiver {r.rid}: components must be velocity"
-                     f" or all")
         if r.interval is not None and not (_real(r.interval)
                                            and 0.0 < r.interval < math.inf):
             v.append(f"receiver {r.rid}: interval must be positive"

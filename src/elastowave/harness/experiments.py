@@ -120,7 +120,7 @@ def build_problem(cfg):
                            STF_KINDS[s.stf](**dict(s.stf_params)))
         for s in cfg.sources)
     recs = tuple(
-        Receiver(mesh, ops, r.location, components=r.components,
+        Receiver(mesh, ops, r.location,
                  interval=r.interval if r.interval is not None
                  else cfg.output.seismogram_interval)
         for r in cfg.receivers)
@@ -280,8 +280,12 @@ def derive_abc(cfg):
                          "absorbing-wall companion, layers removed")
 
 
-def convergence_study(cfg, spacings, pad, output_dir=None,
-                      snapshot_interval=0.5, resolve=False):
+# snapshot interval of every run of a convergence study, s; the error
+# of a level is the worst over its snapshots
+_STUDY_SNAPSHOT_INTERVAL = 0.5
+
+
+def convergence_study(cfg, spacings, pad, output_dir=None, resolve=False):
     """Error against an enlarged reference at each element size; returns
     (errors, rates) and optionally writes the h,error,rate table.
 
@@ -293,9 +297,8 @@ def convergence_study(cfg, spacings, pad, output_dir=None,
     check_levels(spacings)
     errors = []
     for h in spacings:
-        c = replace(cfg, spacing=float(h),
-                    output=replace(cfg.output,
-                                   snapshot_interval=snapshot_interval))
+        c = replace(cfg, spacing=float(h), output=replace(
+            cfg.output, snapshot_interval=_STUDY_SNAPSHOT_INTERVAL))
         if resolve:
             lo, hi = c.interior()
             width = min(b - a for a, b in zip(lo, hi))

@@ -54,8 +54,7 @@ def _strip2d():
         initial=InitialSpec("velocity-gaussian", (
             ("amplitude", 1.0), ("center", (0.0, 25.0 * KM)),
             ("components", ("vx", "vy")), ("halfwidth", 3.0 * KM))),
-        receivers=(ReceiverSpec("probe", (25.0 * KM, 25.0 * KM),
-                                "velocity", 0.1),),
+        receivers=(ReceiverSpec("probe", (25.0 * KM, 25.0 * KM), 0.1),),
         output=OutputSpec(),
         notes=("probe receiver at (25, 25) km added for output checks"
                " (the benchmark itself defines none)",))
@@ -103,11 +102,8 @@ def _hws3d(n=25):
             "explosion", (3.4 * KM, 5.0 * KM, 5.0 * KM),
             _explosive_moment(), "gaussian",
             (("sigma", 0.1149), ("t0", 0.7))),),
-        receivers=(
-            ReceiverSpec("r1", (4.4 * KM, 5.0 * KM, 5.0 * KM),
-                         "velocity", None),
-            ReceiverSpec("r2", (8.4 * KM, 5.0 * KM, 5.0 * KM),
-                         "velocity", None)),
+        receivers=(ReceiverSpec("r1", (4.4 * KM, 5.0 * KM, 5.0 * KM)),
+                   ReceiverSpec("r2", (8.4 * KM, 5.0 * KM, 5.0 * KM))),
         output=OutputSpec(),
         notes=(_DEFAULT_ALPHA,))
 
@@ -122,7 +118,7 @@ def _surface_cube(n=25):
     box = ((0.0, 16.333 * KM), (lo, hi), (lo, hi))
     widths = (("x", 0.0, w), ("y", w, w), ("z", w, w))
     receivers = tuple(
-        ReceiverSpec(f"r{i + 1}", (0.0, y * KM, z * KM), "velocity", None)
+        ReceiverSpec(f"r{i + 1}", (0.0, y * KM, z * KM))
         for i, (y, z) in enumerate(_SURFACE_RECEIVERS))
     boundary = (("x", -1, 1.0), ("x", 1, 0.0), ("y", -1, 0.0),
                 ("y", 1, 0.0), ("z", -1, 0.0), ("z", 1, 0.0))

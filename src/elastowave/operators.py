@@ -62,8 +62,6 @@ class ElementOperators:
     Qmat: np.ndarray
     D: np.ndarray
     B: np.ndarray
-    eL: np.ndarray
-    eR: np.ndarray
     bary: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -198,10 +196,9 @@ def build_operators(P, kind="GLL"):
     # Qmat + Qmat^T = B
     Qmat = w[:, None] * D
     B = np.outer(eR, eR) - np.outer(eL, eL)
-    for a in (Qmat, D, B, eL, eR, bary):
+    for a in (Qmat, D, B, bary):
         a.setflags(write=False)
-    return ElementOperators(rule=rule, Qmat=Qmat, D=D, B=B,
-                            eL=eL, eR=eR, bary=bary)
+    return ElementOperators(rule=rule, Qmat=Qmat, D=D, B=B, bary=bary)
 
 
 def eval_basis_at(ops, x):

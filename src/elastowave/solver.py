@@ -421,8 +421,8 @@ def _diff(arr, node_ax, D, out):
     node axis.  Long rows (n post > _KRON_ROW, the node axis not last)
     take one batched matmul, D @ (n, post) blocks.  Short rows take
     (rows, n post) @ kron(D, I_post).T blocks, the last node axis
-    (post = 1) (rows, n) @ D.T.  D is the nodal derivative, or already
-    in the shape it is applied in (_diff_matrix).
+    (post = 1) (rows, n) @ D.T.  D is the nodal derivative in the shape
+    that row length applies it in: _diff_matrix(D, post).
 
     Every product stays small.  One large product would be spread over
     the BLAS library's threads, whose workers then spin between calls
@@ -435,13 +435,12 @@ def _diff(arr, node_ax, D, out):
         np.matmul(D, arr.reshape(blocks), out=out.reshape(blocks))
         return out
     m = n * post
-    op = D if len(D) == m else _diff_matrix(D, post)
     rows, k = 1, node_ax
     while k > 0 and rows * shape[k - 1] * m * m <= _GEMM_BLOCK:
         k -= 1
         rows *= shape[k]
     blocks = (-1, rows, m)
-    np.matmul(arr.reshape(blocks), op.T, out=out.reshape(blocks))
+    np.matmul(arr.reshape(blocks), D.T, out=out.reshape(blocks))
     return out
 
 
@@ -636,7 +635,7 @@ def _axis_terms(Q, ax, slab, dmat, lift, halo, dws=None, ends=()):
                 dws[w_el][node][w_rows] += f
 
 
-def fluctuation(v, t, ax, disc, planes, halo=(None, None)):
+def fluctuation(v, t, ax, disc, planes, halo):
     """The face pass of axis ax: G = Z v - c (2 out + 2 out_nb) on the
     left (node 0) and right (node n-1) face planes of every element, with
     out_nb = 0 at the outer faces, from the velocities v and the tractions
@@ -645,9 +644,9 @@ def fluctuation(v, t, ax, disc, planes, halo=(None, None)):
     scratch the caller has not filled yet (the derivative, in
     _axis_terms); the two G planes are returned.  The coefficient tables
     broadcast over the face nodes (see _compact).  On axis 0, v and t may
-    be a slab of element rows; halo then holds 2 out of the neighbour rows
-    across its left and right faces, None where the face is the grid's
-    (see _outgoing)."""
+    be a slab of element rows.  halo holds 2 out of the neighbour rows
+    across the left and right faces of axis 0, None where the face is the
+    grid's, as on every other axis (see _outgoing)."""
     node_ax = 1 + disc.mesh.dim + ax
     g_l, g_r, out_l, out_r = planes
     # 2 out = Z v - side T: Z v + T on the left, Z v - T on the right

@@ -1,4 +1,4 @@
-"""Moment-tensor point sources, source-time functions, receivers.
+"""Moment-tensor point sources, source-time functions, velocity receivers.
 
 A point source is projected onto the owning element through the
 inverse-mass-weighted cardinal basis, so quadrature against a constant
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import UnsupportedOrder
 from .mesh import locate_point
 from .operators import eval_basis_at
-from .physics import components as state_components, voigt
+from .physics import velocity_names, voigt
 
 MAX_STF_ORDER = 20
 
@@ -125,22 +125,18 @@ class IntervalGate:
 
 
 class Receiver:
-    """Samples field components at a fixed physical point.
+    """Samples the velocity at a fixed physical point.
 
     Usable directly as a run() callback: records once per interval tick
     (every call when interval is None) and drops calls whose time does
     not advance past the last sample.
     """
 
-    def __init__(self, mesh, ops, location, components="velocity",
-                 interval=None):
+    def __init__(self, mesh, ops, location, interval=None):
         self.location = tuple(float(x) for x in location)
         self.dim = mesh.dim
         self.elem, _, self.basis = _point_stencil(mesh, ops, location)
-        if components not in ("velocity", "all"):
-            raise ValueError(f"unknown component set {components!r}")
-        names = state_components(mesh.dim)
-        self.names = names[:mesh.dim] if components == "velocity" else names
+        self.names = velocity_names(mesh.dim)
         self.gate = IntervalGate(interval)
         self.times = []
         self.samples = []
@@ -149,7 +145,7 @@ class Receiver:
         if (self.times and state.t <= self.times[-1]) \
                 or not self.gate(state.t):
             return
-        q = state.Q[(slice(0, len(self.names)),) + self.elem]
+        q = state.Q[(slice(0, self.dim),) + self.elem]
         vals = np.tensordot(q, self.basis, self.dim)   # over the node axes
         self.times.append(float(state.t))
         self.samples.append(vals)

@@ -226,7 +226,9 @@ def test_reflection_bound_mirror_path():
     # all faces include the nearby physical boundary
     t_all = dg.reflection_arrival_bound(((-170.0, 0.0), (170.0, 50.0)),
                                         ((-50.0, 0.0), (50.0, 50.0)),
-                                        (0.0, 25.0), 6.0)
+                                        (0.0, 25.0), 6.0,
+                                        faces=[(0, -1), (0, 1),
+                                               (1, -1), (1, 1)])
     assert t_all == pytest.approx(25.0 / 6.0)
     assert dg.reflection_arrival_bound(((0.0, 0.0), (1.0, 1.0)),
                                        ((0.0, 0.0), (1.0, 1.0)),

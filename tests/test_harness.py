@@ -194,11 +194,36 @@ def test_plane_wave_initial_rejects_layered_medium():
 
 
 def test_unit_table():
-    assert cf._quantity("2.7 g/cm3", 1) == 2700.0
-    assert cf._quantity("32.4 GPa", 1) == 32.4e9
-    assert cf._quantity("2 km2", 1) == 2e6
-    assert cf._quantity("3.464 km/s", 1) == 3464.0
-    assert cf._quantity("-1.5e-2", 1) == -0.015
+    assert cf._quantity("2.7 g/cm3", 1, "density") == 2700.0
+    assert cf._quantity("32.4 GPa", 1, "stress") == 32.4e9
+    assert cf._quantity("3.464 km/s", 1, "speed") == 3464.0
+    assert cf._quantity("-1.5e-2", 1, "length") == -0.015
+
+
+SOURCE_TEXT = ("\n[source.s]\nx = 0\ny = 25 km\nmxx = 1\nstf = gaussian\n"
+               "sigma = 0.1\nt0 = 0.5\n")
+
+
+@pytest.mark.parametrize("old, new, quantity", [
+    ("dx = 5 km", "dx = 5 s", "length"),
+    ("halfwidth = 3 km", "halfwidth = 3 km2", "length"),
+    ("tend = 100", "tend = 100 km", "time"),
+    ("interval = 0.1", "interval = 0.1 km", "time"),
+    ("cp = 6 km/s", "cp = 6 km", "speed"),
+    ("rho = 2.7 g/cm3", "rho = 2.7 GPa", "density"),
+    ("cs = 3.464 km/s", "mu = 32 km/s", "stress"),
+    ("mxx = 1", "mxx = 1 GPa", "moment"),
+    ("alpha = 0.15", "alpha = 0.15 s", "rate"),
+], ids=["length", "area", "time", "interval", "speed", "density", "stress",
+        "moment", "rate"])
+def test_keys_take_units_of_their_quantity(old, new, quantity):
+    # any known tag was taken on any key: tend = 100 km read as 100,000 s,
+    # rho = 2.7 GPa as 2.7e9 kg/m3, and halfwidth = 3 km2 as 3e6 m
+    text = (STRIP_TEXT + SOURCE_TEXT).replace(old, new)
+    line = text.splitlines().index(new) + 1
+    with pytest.raises(ParseError, match=f"line {line}: '.+' is not a unit"
+                                         f" of {quantity}"):
+        parse_config(text)
 
 
 def test_parse_error_unknown_unit():
@@ -369,6 +394,16 @@ def test_validation_names_non_finite_fields(field, cfg):
         finalize(cfg)
 
 
+@pytest.mark.parametrize("dx", [float("inf"), float("nan")])
+def test_non_finite_spacing_is_one_finding(dx):
+    # inf also failed every grid rule on the strip, "x extent 120000.0 is
+    # not a whole number of elements of size inf" and three more; nan
+    # was also "dx must be positive"
+    with pytest.raises(ValidationError) as ei:
+        finalize(replace(ps.preset("strip2d"), spacing=dx))
+    assert str(ei.value) == f"spacing must be finite, got {dx}"
+
+
 SOFT_TEXT = ("\n[material.soft]\nrho = 2.6 g/cm3\ncp = 4 km/s\ncs = 2 km/s\n"
              "axis = y\nbelow = 10 km\n")
 
@@ -381,7 +416,9 @@ SOFT_TEXT = ("\n[material.soft]\nrho = 2.6 g/cm3\ncp = 4 km/s\ncs = 2 km/s\n"
     (STRIP_TEXT + SOFT_TEXT + "bogus = 7\n",
      ["[material.soft]: unknown key 'bogus'"]),
     (STRIP_TEXT + "\n[mesh.extra]\n", ["unknown section [mesh.extra]"]),
-], ids=["material", "material.soft", "mesh.extra"])
+    (STRIP_TEXT + "components = velocity\n",
+     ["[receiver.probe]: unknown key 'components'"]),
+], ids=["material", "material.soft", "mesh.extra", "receiver.probe"])
 def test_unknown_keys_in_every_section(text, messages):
     with pytest.raises(ValidationError) as ei:
         parse_config(text)
