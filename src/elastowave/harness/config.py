@@ -478,7 +478,7 @@ def _non_finite(value, path):
                 yield from _non_finite(x[1], f"{path}.{x[0]}")
             else:
                 yield from _non_finite(x, f"{path}[{i}]")
-    elif isinstance(value, float) and not math.isfinite(value):
+    elif _named(value):
         yield path, value
 
 
@@ -498,6 +498,12 @@ def _real(x):
     return isinstance(x, numbers.Real)
 
 
+def _named(x):
+    """Whether x is a non-finite float: validate's finiteness rule names
+    it (see _non_finite), and its range rules skip it."""
+    return isinstance(x, float) and not math.isfinite(x)
+
+
 def _dimension_faults(dim):
     if not isinstance(dim, numbers.Integral):
         return [f"dimension must be an integer, got {dim!r}"]
@@ -514,10 +520,12 @@ def _off_grid(what, length, spacing):
 
 def _point_faults(what, point, cfg):
     """The finding if point lacks one entry per axis or lies outside
-    the box."""
+    the box; none if the point or the box holds a non-finite number,
+    which the finiteness rule names."""
     if len(point or ()) != cfg.dimension:
         yield f"{what} is not {cfg.dimension}-dimensional"
-    elif not _inside(point, cfg.box):
+    elif not any(map(_named, (*point, *sum(cfg.box, ())))) \
+            and not _inside(point, cfg.box):
         yield f"{what} {point} outside the box"
 
 
@@ -538,7 +546,7 @@ def validate(cfg):
               for i, side in enumerate(cfg.box) if not all(map(_real, side))]
     if faults:
         return v + faults
-    if _real(cfg.spacing) and not math.isfinite(cfg.spacing):
+    if _named(cfg.spacing):
         return v    # named above; every grid rule would follow from it
     if not (_real(cfg.spacing) and cfg.spacing > 0.0):
         v.append(f"dx must be positive, got {cfg.spacing!r}")
@@ -555,10 +563,10 @@ def validate(cfg):
         v.append(f"degree must be an integer, got {cfg.degree!r}")
     elif cfg.degree not in range(1, MAX_DEGREE + 1):
         v.append(f"degree must lie in [1, {MAX_DEGREE}], got {cfg.degree}")
-    if not (_real(cfg.cfl) and 0.0 < cfg.cfl <= 1.0):
+    if not (_named(cfg.cfl) or _real(cfg.cfl) and 0.0 < cfg.cfl <= 1.0):
         v.append(f"cfl must lie in (0, 1], got {cfg.cfl}")
-    if not (_real(cfg.t_end) and math.isfinite(cfg.t_end)
-            and cfg.t_end > 0.0):
+    if not (_named(cfg.t_end) or _real(cfg.t_end)
+            and math.isfinite(cfg.t_end) and cfg.t_end > 0.0):
         v.append(f"tend must be positive and finite, got {cfg.t_end}")
     if not cfg.materials:
         v.append("no materials defined")
@@ -598,7 +606,7 @@ def validate(cfg):
         if not all(map(_real, vals)):
             v.append(f"boundary {ax}.{'lo' if side < 0 else 'hi'}:"
                      f" gamma must be numeric, got {g!r}")
-        elif not all(abs(x) <= 1.0 for x in vals):     # NaN fails too
+        elif not all(_named(x) or abs(x) <= 1.0 for x in vals):
             v.append(f"boundary {ax}.{'lo' if side < 0 else 'hi'}:"
                      f" |gamma| must not exceed 1, got {g}")
         if ax not in axes:
@@ -618,12 +626,15 @@ def validate(cfg):
             if not _real(w):
                 v.append(f"pml {ax}.{label} width must be a number,"
                          f" got {w!r}")
+            elif _named(w):
+                continue
             elif w < 0.0:
                 v.append(f"pml {ax}.{label} width is negative")
-            elif 0.0 < w < math.inf:
+            elif w > 0.0:
                 v += _off_grid(f"pml {ax}.{label} width", w, cfg.spacing)
         blo, bhi = cfg.box[axes.index(ax)]
-        if _real(lo) and _real(hi) and blo + lo >= bhi - hi:
+        if all(_real(x) and not _named(x) for x in (lo, hi, blo, bhi)) \
+                and blo + lo >= bhi - hi:
             v.append(f"pml layers on {ax} leave no interior")
     # the layers of numeric widths; the others are reported above
     pml = dataclasses.replace(pml, widths=tuple(
@@ -633,13 +644,15 @@ def validate(cfg):
             v.append("pml enabled but neither tol nor d0 given")
         if pml.tol is not None and pml.d0 is not None:
             v.append("pml tol and d0 are both set; give exactly one")
-        if pml.tol is not None and not (_real(pml.tol)
+        if pml.tol is not None and not (_named(pml.tol) or _real(pml.tol)
                                         and 0.0 < pml.tol < 1.0):
             v.append(f"pml tol must lie in (0, 1), got {pml.tol!r}")
         for label, x in (("d0", pml.d0), ("alpha", pml.alpha)):
-            if x is not None and (not _real(x) or x < 0.0):
+            if x is not None and not _named(x) and (not _real(x)
+                                                     or x < 0.0):
                 v.append(f"pml {label} must be nonnegative, got {x!r}")
-        if not (_real(pml.theta) and 0.0 <= pml.theta <= 1.0):
+        if not (_named(pml.theta)
+                or _real(pml.theta) and 0.0 <= pml.theta <= 1.0):
             v.append(f"pml theta must lie in [0, 1], got {pml.theta}")
 
     for s in cfg.sources:
@@ -653,7 +666,7 @@ def validate(cfg):
         v += [f"source {s.sid}: {s.stf} stf needs {key}"
               for key in keys if key not in params]
         width = keys[0]
-        if params.get(width, 1.0) <= 0.0:
+        if not _named(params.get(width)) and params.get(width, 1.0) <= 0.0:
             v.append(f"source {s.sid}: {s.stf} {width} must be positive")
 
     rids = [r.rid for r in cfg.receivers]
@@ -662,8 +675,9 @@ def validate(cfg):
                  f" receivers; names must be unique")
     for r in cfg.receivers:
         v += _point_faults(f"receiver {r.rid}: location", r.location, cfg)
-        if r.interval is not None and not (_real(r.interval)
-                                           and 0.0 < r.interval < math.inf):
+        if r.interval is not None and not (
+                _named(r.interval)
+                or _real(r.interval) and 0.0 < r.interval < math.inf):
             v.append(f"receiver {r.rid}: interval must be positive"
                      f" and finite")
 
@@ -674,7 +688,8 @@ def validate(cfg):
                  f" got {ini.kind!r}")
     if ini is not None and ini.kind == "velocity-gaussian":
         v += _point_faults("initial center", ini.get("center"), cfg)
-        if (ini.get("halfwidth") or 0.0) <= 0.0:
+        if not _named(ini.get("halfwidth")) \
+                and (ini.get("halfwidth") or 0.0) <= 0.0:
             v.append("initial halfwidth must be positive")
         names = velocity_names(cfg.dimension)
         for c in ini.get("components") or ():
@@ -692,7 +707,7 @@ def validate(cfg):
         if ini.get("mode") not in ("P", "S"):
             v.append(f"initial plane-wave mode must be P or S,"
                      f" got {ini.get('mode')!r}")
-        if (ini.get("width") or 0.0) <= 0.0:
+        if not _named(ini.get("width")) and (ini.get("width") or 0.0) <= 0.0:
             v.append("initial plane-wave width must be positive")
         if len(cfg.materials) > 1:
             v.append("initial plane-wave needs a homogeneous medium;"
@@ -702,7 +717,8 @@ def validate(cfg):
     for label, val in (("seismogram_interval", out.seismogram_interval),
                        ("series_interval", out.series_interval),
                        ("snapshot_interval", out.snapshot_interval)):
-        if val is not None and not (_real(val) and 0.0 < val < math.inf):
+        if val is not None and not (
+                _named(val) or _real(val) and 0.0 < val < math.inf):
             v.append(f"output {label} must be positive and finite")
     if out.snapshot_format not in ("binary", "csv"):
         v.append(f"output snapshot_format must be binary or csv,"

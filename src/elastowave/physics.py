@@ -10,6 +10,7 @@ P^-1 dQ/dt = sum_xi A_xi dQ/dxi with P = diag(rho^-1 I, C).
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -23,8 +24,10 @@ def axes_of(dim):
     return AXES[:dim]
 
 
+@cache
 def components(dim):
-    """State component names in dim D: those whose axes all lie in it."""
+    """State component names in dim D: those whose axes all lie in it.
+    Cached: every energy and L-inf sample reads the state's shape."""
     axes = axes_of(dim)
     return tuple(c for c in COMPONENTS if all(a in axes for a in c[1:]))
 

@@ -65,9 +65,9 @@ the RHS scratch of the largest slab, the slab result of Q's rates, whose
 bools the finiteness check borrows, and the ring.  Every kernel writes
 into buffers its caller passes, so a step allocates nothing state-sized.
 A run holds the state, the ring and the slab result: on a grid of more
-slabs than P+1, one state-sized array and P+2 slabs; on a grid of at
-most P+1 slabs the ring is the whole grid, two state-sized arrays, and
-on a grid of one slab a Q-sized third.
+slabs than P+1, one state-sized array and at most P+2 slabs; on a grid
+of at most P+1 slabs the ring holds the whole grid, a second state's
+worth, and on a grid of one slab the result a Q-sized third.
 """
 
 from dataclasses import dataclass, replace
@@ -102,7 +102,9 @@ class Discretization:
     The per-element tables (rho_e, lam_e, mu_e, z, faces) are compact:
     every element axis along which one is constant has length 1 (see
     _compact), so they broadcast to, but need not equal, the shapes
-    noted below."""
+    noted below.  So are the decay tables of a layer: length 1 along
+    every element axis but the layer's own, whose damped elements they
+    hold."""
 
     mesh: object
     ops: object
@@ -124,18 +126,17 @@ def _layer_tables(tab, counts, n):
     """The damped elements of one axis as basic slices: the first tab.lo
     and the last tab.hi elements along it, every other element axis whole.
     Returns the shape of the auxiliary field and the tables -d and
-    -(d + alpha) over all of its elements, both layer ends, with per
-    nonempty end (element slice of Q, element slice of w).  d is
-    materialized over every axis after the element axis, so numpy's inner
-    loops run over contiguous runs rather than single node rows."""
+    -(d + alpha) on all of its elements, both layer ends, with per
+    nonempty end (element slice of Q, element slice of w).  d varies along
+    the layer's axis only: the tables have length 1 along every other
+    element axis and are materialized over the node axes, so each holds
+    lo + hi element blocks whatever the grid's cross-section."""
     ax, dim = tab.axis_index, len(counts)
     k = tab.lo + tab.hi
-    tail = counts[ax + 1:] + (n,) * dim
-    d = tab.damp.reshape((k,) + (1,) * (dim - 1) + (n,)
-                         + (1,) * (dim - 1 - ax))
-    d = np.ascontiguousarray(np.broadcast_to(d, (k,) + tail))
-    d = d.reshape((1,) * (1 + ax) + d.shape)
-    return (2 * dim,) + counts[:ax] + (k,) + tail, (
+    d = tab.damp.reshape((k,) + (1,) * ax + (n,) + (1,) * (dim - 1 - ax))
+    d = np.ascontiguousarray(np.broadcast_to(d, (k,) + (n,) * dim))
+    d = d.reshape((1,) * (1 + ax) + (k,) + (1,) * (dim - 1 - ax) + d.shape[1:])
+    return (2 * dim,) + counts[:ax] + (k,) + counts[ax + 1:] + (n,) * dim, (
         -d, -(d + tab.alpha), _layer_ends(tab.lo, tab.hi, counts[ax], ax))
 
 
@@ -330,12 +331,16 @@ class Workspace:
     `fluctuation` takes, from G left on: its two temporaries lie over
     the derivative, which is not formed yet when they are.  Around each
     damped axis the start of the buffer holds one layer table scaled by
-    the stage factor, and -d*w lies behind the axis terms' scratch: 2
+    the stage factor and broadcast over the slab's part of the auxiliary
+    field (see _scaled), and -d*w lies behind the axis terms' scratch: 2
     dim rows on the layer's damped elements of the slab.
 
-    ring holds per field min(P+1, slabs) buffers, each of that field's
-    largest slab: slab s keeps its Taylor terms in buffer s mod len, each
-    stage after the first rewriting the last in place (see _sweep).
+    ring holds per field min(P+1, slabs) flat buffers: slab s keeps its
+    Taylor terms in buffer s mod len, each stage after the first
+    rewriting the last in place (see _sweep), so buffer k holds the
+    largest of that field's slabs s with s = k mod len.  The x layer's
+    field has rows only in the slabs at both ends of the grid, and a
+    buffer no such slab maps to is empty.
     result is where a stage forms the rates of Q on one slab before the
     material map writes them into the slab's term.  halo holds face planes
     of one row of elements, the outgoing waves across slab faces on axis
@@ -359,11 +364,13 @@ class Workspace:
             parts.append((start, stop, index, sub, plane, terms, shapes))
             scratch += [terms] + [terms + prod(s) for s in shapes[1:]]
         self.buf = np.empty(max(scratch))
-        # per field, the values of its largest slab
-        largest = [max(map(prod, f)) for f in zip(*(p[-1] for p in parts))]
+        # per field, the values of each slab; buffer k of a field holds the
+        # largest slab s with s = k mod length
+        values = list(zip(*([prod(s) for s in p[-1]] for p in parts)))
         length = min(disc.ops.degree + 1, len(parts))
-        self.ring = tuple(np.empty((length, values)) for values in largest)
-        self.result = np.empty(largest[0])
+        self.ring = tuple(tuple(np.empty(max(v[k::length]))
+                                for k in range(length)) for v in values)
+        self.result = np.empty(max(values[0]))
         # per stage two planes, then one: none on a grid of one slab
         planes = 2 * disc.ops.degree + 3 if len(parts) > 1 else 0
         self.halo = np.empty((planes, dim, 1) + face)
@@ -547,9 +554,10 @@ def _slab_rhs(Q, w, slab, scale, terms, halo, dest, dw):
         neg_d, decay, ends = disc.layers[pos][1]
         # -d*w and the decay of w over the whole layer, both read before
         # dws, which in place is w, is written; then the terms of the axis
-        neg_dw = np.multiply(_scaled(neg_d, scale, slab), wpos,
+        shape = (1,) * (1 + ax) + wpos.shape[1 + ax:]
+        neg_dw = np.multiply(_scaled(neg_d, scale, slab, shape), wpos,
                              out=_view(slab.neg_dw, wpos.shape))
-        np.multiply(_scaled(decay, scale, slab), wpos, out=dws)
+        np.multiply(_scaled(decay, scale, slab, shape), wpos, out=dws)
         _axis_terms(Q, ax, slab, dmat, lift, edges, dws, ends)
         # -d*w, added on the same elements of Q once the axis has written
         # or added its terms there; the slots one row each on basic
@@ -569,9 +577,12 @@ def _slab_rhs(Q, w, slab, scale, terms, halo, dest, dw):
     np.multiply(s[dim:], disc.mu_e, out=dest[2 * dim:])
 
 
-def _scaled(table, scale, slab):
-    """scale * table, at the start of the RHS scratch."""
-    return np.multiply(table, scale, out=_view(slab.buf, table.shape))
+def _scaled(table, scale, slab, shape):
+    """scale * table broadcast to shape, at the start of the RHS scratch.
+    shape is the layer's part of its auxiliary field from the layer's
+    element axis on: the product with w then reads a table materialized
+    over every axis after the component and earlier element axes."""
+    return np.multiply(table, scale, out=_view(slab.buf, shape))
 
 
 def _axis_terms(Q, ax, slab, dmat, lift, halo, dws=None, ends=()):

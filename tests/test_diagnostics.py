@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from elastowave.physics import (
     material_matrix,
 )
 
-from test_solver import fresh_rhs
+import test_solver
+from test_solver import _peak_states, _slab_rows, fresh_rhs, random_state
 
 
 def make_disc(dim=2, counts=(4, 4), degree=3, extent=8.0, material=None):
@@ -90,6 +93,56 @@ def test_linf_equals_max_of_magnitudes(dim, counts):
     st.Q[...] = np.random.default_rng(dim).standard_normal(st.Q.shape)
     v = st.Q[:dim]
     assert dg.linf_series(st) == float(np.sqrt((v ** 2).sum(axis=0)).max())
+
+
+def _reductions(st):
+    return dg.discrete_energy(st).E, dg.linf_series(st)
+
+
+def test_reductions_slab_count_bitwise(monkeypatch):
+    # the slab-by-slab sums give the bits of one pass over the grid, on
+    # four materials drawn per element and in one to eight slabs
+    disc = test_solver.make_disc(dim=3, counts=(8, 3, 4), degree=3,
+                                 layered="mixed")
+    st = random_state(disc, seed=3)
+    whole = _reductions(st)
+    assert len(solver._slab_bounds(disc)) == 2
+    for rows in (1, 3):
+        _slab_rows(monkeypatch, disc, rows)
+        assert len(solver._slab_bounds(disc)) == 1 + -(-8 // rows)
+        assert np.array_equal(_reductions(st), whole)
+
+
+def test_reductions_allocate_one_slab_at_a_time(monkeypatch):
+    # in four slabs of two element rows, the energy holds the trace of one
+    # slab and its per-element sums (1.42 slab shares of a row of Q), the
+    # L-inf the squares and one term of one slab (2.04); over the whole
+    # grid at once they held 4.97 and 8.02
+    disc = test_solver.make_disc(dim=3, counts=(8, 8, 8), degree=3,
+                                 layered="mixed")
+    _slab_rows(monkeypatch, disc, 2)
+    assert len(solver._slab_bounds(disc)) == 5
+    st = random_state(disc)
+    share = st.Q[0].size / st.Q.size / 4     # in states, as _peak_states
+    assert _peak_states(lambda: dg.discrete_energy(st), st) < 1.5 * share
+    assert _peak_states(lambda: dg.linf_series(st), st) < 2.1 * share
+
+
+def test_linf_of_a_finite_state_is_finite(monkeypatch):
+    # the squares of 3e200 and 4e200 overflow: that slab is summed again
+    # from its values over their largest magnitude, the other slabs not
+    disc = make_disc(dim=3, counts=(4, 2, 3))
+    _slab_rows(monkeypatch, disc, 1)
+    st = solver.setup_state(disc)
+    st.Q[:3, 2, 1, 0, 1, 0, 2] = (3e200, 4e200, 0.0)
+    st.Q[0, 0, 0, 0, 0, 0, 0] = 7.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dg.linf_series(st) == pytest.approx(5e200, rel=1e-15)
+        st.Q[0, 2, 1, 0, 1, 0, 2] = np.inf
+        assert dg.linf_series(st) == np.inf
+        st.Q[1, 0, 0, 0, 0, 0, 0] = np.nan
+        assert np.isnan(dg.linf_series(st))
 
 
 def test_convergence_rate_oracles():

@@ -6,7 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -341,9 +341,9 @@ def test_validation_rejects_nan_in_programmatic_configs():
         receivers=(replace(cfg.receivers[0], interval=nan),),
         output=replace(cfg.output, series_interval=nan))
     msg = "\n".join(cf.validate(bad))
-    assert "boundary y.hi: |gamma| must not exceed 1" in msg
-    assert "receiver probe: interval must be positive and finite" in msg
-    assert "output series_interval must be positive and finite" in msg
+    assert "boundary[3][2][1] must be finite, got nan" in msg
+    assert "receivers[0].interval must be finite, got nan" in msg
+    assert "output.series_interval must be finite, got nan" in msg
 
 
 def test_unknown_section_and_key():
@@ -402,6 +402,50 @@ def test_non_finite_spacing_is_one_finding(dx):
     with pytest.raises(ValidationError) as ei:
         finalize(replace(ps.preset("strip2d"), spacing=dx))
     assert str(ei.value) == f"spacing must be finite, got {dx}"
+
+
+def _float_leaves(value, rebuild, path):
+    """(path, rebuild) for each float in a config value: rebuild(x) is
+    the config with x in its place.  Paths follow validate's finiteness
+    rule but for (key, value) pairs, which go by index."""
+    if is_dataclass(value):
+        for f in fields(value):
+            yield from _float_leaves(
+                getattr(value, f.name),
+                lambda x, f=f: rebuild(replace(value, **{f.name: x})),
+                f"{path}.{f.name}")
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _float_leaves(
+                item, lambda x, i=i: rebuild(value[:i] + (x,) + value[i + 1:]),
+                f"{path}[{i}]")
+    elif isinstance(value, float):
+        yield path, rebuild
+
+
+@pytest.mark.parametrize("name", ["strip2d", "hws3d", "planewave"])
+def test_every_non_finite_number_is_one_finding(name):
+    # each float of a preset (the strip with every output interval set
+    # and d0 in place of tol) set to nan, inf and -inf in turn: the
+    # finiteness rule names it and no range rule does.  t_end = inf also
+    # gave "tend must be positive and finite", cfl = nan "cfl must lie in
+    # (0, 1]", a NaN gamma "|gamma| must not exceed 1", a non-finite box
+    # side "pml layers on x leave no interior" and "location ... outside
+    # the box" for every point, and the same held for theta, tol, d0,
+    # alpha, the intervals, the widths and the source and initial widths
+    cfg = ps.preset(name)
+    if name == "strip2d":
+        cfg = replace(cfg, pml=replace(cfg.pml, tol=None, d0=0.05),
+                      output=replace(cfg.output, seismogram_interval=0.1,
+                                     series_interval=0.5,
+                                     snapshot_interval=0.5))
+    twice = []
+    for path, rebuild in _float_leaves(cfg, lambda c: c, "cfg"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            found = cf.validate(rebuild(bad))
+            if len(found) != 1 or "must be finite, got" not in found[0]:
+                twice.append((path, bad, found))
+    assert not twice
 
 
 SOFT_TEXT = ("\n[material.soft]\nrho = 2.6 g/cm3\ncp = 4 km/s\ncs = 2 km/s\n"
@@ -764,7 +808,8 @@ def test_preset_overrides():
 
 @pytest.mark.parametrize("tend", [float("inf"), float("nan")])
 def test_preset_rejects_non_finite_tend(tend):
-    with pytest.raises(ValidationError, match="tend"):
+    with pytest.raises(ValidationError,
+                       match=f"^t_end must be finite, got {tend}$"):
         ps.preset("strip2d", tend=tend)
 
 
@@ -773,7 +818,7 @@ def test_cli_preset_rejects_non_finite_tend(monkeypatch, capsys):
         raise AssertionError("an endless run was started")
     monkeypatch.setattr(xp, "run_experiment", unreachable)
     assert cli.main(["preset", "strip2d", "--tend", "inf"]) == 1
-    assert "tend" in capsys.readouterr().err
+    assert "t_end must be finite, got inf" in capsys.readouterr().err
 
 
 def test_unknown_preset():
@@ -951,12 +996,16 @@ def test_snapshots_and_samples_outlive_later_steps(monkeypatch):
                             "ignore:invalid value:RuntimeWarning")
 def test_divergence_is_recorded(tmp_path):
     # at 3x its stable step the strip blows up within a second of wall
-    # time; the L-inf samples overflow to inf and the energy turns NaN
-    # before the state does, so their finiteness is not asserted
+    # time; the energy turns NaN before the state does, so its
+    # finiteness is not asserted.  The L-inf of every recorded (finite)
+    # state is finite: its last samples read up to 4.6e300, whose
+    # squares overflow
     cfg = ps.preset("strip2d", elements=10, degree=2, tend=200.0)
     stable = xp.run_experiment(finalize(replace(cfg, t_end=1e-3))).dt
     res = xp.run_experiment(cfg, str(tmp_path), dt=3 * stable)
     assert res.diverged and res.state is None
+    assert np.isfinite(res.linf_values).all()
+    assert max(res.linf_values) > 1e155
     assert 0.0 < res.t_end < cfg.t_end
     assert res.t_end == res.energy[-1].t == res.linf_times[-1]
     # the note names the failed step by its start and end, in one format

@@ -261,10 +261,11 @@ def test_step_peak_allocation(monkeypatch, widths, bound, rows):
     # for the sum 4.16 / 5.16, all nc rows in w (0.5 states) on top of it
     # 5.4, and a state-sized coef * term per stage on top of a fresh RHS
     # 6.4 / 7.7.  In slabs of one element row, more slabs (6) than P+1,
-    # the ring holds the terms of four slabs (1.19 states with layers, of
-    # which the x layer's 0.44, twice its field of one damped row per
-    # end), and a slab's result and scratch: 1.88 / 1.24 states, where
-    # a state-sized stage result measured 1.94 / 1.49
+    # the ring holds the terms of four slabs (0.96 states with layers, of
+    # which the x layer's 0.22, its field of one damped row per end), and
+    # a slab's result and scratch: 1.66 / 1.24 states.  Four buffers of
+    # each field's largest slab (the x layer's 0.44, twice its field)
+    # measured 1.88 / 1.24, a state-sized stage result 1.94 / 1.49
     disc = make_disc(dim=3, counts=(6, 6, 6), degree=3, widths=widths)
     if rows:
         _slab_rows(monkeypatch, disc, rows)
@@ -392,24 +393,34 @@ def test_benchmark_grids_split_into_slabs():
         assert np.diff(solver._slab_bounds(disc)).tolist() == heights
 
 
+def _ring_sizes(ws):
+    """Per field, the values of each ring buffer and the values of the
+    largest slab s with s = k mod len for each buffer k."""
+    length = len(ws.ring[0])
+    for field, bufs in enumerate(ws.ring):
+        sizes = [s.term[field].size for s in ws.slabs]
+        yield ([b.size for b in bufs],
+               [max(sizes[k::length]) for k in range(length)])
+
+
 def test_slab_workspace_holds_one_term(monkeypatch):
-    # a ring of min(P+1, slabs) buffers per field, each of that field's
-    # largest slab, in which every stage of a slab rewrites the slab's
-    # term, and one slab's result and scratch: as one slab the ring is
-    # the state's size, in one-row slabs (8 rows, P+1 = 4) no array of
-    # the workspace is as large as Q, and all of them less than the state
-    # (the stage result alone was one state)
+    # a ring of min(P+1, slabs) buffers per field, in which every stage
+    # of a slab rewrites the slab's term, each buffer of the largest slab
+    # that maps to it, and one slab's result and scratch: as one slab the
+    # ring is the state's size, in one-row slabs (8 rows, P+1 = 4) no
+    # array of the workspace is as large as Q, and all of them less than
+    # the state (the stage result alone was one state)
     disc = make_disc(dim=3, counts=(8, 4, 4), degree=3,
                      widths=_every_axis(3))
     st = solver.setup_state(disc)
     state = sum(a.nbytes for a in (st.Q, *st.w))
 
     def held(ws):
-        arrays = (*ws.ring, ws.buf, ws.result, ws.halo)
-        largest = [max(t.size for t in terms)
-                   for terms in zip(*(s.term for s in ws.slabs))]
-        size = min(4, len(ws.slabs))
-        assert [r.shape for r in ws.ring] == [(size, n) for n in largest]
+        arrays = (*(b for bufs in ws.ring for b in bufs),
+                  ws.buf, ws.result, ws.halo)
+        assert len(ws.ring[0]) == min(4, len(ws.slabs))
+        for got, want in _ring_sizes(ws):
+            assert got == want
         return sum(a.nbytes for a in arrays), max(a.size for a in arrays)
 
     nbytes, _ = held(solver.Workspace(disc))
@@ -420,6 +431,47 @@ def test_slab_workspace_holds_one_term(monkeypatch):
     nbytes, largest = held(ws)
     assert largest < st.Q.size
     assert nbytes < 0.85 * state
+
+
+def test_ring_holds_the_x_layer_once(monkeypatch):
+    # in one-row slabs (8 rows, P+1 = 4) the x layer damps rows 0 and 7,
+    # slabs 0 and 7, which map to buffers 0 and 3: the ring of the x
+    # layer's field holds its two rows, and buffers 1 and 2 are empty,
+    # where four buffers of the largest slab held twice the field
+    disc = make_disc(dim=3, counts=(8, 4, 4), degree=3,
+                     widths={"x": (1.25, 1.25), "y": (2.5, 2.5)})
+    _slab_rows(monkeypatch, disc, 1)
+    ws = solver.Workspace(disc)
+    pos = [t.axis_index for t in disc.damping].index(0)
+    field = solver.setup_state(disc).w[pos]
+    assert field.shape[1] == 2
+    bufs = ws.ring[1 + pos]
+    assert [b.size for b in bufs] == [field.size // 2, 0, 0, field.size // 2]
+    for got, want in _ring_sizes(ws):
+        assert got == want
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_layer_tables_do_not_grow_with_the_cross_section(axis):
+    # d varies along the layer's axis only: its tables hold lo + hi
+    # element blocks of n^3 nodes on 6^3 elements and on a grid of twice
+    # the elements along the other axes.  Materialized over the element
+    # axes after the layer's, the x tables held 4 times as many on the
+    # second grid and the y tables twice as many
+    name = "xyz"[axis]
+    tables = []
+    for other in (6, 12):
+        counts = tuple(6 if ax == axis else other for ax in range(3))
+        disc = make_disc(dim=3, counts=counts, degree=3,
+                         widths={"x": (2.5, 2.5), "y": (2.5, 0.0),
+                                 "z": (0.0, 2.5)})
+        pos = [t.axis for t in disc.damping].index(name)
+        tab = disc.damping[pos]
+        tables.append(disc.layers[pos][1][:2])
+        for t in tables[-1]:
+            assert t.nbytes == 8 * (tab.lo + tab.hi) * 4 ** 3
+    for small, large in zip(*tables):
+        assert np.array_equal(small, large)
 
 
 def test_slabs_view_the_grids_layer_tables(monkeypatch):
