@@ -163,7 +163,10 @@ def plane_wave_polarization(pw, material, dim):
     n = np.asarray(pw.n, dtype=float)
     if n.size != dim:
         raise ValueError(f"direction must have {dim} components")
-    n = n / np.linalg.norm(n)
+    norm = np.linalg.norm(n)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"direction {pw.n} must be finite and nonzero")
+    n = n / norm
     lam, mu = material.lam, material.mu
     if pw.mode == "P":
         c = material.cp

@@ -23,7 +23,11 @@ Two jobs, kept apart:
   and point has one entry per axis.
 - `validate` is the one rulebook for values.  `parse_config` runs it on
   what it read and `finalize` on a config built in code, so both meet
-  the same rules.  All findings are raised as one ValidationError that
+  the same rules.  Beside the structural and grid rules, each number is
+  a row of one table, and one loop reports a value that is not a
+  finite real number or fails its row's test as "{label} must {phrase},
+  got {value!r}"; it skips a non-finite float, which the finiteness
+  rule names.  All findings are raised as one ValidationError that
   names each cause once.
 """
 
@@ -461,10 +465,6 @@ def parse_config(text):
     return cfg
 
 
-def _inside(point, box):
-    return all(lo <= c <= hi for c, (lo, hi) in zip(point, box))
-
-
 def _non_finite(value, path):
     """(path, number) of each non-finite number in a config value:
     dataclass fields by name, (key, value) pairs by key, other tuples
@@ -498,10 +498,21 @@ def _real(x):
     return isinstance(x, numbers.Real)
 
 
+def _finite(x):
+    return _real(x) and -math.inf < x < math.inf
+
+
 def _named(x):
     """Whether x is a non-finite float: validate's finiteness rule names
-    it (see _non_finite), and its range rules skip it."""
+    it (see _non_finite), and its table of numbers skips it."""
     return isinstance(x, float) and not math.isfinite(x)
+
+
+# the tests of validate's table of numbers, each with the phrase that
+# completes "{label} must ..."; every number must also be finite
+_FINITE = (lambda x: True, "be a finite number")
+_POSITIVE = (lambda x: x > 0.0, "be positive and finite")
+_NONNEGATIVE = (lambda x: x >= 0.0, "be nonnegative")
 
 
 def _dimension_faults(dim):
@@ -518,19 +529,14 @@ def _off_grid(what, length, spacing):
                f" size {spacing}")
 
 
-def _point_faults(what, point, cfg):
-    """The finding if point lacks one entry per axis or lies outside
-    the box; none if the point or the box holds a non-finite number,
-    which the finiteness rule names."""
-    if len(point or ()) != cfg.dimension:
-        yield f"{what} is not {cfg.dimension}-dimensional"
-    elif not any(map(_named, (*point, *sum(cfg.box, ())))) \
-            and not _inside(point, cfg.box):
-        yield f"{what} {point} outside the box"
-
-
 def validate(cfg):
-    """All invariant violations for a config, as a list of messages."""
+    """All invariant violations for a config, as a list of messages.
+
+    Beside the finiteness rule and the structural and grid rules, every
+    number is a row (label, value, test, phrase) of one table; one loop
+    reports a value that is not a finite real number or fails its test
+    as "{label} must {phrase}, got {value!r}", and skips what the
+    finiteness rule named.  An optional value of None gets no row."""
     v = [f"{path} must be finite, got {x}" for f in dataclasses.fields(cfg)
          for path, x in _non_finite(getattr(cfg, f.name), f.name)]
     bad_dim = _dimension_faults(cfg.dimension)
@@ -553,7 +559,7 @@ def validate(cfg):
         return v
     axes = axes_of(cfg.dimension)
     for ax, (lo, hi) in zip(axes, cfg.box):
-        if not math.isfinite(hi - lo):
+        if not _finite(hi - lo):
             continue    # reported as non-finite above
         if hi <= lo:
             v.append(f"{ax} extent [{lo}, {hi}] is empty")
@@ -563,11 +569,19 @@ def validate(cfg):
         v.append(f"degree must be an integer, got {cfg.degree!r}")
     elif cfg.degree not in range(1, MAX_DEGREE + 1):
         v.append(f"degree must lie in [1, {MAX_DEGREE}], got {cfg.degree}")
-    if not (_named(cfg.cfl) or _real(cfg.cfl) and 0.0 < cfg.cfl <= 1.0):
-        v.append(f"cfl must lie in (0, 1], got {cfg.cfl}")
-    if not (_named(cfg.t_end) or _real(cfg.t_end)
-            and math.isfinite(cfg.t_end) and cfg.t_end > 0.0):
-        v.append(f"tend must be positive and finite, got {cfg.t_end}")
+    pml, out = cfg.pml, cfg.output
+    rows = [("cfl", cfg.cfl, lambda x: 0.0 < x <= 1.0, "lie in (0, 1]"),
+            ("tend", cfg.t_end) + _POSITIVE,
+            ("pml theta", pml.theta, lambda x: 0.0 <= x <= 1.0,
+             "lie in [0, 1]")]
+    rows += [row for row in (
+        ("pml tol", pml.tol, lambda x: 0.0 < x < 1.0, "lie in (0, 1)"),
+        ("pml d0", pml.d0) + _NONNEGATIVE,
+        ("pml alpha", pml.alpha) + _NONNEGATIVE,
+        ("output seismogram_interval", out.seismogram_interval) + _POSITIVE,
+        ("output series_interval", out.series_interval) + _POSITIVE,
+        ("output snapshot_interval", out.snapshot_interval) + _POSITIVE)
+        if row[1] is not None]
     if not cfg.materials:
         v.append("no materials defined")
     if len(cfg.materials) > 1 and cfg.region is None:
@@ -578,85 +592,73 @@ def validate(cfg):
                  f" got {cfg.region!r}")
     elif cfg.region is not None:
         axis, threshold, idx = cfg.region
+        rows.append(("region threshold", threshold) + _FINITE)
         if axis not in axes:
             v.append(f"region axis {axis!r} not valid in"
                      f" {cfg.dimension}D")
-        if not isinstance(threshold, numbers.Real):
-            v.append(f"region threshold must be a finite number,"
-                     f" got {threshold!r}")
-        elif axis in axes and math.isfinite(threshold):
-            lo = cfg.box[axes.index(axis)][0]
-            if threshold <= lo + 0.5 * cfg.spacing:
-                v.append("region threshold selects no elements")
+        elif _finite(threshold) and threshold <= (
+                cfg.box[axes.index(axis)][0] + 0.5 * cfg.spacing):
+            v.append("region threshold selects no elements")
         if not (isinstance(idx, numbers.Integral)
                 and 0 <= idx < len(cfg.materials)):
             v.append(f"region material index must be an integer in"
                      f" [0, {len(cfg.materials)}), got {idx!r}")
 
     boundary = _well_formed("boundary", cfg.boundary, "axis, side, gamma", v)
-    faces = [(ax, side) for ax, side, _ in boundary]
-    for ax, side in dict.fromkeys(f for f in faces if faces.count(f) > 1):
-        v.append(f"boundary {ax}.{'lo' if side < 0 else 'hi'}: given"
-                 f" {faces.count((ax, side))} times; give each face once")
-    for ax, side, g in boundary:
+    rows += [(f"boundary {ax} side", side, lambda x: x in (-1, 1),
+              "be -1 or 1") for ax, side, _ in boundary]
+    # the faces of a valid side; the others are reported by the table
+    boundary = [e for e in boundary if _real(e[1]) and e[1] in (-1, 1)]
+    faces = [f"{ax}.{'lo' if side < 0 else 'hi'}" for ax, side, _ in boundary]
+    for face in dict.fromkeys(f for f in faces if faces.count(f) > 1):
+        v.append(f"boundary {face}: given {faces.count(face)} times; give"
+                 f" each face once")
+    for face, (ax, _, g) in zip(faces, boundary):
         vals = g if isinstance(g, tuple) else (g,)
         if isinstance(g, tuple) and len(g) not in (1, cfg.dimension):
-            v.append(f"boundary {ax}.{'lo' if side < 0 else 'hi'}:"
-                     f" need 1 or {cfg.dimension} values")
-        if not all(map(_real, vals)):
-            v.append(f"boundary {ax}.{'lo' if side < 0 else 'hi'}:"
-                     f" gamma must be numeric, got {g!r}")
-        elif not all(_named(x) or abs(x) <= 1.0 for x in vals):
-            v.append(f"boundary {ax}.{'lo' if side < 0 else 'hi'}:"
-                     f" |gamma| must not exceed 1, got {g}")
+            v.append(f"boundary {face}: need 1 or {cfg.dimension} values")
+        rows += [(f"boundary {face}: |gamma|", x, lambda x: abs(x) <= 1.0,
+                  "not exceed 1") for x in vals]
         if ax not in axes:
             v.append(f"boundary face {ax} not valid in {cfg.dimension}D")
 
-    pml = dataclasses.replace(cfg.pml, widths=tuple(_well_formed(
-        "pml.widths", cfg.pml.widths, "axis, lo, hi", v)))
-    named = [ax for ax, _, _ in pml.widths]
+    widths = _well_formed("pml.widths", pml.widths, "axis, lo, hi", v)
+    named = [ax for ax, _, _ in widths]
     for ax in dict.fromkeys(a for a in named if named.count(a) > 1):
         v.append(f"pml axis {ax}: given {named.count(ax)} times;"
                  f" give each axis once")
-    for ax, lo, hi in pml.widths:
+    for ax, lo, hi in widths:
+        sides = (("lo", lo), ("hi", hi))
+        rows += [(f"pml {ax}.{s} width", w) + _NONNEGATIVE for s, w in sides]
         if ax not in axes:
             v.append(f"pml axis {ax} not valid in {cfg.dimension}D")
             continue
-        for w, label in ((lo, "lo"), (hi, "hi")):
-            if not _real(w):
-                v.append(f"pml {ax}.{label} width must be a number,"
-                         f" got {w!r}")
-            elif _named(w):
-                continue
-            elif w < 0.0:
-                v.append(f"pml {ax}.{label} width is negative")
-            elif w > 0.0:
-                v += _off_grid(f"pml {ax}.{label} width", w, cfg.spacing)
+        for s, w in sides:
+            if _finite(w) and w > 0.0:
+                v += _off_grid(f"pml {ax}.{s} width", w, cfg.spacing)
         blo, bhi = cfg.box[axes.index(ax)]
-        if all(_real(x) and not _named(x) for x in (lo, hi, blo, bhi)) \
-                and blo + lo >= bhi - hi:
+        if all(map(_finite, (lo, hi, blo, bhi))) and blo + lo >= bhi - hi:
             v.append(f"pml layers on {ax} leave no interior")
-    # the layers of numeric widths; the others are reported above
+    # the layers of numeric widths; the others are reported by the table
     pml = dataclasses.replace(pml, widths=tuple(
-        e for e in pml.widths if all(map(_real, e[1:]))))
-    if pml.enabled:
-        if pml.tol is None and pml.d0 is None:
-            v.append("pml enabled but neither tol nor d0 given")
-        if pml.tol is not None and pml.d0 is not None:
-            v.append("pml tol and d0 are both set; give exactly one")
-        if pml.tol is not None and not (_named(pml.tol) or _real(pml.tol)
-                                        and 0.0 < pml.tol < 1.0):
-            v.append(f"pml tol must lie in (0, 1), got {pml.tol!r}")
-        for label, x in (("d0", pml.d0), ("alpha", pml.alpha)):
-            if x is not None and not _named(x) and (not _real(x)
-                                                     or x < 0.0):
-                v.append(f"pml {label} must be nonnegative, got {x!r}")
-        if not (_named(pml.theta)
-                or _real(pml.theta) and 0.0 <= pml.theta <= 1.0):
-            v.append(f"pml theta must lie in [0, 1], got {pml.theta}")
+        e for e in widths if all(map(_real, e[1:]))))
+    if pml.enabled and pml.tol is None and pml.d0 is None:
+        v.append("pml enabled but neither tol nor d0 given")
+    if pml.enabled and pml.tol is not None and pml.d0 is not None:
+        v.append("pml tol and d0 are both set; give exactly one")
 
+    points = [(f"source {s.sid}: location", s.location) for s in cfg.sources]
+    points += [(f"receiver {r.rid}: location", r.location)
+               for r in cfg.receivers]
     for s in cfg.sources:
-        v += _point_faults(f"source {s.sid}: location", s.location, cfg)
+        m, dim = s.moment, cfg.dimension
+        if isinstance(m, tuple) and len(m) == dim and all(
+                isinstance(r, tuple) and len(r) == dim for r in m):
+            rows += [(f"source {s.sid}: moment[{i}][{j}]", x) + _FINITE
+                     for i, r in enumerate(m) for j, x in enumerate(r)]
+        else:
+            v.append(f"source {s.sid}: moment must be {dim} rows of {dim}"
+                     f" numbers, got {m!r}")
         params = dict(s.stf_params)
         if s.stf not in STF_KINDS:
             v.append(f"source {s.sid}: stf must be"
@@ -665,64 +667,68 @@ def validate(cfg):
         keys = [f.name for f in dataclasses.fields(STF_KINDS[s.stf])]
         v += [f"source {s.sid}: {s.stf} stf needs {key}"
               for key in keys if key not in params]
-        width = keys[0]
-        if not _named(params.get(width)) and params.get(width, 1.0) <= 0.0:
-            v.append(f"source {s.sid}: {s.stf} {width} must be positive")
+        # the first parameter is the width
+        rows += [(f"source {s.sid}: {s.stf} {key}", params[key])
+                 + (_POSITIVE if key == keys[0] else _FINITE)
+                 for key in keys if key in params]
 
     rids = [r.rid for r in cfg.receivers]
     for rid in dict.fromkeys(r for r in rids if rids.count(r) > 1):
         v.append(f"receiver {rid}: name given to {rids.count(rid)}"
                  f" receivers; names must be unique")
-    for r in cfg.receivers:
-        v += _point_faults(f"receiver {r.rid}: location", r.location, cfg)
-        if r.interval is not None and not (
-                _named(r.interval)
-                or _real(r.interval) and 0.0 < r.interval < math.inf):
-            v.append(f"receiver {r.rid}: interval must be positive"
-                     f" and finite")
+    rows += [(f"receiver {r.rid}: interval", r.interval) + _POSITIVE
+             for r in cfg.receivers if r.interval is not None]
 
     ini = cfg.initial
-    if ini is not None and ini.kind not in ("velocity-gaussian",
-                                            "plane-wave"):
+    if ini is not None and ini.kind not in ("velocity-gaussian", "plane-wave"):
         v.append(f"initial type must be velocity-gaussian or plane-wave,"
                  f" got {ini.kind!r}")
     if ini is not None and ini.kind == "velocity-gaussian":
-        v += _point_faults("initial center", ini.get("center"), cfg)
-        if not _named(ini.get("halfwidth")) \
-                and (ini.get("halfwidth") or 0.0) <= 0.0:
-            v.append("initial halfwidth must be positive")
+        points.append(("initial center", ini.get("center")))
+        rows += [("initial halfwidth", ini.get("halfwidth")) + _POSITIVE,
+                 ("initial amplitude", ini.get("amplitude", 1.0)) + _FINITE]
         names = velocity_names(cfg.dimension)
-        for c in ini.get("components") or ():
-            if c not in names:
-                v.append(f"initial component {c!r} not valid in"
-                         f" {cfg.dimension}D (expected one of"
-                         f" {', '.join(names)})")
+        comps = ini.get("components") or ()
+        if not isinstance(comps, tuple):
+            v.append(f"initial components must be a tuple of velocity"
+                     f" names, got {comps!r}")
+            comps = ()
+        v += [f"initial component {c!r} not valid in {cfg.dimension}D"
+              f" (expected one of {', '.join(names)})"
+              for c in comps if c not in names]
     if ini is not None and ini.kind == "plane-wave":
-        n = ini.get("n") or ()
+        n = ini.get("n") if isinstance(ini.get("n"), tuple) else ()
+        rows += [(f"initial plane-wave direction n{ax}", x) + _FINITE
+                 for ax, x in zip(AXES, n)]
         if len(n) != cfg.dimension:
             v.append(f"initial plane-wave direction n has {len(n)}"
                      f" entries in {cfg.dimension}D")
-        elif not any(x != 0.0 for x in n):
+        elif all(map(_finite, n)) and not any(n):
             v.append("initial plane-wave direction is zero")
         if ini.get("mode") not in ("P", "S"):
             v.append(f"initial plane-wave mode must be P or S,"
                      f" got {ini.get('mode')!r}")
-        if not _named(ini.get("width")) and (ini.get("width") or 0.0) <= 0.0:
-            v.append("initial plane-wave width must be positive")
+        rows += [("initial plane-wave width", ini.get("width")) + _POSITIVE,
+                 ("initial plane-wave center", ini.get("center")) + _FINITE]
         if len(cfg.materials) > 1:
             v.append("initial plane-wave needs a homogeneous medium;"
                      " drop the secondary material")
 
-    out = cfg.output
-    for label, val in (("seismogram_interval", out.seismogram_interval),
-                       ("series_interval", out.series_interval),
-                       ("snapshot_interval", out.snapshot_interval)):
-        if val is not None and not (
-                _named(val) or _real(val) and 0.0 < val < math.inf):
-            v.append(f"output {label} must be positive and finite")
+    # a point is held to the box only once every coordinate is a number
+    for what, point in points:
+        point = point if isinstance(point, tuple) else ()
+        rows += [(f"{what} {ax}", x) + _FINITE for ax, x in zip(AXES, point)]
+        if len(point) != cfg.dimension:
+            v.append(f"{what} is not {cfg.dimension}-dimensional")
+        elif all(map(_finite, (*point, *sum(cfg.box, ())))) and not all(
+                lo <= c <= hi for c, (lo, hi) in zip(point, cfg.box)):
+            v.append(f"{what} {point} outside the box")
+
     if out.snapshot_format not in ("binary", "csv"):
         v.append(f"output snapshot_format must be binary or csv,"
                  f" got {out.snapshot_format!r}")
+    v += [f"{label} must {phrase}, got {x!r}" for label, x, test, phrase
+          in rows if not (_named(x) or _finite(x) and test(x))]
     return v
 
 

@@ -180,6 +180,15 @@ def test_plane_wave_satisfies_continuous_system(dim, mode):
         assert np.abs(resid).max() <= 1e-12 * np.abs(q0).max() * c
 
 
+@pytest.mark.parametrize("n", [(0.0, 0.0), (float("nan"), 1.0),
+                               (float("inf"), 0.0)])
+def test_plane_wave_rejects_a_direction_of_no_length(n):
+    # (0, 0) gave NaN amplitudes and a RuntimeWarning
+    m = material_from_speeds(2700.0, 6.0, 3.464)
+    with pytest.raises(ValueError, match="must be finite and nonzero"):
+        dg.plane_wave_polarization(dg.PlaneWaveSpec(n=n), m, 2)
+
+
 def test_plane_wave_px_structure():
     m = material_from_speeds(2700.0, 6.0, 3.464)
     pw = dg.PlaneWaveSpec(n=(1.0, 0.0, 0.0), mode="P")

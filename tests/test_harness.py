@@ -405,9 +405,10 @@ def test_non_finite_spacing_is_one_finding(dx):
 
 
 def _float_leaves(value, rebuild, path):
-    """(path, rebuild) for each float in a config value: rebuild(x) is
-    the config with x in its place.  Paths follow validate's finiteness
-    rule but for (key, value) pairs, which go by index."""
+    """(path, float, rebuild) for each float in a config value:
+    rebuild(x) is the config with x in its place.  Paths follow
+    validate's finiteness rule but for (key, value) pairs, which go by
+    index."""
     if is_dataclass(value):
         for f in fields(value):
             yield from _float_leaves(
@@ -420,7 +421,19 @@ def _float_leaves(value, rebuild, path):
                 item, lambda x, i=i: rebuild(value[:i] + (x,) + value[i + 1:]),
                 f"{path}[{i}]")
     elif isinstance(value, float):
-        yield path, rebuild
+        yield path, value, rebuild
+
+
+def _every_number(name):
+    """The preset, and for the strip every optional number set too:
+    d0 in place of tol and every output interval."""
+    cfg = ps.preset(name)
+    if name == "strip2d":
+        cfg = replace(cfg, pml=replace(cfg.pml, tol=None, d0=0.05),
+                      output=replace(cfg.output, seismogram_interval=0.1,
+                                     series_interval=0.5,
+                                     snapshot_interval=0.5))
+    return cfg
 
 
 @pytest.mark.parametrize("name", ["strip2d", "hws3d", "planewave"])
@@ -433,19 +446,31 @@ def test_every_non_finite_number_is_one_finding(name):
     # side "pml layers on x leave no interior" and "location ... outside
     # the box" for every point, and the same held for theta, tol, d0,
     # alpha, the intervals, the widths and the source and initial widths
-    cfg = ps.preset(name)
-    if name == "strip2d":
-        cfg = replace(cfg, pml=replace(cfg.pml, tol=None, d0=0.05),
-                      output=replace(cfg.output, seismogram_interval=0.1,
-                                     series_interval=0.5,
-                                     snapshot_interval=0.5))
     twice = []
-    for path, rebuild in _float_leaves(cfg, lambda c: c, "cfg"):
+    for path, _, rebuild in _float_leaves(_every_number(name), lambda c: c,
+                                          "cfg"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             found = cf.validate(rebuild(bad))
             if len(found) != 1 or "must be finite, got" not in found[0]:
                 twice.append((path, bad, found))
     assert not twice
+
+
+@pytest.mark.parametrize("name", ["strip2d", "hws3d", "planewave"])
+def test_every_text_number_is_one_finding(name):
+    # each float of a preset (as above) outside its materials, given as
+    # text: exactly one finding, which names the text.  A text halfwidth,
+    # source sigma, plane-wave width or coordinate made validate itself
+    # raise TypeError, and a text amplitude, t0, moment entry, direction
+    # entry or plane-wave centre passed
+    wrong = []
+    for path, x, rebuild in _float_leaves(_every_number(name), lambda c: c,
+                                          "cfg"):
+        if not path.startswith("cfg.materials"):
+            found = cf.validate(rebuild(str(x)))
+            if len(found) != 1 or repr(str(x)) not in found[0]:
+                wrong.append((path, found))
+    assert not wrong
 
 
 SOFT_TEXT = ("\n[material.soft]\nrho = 2.6 g/cm3\ncp = 4 km/s\ncs = 2 km/s\n"
@@ -548,83 +573,134 @@ def test_dimensionless_keys_take_bare_numbers(old, new, line):
 
 
 def _code_built_cases():
+    """(id, cause, config) for each config built in code that broke a
+    rule of the config file and was let through or crashed validate."""
     strip, hws = ps.preset("strip2d"), ps.preset("hws3d", elements=4)
     wave = ps.planewave_config(dim=3, elements=4, degree=1)
-    yield "stf must be gaussian or ramp, got 'boxcar'", replace(
+    yield "stf", "stf must be gaussian or ramp, got 'boxcar'", replace(
         hws, sources=(replace(hws.sources[0], stf="boxcar"),))
-    yield ("initial type must be velocity-gaussian or plane-wave,"
-           " got 'spike'"), replace(strip, initial=cf.InitialSpec("spike", ()))
-    yield "plane-wave direction n has 2 entries in 3D", replace(
-        wave, initial=replace(wave.initial, params=_replace_param(
+    yield "initial-type", ("initial type must be velocity-gaussian or"
+                           " plane-wave, got 'spike'"), replace(
+        strip, initial=cf.InitialSpec("spike", ()))
+    yield "plane-wave-n", "plane-wave direction n has 2 entries in 3D", \
+        replace(wave, initial=replace(wave.initial, params=_replace_param(
             wave.initial.params, "n", (1.0, 0.0))))
-    yield "initial center is not 3-dimensional", replace(
+    yield "gaussian-center", "initial center is not 3-dimensional", replace(
         hws, initial=cf.InitialSpec("velocity-gaussian", (
             ("center", (5 * KM, 5 * KM)), ("halfwidth", 1 * KM))))
     src = hws.sources[0]
-    yield f"source {src.sid}: gaussian stf needs t0", replace(
+    yield "stf-params", f"source {src.sid}: gaussian stf needs t0", replace(
         hws, sources=(replace(src, stf_params=(("sigma", 0.1),)),))
-    yield "degree must be an integer, got 2.0", replace(strip, degree=2.0)
-    yield "dimension must be an integer, got 2.0", replace(
+    yield "degree", "degree must be an integer, got 2.0", replace(
+        strip, degree=2.0)
+    yield "dimension", "dimension must be an integer, got 2.0", replace(
         strip, dimension=2.0)
     loh = ps.preset("loh1", elements=9, degree=1, tend=0.1)
-    yield "region threshold must be a finite number, got None", replace(
+    yield "region-threshold", ("region threshold must be a finite number,"
+                               " got None"), replace(
         loh, region=("x", None, 1))
-    yield "region material index must be an integer in [0, 2), got -1", \
-        replace(loh, region=("x", 1000.0, -1))
-    yield "region material index must be an integer in [0, 2), got 1.5", \
-        replace(loh, region=("x", 1000.0, 1.5))
-    for region in (("x", 1000.0), ("x", 1000.0, 1, 2), "x"):
-        yield ("region must be (axis, threshold, material index), got"
-               f" {region!r}"), replace(loh, region=region)
-    yield "pml axis x: given 2 times; give each axis once", replace(
-        strip, pml=replace(strip.pml, widths=strip.pml.widths + (
+    for key, idx in (("negative", -1), ("fractional", 1.5)):
+        yield f"region-{key}-index", ("region material index must be an"
+                                      f" integer in [0, 2), got {idx}"), \
+            replace(loh, region=("x", 1000.0, idx))
+    for key, region in (("pair", ("x", 1000.0)),
+                        ("quadruple", ("x", 1000.0, 1, 2)), ("string", "x")):
+        yield f"region-{key}", ("region must be (axis, threshold, material"
+                                f" index), got {region!r}"), replace(
+            loh, region=region)
+    yield "pml-axis-twice", "pml axis x: given 2 times; give each axis once", \
+        replace(strip, pml=replace(strip.pml, widths=strip.pml.widths + (
             ("x", 20 * KM, 20 * KM),)))
-    yield "boundary y.lo: given 2 times; give each face once", replace(
+    yield "boundary-face-twice", ("boundary y.lo: given 2 times; give each"
+                                  " face once"), replace(
         strip, boundary=strip.boundary + (("y", -1, 0.0),))
     small = ps.preset("strip2d", elements=10, degree=2, tend=1)
-    yield "boundary[0] must be (axis, side, gamma), got ('x', -1)", replace(
+    yield "boundary-pair", ("boundary[0] must be (axis, side, gamma), got"
+                            " ('x', -1)"), replace(
         small, boundary=(("x", -1),) + small.boundary[1:])
-    yield "pml.widths[0] must be (axis, lo, hi), got ('x', 10000.0)", \
-        replace(small, pml=replace(small.pml, widths=(("x", 1e4),)))
-    yield "box[1] must be (lo, hi), got (0.0,)", replace(
+    yield "pml-width-pair", ("pml.widths[0] must be (axis, lo, hi), got"
+                             " ('x', 10000.0)"), replace(
+        small, pml=replace(small.pml, widths=(("x", 1e4),)))
+    yield "box-side", "box[1] must be (lo, hi), got (0.0,)", replace(
         small, box=(small.box[0], (0.0,)))
-    yield "dx must be positive, got '5'", replace(small, spacing="5")
-    yield "tend must be positive and finite, got None", replace(
+    yield "spacing-text", "dx must be positive, got '5'", replace(
+        small, spacing="5")
+    yield "tend-none", "tend must be positive and finite, got None", replace(
         small, t_end=None)
-    yield "cfl must lie in (0, 1], got None", replace(small, cfl=None)
-    yield "pml theta must lie in [0, 1], got None", replace(
+    yield "cfl-none", "cfl must lie in (0, 1], got None", replace(
+        small, cfl=None)
+    yield "theta-none", "pml theta must lie in [0, 1], got None", replace(
         small, pml=replace(small.pml, theta=None))
-    yield "boundary y.lo: gamma must be numeric, got 'free'", replace(
-        small, boundary=tuple((ax, side, "free" if (ax, side) == ("y", -1)
-                               else g) for ax, side, g in small.boundary))
-    yield "pml tol must lie in (0, 1), got '1e-6'", replace(
+    yield "gamma-word", ("boundary y.lo: |gamma| must not exceed 1, got"
+                         " 'free'"), replace(small, boundary=tuple(
+            (ax, side, "free" if (ax, side) == ("y", -1) else g)
+            for ax, side, g in small.boundary))
+    yield "tol-text", "pml tol must lie in (0, 1), got '1e-6'", replace(
         small, pml=replace(small.pml, tol="1e-6"))
-    yield "pml x.lo width must be a number, got '10 km'", replace(
-        small, pml=replace(small.pml, widths=(("x", "10 km", 1e4),)))
-    yield "box[0] must be numbers (lo, hi), got ('0', 50000.0)", replace(
-        small, box=(("0", 5e4), small.box[1]))
-    yield "output series_interval must be positive and finite", replace(
+    yield "pml-width-text", ("pml x.lo width must be nonnegative, got"
+                             " '10 km'"), replace(small, pml=replace(
+        small.pml, widths=(("x", "10 km", 1e4),)))
+    yield "box-text", ("box[0] must be numbers (lo, hi), got ('0',"
+                       " 50000.0)"), replace(small, box=(("0", 5e4),
+                                                         small.box[1]))
+    yield "series-interval-text", ("output series_interval must be positive"
+                                   " and finite"), replace(
         small, output=replace(small.output, series_interval="0.5"))
-    yield "pml d0 must be nonnegative, got '16'", replace(
+    yield "d0-text", "pml d0 must be nonnegative, got '16'", replace(
         small, pml=replace(small.pml, tol=None, d0="16"))
-    yield "receiver probe: interval must be positive and finite", replace(
+    yield "receiver-interval-text", ("receiver probe: interval must be"
+                                     " positive and finite"), replace(
         small, receivers=(replace(small.receivers[0], interval="0.5"),))
+    yield "halfwidth-text", ("initial halfwidth must be positive and finite,"
+                             " got '3 km'"), replace(
+        small, initial=replace(small.initial, params=_replace_param(
+            small.initial.params, "halfwidth", "3 km")))
+    yield "amplitude-text", "initial amplitude must be a finite number," \
+        " got '1'", replace(small, initial=replace(
+            small.initial, params=_replace_param(
+                small.initial.params, "amplitude", "1")))
+    yield "components-string", ("initial components must be a tuple of"
+                                " velocity names, got 'vx'"), replace(
+        small, initial=replace(small.initial, params=_replace_param(
+            small.initial.params, "components", "vx")))
+    yield "receiver-location-text", ("receiver probe: location y must be a"
+                                     " finite number, got '25 km'"), replace(
+        small, receivers=(replace(small.receivers[0],
+                                  location=(25 * KM, "25 km")),))
+    yield "source-location-text", (f"source {src.sid}: location x must be a"
+                                   " finite number, got '3 km'"), replace(
+        hws, sources=(replace(src, location=("3 km",) + src.location[1:]),))
+    yield "moment-text", (f"source {src.sid}: moment[0][0] must be a finite"
+                          " number, got '1e18'"), replace(
+        hws, sources=(replace(src, moment=(("1e18",) + src.moment[0][1:],)
+                              + src.moment[1:]),))
+    for key, text in (("sigma", "0.1"), ("t0", "0.7")):
+        phrase = "be positive and finite" if key == "sigma" else \
+            "be a finite number"
+        yield f"{key}-text", (f"source {src.sid}: gaussian {key} must"
+                              f" {phrase}, got {text!r}"), replace(
+            hws, sources=(replace(src, stf_params=_replace_param(
+                src.stf_params, key, text)),))
+    yield "plane-wave-width-text", ("initial plane-wave width must be"
+                                    " positive and finite, got '2'"), replace(
+        wave, initial=replace(wave.initial, params=_replace_param(
+            wave.initial.params, "width", "2")))
+    yield "moment-flat", (f"source {src.sid}: moment must be 3 rows of 3"
+                          " numbers, got (1e+18, 0.0, 0.0)"), replace(
+        hws, sources=(replace(src, moment=src.moment[0]),))
+    yield "boundary-side-text", "boundary y side must be -1 or 1, got 'lo'", \
+        replace(small, boundary=small.boundary[:2] + (("y", "lo", 1.0),)
+                + small.boundary[3:])
+    flat = ps.preset("planewave")
+    yield "plane-wave-n-text", ("initial plane-wave direction nx must be a"
+                                " finite number, got '0'"), replace(
+        flat, initial=replace(flat.initial, params=_replace_param(
+            flat.initial.params, "n", ("0", "0"))))
 
 
-@pytest.mark.parametrize("cause, cfg", list(_code_built_cases()),
-                         ids=["stf", "initial-type", "plane-wave-n",
-                              "gaussian-center", "stf-params", "degree",
-                              "dimension", "region-threshold",
-                              "region-negative-index",
-                              "region-fractional-index", "region-pair",
-                              "region-quadruple", "region-string",
-                              "pml-axis-twice", "boundary-face-twice",
-                              "boundary-pair", "pml-width-pair",
-                              "box-side", "spacing-text", "tend-none",
-                              "cfl-none", "theta-none", "gamma-word",
-                              "tol-text", "pml-width-text", "box-text",
-                              "series-interval-text", "d0-text",
-                              "receiver-interval-text"])
+@pytest.mark.parametrize("cause, cfg", [
+    pytest.param(cause, cfg, id=key)
+    for key, cause, cfg in _code_built_cases()])
 def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
     # each passed finalize; the first three failed in build_problem with
     # a bare ValueError, the fourth ran with z dropped from the centre,
@@ -636,13 +712,19 @@ def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
     # one ran with the index truncated; a region not of three entries made
     # validate raise "not enough values to unpack" (or too many).  A
     # layer axis or a boundary face given twice ran with the last entry
-    # alone, the free top of the strip turned absorbing.  The last eight
+    # alone, the free top of the strip turned absorbing.  The next eight
     # made validate itself raise a bare ValueError (a boundary entry, a
     # layer width or a box side of too few items) or TypeError (a dx given
     # as text, no tend, cfl or theta, a reflection value given as a word);
-    # so did, with a TypeError, the last six: a layer tol, a layer width,
+    # so did, with a TypeError, the next six: a layer tol, a layer width,
     # a box side, a series interval, a layer d0 and a receiver interval
-    # given as text
+    # given as text.  Of the last twelve, a text halfwidth, coordinate, sigma
+    # or plane-wave width made validate raise TypeError; a text amplitude
+    # passed and build_problem raised UFuncTypeError; a text moment entry
+    # or t0 passed, and a text direction passed the zero-direction rule
+    # and filled Q with NaN; components "vx" was reported as 'v' and 'x';
+    # a moment of one row passed and a side given as text made validate
+    # raise TypeError
     with pytest.raises(ValidationError, match=re.escape(cause)):
         finalize(cfg)
 
