@@ -482,16 +482,37 @@ def _non_finite(value, path):
         yield path, value
 
 
-def _well_formed(what, entries, form, v):
-    """The entries that are tuples of as many items as form names; each
-    other one is reported in v as `what[i] must be (form)`."""
+def _entries(what, entries, fits, form, v):
+    """The entries of a tuple that fit; each other one is reported in v
+    as `what[i] must be form`, and a value that is no tuple as such."""
+    if not isinstance(entries, tuple):
+        v.append(f"{what} must be a tuple, got {entries!r}")
+        return []
     good = []
     for i, entry in enumerate(entries):
-        if isinstance(entry, tuple) and len(entry) == len(form.split(",")):
+        if fits(entry):
             good.append(entry)
         else:
-            v.append(f"{what}[{i}] must be ({form}), got {entry!r}")
+            v.append(f"{what}[{i}] must be {form}, got {entry!r}")
     return good
+
+
+def _well_formed(what, entries, form, v):
+    """The entries that are tuples of as many items as form names."""
+    n = len(form.split(","))
+    return _entries(what, entries,
+                    lambda e: isinstance(e, tuple) and len(e) == n,
+                    f"({form})", v)
+
+
+def _pairs(what, params, v):
+    """params, (key, value) pairs with text keys, as a dict; None if
+    they are not, which is reported in v."""
+    good = _entries(what, params, lambda p: isinstance(p, tuple)
+                    and len(p) == 2 and isinstance(p[0], str),
+                    "a (key, value) pair", v)
+    whole = isinstance(params, tuple) and len(good) == len(params)
+    return dict(good) if whole else None
 
 
 def _real(x):
@@ -542,6 +563,18 @@ def validate(cfg):
     bad_dim = _dimension_faults(cfg.dimension)
     if bad_dim:
         return v + bad_dim  # nothing downstream is meaningful
+    # a field of a record type holds one; a field that defaults to None
+    # may also be None
+    faults = [f"{f.name} must be of type {f.type.__name__}, got {x!r}"
+              for f in dataclasses.fields(cfg)
+              if dataclasses.is_dataclass(f.type)
+              and not isinstance(x := getattr(cfg, f.name), f.type)
+              and not (x is None and f.default is None)]
+    if faults:
+        return v + faults
+    if not isinstance(cfg.box, tuple):
+        return v + [f"box must be a tuple of (lo, hi) per axis, got"
+                    f" {cfg.box!r}"]
     if len(cfg.box) != cfg.dimension:
         v.append(f"box has {len(cfg.box)} axes for dimension"
                  f" {cfg.dimension}")
@@ -647,10 +680,16 @@ def validate(cfg):
     if pml.enabled and pml.tol is not None and pml.d0 is not None:
         v.append("pml tol and d0 are both set; give exactly one")
 
-    points = [(f"source {s.sid}: location", s.location) for s in cfg.sources]
+    sources = _entries("sources", cfg.sources,
+                       lambda e: isinstance(e, SourceSpec),
+                       "of type SourceSpec", v)
+    receivers = _entries("receivers", cfg.receivers,
+                         lambda e: isinstance(e, ReceiverSpec),
+                         "of type ReceiverSpec", v)
+    points = [(f"source {s.sid}: location", s.location) for s in sources]
     points += [(f"receiver {r.rid}: location", r.location)
-               for r in cfg.receivers]
-    for s in cfg.sources:
+               for r in receivers]
+    for s in sources:
         m, dim = s.moment, cfg.dimension
         if isinstance(m, tuple) and len(m) == dim and all(
                 isinstance(r, tuple) and len(r) == dim for r in m):
@@ -659,10 +698,12 @@ def validate(cfg):
         else:
             v.append(f"source {s.sid}: moment must be {dim} rows of {dim}"
                      f" numbers, got {m!r}")
-        params = dict(s.stf_params)
-        if s.stf not in STF_KINDS:
+        if not (isinstance(s.stf, str) and s.stf in STF_KINDS):
             v.append(f"source {s.sid}: stf must be"
                      f" {' or '.join(STF_KINDS)}, got {s.stf!r}")
+            continue
+        params = _pairs(f"source {s.sid}: stf_params", s.stf_params, v)
+        if params is None:
             continue
         keys = [f.name for f in dataclasses.fields(STF_KINDS[s.stf])]
         v += [f"source {s.sid}: {s.stf} stf needs {key}"
@@ -672,14 +713,22 @@ def validate(cfg):
                  + (_POSITIVE if key == keys[0] else _FINITE)
                  for key in keys if key in params]
 
-    rids = [r.rid for r in cfg.receivers]
+    # a receiver's name is part of its seismogram's file name
+    rids = [r.rid for r in receivers]
+    v += [f"receiver name must be nonempty text without '/' or NUL, got"
+          f" {rid!r}" for rid in rids if not (
+              isinstance(rid, str) and rid and "/" not in rid
+              and "\0" not in rid)]
+    rids = [rid for rid in rids if isinstance(rid, str)]
     for rid in dict.fromkeys(r for r in rids if rids.count(r) > 1):
         v.append(f"receiver {rid}: name given to {rids.count(rid)}"
                  f" receivers; names must be unique")
     rows += [(f"receiver {r.rid}: interval", r.interval) + _POSITIVE
-             for r in cfg.receivers if r.interval is not None]
+             for r in receivers if r.interval is not None]
 
     ini = cfg.initial
+    if ini is not None and _pairs("initial params", ini.params, v) is None:
+        ini = None    # no parameter can be looked up
     if ini is not None and ini.kind not in ("velocity-gaussian", "plane-wave"):
         v.append(f"initial type must be velocity-gaussian or plane-wave,"
                  f" got {ini.kind!r}")

@@ -3,6 +3,10 @@ artifacts, and derive the companion runs (enlarged reference, plain
 absorbing truncation) used for error measurement."""
 
 import os
+import shutil
+import tempfile
+import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,6 +24,11 @@ from ..sources import IntervalGate, MomentTensorSource, Receiver, STF_KINDS
 from .config import PmlSpec, finalize
 
 
+# prefix of the private directory that a run without an output directory
+# writes its snapshots into
+_SNAPSHOT_DIR_PREFIX = "elastowave-snapshots-"
+
+
 @dataclass
 class RunResult:
     """The record of one run, and the last callback of its solver.run.
@@ -27,6 +36,12 @@ class RunResult:
     Each call notes the time reached and samples the series and the
     snapshots on their gates.  With no series interval the series
     samples every call; with no snapshot interval no snapshot is taken.
+
+    A snapshot is written into `snapshot_dir` when it is taken, and
+    only its time is kept; `snapshots` reads them back.  A run without
+    an output directory makes a private temporary one at its first
+    snapshot (so a copy of the callback made before the run writes its
+    own), which is removed when the record is dropped.
     """
 
     config: object
@@ -39,7 +54,7 @@ class RunResult:
     energy: list = field(default_factory=list)        # EnergySample
     linf_values: list = field(default_factory=list)
     snap_times: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)     # velocity fields
+    snapshot_dir: str = None  # where the snapshot files are written
     state: object = None    # final state; None if the run diverged
 
     def __post_init__(self):
@@ -54,8 +69,66 @@ class RunResult:
             self.linf_values.append(linf_series(state))
         if self.config.output.snapshot_interval is not None \
                 and self._snap_gate(state.t):
+            self._write_snapshot(state.t, state.Q[:self.config.dimension])
             self.snap_times.append(state.t)
-            self.snapshots.append(np.array(state.Q[:self.config.dimension]))
+
+    @property
+    def snapshots(self):
+        """The velocity fields at snap_times, read back from their files
+        one per access."""
+        return _Snapshots(self)
+
+    def _snapshot_base(self, k):
+        """Path of snapshot k's files, without their suffixes."""
+        return os.path.join(self.snapshot_dir, f"snapshot_{k:04d}")
+
+    def _write_snapshot(self, t, fields):
+        """The velocity fields at time t into the files of the next
+        snapshot, in the configured format."""
+        if self.snapshot_dir is None:
+            self.snapshot_dir = tempfile.mkdtemp(prefix=_SNAPSHOT_DIR_PREFIX)
+            weakref.finalize(self, shutil.rmtree, self.snapshot_dir,
+                             ignore_errors=True)
+        cfg, disc = self.config, self.disc
+        base = self._snapshot_base(len(self.snap_times))
+        names = velocity_names(cfg.dimension)
+        if cfg.output.snapshot_format == "csv":
+            cols = [np.broadcast_to(c, fields[0].shape).ravel()
+                    for c in solver.nodal_coordinates(disc)]
+            _write_csv(base + ".csv", axes_of(cfg.dimension) + names,
+                       zip(*cols, *(v.ravel() for v in fields)),
+                       comment=f"time = {t:.16e}")
+            return
+        # one little-endian float64 .bin per component, element-major
+        # (element indices outer, node indices inner, C order), and a text
+        # sidecar with the shape
+        _write_pairs(base + ".txt", (
+            ("time", f"{t:.16e}"), ("dimension", cfg.dimension),
+            ("elements", "x".join(str(c) for c in disc.mesh.counts)),
+            ("nodes_per_axis", disc.ops.n_nodes),
+            ("degree", disc.ops.degree), ("components", ",".join(names)),
+            ("layout", "element-major, C order, little-endian float64")))
+        for name, v in zip(names, fields):
+            with open(f"{base}_{name}.bin", "wb") as f:
+                # the state's own row: no copy of a contiguous
+                # little-endian one
+                f.write(np.ascontiguousarray(v, dtype="<f8").data)
+
+    def _read_snapshot(self, k):
+        """Snapshot k's velocity fields, read back from its files."""
+        cfg, disc = self.config, self.disc
+        dim = cfg.dimension
+        shape = disc.mesh.counts + (disc.ops.n_nodes,) * dim
+        base = self._snapshot_base(k)
+        if cfg.output.snapshot_format == "csv":
+            table = np.loadtxt(base + ".csv", delimiter=",", skiprows=2,
+                               usecols=range(dim, 2 * dim), ndmin=2)
+            return table.T.reshape((dim, *shape))
+        snap = np.empty((dim, *shape))
+        for v, name in zip(snap, velocity_names(dim)):
+            v[...] = np.fromfile(f"{base}_{name}.bin",
+                                 dtype="<f8").reshape(shape)
+        return snap
 
     @property
     def linf_times(self):
@@ -100,6 +173,23 @@ class RunResult:
             "diverged": self.diverged,
             "notes": cfg.notes + ((self.note,) if self.note else ()),
         }
+
+
+class _Snapshots(Sequence):
+    """The snapshots of a run, each read from its files when indexed.
+    It holds the run's record, which keeps the files."""
+
+    def __init__(self, result):
+        self.result = result
+
+    def __len__(self):
+        return len(self.result.snap_times)
+
+    def __getitem__(self, k):
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError(f"snapshot {k} of {n}")
+        return self.result._read_snapshot(k % n)
 
 
 def build_problem(cfg):
@@ -152,8 +242,10 @@ def _apply_initial(state, cfg):
 
 
 def run_experiment(cfg, output_dir=None, dt=None):
-    """Run one configuration; returns a RunResult and, when output_dir
-    is given, writes seismograms, series, snapshots and metadata.
+    """Run one configuration; returns a RunResult.  With output_dir, the
+    run writes its snapshots there as it takes them, and seismograms,
+    series and metadata after its last step; without, its snapshots go
+    to a private temporary directory that lives as long as the result.
 
     dt overrides the stability-derived step (used to keep snapshot
     times aligned between a layered run and its reference)."""
@@ -166,7 +258,8 @@ def run_experiment(cfg, output_dir=None, dt=None):
         # an unusable directory fails here, not after the run
         os.makedirs(output_dir, exist_ok=True)
 
-    result = RunResult(cfg, disc, dt, list(recs), t_end=state.t)
+    result = RunResult(cfg, disc, dt, list(recs), t_end=state.t,
+                       snapshot_dir=output_dir)
     try:
         result.state = solver.run(state, cfg.t_end, dt, sources=srcs,
                                   callbacks=recs + (result,))
@@ -179,8 +272,9 @@ def run_experiment(cfg, output_dir=None, dt=None):
 
 
 def write_outputs(result, output_dir):
-    """Writes the files of a run into output_dir, which exists."""
-    cfg, disc = result.config, result.disc
+    """Writes the seismograms, series and metadata of a run into
+    output_dir, which exists; the run wrote its snapshots as it went."""
+    cfg = result.config
     for spec, rec in zip(cfg.receivers, result.receivers):
         _write_csv(os.path.join(output_dir, f"seismogram_{spec.rid}.csv"),
                    ("t", *rec.names),
@@ -190,29 +284,6 @@ def write_outputs(result, output_dir):
                    ((s.t, s.E) for s in result.energy))
         _write_csv(os.path.join(output_dir, "linf.csv"), ("t", "value"),
                    zip(result.linf_times, result.linf_values))
-    names = velocity_names(cfg.dimension)
-    for k, (t, snap) in enumerate(zip(result.snap_times,
-                                      result.snapshots)):
-        base = os.path.join(output_dir, f"snapshot_{k:04d}")
-        if cfg.output.snapshot_format == "csv":
-            cols = [np.broadcast_to(c, snap[0].shape).ravel()
-                    for c in solver.nodal_coordinates(disc)]
-            _write_csv(base + ".csv", axes_of(cfg.dimension) + names,
-                       zip(*cols, *(v.ravel() for v in snap)),
-                       comment=f"time = {t:.16e}")
-        else:
-            # one little-endian float64 .bin per component, element-major
-            # (element indices outer, node indices inner, C order), and a
-            # text sidecar with the shape
-            _write_pairs(base + ".txt", (
-                ("time", f"{t:.16e}"), ("dimension", cfg.dimension),
-                ("elements", "x".join(str(c) for c in disc.mesh.counts)),
-                ("nodes_per_axis", disc.ops.n_nodes),
-                ("degree", disc.ops.degree), ("components", ",".join(names)),
-                ("layout", "element-major, C order, little-endian float64")))
-            for name, v in zip(names, snap):
-                with open(f"{base}_{name}.bin", "wb") as f:
-                    f.write(np.ascontiguousarray(v).astype("<f8").tobytes())
     meta = result.metadata
     _write_pairs(os.path.join(output_dir, "metadata.txt"),
                  [(key, meta[key]) for key in sorted(meta) if key != "notes"]

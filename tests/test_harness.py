@@ -1,11 +1,14 @@
 """Config parsing, presets, experiment drivers, CLI."""
 
 import copy
+import gc
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -696,6 +699,32 @@ def _code_built_cases():
                                 " finite number, got '0'"), replace(
         flat, initial=replace(flat.initial, params=_replace_param(
             flat.initial.params, "n", ("0", "0"))))
+    yield "sources-text", "sources must be a tuple, got 'text'", replace(
+        small, sources="text")
+    yield "receivers-number", ("receivers[0] must be of type ReceiverSpec,"
+                               " got 1.0"), replace(small, receivers=(1.0,))
+    yield "box-none", ("box must be a tuple of (lo, hi) per axis, got"
+                       " None"), replace(small, box=None)
+    yield "boundary-none", "boundary must be a tuple, got None", replace(
+        small, boundary=None)
+    yield "initial-params-dict", ("initial params must be a tuple, got"
+                                  " {'halfwidth': 3000.0}"), replace(
+        small, initial=replace(small.initial, params={"halfwidth": 3e3}))
+    yield "initial-params-flat", ("initial params[0] must be a (key, value)"
+                                  " pair, got 'halfwidth'"), replace(
+        small, initial=replace(small.initial, params=("halfwidth",)))
+    yield "receiver-name-path", ("receiver name must be nonempty text"
+                                 " without '/' or NUL, got '../escape'"), \
+        replace(small, receivers=(replace(small.receivers[0],
+                                          rid="../escape"),))
+    yield "pml-none", "pml must be of type PmlSpec, got None", replace(
+        small, pml=None)
+    yield "output-text", ("output must be of type OutputSpec, got"
+                          " 'csv'"), replace(small, output="csv")
+    yield "initial-number", ("initial must be of type InitialSpec, got"
+                             " 1.0"), replace(small, initial=1.0)
+    yield "stf-list", ("stf must be gaussian or ramp, got ['gaussian']"), \
+        replace(hws, sources=(replace(src, stf=["gaussian"]),))
 
 
 @pytest.mark.parametrize("cause, cfg", [
@@ -724,7 +753,14 @@ def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
     # or t0 passed, and a text direction passed the zero-direction rule
     # and filled Q with NaN; components "vx" was reported as 'v' and 'x';
     # a moment of one row passed and a side given as text made validate
-    # raise TypeError
+    # raise TypeError.  Of the next six, text sources or a number for a
+    # receiver made validate raise AttributeError, no box or boundary
+    # TypeError, and initial params given as a dict or not as pairs
+    # ValueError or TypeError.  A receiver named "../escape" passed, and
+    # the run failed after its last step, writing its seismogram.  No
+    # layer spec, text for the output spec, a number for the initial
+    # condition and a list for a source's kind made validate raise
+    # AttributeError or TypeError
     with pytest.raises(ValidationError, match=re.escape(cause)):
         finalize(cfg)
 
@@ -1042,7 +1078,7 @@ def test_sampling_rules(monkeypatch):
     assert len(res.energy) == len(res.linf_values) == len(steps) + 1
     assert list(res.linf_times) == [s.t for s in res.energy]
     assert [s.t for s in res.energy[:-1]] == steps
-    assert res.snap_times == [] and res.snapshots == []
+    assert res.snap_times == [] and len(res.snapshots) == 0
 
 
 def test_snapshots_and_samples_outlive_later_steps(monkeypatch):
@@ -1067,11 +1103,81 @@ def test_snapshots_and_samples_outlive_later_steps(monkeypatch):
         for cb in replays:
             cb(st)
     (again, replay), rec = replays, res.receivers[0]
+    # the replay read its snapshots back from files of its own
+    assert replay.snapshot_dir not in (None, res.snapshot_dir)
     assert len(res.snapshots) > 1 and len(rec.samples) > 1
     for got, want in ((res.snapshots, replay.snapshots),
                       (rec.samples, again.samples)):
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_snapshots_read_back_what_the_state_held(monkeypatch, fmt):
+    held = {}
+    run = xp.solver.run
+
+    def keep(st):
+        held[st.t] = st.Q[:st.disc.mesh.dim].copy()
+
+    def keeping(state, t_end, dt, sources=(), callbacks=()):
+        return run(state, t_end, dt, sources, tuple(callbacks) + (keep,))
+
+    monkeypatch.setattr(xp.solver, "run", keeping)
+    res = xp.run_experiment(tiny_strip(fmt=fmt))
+    assert len(res.snapshots) == len(res.snap_times) == 3
+    for t, snap in zip(res.snap_times, res.snapshots):
+        want = held[t]
+        assert snap.dtype == want.dtype and snap.shape == want.shape
+        assert snap.tobytes() == want.tobytes()
+    assert res.snapshots[-1].tobytes() == held[res.snap_times[-1]].tobytes()
+    with pytest.raises(IndexError):
+        res.snapshots[3]
+
+
+def test_snapshot_files_go_with_their_run(tmp_path):
+    # a run given an output directory writes its snapshots there; one
+    # without writes them into a private directory that is removed,
+    # without a ResourceWarning, once its result is dropped
+    res = xp.run_experiment(tiny_strip(), str(tmp_path))
+    assert res.snapshot_dir == str(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        res = xp.run_experiment(tiny_strip())
+        private = res.snapshot_dir
+        assert os.path.basename(private).startswith(xp._SNAPSHOT_DIR_PREFIX)
+        assert sorted(os.listdir(private))[:2] == [
+            "snapshot_0000.txt", "snapshot_0000_vx.bin"]
+        snaps = res.snapshots
+        del res
+        gc.collect()
+        assert len(snaps[0]) == 2  # the sequence keeps its run's files
+        del snaps
+        gc.collect()
+    assert not os.path.exists(private)
+
+
+def test_snapshots_do_not_accumulate_in_memory():
+    # each snapshot is written when it is taken: 27 more snapshots raise
+    # the run's peak of traced memory by less than one snapshot
+    def peak(interval):
+        cfg = tiny_strip(tend=4.0)    # dt = 0.12 s
+        cfg = finalize(replace(cfg, output=replace(
+            cfg.output, snapshot_interval=interval)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            res = xp.run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1] - base, res
+        finally:
+            tracemalloc.stop()
+
+    peak(2.0)    # the first run's allocations, caches among them
+    (few, res_few), (many, res_many) = peak(2.0), peak(4.0 / 29)
+    assert (len(res_few.snapshots), len(res_many.snapshots)) == (3, 30)
+    snapshot = res_few.snapshots[0].nbytes
+    assert many - few < snapshot, (few, many, snapshot)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
