@@ -76,10 +76,9 @@ def _report(result, output_dir):
           f" dt = {result.dt:.6g} s")
     print(f"reached t = {result.t_end:.6g} s"
           + (" (diverged)" if result.diverged else ""))
-    for line in meta.get("notes", ()):
+    for line in meta["notes"]:
         print(f"note: {line}")
-    if output_dir is not None:
-        print(f"artifacts in {output_dir}")
+    print(f"artifacts in {output_dir}")
 
 
 def _check_operators(max_degree):
@@ -123,20 +122,6 @@ def _dispatch(args):
     if args.verb == "check-operators":
         return _check_operators(args.max_degree)
 
-    if args.verb == "run":
-        cfg = _load_config(args.config)
-        result = experiments.run_experiment(cfg, args.output_dir)
-        _report(result, args.output_dir)
-        return 2 if result.diverged else 0
-
-    if args.verb == "preset":
-        cfg = preset(args.name, elements=args.elements,
-                     degree=args.degree, theta=args.theta,
-                     tend=args.tend)
-        result = experiments.run_experiment(cfg, args.output_dir)
-        _report(result, args.output_dir)
-        return 2 if result.diverged else 0
-
     if args.verb == "convergence":
         cfg = _load_config(args.config)
         levels = [parse_length(tok) for tok in args.levels.split(",")]
@@ -151,7 +136,16 @@ def _dispatch(args):
         print(f"table in {args.output_dir}/convergence.csv")
         return 0
 
-    raise AssertionError(f"unhandled verb {args.verb}")
+    # run and preset: one run of the config file or of the named preset
+    if args.verb == "run":
+        cfg = _load_config(args.config)
+    else:
+        cfg = preset(args.name, elements=args.elements,
+                     degree=args.degree, theta=args.theta,
+                     tend=args.tend)
+    result = experiments.run_experiment(cfg, args.output_dir)
+    _report(result, args.output_dir)
+    return 2 if result.diverged else 0
 
 
 if __name__ == "__main__":

@@ -951,6 +951,56 @@ def test_preset_rejects_empty_element_count(name):
         ps.preset(name, elements=0)
 
 
+@pytest.mark.parametrize("name,override,message", [
+    ("strip2d", {"elements": float("inf")},
+     "elements must be at least 1 and an integer, got inf"),
+    ("strip2d", {"elements": 2.5},
+     "elements must be at least 1 and an integer, got 2.5"),
+    ("planewave", {"elements": 2.5},
+     "elements must be at least 1 and an integer, got 2.5"),
+    ("strip2d", {"elements": "10"},
+     "elements must be at least 1 and an integer, got '10'"),
+    ("strip2d", {"tend": "abc"}, "tend must be a number, got 'abc'"),
+    ("strip2d", {"theta": "x"}, "theta must be a number, got 'x'"),
+], ids=["elements-inf", "elements-fraction", "planewave-elements-fraction",
+        "elements-text", "tend-text", "theta-text"])
+def test_preset_names_a_bad_override(name, override, message):
+    # the bad counts used to surface as grid findings on dx, the extents
+    # and the layer widths; the texts as a bare TypeError or ValueError
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ps.preset(name, **override)
+
+
+@pytest.mark.parametrize("n", [10, 25])
+def test_loh1_shares_the_half_space_cube(n):
+    loh, hhs = ps.preset("loh1", elements=n), ps.preset("hhs3d", elements=n)
+    assert loh.box == hhs.box and loh.spacing == hhs.spacing
+    assert loh.pml.widths == hhs.pml.widths
+    assert loh.receivers == hhs.receivers and loh.boundary == hhs.boundary
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_halfplane2d_shares_the_strip_across_x(n):
+    strip = ps.preset("strip2d", elements=n)
+    half = ps.preset("halfplane2d", elements=n)
+    assert half.box[0] == strip.box[0] and half.spacing == strip.spacing
+    assert half.pml.width_map()["x"] == strip.pml.width_map()["x"]
+    assert [b for b in half.boundary if b[0] == "x"] == \
+        [b for b in strip.boundary if b[0] == "x"]
+
+
+@pytest.mark.parametrize("name", ps.PRESET_NAMES)
+def test_rescaled_preset_notes_its_element_size_once(name):
+    cfg, canonical = ps.preset(name, elements=10), ps.preset(name)
+    sized = [n for n in cfg.notes
+             if re.search(r"element size|elements across", n)]
+    if name == "planewave":  # its size is a parameter of a study
+        assert sized == []
+    else:
+        assert sized == [f"element size set to {cfg.spacing / KM:g} km"
+                         f" (canonical {canonical.spacing / KM:g} km)"]
+
+
 # ------------------------------------------------------------ experiments
 
 def tiny_strip(tend=2.0, fmt="binary"):

@@ -10,6 +10,9 @@ import pytest
 
 from elastowave import solver
 from elastowave.errors import DivergenceDetected, UnsupportedDegree
+from elastowave.harness import experiments as xp
+from elastowave.harness import presets as ps
+from elastowave.harness.config import finalize
 from elastowave.mesh import build_mesh
 from elastowave.operators import build_operators
 from elastowave.physics import material_from_speeds
@@ -898,6 +901,34 @@ def test_divergence_names_auxiliary_element(x, y_slab, elem, region):
     assert solver._blow_up(st, 0.125, w_y, disc.damping[1]) == (
         "non-finite auxiliary field of axis y in the step from t = 0.125 to"
         f" 0.25 s, in element {elem} ({region})")
+
+
+@pytest.mark.parametrize("theta", [0.0])
+def test_layered_strip_has_no_growing_mode(theta):
+    # power iteration on the step map of the strip cut to 12x2 elements
+    # at degree 5, two of them in each layer: seeded random Q and w, run
+    # in 40 s chunks and renormalized together after each; the first
+    # chunk is the transient of the random start.  The theta = 1 scheme
+    # grows here at +0.02 to +0.05/s (ROADMAP item 2)
+    cfg = finalize(replace(
+        ps.preset("strip2d", theta=theta),
+        box=((-30e3, 30e3), (0.0, 10e3)), initial=None, receivers=()))
+    disc, state, _, _ = xp.build_problem(cfg)
+    assert disc.mesh.counts == (12, 2)
+    dt = solver.stable_dt(disc.mesh, cfg.materials, cfg.degree, cfg.cfl,
+                          damping_rate=max(t.d0 + t.alpha
+                                           for t in disc.damping))
+    rng = np.random.default_rng(7)
+    for field in (state.Q,) + state.w:
+        field[...] = rng.standard_normal(field.shape)
+    chunk, rates = 40.0, []
+    for _ in range(10):
+        solver.run(state, state.t + chunk, dt)
+        norm = np.sqrt(sum(np.vdot(f, f) for f in (state.Q,) + state.w))
+        for field in (state.Q,) + state.w:
+            field /= norm
+        rates.append(np.log(norm) / chunk)
+    assert max(rates[1:]) <= 1e-3, rates
 
 
 def test_plane_strain_embedding_matches_2d():
