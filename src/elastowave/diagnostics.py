@@ -229,8 +229,9 @@ def pml_error(run, reference):
     difference between a layer-truncated run and an enlarged reference.
 
     Both arguments are run results (harness RunResult or equivalent) with
-    .disc, .snap_times, .snapshots (velocity fields), .source_location
-    and .t_end; the run, the first, also gives its .interior box.
+    .disc, .snap_times, .snapshots (velocity fields), .source_locations
+    (every point a wave starts from) and .t_end; the run, the first, also
+    gives its .interior box.
     """
     if run.interior is None:
         raise GeometryInsufficient("the layered run, the first argument,"
@@ -251,9 +252,9 @@ def pml_error(run, reference):
             moved.append((ax, -1))
         if mesh_f.maxs[ax] > mesh_r.maxs[ax] + 1e-9 * mesh_r.extent(ax):
             moved.append((ax, 1))
-    bound = reflection_arrival_bound(
-        (mesh_f.mins, mesh_f.maxs), (lo_i, hi_i),
-        reference.source_location, speed, faces=moved)
+    bound = min(reflection_arrival_bound(
+        (mesh_f.mins, mesh_f.maxs), (lo_i, hi_i), source, speed,
+        faces=moved) for source in reference.source_locations)
     if bound <= t_end:
         raise GeometryInsufficient(
             f"reference boundary reflections reach the interior at "

@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 from ..errors import ParseError, ValidationError
 from ..operators import MAX_DEGREE
 from ..physics import (AXES, axes_of, material_from_lame,
-                       material_from_speeds, stress_name, stress_names,
-                       velocity_names)
+                       material_from_speeds, stress_name, stress_names)
 from ..sources import STF_KINDS
 
 # the unit tags of each quantity a key reads, with their SI factors
@@ -108,10 +107,7 @@ class PmlSpec:
 
 @dataclass(frozen=True)
 class OutputSpec:
-    seismogram_interval: float = None
-    series_interval: float = None
     snapshot_interval: float = None
-    snapshot_format: str = "binary"
 
 
 @dataclass(frozen=True)
@@ -424,14 +420,9 @@ def parse_config(text):
         kind = sec.get("type", None, _REQUIRED)
         params = {}
         if kind == "velocity-gaussian":
-            comps = sec.get("components", None)
             params = {"center": _point(sec, dim),
                       "halfwidth": sec.get("halfwidth", "length",
-                                           _REQUIRED),
-                      "amplitude": sec.get("amplitude", "speed", 1.0),
-                      "components": tuple(c.strip()
-                                          for c in comps.split(","))
-                      if comps else None}
+                                           _REQUIRED)}
         elif kind == "plane-wave":
             params = {"n": tuple(sec.get("n" + a, "number", 0.0)
                                  for a in axes),
@@ -443,12 +434,8 @@ def parse_config(text):
         initial = InitialSpec(kind, tuple(sorted(params.items())))
 
     # output
-    osec = section("output")
     output = OutputSpec(
-        seismogram_interval=osec.get("seismogram_interval", "time"),
-        series_interval=osec.get("series_interval", "time"),
-        snapshot_interval=osec.get("snapshot_interval", "time"),
-        snapshot_format=osec.get("snapshot_format", None, "binary"))
+        snapshot_interval=section("output").get("snapshot_interval", "time"))
 
     for name, sec in secs.items():
         faults += [f"[{name}]: unknown key {k!r}" for k in sec.unknown_keys()]
@@ -602,7 +589,7 @@ def validate(cfg):
         v.append(f"degree must be an integer, got {cfg.degree!r}")
     elif cfg.degree not in range(1, MAX_DEGREE + 1):
         v.append(f"degree must lie in [1, {MAX_DEGREE}], got {cfg.degree}")
-    pml, out = cfg.pml, cfg.output
+    pml = cfg.pml
     rows = [("cfl", cfg.cfl, lambda x: 0.0 < x <= 1.0, "lie in (0, 1]"),
             ("tend", cfg.t_end) + _POSITIVE,
             ("pml theta", pml.theta, lambda x: 0.0 <= x <= 1.0,
@@ -611,9 +598,8 @@ def validate(cfg):
         ("pml tol", pml.tol, lambda x: 0.0 < x < 1.0, "lie in (0, 1)"),
         ("pml d0", pml.d0) + _NONNEGATIVE,
         ("pml alpha", pml.alpha) + _NONNEGATIVE,
-        ("output seismogram_interval", out.seismogram_interval) + _POSITIVE,
-        ("output series_interval", out.series_interval) + _POSITIVE,
-        ("output snapshot_interval", out.snapshot_interval) + _POSITIVE)
+        ("output snapshot_interval", cfg.output.snapshot_interval)
+        + _POSITIVE)
         if row[1] is not None]
     if not cfg.materials:
         v.append("no materials defined")
@@ -734,17 +720,7 @@ def validate(cfg):
                  f" got {ini.kind!r}")
     if ini is not None and ini.kind == "velocity-gaussian":
         points.append(("initial center", ini.get("center")))
-        rows += [("initial halfwidth", ini.get("halfwidth")) + _POSITIVE,
-                 ("initial amplitude", ini.get("amplitude", 1.0)) + _FINITE]
-        names = velocity_names(cfg.dimension)
-        comps = ini.get("components") or ()
-        if not isinstance(comps, tuple):
-            v.append(f"initial components must be a tuple of velocity"
-                     f" names, got {comps!r}")
-            comps = ()
-        v += [f"initial component {c!r} not valid in {cfg.dimension}D"
-              f" (expected one of {', '.join(names)})"
-              for c in comps if c not in names]
+        rows.append(("initial halfwidth", ini.get("halfwidth")) + _POSITIVE)
     if ini is not None and ini.kind == "plane-wave":
         n = ini.get("n") if isinstance(ini.get("n"), tuple) else ()
         rows += [(f"initial plane-wave direction n{ax}", x) + _FINITE
@@ -773,9 +749,6 @@ def validate(cfg):
                 lo <= c <= hi for c, (lo, hi) in zip(point, cfg.box)):
             v.append(f"{what} {point} outside the box")
 
-    if out.snapshot_format not in ("binary", "csv"):
-        v.append(f"output snapshot_format must be binary or csv,"
-                 f" got {out.snapshot_format!r}")
     v += [f"{label} must {phrase}, got {x!r}" for label, x, test, phrase
           in rows if not (_named(x) or _finite(x) and test(x))]
     return v

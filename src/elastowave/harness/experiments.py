@@ -33,9 +33,9 @@ _SNAPSHOT_DIR_PREFIX = "elastowave-snapshots-"
 class RunResult:
     """The record of one run, and the last callback of its solver.run.
 
-    Each call notes the time reached and samples the series and the
-    snapshots on their gates.  With no series interval the series
-    samples every call; with no snapshot interval no snapshot is taken.
+    Each call notes the time reached, samples the energy and L-inf
+    series, and takes a snapshot on the gate of the snapshot interval;
+    with no snapshot interval no snapshot is taken.
 
     A snapshot is written into `snapshot_dir` when it is taken, and
     only its time is kept; `snapshots` reads them back.  A run without
@@ -58,15 +58,12 @@ class RunResult:
     state: object = None    # final state; None if the run diverged
 
     def __post_init__(self):
-        out = self.config.output
-        self._series_gate = IntervalGate(out.series_interval)
-        self._snap_gate = IntervalGate(out.snapshot_interval)
+        self._snap_gate = IntervalGate(self.config.output.snapshot_interval)
 
     def __call__(self, state):
         self.t_end = state.t
-        if self._series_gate(state.t):
-            self.energy.append(discrete_energy(state))
-            self.linf_values.append(linf_series(state))
+        self.energy.append(discrete_energy(state))
+        self.linf_values.append(linf_series(state))
         if self.config.output.snapshot_interval is not None \
                 and self._snap_gate(state.t):
             self._write_snapshot(state.t, state.Q[:self.config.dimension])
@@ -84,7 +81,7 @@ class RunResult:
 
     def _write_snapshot(self, t, fields):
         """The velocity fields at time t into the files of the next
-        snapshot, in the configured format."""
+        snapshot."""
         if self.snapshot_dir is None:
             self.snapshot_dir = tempfile.mkdtemp(prefix=_SNAPSHOT_DIR_PREFIX)
             weakref.finalize(self, shutil.rmtree, self.snapshot_dir,
@@ -92,13 +89,6 @@ class RunResult:
         cfg, disc = self.config, self.disc
         base = self._snapshot_base(len(self.snap_times))
         names = velocity_names(cfg.dimension)
-        if cfg.output.snapshot_format == "csv":
-            cols = [np.broadcast_to(c, fields[0].shape).ravel()
-                    for c in solver.nodal_coordinates(disc)]
-            _write_csv(base + ".csv", axes_of(cfg.dimension) + names,
-                       zip(*cols, *(v.ravel() for v in fields)),
-                       comment=f"time = {t:.16e}")
-            return
         # one little-endian float64 .bin per component, element-major
         # (element indices outer, node indices inner, C order), and a text
         # sidecar with the shape
@@ -116,14 +106,9 @@ class RunResult:
 
     def _read_snapshot(self, k):
         """Snapshot k's velocity fields, read back from its files."""
-        cfg, disc = self.config, self.disc
-        dim = cfg.dimension
+        dim, disc = self.config.dimension, self.disc
         shape = disc.mesh.counts + (disc.ops.n_nodes,) * dim
         base = self._snapshot_base(k)
-        if cfg.output.snapshot_format == "csv":
-            table = np.loadtxt(base + ".csv", delimiter=",", skiprows=2,
-                               usecols=range(dim, 2 * dim), ndmin=2)
-            return table.T.reshape((dim, *shape))
         snap = np.empty((dim, *shape))
         for v, name in zip(snap, velocity_names(dim)):
             v[...] = np.fromfile(f"{base}_{name}.bin",
@@ -141,13 +126,15 @@ class RunResult:
         return cfg.interior() if cfg.pml.enabled else None
 
     @property
-    def source_location(self):
+    def source_locations(self):
+        """Every point the run's waves start from: each source, else the
+        centre of the velocity Gaussian, else the centre of the box."""
         cfg, ini = self.config, self.config.initial
         if cfg.sources:
-            return cfg.sources[0].location
+            return tuple(s.location for s in cfg.sources)
         if ini is not None and ini.kind == "velocity-gaussian":
-            return ini.get("center")
-        return tuple(0.5 * (lo + hi) for lo, hi in cfg.box)
+            return (ini.get("center"),)
+        return (tuple(0.5 * (lo + hi) for lo, hi in cfg.box),)
 
     @property
     def metadata(self):
@@ -209,11 +196,8 @@ def build_problem(cfg):
                            np.asarray(s.moment, dtype=float),
                            STF_KINDS[s.stf](**dict(s.stf_params)))
         for s in cfg.sources)
-    recs = tuple(
-        Receiver(mesh, ops, r.location,
-                 interval=r.interval if r.interval is not None
-                 else cfg.output.seismogram_interval)
-        for r in cfg.receivers)
+    recs = tuple(Receiver(mesh, ops, r.location, interval=r.interval)
+                 for r in cfg.receivers)
     return disc, state, srcs, recs
 
 
@@ -224,14 +208,11 @@ def _apply_initial(state, cfg):
     if ini.kind == "velocity-gaussian":
         center = ini.get("center")
         hw = ini.get("halfwidth")
-        amp = ini.get("amplitude", 1.0)
-        names = velocity_names(cfg.dimension)
         coords = solver.nodal_coordinates(state.disc)
         r2 = sum((x - c) ** 2 for x, c in zip(coords, center))
-        # value drops to 1/2 of the peak at distance `halfwidth`
-        bump = amp * np.exp(-np.log(2.0) * r2 / hw ** 2)
-        for c in ini.get("components") or names:
-            state.Q[names.index(c)] = bump
+        # a unit bump on every velocity, which drops to 1/2 of its peak
+        # at distance `halfwidth`
+        state.Q[:cfg.dimension] = np.exp(-np.log(2.0) * r2 / hw ** 2)
     elif ini.kind == "plane-wave":
         pw = PlaneWaveSpec(n=ini.get("n"), mode=ini.get("mode"),
                            center=ini.get("center"),
@@ -279,24 +260,21 @@ def write_outputs(result, output_dir):
         _write_csv(os.path.join(output_dir, f"seismogram_{spec.rid}.csv"),
                    ("t", *rec.names),
                    ((t, *vals) for t, vals in zip(rec.times, rec.samples)))
-    if result.energy:
-        _write_csv(os.path.join(output_dir, "energy.csv"), ("t", "value"),
-                   ((s.t, s.E) for s in result.energy))
-        _write_csv(os.path.join(output_dir, "linf.csv"), ("t", "value"),
-                   zip(result.linf_times, result.linf_values))
+    _write_csv(os.path.join(output_dir, "energy.csv"), ("t", "value"),
+               ((s.t, s.E) for s in result.energy))
+    _write_csv(os.path.join(output_dir, "linf.csv"), ("t", "value"),
+               zip(result.linf_times, result.linf_values))
     meta = result.metadata
     _write_pairs(os.path.join(output_dir, "metadata.txt"),
                  [(key, meta[key]) for key in sorted(meta) if key != "notes"]
                  + [("note", line) for line in meta["notes"]])
 
 
-def _write_csv(path, header, rows, comment=None):
-    """CSV file: an optional `# comment` line, the header names, then one
-    line per row.  Numbers are written as %.16e; a text cell (the
-    convergence table's rate) is written as it is."""
+def _write_csv(path, header, rows):
+    """CSV file: the header names, then one line per row.  Numbers are
+    written as %.16e; a text cell (the convergence table's rate) is
+    written as it is."""
     with open(path, "w") as f:
-        if comment is not None:
-            f.write(f"# {comment}\n")
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(x if isinstance(x, str) else f"{x:.16e}"

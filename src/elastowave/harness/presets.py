@@ -63,8 +63,7 @@ def _strip2d(n=20):
         pml=PmlSpec(widths=(("x", delta, delta),),
                     tol=1e-6, alpha=0.15, theta=1.0),
         initial=InitialSpec("velocity-gaussian", (
-            ("amplitude", 1.0), ("center", (0.0, 25.0 * KM)),
-            ("components", ("vx", "vy")), ("halfwidth", 3.0 * KM))),
+            ("center", (0.0, 25.0 * KM)), ("halfwidth", 3.0 * KM))),
         receivers=(ReceiverSpec("probe", (25.0 * KM, 25.0 * KM), 0.1),),
         output=OutputSpec(),
         notes=("probe receiver at (25, 25) km added for output checks"
@@ -142,6 +141,17 @@ def _loh1(n=25):
             " centroid rule moves it to the nearest element face",))
 
 
+def _check_overrides(elements=None, theta=None, tend=None):
+    """Names each override given that no preset can be built from, in
+    one ValidationError, before anything is built."""
+    rows = (("elements", elements, "at least 1 and an integer",
+             lambda x: isinstance(x, numbers.Integral) and x >= 1),
+            ("theta", theta, "a number", _real),
+            ("tend", tend, "a number", _real))
+    _report([f"{label} must be {phrase}, got {x!r}"
+             for label, x, phrase, ok in rows if x is not None and not ok(x)])
+
+
 def planewave_config(dim=2, elements=16, degree=3):
     """Manufactured traveling-mode problem with a known exact solution.
 
@@ -149,6 +159,7 @@ def planewave_config(dim=2, elements=16, degree=3):
     touches; the transverse faces carry the per-family reflection pair
     (free tangential, clamped normal) that keeps the mode exact.
     """
+    _check_overrides(elements=elements)
     lateral = {"y": (1.0, -1.0, 1.0), "z": (1.0, 1.0, -1.0)} \
         if dim == 3 else {"y": (1.0, -1.0)}
     boundary = [("x", -1, 0.0), ("x", 1, 0.0)]
@@ -186,13 +197,7 @@ def preset(name, elements=None, degree=None, theta=None, tend=None):
         raise UnknownPreset(
             f"unknown preset {name!r}; choose from"
             f" {', '.join(PRESET_NAMES)}")
-    # overrides no preset can be built from, named before one is built
-    rows = (("elements", elements, "at least 1 and an integer",
-             lambda x: isinstance(x, numbers.Integral) and x >= 1),
-            ("theta", theta, "a number", _real),
-            ("tend", tend, "a number", _real))
-    _report([f"{label} must be {phrase}, got {x!r}"
-             for label, x, phrase, ok in rows if x is not None and not ok(x)])
+    _check_overrides(elements=elements, theta=theta, tend=tend)
     build, noted = _PRESETS[name]
     cfg = canonical = build()
     notes = []

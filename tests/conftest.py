@@ -1,10 +1,9 @@
-"""Session wiring: replay the acceptance-criteria lines after the run,
-and fail the session if a run's private snapshot directory outlives it.
+"""Session wiring: print the acceptance verdicts after the run, and
+fail the session if a run's private snapshot directory outlives it.
 
-test_acceptance.py appends one verdict line per criterion to a scratch
-file as it goes, and the same verdict as a JSON record to a second one;
-both are cleared at session start.  Plain pytest hides stdout of passing
-tests, so the summary hook below re-prints the collected lines at the end.
+test_acceptance.py appends one JSON record per criterion to a scratch
+file as it goes, which is cleared at session start.  The summary hook
+below prints one verdict line per record at the end.
 
 A run without an output directory writes its snapshots into a temporary
 directory that is removed with its result.  Once every test and fixture
@@ -14,6 +13,7 @@ there at its end is a leak.
 
 import gc
 import glob
+import json
 import os
 import sys
 import tempfile
@@ -23,7 +23,6 @@ import pytest
 from elastowave.harness.experiments import _SNAPSHOT_DIR_PREFIX
 
 _HERE = os.path.dirname(__file__)
-_LINES = os.path.join(_HERE, ".acceptance_lines")
 _RECORDS = os.path.join(_HERE, ".acceptance.jsonl")
 
 _DIRS_BEFORE = pytest.StashKey[set]()
@@ -36,9 +35,8 @@ def _snapshot_dirs():
 
 
 def pytest_sessionstart(session):
-    for path in (_LINES, _RECORDS):
-        if os.path.exists(path):
-            os.remove(path)
+    if os.path.exists(_RECORDS):
+        os.remove(_RECORDS)
     session.config.stash[_DIRS_BEFORE] = _snapshot_dirs()
 
 
@@ -62,12 +60,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("snapshot directories left behind")
         for path in left:
             terminalreporter.write_line(path)
-    if not os.path.exists(_LINES):
+    if not os.path.exists(_RECORDS):
         return
-    with open(_LINES) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    if not lines:
+    with open(_RECORDS) as f:
+        records = [json.loads(ln) for ln in f if ln.strip()]
+    if not records:
         return
     terminalreporter.section("acceptance criteria")
-    for ln in lines:
-        terminalreporter.write_line(ln)
+    for r in records:
+        terminalreporter.write_line("criterion %2d %-24s %s  (%s)" % (
+            r["criterion"], r["name"], "PASS" if r["ok"] else "FAIL",
+            r["detail"]))

@@ -1,10 +1,9 @@
 """End-to-end acceptance gate.
 
-Ten criteria, one verdict line each, appended to tests/.acceptance_lines
-and replayed by conftest at the end of the session.  Each verdict is also
-appended to tests/.acceptance.jsonl as one JSON object with the keys
-criterion, name, ok and detail.  Thresholds are pinned; a miss fails the
-test rather than loosening the gate.
+Ten criteria, one verdict each, appended to tests/.acceptance.jsonl as
+one JSON object with the keys criterion, name, ok and detail; conftest
+prints them as one line each at the end of the session.  Thresholds are
+pinned; a miss fails the test rather than loosening the gate.
 
 The slow criteria (5 through 9) run full benchmark problems and take
 several minutes combined.
@@ -30,7 +29,6 @@ from elastowave.mesh import build_mesh
 from elastowave.operators import build_operators
 from elastowave.pml import resolve_tol
 
-_LINES = os.path.join(os.path.dirname(__file__), ".acceptance_lines")
 _RECORDS = os.path.join(os.path.dirname(__file__), ".acceptance.jsonl")
 
 _BENCHMARK_MATERIALS = ((2700.0, 6000.0, 3464.0), (2600.0, 4000.0, 2000.0))
@@ -42,14 +40,9 @@ _STRIP_REFERENCE_ERRORS = (8.2513e-4, 1.3602e-5, 1.1745e-7)
 
 
 def _record(num, name, ok, detail):
-    line = "criterion %2d %-24s %s  (%s)" % (
-        num, name, "PASS" if ok else "FAIL", detail)
-    with open(_LINES, "a") as f:
-        f.write(line + "\n")
     with open(_RECORDS, "a") as f:
         f.write(json.dumps({"criterion": num, "name": name, "ok": bool(ok),
                             "detail": detail}) + "\n")
-    print(line, flush=True)
     return ok
 
 

@@ -256,12 +256,13 @@ def test_rhs_matches_analytic_plane_wave_derivative():
 
 
 class FakeResult:
-    def __init__(self, disc, snap_times, snapshots, interior, source, t_end):
+    def __init__(self, disc, snap_times, snapshots, interior, sources,
+                 t_end):
         self.disc = disc
         self.snap_times = snap_times
         self.snapshots = snapshots
         self.interior = interior
-        self.source_location = source
+        self.source_locations = sources
         self.t_end = t_end
 
 
@@ -275,7 +276,7 @@ def fake_run(counts, extent, interior, seed=0, t_end=0.5, mins=None):
     snaps = [rng.standard_normal((2,) + disc.mesh.counts + (3, 3))
              for _ in range(3)]
     return FakeResult(disc, [0.0, 0.25, 0.5], snaps, interior,
-                      (mins[0] + extent[0] / 2, mins[1] + extent[1] / 2),
+                      ((mins[0] + extent[0] / 2, mins[1] + extent[1] / 2),),
                       t_end)
 
 
@@ -320,6 +321,21 @@ def test_pml_error_causality_guard():
     ref = fake_run((6, 4), (12.0, 8.0), None, seed=2, t_end=50.0,
                    mins=(-2.0, 0.0))
     with pytest.raises(GeometryInsufficient):
+        dg.pml_error(run, ref)
+
+
+def test_pml_error_causality_guard_takes_every_source():
+    # the reference is padded 10 on each x side; from the centre source
+    # the first mirror path reaches the interior at 22 / 2 = 11 s, after
+    # t_end, from a second source at x = 15 at 11 / 2 = 5.5 s, before it.
+    # The guard used the first source alone and passed
+    interior = ((2.0, 0.0), (6.0, 8.0))
+    run = fake_run((4, 4), (8.0, 8.0), interior, seed=2, t_end=8.0)
+    ref = fake_run((12, 4), (24.0, 8.0), None, seed=2, t_end=8.0,
+                   mins=(-8.0, 0.0))
+    assert dg.pml_error(run, ref) >= 0.0
+    ref.source_locations += ((15.0, 4.0),)
+    with pytest.raises(GeometryInsufficient, match="t = 5.500 s"):
         dg.pml_error(run, ref)
 
 

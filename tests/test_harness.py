@@ -71,7 +71,6 @@ type = velocity-gaussian
 x = 0
 y = 25 km
 halfwidth = 3 km
-components = vx, vy
 
 [receiver.probe]
 x = 25 km
@@ -116,9 +115,7 @@ halfwidth = 1.5 km
 [receiver.mid]
 x = 2 km
 y = 5 km
-
-[output]
-seismogram_interval = 0.1
+interval = 0.1
 """
 
 
@@ -150,7 +147,7 @@ def test_parse_strip_text():
     assert ini.kind == "velocity-gaussian"
     assert ini.get("center") == (0.0, 25 * KM)
     assert ini.get("halfwidth") == 3 * KM
-    assert ini.get("components") == ("vx", "vy")
+    assert [key for key, _ in ini.params] == ["center", "halfwidth"]
     assert cfg.notes == ()  # everything was given explicitly
 
 
@@ -171,8 +168,7 @@ def test_parsed_text_matches_preset():
 
 
 PLANE_WAVE_TEXT = STRIP_TEXT.replace(
-    "type = velocity-gaussian\nx = 0\ny = 25 km\nhalfwidth = 3 km\n"
-    "components = vx, vy",
+    "type = velocity-gaussian\nx = 0\ny = 25 km\nhalfwidth = 3 km",
     "type = plane-wave\nnx = 1\nny = 0\nmode = P\ncenter = 3 km\n"
     "width = 2 km")
 
@@ -282,13 +278,6 @@ def test_validation_region_axis_is_an_axis_name():
         parse_config(text)
 
 
-def test_validation_initial_components_are_velocities():
-    bad = STRIP_TEXT.replace("components = vx, vy", "components = vx, vz")
-    with pytest.raises(ValidationError,
-                       match="initial component 'vz' not valid in 2D"):
-        parse_config(bad)
-
-
 def test_boundary_words():
     cfg = parse_config(STRIP_TEXT.replace("y.hi = absorbing",
                                           "y.hi = clamped"))
@@ -342,11 +331,11 @@ def test_validation_rejects_nan_in_programmatic_configs():
     bad = replace(
         cfg, boundary=cfg.boundary[:-1] + (("y", 1, (0.0, nan)),),
         receivers=(replace(cfg.receivers[0], interval=nan),),
-        output=replace(cfg.output, series_interval=nan))
+        output=replace(cfg.output, snapshot_interval=nan))
     msg = "\n".join(cf.validate(bad))
     assert "boundary[3][2][1] must be finite, got nan" in msg
     assert "receivers[0].interval must be finite, got nan" in msg
-    assert "output.series_interval must be finite, got nan" in msg
+    assert "output.snapshot_interval must be finite, got nan" in msg
 
 
 def test_unknown_section_and_key():
@@ -429,19 +418,17 @@ def _float_leaves(value, rebuild, path):
 
 def _every_number(name):
     """The preset, and for the strip every optional number set too:
-    d0 in place of tol and every output interval."""
+    d0 in place of tol and the snapshot interval."""
     cfg = ps.preset(name)
     if name == "strip2d":
         cfg = replace(cfg, pml=replace(cfg.pml, tol=None, d0=0.05),
-                      output=replace(cfg.output, seismogram_interval=0.1,
-                                     series_interval=0.5,
-                                     snapshot_interval=0.5))
+                      output=replace(cfg.output, snapshot_interval=0.5))
     return cfg
 
 
 @pytest.mark.parametrize("name", ["strip2d", "hws3d", "planewave"])
 def test_every_non_finite_number_is_one_finding(name):
-    # each float of a preset (the strip with every output interval set
+    # each float of a preset (the strip with its snapshot interval set
     # and d0 in place of tol) set to nan, inf and -inf in turn: the
     # finiteness rule names it and no range rule does.  t_end = inf also
     # gave "tend must be positive and finite", cfl = nan "cfl must lie in
@@ -464,8 +451,8 @@ def test_every_text_number_is_one_finding(name):
     # each float of a preset (as above) outside its materials, given as
     # text: exactly one finding, which names the text.  A text halfwidth,
     # source sigma, plane-wave width or coordinate made validate itself
-    # raise TypeError, and a text amplitude, t0, moment entry, direction
-    # entry or plane-wave centre passed
+    # raise TypeError, and a text t0, moment entry, direction entry or
+    # plane-wave centre passed
     wrong = []
     for path, x, rebuild in _float_leaves(_every_number(name), lambda c: c,
                                           "cfg"):
@@ -490,7 +477,18 @@ SOFT_TEXT = ("\n[material.soft]\nrho = 2.6 g/cm3\ncp = 4 km/s\ncs = 2 km/s\n"
     (STRIP_TEXT + "\n[mesh.extra]\n", ["unknown section [mesh.extra]"]),
     (STRIP_TEXT + "components = velocity\n",
      ["[receiver.probe]: unknown key 'components'"]),
-], ids=["material", "material.soft", "mesh.extra", "receiver.probe"])
+    # settings of earlier versions, each read nowhere
+    (STRIP_TEXT + "\n[output]\nsnapshot_format = csv\n"
+     "seismogram_interval = 0.1\nseries_interval = 0.5\n",
+     ["[output]: unknown key 'snapshot_format'",
+      "[output]: unknown key 'seismogram_interval'",
+      "[output]: unknown key 'series_interval'"]),
+    (STRIP_TEXT.replace("halfwidth = 3 km\n", "halfwidth = 3 km\n"
+                        "components = vx, vy\namplitude = 2 m/s\n"),
+     ["[initial]: unknown key 'components'",
+      "[initial]: unknown key 'amplitude'"]),
+], ids=["material", "material.soft", "mesh.extra", "receiver.probe",
+        "output-removed", "initial-removed"])
 def test_unknown_keys_in_every_section(text, messages):
     with pytest.raises(ValidationError) as ei:
         parse_config(text)
@@ -646,9 +644,6 @@ def _code_built_cases():
     yield "box-text", ("box[0] must be numbers (lo, hi), got ('0',"
                        " 50000.0)"), replace(small, box=(("0", 5e4),
                                                          small.box[1]))
-    yield "series-interval-text", ("output series_interval must be positive"
-                                   " and finite"), replace(
-        small, output=replace(small.output, series_interval="0.5"))
     yield "d0-text", "pml d0 must be nonnegative, got '16'", replace(
         small, pml=replace(small.pml, tol=None, d0="16"))
     yield "receiver-interval-text", ("receiver probe: interval must be"
@@ -658,14 +653,6 @@ def _code_built_cases():
                              " got '3 km'"), replace(
         small, initial=replace(small.initial, params=_replace_param(
             small.initial.params, "halfwidth", "3 km")))
-    yield "amplitude-text", "initial amplitude must be a finite number," \
-        " got '1'", replace(small, initial=replace(
-            small.initial, params=_replace_param(
-                small.initial.params, "amplitude", "1")))
-    yield "components-string", ("initial components must be a tuple of"
-                                " velocity names, got 'vx'"), replace(
-        small, initial=replace(small.initial, params=_replace_param(
-            small.initial.params, "components", "vx")))
     yield "receiver-location-text", ("receiver probe: location y must be a"
                                      " finite number, got '25 km'"), replace(
         small, receivers=(replace(small.receivers[0],
@@ -745,22 +732,19 @@ def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
     # made validate itself raise a bare ValueError (a boundary entry, a
     # layer width or a box side of too few items) or TypeError (a dx given
     # as text, no tend, cfl or theta, a reflection value given as a word);
-    # so did, with a TypeError, the next six: a layer tol, a layer width,
-    # a box side, a series interval, a layer d0 and a receiver interval
-    # given as text.  Of the last twelve, a text halfwidth, coordinate, sigma
-    # or plane-wave width made validate raise TypeError; a text amplitude
-    # passed and build_problem raised UFuncTypeError; a text moment entry
-    # or t0 passed, and a text direction passed the zero-direction rule
-    # and filled Q with NaN; components "vx" was reported as 'v' and 'x';
-    # a moment of one row passed and a side given as text made validate
-    # raise TypeError.  Of the next six, text sources or a number for a
-    # receiver made validate raise AttributeError, no box or boundary
-    # TypeError, and initial params given as a dict or not as pairs
-    # ValueError or TypeError.  A receiver named "../escape" passed, and
-    # the run failed after its last step, writing its seismogram.  No
-    # layer spec, text for the output spec, a number for the initial
-    # condition and a list for a source's kind made validate raise
-    # AttributeError or TypeError
+    # so did, with a TypeError, the next five: a layer tol, a layer width, a
+    # box side, a layer d0 and a receiver interval given as text.  Of the next
+    # ten, a text halfwidth, coordinate, sigma or plane-wave width made
+    # validate raise TypeError; a text moment entry or t0 passed, and a text
+    # direction passed the zero-direction rule and filled Q with NaN; a moment
+    # of one row passed and a side given as text made validate raise
+    # TypeError.  Of the next six, text sources or a number for a receiver made
+    # validate raise AttributeError, no box or boundary TypeError, and initial
+    # params given as a dict or not as pairs ValueError or TypeError.  A
+    # receiver named "../escape" passed, and the run failed after its last
+    # step, writing its seismogram.  No layer spec, text for the output spec, a
+    # number for the initial condition and a list for a source's kind made
+    # validate raise AttributeError or TypeError
     with pytest.raises(ValidationError, match=re.escape(cause)):
         finalize(cfg)
 
@@ -971,6 +955,15 @@ def test_preset_names_a_bad_override(name, override, message):
         ps.preset(name, **override)
 
 
+@pytest.mark.parametrize("elements", [0, 2.5, "4"])
+def test_planewave_config_names_a_bad_element_count(elements):
+    # 0 raised a bare ZeroDivisionError, 2.5 gave three extent findings
+    # that did not name it, and "4" a bare TypeError
+    message = f"elements must be at least 1 and an integer, got {elements!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ps.planewave_config(3, elements, 3)
+
+
 @pytest.mark.parametrize("n", [10, 25])
 def test_loh1_shares_the_half_space_cube(n):
     loh, hhs = ps.preset("loh1", elements=n), ps.preset("hhs3d", elements=n)
@@ -1003,11 +996,9 @@ def test_rescaled_preset_notes_its_element_size_once(name):
 
 # ------------------------------------------------------------ experiments
 
-def tiny_strip(tend=2.0, fmt="binary"):
+def tiny_strip(tend=2.0):
     cfg = ps.preset("strip2d", elements=10, degree=2, tend=tend)
-    out = OutputSpec(seismogram_interval=0.5, series_interval=0.5,
-                     snapshot_interval=1.0, snapshot_format=fmt)
-    return finalize(replace(cfg, output=out))
+    return finalize(replace(cfg, output=OutputSpec(snapshot_interval=1.0)))
 
 
 @pytest.fixture(scope="module")
@@ -1054,21 +1045,6 @@ def test_snapshot_binary_roundtrip(tiny_run):
     assert res.snap_times[0] == 0.0
 
 
-def test_snapshot_csv_format(tmp_path):
-    cfg = tiny_strip(tend=0.5, fmt="csv")
-    cfg = finalize(replace(cfg, output=replace(
-        cfg.output, snapshot_interval=0.25)))
-    res = xp.run_experiment(cfg, str(tmp_path))
-    path = tmp_path / "snapshot_0000.csv"
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# time = ")
-    assert lines[1] == "x,y,vx,vy"
-    n_nodes = 12 * 5 * 9  # elements times (P+1)^2 nodes
-    assert len(lines) == 2 + n_nodes
-    first = [float(v) for v in lines[2].split(",")]
-    assert len(first) == 4 and np.isfinite(first).all()
-
-
 def test_energy_series_file(tiny_run):
     cfg, res, out = tiny_run
     t, e = np.loadtxt(out / "energy.csv", delimiter=",", skiprows=1,
@@ -1111,8 +1087,8 @@ def test_seismogram_roundtrip(tiny_run):
 
 
 def test_sampling_rules(monkeypatch):
-    # no series interval: one energy and one L-inf sample per step and
-    # one of the initial state; no snapshot interval: no snapshot
+    # one energy and one L-inf sample per step and one of the initial
+    # state; no snapshot interval: no snapshot
     steps = []
     ader_step = xp.solver.ader_step
 
@@ -1162,8 +1138,7 @@ def test_snapshots_and_samples_outlive_later_steps(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-@pytest.mark.parametrize("fmt", ["binary", "csv"])
-def test_snapshots_read_back_what_the_state_held(monkeypatch, fmt):
+def test_snapshots_read_back_what_the_state_held(monkeypatch):
     held = {}
     run = xp.solver.run
 
@@ -1174,7 +1149,7 @@ def test_snapshots_read_back_what_the_state_held(monkeypatch, fmt):
         return run(state, t_end, dt, sources, tuple(callbacks) + (keep,))
 
     monkeypatch.setattr(xp.solver, "run", keeping)
-    res = xp.run_experiment(tiny_strip(fmt=fmt))
+    res = xp.run_experiment(tiny_strip())
     assert len(res.snapshots) == len(res.snap_times) == 3
     for t, snap in zip(res.snap_times, res.snapshots):
         want = held[t]
