@@ -9,10 +9,6 @@ class UnsupportedDegree(ElastowaveError):
     """Polynomial degree outside the supported range."""
 
 
-class NonConvergence(ElastowaveError):
-    """Newton iteration for quadrature nodes failed to reach tolerance."""
-
-
 class OutOfReferenceDomain(ElastowaveError):
     """Reference coordinate outside [-1, 1]."""
 

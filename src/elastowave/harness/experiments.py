@@ -15,7 +15,7 @@ from .. import solver
 from ..diagnostics import (check_levels, convergence_rates, discrete_energy,
                            linf_series, pml_error, seismogram_misfit,
                            PlaneWaveSpec, plane_wave_state)
-from ..errors import DivergenceDetected
+from ..errors import DivergenceDetected, ValidationError
 from ..mesh import build_mesh
 from ..operators import build_operators
 from ..physics import axes_of, velocity_names
@@ -340,11 +340,16 @@ def convergence_study(cfg, spacings, pad, output_dir=None, resolve=False):
 
     With `resolve`, the layer tolerance is re-derived at every level from
     the narrowest interior extent, so it tracks the grid's own resolution
-    floor instead of staying fixed while the grid refines."""
+    floor instead of staying fixed while the grid refines.  Every level's
+    config is built and validated before the first run."""
     if output_dir is not None:
         os.makedirs(output_dir, exist_ok=True)
     check_levels(spacings)
-    errors = []
+    if resolve and cfg.pml.d0 is not None:
+        raise ValidationError(
+            f"resolve derives the pml tol at every level, but the config"
+            f" sets d0 = {cfg.pml.d0!r}; drop d0 or do not resolve")
+    levels = []
     for h in spacings:
         c = replace(cfg, spacing=float(h), output=replace(
             cfg.output, snapshot_interval=_STUDY_SNAPSHOT_INTERVAL))
@@ -353,7 +358,9 @@ def convergence_study(cfg, spacings, pad, output_dir=None, resolve=False):
             width = min(b - a for a, b in zip(lo, hi))
             c = replace(c, pml=replace(
                 c.pml, tol=resolve_tol(c.degree, float(h), width)))
-        c = finalize(c)
+        levels.append(finalize(c))
+    errors = []
+    for c in levels:
         run = run_experiment(c)
         # share the step so snapshot times line up exactly
         ref = run_experiment(derive_reference(c, pad), dt=run.dt)

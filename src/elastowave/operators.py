@@ -4,48 +4,30 @@ Builds Gauss-Legendre-Lobatto (GLL), Gauss-Legendre (GL) and left Radau (GLR)
 quadrature rules, the collocation derivative matrix, and the boundary matrix
 that together satisfy the summation-by-parts identity Qmat + Qmat^T = B.
 The solver runs on GLL nodes; GL and GLR serve the operator checks.
+
+Every family is built one way.  Its interior nodes are the roots of one
+Jacobi polynomial P_m^(a,b): GL's are those of P_(P+1)^(0,0), GLL's those
+of P_(P-1)^(1,1) between -1 and 1, GLR's those of P_P^(0,1) right of -1.
+The roots are the eigenvalues of the symmetric three-term recurrence
+matrix of P_m^(a,b) (G. H. Golub and J. H. Welsch, Calculation of Gauss
+quadrature rules, Math. Comp. 23 (1969); J. S. Hesthaven and
+T. Warburton, Nodal Discontinuous Galerkin Methods, Springer 2008,
+JacobiGQ and JacobiGL).  The weights solve sum_i w_i P_k(x_i) = 2 delta_k0,
+k = 0..P, for the Legendre polynomials P_k: they are the interpolatory
+weights, exact to degree P on any nodes and to the family's degree on
+these.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConvergence, OutOfReferenceDomain, UnsupportedDegree
+from .errors import OutOfReferenceDomain, UnsupportedDegree
 
 MAX_DEGREE = 16
-_NEWTON_TOL = 1e-14
-_NEWTON_MAXIT = 100
-
-
-def _legendre_pair(n, x):
-    """Evaluate (P_n, P_{n-1}) by the three-term recurrence."""
-    x = np.asarray(x, dtype=float)
-    pm = np.ones_like(x)
-    if n == 0:
-        return pm, np.zeros_like(x)
-    p = x.copy()
-    for k in range(2, n + 1):
-        pm, p = p, ((2 * k - 1) * x * p - (k - 1) * pm) / k
-    return p, pm
-
-
-def _legendre_deriv(n, x):
-    # (x^2 - 1) P_n' = n (x P_n - P_{n-1}); callers keep x strictly interior
-    p, pm = _legendre_pair(n, x)
-    return n * (x * p - pm) / (x * x - 1.0)
-
-
-def _newton(f_fp, x0, what):
-    """Vectorized Newton iteration; converged when the update drops below tol."""
-    x = np.asarray(x0, dtype=float).copy()
-    for _ in range(_NEWTON_MAXIT):
-        f, fp = f_fp(x)
-        step = f / fp
-        x -= step
-        if x.size == 0 or np.max(np.abs(step)) <= _NEWTON_TOL:
-            return x
-    raise NonConvergence(f"{what}: Newton update above {_NEWTON_TOL} "
-                         f"after {_NEWTON_MAXIT} iterations")
+# kind: (a, b, end nodes); the other nodes are the roots of P^(a,b)
+_FAMILIES = {"GL": (0, 0, ()), "GLL": (1, 1, (-1.0, 1.0)),
+             "GLR": (0, 1, (-1.0,))}
 
 
 @dataclass(frozen=True)
@@ -73,68 +55,26 @@ class ElementOperators:
         return self.rule.degree + 1
 
 
-def _gll_rule(P):
-    if P == 1:
-        x = np.array([-1.0, 1.0])
-    else:
-        guess = -np.cos(np.pi * np.arange(1, P) / P)
-
-        def f_fp(x):
-            p, pm = _legendre_pair(P, x)
-            dp = P * (x * p - pm) / (x * x - 1.0)
-            ddp = (2.0 * x * dp - P * (P + 1) * p) / (1.0 - x * x)
-            return dp, ddp
-
-        interior = _newton(f_fp, guess, f"GLL degree {P}")
-        x = np.concatenate(([-1.0], interior, [1.0]))
-    # symmetrize to kill round-off asymmetry (rule is symmetric by construction)
-    x = 0.5 * (x - x[::-1])
-    p, _ = _legendre_pair(P, x)
-    w = 2.0 / (P * (P + 1) * p * p)
-    w = 0.5 * (w + w[::-1])
-    return x, w
+def _jacobi_roots(m, a, b):
+    """Roots of P_m^(a,b): eigenvalues of its symmetric three-term
+    recurrence matrix (Golub-Welsch)."""
+    h = 2 * np.arange(m) + a + b
+    # the diagonal is 0 where a = b (and 0/0 at h = 0 for a = b = 0)
+    diag = np.zeros(m) if a == b else (b * b - a * a) / (h * (h + 2.0))
+    k, h = np.arange(1, m), h[1:]
+    off = 2.0 / h * np.sqrt(k * (k + a + b) * (k + a) * (k + b)
+                            / ((h - 1.0) * (h + 1.0)))
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                              + np.diag(off, -1))
 
 
-def _gl_rule(P):
-    n = P + 1
-    guess = -np.cos((2 * np.arange(n) + 1) * np.pi / (2 * n))
-
-    def f_fp(x):
-        p, pm = _legendre_pair(n, x)
-        dp = n * (x * p - pm) / (x * x - 1.0)
-        return p, dp
-
-    x = _newton(f_fp, guess, f"GL degree {P}")
-    x = 0.5 * (x - x[::-1])
-    dp = _legendre_deriv(n, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    w = 0.5 * (w + w[::-1])
-    return x, w
-
-
-def _glr_rule(P):
-    # left Radau rule: contains x = -1 only; interior nodes are the roots of
-    # (P_{n-1} + P_n) / (1 + x)
-    n = P + 1
-    guess = -np.cos(2.0 * np.pi * np.arange(1, n) / (2 * n - 1))
-
-    def f_fp(x):
-        pn, pnm = _legendre_pair(n, x)
-        pm, _ = _legendre_pair(n - 1, x)
-        f = pm + pn
-        fp = _legendre_deriv(n - 1, x) + n * (x * pn - pnm) / (x * x - 1.0)
-        g = f / (1.0 + x)
-        gp = (fp * (1.0 + x) - f) / (1.0 + x) ** 2
-        return g, gp
-
-    interior = _newton(f_fp, guess, f"GLR degree {P}")
-    x = np.concatenate(([-1.0], interior))
-    pm, _ = _legendre_pair(n - 1, x[1:])
-    w = np.concatenate(([2.0 / n ** 2], (1.0 - x[1:]) / (n ** 2 * pm * pm)))
-    return x, w
-
-
-_BUILDERS = {"GLL": _gll_rule, "GL": _gl_rule, "GLR": _glr_rule}
+def _legendre_rows(P, x):
+    """V[k, i] = P_k(x_i), k = 0..P, by the three-term recurrence."""
+    V = np.ones((P + 1, x.size))
+    V[1] = x
+    for k in range(2, P + 1):
+        V[k] = ((2 * k - 1) * x * V[k - 1] - (k - 1) * V[k - 2]) / k
+    return V
 
 
 def build_quadrature(P, kind="GLL"):
@@ -145,12 +85,19 @@ def build_quadrature(P, kind="GLL"):
     if not isinstance(P, (int, np.integer)) or not 1 <= P <= MAX_DEGREE:
         raise UnsupportedDegree(f"degree must be in [1, {MAX_DEGREE}], got {P}")
     kind = kind.upper()
-    if kind not in _BUILDERS:
+    if kind not in _FAMILIES:
         raise UnsupportedDegree(f"unknown quadrature kind {kind!r}")
-    nodes, weights = _BUILDERS[kind](P)
-    order = np.argsort(nodes)
-    nodes = np.ascontiguousarray(nodes[order])
-    weights = np.ascontiguousarray(weights[order])
+    a, b, ends = _FAMILIES[kind]
+    nodes = np.sort(np.concatenate(
+        (ends, _jacobi_roots(P + 1 - len(ends), a, b))))
+    if a == b:
+        # symmetrize to kill round-off asymmetry (rule is symmetric)
+        nodes = 0.5 * (nodes - nodes[::-1])
+    moments = np.zeros(P + 1)
+    moments[0] = 2.0
+    weights = np.linalg.solve(_legendre_rows(P, nodes), moments)
+    if a == b:
+        weights = 0.5 * (weights + weights[::-1])
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(degree=int(P), kind=kind, nodes=nodes, weights=weights)

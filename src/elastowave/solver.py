@@ -425,11 +425,11 @@ def _diff_matrix(D, post):
 def _diff(arr, node_ax, D, out):
     """D along axis node_ax of a C-contiguous array, into out, a
     C-contiguous array of arr's shape, seen as (pre, n, post) with n the
-    node axis.  Long rows (n post > _KRON_ROW, the node axis not last)
-    take one batched matmul, D @ (n, post) blocks.  Short rows take
-    (rows, n post) @ kron(D, I_post).T blocks, the last node axis
-    (post = 1) (rows, n) @ D.T.  D is the nodal derivative in the shape
-    that row length applies it in: _diff_matrix(D, post).
+    node axis.  D is the nodal derivative in the shape _diff_matrix(D,
+    post) gives it, and that shape picks the product: an n x n D with
+    the node axis not last takes one batched matmul, D @ (n, post)
+    blocks; a kron(D, I_post) takes (rows, n post) @ D.T blocks, and
+    on the last node axis (post = 1) D.T is taken on (rows, n) blocks.
 
     Every product stays small.  One large product would be spread over
     the BLAS library's threads, whose workers then spin between calls
@@ -437,7 +437,7 @@ def _diff(arr, node_ax, D, out):
     gain on these bandwidth-bound products."""
     shape = arr.shape
     n, post = shape[node_ax], prod(shape[node_ax + 1:])
-    if post > 1 and n * post > _KRON_ROW:
+    if post > 1 and len(D) == n:
         blocks = (prod(shape[:node_ax]), n, post)
         np.matmul(D, arr.reshape(blocks), out=out.reshape(blocks))
         return out

@@ -1390,6 +1390,30 @@ def test_convergence_levels_checked_before_the_first_run(
         xp.convergence_study(parse_config(STRIP_TEXT), spacings, 60 * KM)
 
 
+@pytest.mark.parametrize("pml, levels, resolve, cause", [
+    # resolve derives tol, so a config that sets d0 read "pml tol and d0
+    # are both set; give exactly one", a conflict the caller did not make
+    ({"tol": None, "d0": 16.6}, (10 * KM, 5 * KM), True,
+     "resolve derives the pml tol at every level, but the config sets"
+     " d0 = 16.6; drop d0 or do not resolve"),
+    # the second level is off the grid; the study ran the first level
+    # and its reference, 2 runs, before finalizing it
+    ({}, (10 * KM, 7 * KM), False,
+     "x extent 120000.0 is not a whole number of elements of size 7000.0"),
+])
+def test_convergence_configs_checked_before_the_first_run(
+        monkeypatch, pml, levels, resolve, cause):
+    runs = []
+    monkeypatch.setattr(xp, "run_experiment", lambda cfg, dt=None:
+                        runs.append(cfg) or SimpleNamespace(dt=1.0))
+    monkeypatch.setattr(xp, "pml_error", lambda run, ref: 1.0)
+    cfg = parse_config(STRIP_TEXT)
+    cfg = replace(cfg, pml=replace(cfg.pml, **pml))
+    with pytest.raises(ValidationError, match=re.escape(cause)):
+        xp.convergence_study(cfg, levels, 60 * KM, resolve=resolve)
+    assert runs == []
+
+
 def test_cli_check_operators(capsys):
     assert cli._check_operators(3) == 0
     stdout = capsys.readouterr().out
