@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, GeometryInsufficient
-from .mesh import element_centers, node_coordinates
+from .mesh import node_coordinates
 from .physics import voigt
+from .pml import interior_elements
 from .solver import _slab_bounds, nodal_coordinates
 
 
@@ -265,8 +266,8 @@ def pml_error(run, reference):
             or not np.allclose(times_r, times_f, atol=1e-9):
         raise GeometryInsufficient("snapshot times do not match")
 
-    # interior elements of the run grid by centroid, a contiguous run on
-    # a uniform grid, and the same run in the reference grid.  Nodes
+    # interior elements of the run grid by centroid, by the rule its
+    # layers are built with, and the same run in the reference grid.  Nodes
     # sitting exactly on a truncation interface carry the double-valued
     # DG trace and are not interior points; drop them on axes where a
     # layer was stripped, keep shared physical faces
@@ -277,13 +278,11 @@ def pml_error(run, reference):
         k = int(round(shift))
         if abs(shift - k) > 1e-9 or k < 0:
             raise GeometryInsufficient("grids are not element-aligned")
-        centers = element_centers(mesh_r, ax)
-        first = int((centers <= lo_i[ax]).sum())
-        stop = int((centers < hi_i[ax]).sum())
-        if stop + k > mesh_f.counts[ax]:
+        inner = interior_elements(mesh_r, run.interior, ax)
+        if inner.stop + k > mesh_f.counts[ax]:
             raise GeometryInsufficient("reference grid misses the interior")
-        sel_r.append(slice(first, stop))
-        sel_f.append(slice(first + k, stop + k))
+        sel_r.append(inner)
+        sel_f.append(slice(inner.start + k, inner.stop + k))
         x = node_coordinates(mesh_r, ax, run.disc.ops.rule.nodes, sel_r[-1])
         if mesh_r.mins[ax] < lo_i[ax] - 1e-6 * h:
             keep = keep & (x > lo_i[ax] + 1e-6 * h)

@@ -1,12 +1,13 @@
 """Absorbing layers that damp outgoing waves near selected boundaries.
 
 A layer occupies a slab of the computational box next to a flagged face.
-Inside the slab the damping coefficient rises from zero with a cubic
-ramp; the interior keeps d = 0 exactly, so the physical equations are
-untouched there.  Element membership is decided by the element centroid:
-an element whose centroid lies outside the interior box is damped as a
-whole, everything else carries no auxiliary variables at all.  Along each
-axis those elements are a prefix and a suffix, so a table keeps their counts.
+Inside the slab the damping coefficient rises from zero with a ramp of
+power PROFILE_POWER (cubic); the interior keeps d = 0 exactly, so the
+physical equations are untouched there.  Element membership is decided
+by the element centroid (interior_elements): an element whose centroid
+lies outside the interior box is damped as a whole, everything else
+carries no auxiliary variables at all.  Along each axis those elements
+are a prefix and a suffix, so a table keeps their counts.
 """
 
 from dataclasses import dataclass
@@ -25,28 +26,30 @@ def damping_at(x, lo, hi, delta_lo, delta_hi, d0):
     """Damping coefficient at coordinates x for interior box [lo, hi].
 
     delta_lo / delta_hi are the layer widths below lo and above hi; a
-    zero width disables that side.  The ramp is cubic in the penetration
-    depth and saturates at d0 past the nominal width.
+    zero width disables that side.  The ramp is the penetration depth's
+    share of the width to the power PROFILE_POWER, saturating at d0 past
+    the nominal width, and each side's ramp covers its own side only: the
+    low one where x <= lo, the high one where x >= hi.
     """
     x = np.asarray(x, dtype=float)
     d = np.zeros_like(x)
-    if delta_lo > 0.0:
-        t = np.clip((lo - x) / delta_lo, 0.0, 1.0)
-        d += d0 * t ** PROFILE_POWER
-    if delta_hi > 0.0:
-        t = np.clip((x - hi) / delta_hi, 0.0, 1.0)
-        d += d0 * t ** PROFILE_POWER
+    for width, depth in ((delta_lo, lo - x), (delta_hi, x - hi)):
+        if width > 0.0:
+            ramp = d0 * np.clip(depth / width, 0.0, 1.0) ** PROFILE_POWER
+            d += np.where(depth >= 0.0, ramp, 0.0)
     return d
 
 
 def d0_from_tol(cp, delta, tol):
-    """Peak damping that attenuates a two-way transit of the cubic ramp
-    down to the requested amplitude tolerance."""
+    """Peak damping that attenuates a two-way transit of the ramp down to
+    the requested amplitude tolerance: exp(-(2/cp) int d dx) = tol across
+    a layer of width delta, whose ramp integrates to d0 delta over the
+    power plus one."""
     if not 0.0 < tol <= 1.0:
         raise InvalidTol(f"tolerance must lie in (0, 1], got {tol}")
     if delta <= 0.0:
         raise InvalidTol(f"layer width must be positive, got {delta}")
-    return 4.0 * cp / (2.0 * delta) * np.log(1.0 / tol)
+    return (PROFILE_POWER + 1) * cp / (2.0 * delta) * np.log(1.0 / tol)
 
 
 def resolve_tol(degree, dx, width):
@@ -108,6 +111,16 @@ def interior_box(mesh: CartesianMesh, widths):
     return lo, hi
 
 
+def interior_elements(mesh: CartesianMesh, box, ax):
+    """The elements along axis ax whose centroids lie inside the interior
+    box (lo, hi), bounds included, as a slice; the elements before and
+    after it are those a layer on ax damps."""
+    lo, hi = box
+    centers = element_centers(mesh, ax)
+    return slice(int((centers < lo[ax]).sum()),
+                 int((centers <= hi[ax]).sum()))
+
+
 def build_damping(mesh: CartesianMesh, ops: ElementOperators, widths,
                   d0=None, alpha=None, tol=None):
     """Per-axis damping tables for a mesh.
@@ -120,7 +133,7 @@ def build_damping(mesh: CartesianMesh, ops: ElementOperators, widths,
     Returns a list of AxisDamping, one entry per axis that has damped
     elements; an empty list means the layers are disabled everywhere.
     """
-    lo, hi = interior_box(mesh, widths)
+    lo, hi = box = interior_box(mesh, widths)
     widest = max((max(w) for w in widths.values()), default=0.0)
     if widest == 0.0:
         return []
@@ -132,14 +145,12 @@ def build_damping(mesh: CartesianMesh, ops: ElementOperators, widths,
     tables = []
     for ax, name in enumerate(axes_of(mesh.dim)):
         w_lo, w_hi = widths.get(name, (0.0, 0.0))
-        centers = element_centers(mesh, ax)
-        k_lo = int((centers < lo[ax]).sum())
-        k_hi = int((centers > hi[ax]).sum())
+        count, inner = mesh.counts[ax], interior_elements(mesh, box, ax)
+        k_lo, k_hi = inner.start, count - inner.stop
         if k_lo + k_hi == 0:
             continue
         peak = float(d0_from_tol(cp, max(w_lo, w_hi), tol)
                      if d0 is None else d0)
-        count = mesh.counts[ax]
         x = node_coordinates(mesh, ax, ops.rule.nodes,
                              np.r_[:k_lo, count - k_hi:count])
         damp = damping_at(x.reshape(k_lo + k_hi, -1), lo[ax], hi[ax],

@@ -130,7 +130,8 @@ def _layer_tables(tab, counts, n):
     nonempty end (element slice of Q, element slice of w).  d varies along
     the layer's axis only: the tables have length 1 along every other
     element axis and are materialized over the node axes, so each holds
-    lo + hi element blocks whatever the grid's cross-section."""
+    lo + hi element blocks whatever the grid's cross-section, and the RHS
+    multiplies w by them, times its scale, as they are."""
     ax, dim = tab.axis_index, len(counts)
     k = tab.lo + tab.hi
     d = tab.damp.reshape((k,) + (1,) * ax + (n,) + (1,) * (dim - 1 - ax))
@@ -311,7 +312,6 @@ class _Slab:
     index: tuple
     disc: Discretization
     out: np.ndarray
-    buf: np.ndarray
     gather: np.ndarray
     planes: np.ndarray
     der: np.ndarray
@@ -330,10 +330,8 @@ class Workspace:
     derivative, dim rows again.  planes is the four face planes
     `fluctuation` takes, from G left on: its two temporaries lie over
     the derivative, which is not formed yet when they are.  Around each
-    damped axis the start of the buffer holds one layer table scaled by
-    the stage factor and broadcast over the slab's part of the auxiliary
-    field (see _scaled), and -d*w lies behind the axis terms' scratch: 2
-    dim rows on the layer's damped elements of the slab.
+    damped axis -d*w lies behind the axis terms' scratch: 2 dim rows on
+    the layer's damped elements of the slab.
 
     ring holds per field min(P+1, slabs) flat buffers: slab s keeps its
     Taylor terms in buffer s mod len, each stage after the first
@@ -381,7 +379,7 @@ class Workspace:
             rows = n * size
             slabs.append(_Slab(
                 start, stop, index, sub, _view(self.result, shapes[0]),
-                self.buf, self.buf[:rows].reshape(plane + (n,)),
+                self.buf[:rows].reshape(plane + (n,)),
                 self.buf[rows:rows + 4 * size].reshape((4,) + plane),
                 self.buf[rows + 2 * size:terms].reshape(plane + (n,)),
                 self.buf[terms:],
@@ -554,10 +552,9 @@ def _slab_rhs(Q, w, slab, scale, terms, halo, dest, dw):
         neg_d, decay, ends = disc.layers[pos][1]
         # -d*w and the decay of w over the whole layer, both read before
         # dws, which in place is w, is written; then the terms of the axis
-        shape = (1,) * (1 + ax) + wpos.shape[1 + ax:]
-        neg_dw = np.multiply(_scaled(neg_d, scale, slab, shape), wpos,
+        neg_dw = np.multiply(neg_d * scale, wpos,
                              out=_view(slab.neg_dw, wpos.shape))
-        np.multiply(_scaled(decay, scale, slab, shape), wpos, out=dws)
+        np.multiply(decay * scale, wpos, out=dws)
         _axis_terms(Q, ax, slab, dmat, lift, edges, dws, ends)
         # -d*w, added on the same elements of Q once the axis has written
         # or added its terms there; the slots one row each on basic
@@ -575,14 +572,6 @@ def _slab_rhs(Q, w, slab, scale, terms, halo, dest, dw):
     s[:dim] *= 2 * disc.mu_e
     np.add(s[:dim], tr, out=dest[dim:2 * dim])
     np.multiply(s[dim:], disc.mu_e, out=dest[2 * dim:])
-
-
-def _scaled(table, scale, slab, shape):
-    """scale * table broadcast to shape, at the start of the RHS scratch.
-    shape is the layer's part of its auxiliary field from the layer's
-    element axis on: the product with w then reads a table materialized
-    over every axis after the component and earlier element axes."""
-    return np.multiply(table, scale, out=_view(slab.buf, shape))
 
 
 def _axis_terms(Q, ax, slab, dmat, lift, halo, dws=None, ends=()):

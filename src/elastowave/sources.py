@@ -105,7 +105,9 @@ class MomentTensorSource:
 
 class IntervalGate:
     """True at the first time at or after each tick 0, h, 2h, ... of the
-    interval h; interval None fires every call."""
+    interval h; interval None fires every call.  A call that fires moves
+    the next tick past t in one step, so a short interval costs no more
+    than a long one."""
 
     def __init__(self, interval):
         if interval is not None and not 0.0 < interval < np.inf:
@@ -119,8 +121,8 @@ class IntervalGate:
             return True
         if t < self.next - 1e-9:
             return False
-        while self.next <= t + 1e-9:
-            self.next += self.interval
+        self.next = (np.floor((t + 1e-9) / self.interval) + 1) \
+            * self.interval
         return True
 
 

@@ -359,6 +359,28 @@ def test_pml_error_takes_the_layered_run_first():
         dg.pml_error(ref, run)
 
 
+def test_pml_error_compares_the_interior_nodes_only():
+    # layers of one element on both x ends (elements 0 and 3 of 4, interior
+    # x in [2, 6]) and none on y; the reference is padded by two elements
+    # on each x side and equals the run on its elements.  A difference on
+    # a damped element, or on a node of the truncation interfaces x = 2
+    # and x = 6, is not counted; one on any other node is
+    interior = ((2.0, 0.0), (6.0, 8.0))
+    run = fake_run((4, 4), (8.0, 8.0), interior, seed=3)
+    ref = fake_run((8, 4), (16.0, 8.0), None, seed=4, mins=(-4.0, 0.0))
+    for snap_r, snap_f in zip(run.snapshots, ref.snapshots):
+        snap_f[:, 2:6] = snap_r
+    assert dg.pml_error(run, ref) == 0.0
+    snap = ref.snapshots[1]
+    for ex, ey, nx, ny in np.ndindex(4, 4, 3, 3):
+        at = (0, ex + 2, ey, nx, ny)
+        kept = snap[at]
+        snap[at] += 1.0
+        counted = ex in (1, 2) and (ex, nx) not in ((1, 0), (2, 2))
+        assert dg.pml_error(run, ref) == pytest.approx(float(counted)), at
+        snap[at] = kept
+
+
 def test_misfit():
     t = np.linspace(0.0, 1.0, 50)
     a = np.column_stack([np.sin(4 * t), np.cos(4 * t)])

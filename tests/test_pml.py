@@ -43,6 +43,24 @@ def test_d0_benchmark_value():
     assert pml.d0_from_tol(6000.0, 10000.0, 1e-6) == pytest.approx(d0)
 
 
+@pytest.mark.parametrize("power", [0, 1, 2, 3])
+def test_d0_meets_the_tolerance_at_every_ramp_power(monkeypatch, power):
+    # a two-way transit of either layer attenuates by tol whatever the
+    # ramp's power, exp(-(2/cp) int d dx) = tol, and d is 0 inside; at
+    # power 0 each side's ramp is 0**0 = 1 on its own side only
+    monkeypatch.setattr(pml, "PROFILE_POWER", power)
+    cp, delta, tol, lo, hi = 6.0, 10.0, 1e-6, -50.0, 50.0
+    d0 = pml.d0_from_tol(cp, delta, tol)
+    u, wq = np.polynomial.legendre.leggauss(40)
+    for a in (lo - delta, hi):
+        x = a + (u + 1.0) * delta / 2
+        d = pml.damping_at(x, lo, hi, delta, delta, d0)
+        integral = delta / 2 * (wq * d).sum()
+        assert np.exp(-2.0 / cp * integral) == pytest.approx(tol, rel=1e-6)
+    inside = np.linspace(lo, hi, 101)[1:-1]
+    assert not pml.damping_at(inside, lo, hi, delta, delta, d0).any()
+
+
 def test_d0_tol_guards():
     for bad in (0.0, -1e-3, 1.0 + 1e-9, 2.0):
         with pytest.raises(InvalidTol):

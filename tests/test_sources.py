@@ -213,6 +213,38 @@ def test_receiver_samples_once_per_tick():
     assert (times >= ticks - 1e-9).all() and (times < ticks + dt).all()
 
 
+def _tick_walk(interval, times):
+    """Per call, whether it is the first at or after a tick k interval,
+    the next tick walked forward one interval at a time."""
+    tick, fired = 0.0, []
+    for t in times:
+        fired.append(t >= tick - 1e-9)
+        while fired[-1] and tick <= t + 1e-9:
+            tick += interval
+    return fired
+
+
+@pytest.mark.parametrize("interval", [0.05, 0.1, 0.3, 0.5, 0.059 / 3,
+                                      1e-3])
+def test_interval_gate_fires_on_the_calls_of_the_tick_walk(interval):
+    # steps of 0.059 s to 200 s, the last cut short, with a repeated call
+    dt, t_end = 0.059, 200.0
+    times = [min(k * dt, t_end) for k in range(int(t_end / dt) + 2)]
+    times.insert(10, times[9])
+    gate = sources.IntervalGate(interval)
+    assert [gate(t) for t in times] == _tick_walk(interval, times)
+
+
+def test_interval_gate_crosses_a_short_interval_at_once():
+    # a 1e-12 s gate crosses t = 1 s in one call, not one per tick
+    gate = sources.IntervalGate(1e-12)
+    times = [0.0, 0.5, 0.5, 1.0, 1.0 + 5e-13, 1.0 + 2e-9]
+    assert [gate(t) for t in times] == [True, True, False, True, False,
+                                        True]
+    # the next tick is the first past the last call's t + 1e-9
+    assert 1.0 + 3e-9 < gate.next <= 1.0 + 3e-9 + 2e-12
+
+
 @pytest.mark.parametrize("interval", [0.0, -0.1, float("nan"),
                                       float("inf")])
 def test_interval_gate_rejects_bad_interval(interval):
