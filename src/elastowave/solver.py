@@ -51,25 +51,37 @@ The RHS runs one slab of element rows along the first element axis at a
 time, a few MiB of Q and w each (_SLAB_BYTES).  The y and z faces, the
 layer terms and the material map stay inside a slab; an x face between
 two slabs takes the neighbour row's outgoing wave, so the result is
-bitwise the same for any slab count.  An ADER step is one sweep over the
-slabs: at sweep j, stage k = 1..P+1 forms the Taylor term T_k on slab
-j - k + 1, over T_(k-1) in that slab's buffer of a ring of min(P+1,
-slabs) slab buffers per field, injects the sources in the slab and adds
-the term into the state's rows of the slab.  T_(k-1) on the next slab
-was formed earlier in the same sweep; the outgoing wave of the previous
-slab's last row was saved per stage before that slab was overwritten,
-at stage 1 before the state's rows took T_1.  So each slab sees the
-inputs a whole-grid stage would give it.  `run` builds one Workspace
-and hands it to every `ader_step`; it dies when run returns.  It holds
-the RHS scratch of the largest slab, the slab result of Q's rates, whose
-bools the finiteness check borrows, and the ring.  Every kernel writes
-into buffers its caller passes, so a step allocates nothing state-sized.
-A run holds the state, the ring and the slab result: on a grid of more
-slabs than P+1, one state-sized array and at most P+2 slabs; on a grid
-of at most P+1 slabs the ring holds the whole grid, a second state's
-worth, and on a grid of one slab the result a Q-sized third.
+bitwise the same for any slab count.  On a grid of large slabs a stage
+runs a group of G slabs at once, one per core the process may use
+(_CORES), the first on the calling thread and the others on worker
+threads, which numpy lets run in parallel as it releases the GIL inside
+its loops; a slab no worker has taken when the calling thread is free
+runs there.  A group holds the bytes of one slab.  An ADER step is one
+sweep over the groups: at sweep j, stage k = 1..P+1 forms the Taylor
+term T_k on group j - k + 1, over T_(k-1) in each slab's buffer of a
+ring of G min(P+1, groups) slab buffers per field, injects the sources
+in each slab and adds the term into the state's rows of the slab.
+T_(k-1) on the next group was formed earlier in the same sweep; the
+outgoing wave of the previous group's last row was saved per stage
+before that group was overwritten, at stage 1 before the state's rows
+took T_1, and those on both sides of each face inside the group are
+formed before any of its slabs writes.  So each slab sees the inputs a
+whole-grid stage would give it, and the terms are bitwise the same for
+any grouping.  `run` builds one Workspace and hands it to every
+`ader_step`; it dies when run returns.  It holds per thread the RHS
+scratch of the largest slab and a slab result of Q's rates, whose bools
+the finiteness check borrows, and the ring.  Every kernel writes into
+buffers its caller passes, so a step allocates nothing state-sized.  A
+run holds the state, the ring and the slab results: on a grid of more
+groups than P+1, one state-sized array and at most P+2 groups; on a grid
+of at most P+1 groups the ring holds the whole grid, a second state's
+worth, and on a grid of one slab the result a Q-sized third.  A step
+starts its workers and joins them before it returns, so no thread
+outlives it.
 """
 
+import os
+import threading
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import prod
@@ -247,20 +259,53 @@ def setup_state(disc):
 # axis, 6 on 12^3 without, and keeps a 2D strip of 24x10 elements one
 # slab.  Against one slab, a step took 3% longer in 2-row slabs and 16%
 # in one-row slabs on the first grid, and no longer in 6-row slabs on
-# the second (2 cores); every slab adds the numpy calls of one RHS.
+# the second (2 cores); every slab adds the numpy calls of one RHS.  A
+# grid that runs its slabs in groups (see _slab_group) takes slabs of
+# _SLAB_BYTES / _CORES, so a group holds the bytes of one slab.
 _SLAB_BYTES = 4 << 20
+# The cores this process may run on, and so the slabs of a group.
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
+# Values of Q in the smallest slab of a grid that runs its slabs in
+# groups, one thread per slab.  A step in pairs of slabs on two threads
+# against the same slabs one at a time, medians of 5 runs (2 cores): on
+# 12^3 elements at degree 3 without layers (82,944 values of Q per row),
+# 1-row slabs 67.5 against 72.3 ms (1.07x), 2-row slabs 41.8 against
+# 53.1 ms (1.27x), 3-row slabs 36.9 against 56.5 ms (1.53x); on the 14^3
+# of hws3d at 8 elements (112,896 per row), 1-row slabs 123.1 against
+# 128.9 ms (1.05x), and 133.8 against 125.3 ms (0.94x) with a CPU-bound
+# process on the other core.  Every slab adds the numpy calls of one RHS
+# and a hand-over between threads.
+_GROUP_VALUES = 3 << 16
+# The name of the worker threads of a group's slabs.
+_THREAD_NAME = "elastowave-slab"
 
 
-def _slab_bounds(disc):
+def _slab_bounds(disc, nbytes=None):
     """The element rows of axis 0 where the slabs start and stop: as few
-    slabs as hold _SLAB_BYTES of Q and w at the mean bytes per row, at
-    least one row each, their heights within one row of each other."""
+    slabs as hold nbytes of Q and w at the mean bytes per row, at least
+    one row each, their heights within one row of each other.  By
+    default the step's slabs, of _SLAB_BYTES / _slab_group(disc)."""
+    if nbytes is None:
+        nbytes = _SLAB_BYTES // _slab_group(disc)
     rows = disc.mesh.counts[0]
     q, w = _field_shapes(disc)
     doubles = sum(prod(s) for s in (q, *w))
-    per = max(1, _SLAB_BYTES * rows // (8 * doubles))
+    per = max(1, nbytes * rows // (8 * doubles))
     count = -(-rows // per)
     return [rows * i // count for i in range(count + 1)]
+
+
+def _slab_group(disc):
+    """How many slabs a stage runs at once, one per thread: _CORES on a
+    grid that splits into two or more slabs of _SLAB_BYTES / _CORES, each
+    of at least _GROUP_VALUES values of Q, else 1."""
+    count = len(_slab_bounds(disc, _SLAB_BYTES // _CORES)) - 1
+    rows = disc.mesh.counts[0]
+    per_row = prod(_field_shapes(disc)[0]) // rows
+    if count > 1 and rows // count * per_row >= _GROUP_VALUES:
+        return _CORES
+    return 1
 
 
 def _restrict(disc, start, stop):
@@ -303,9 +348,9 @@ class _Slab:
     """The element rows start:stop of axis 0 and what a stage needs to
     form their rates: per field (Q, then the auxiliary fields) the index of
     the rows, disc's tables on them (see _restrict), the result of Q's
-    rates on them in Workspace.result, the RHS scratch shaped for them,
-    neg_dw the part after the axis terms' scratch, and per field the
-    slab's Taylor term, its buffer of Workspace.ring."""
+    rates on them and the RHS scratch shaped for them, both of the thread
+    that runs the slab, neg_dw the part after the axis terms' scratch,
+    and per field the slab's Taylor term, its buffer of Workspace.ring."""
 
     start: int
     stop: int
@@ -324,32 +369,37 @@ class Workspace:
     ader_step; they die when run returns.
 
     A stage forms the rates one slab of element rows along axis 0 at a
-    time (slabs, see _slab_bounds), so its scratch is sized to the largest
-    slab.  The RHS scratch is one buffer: the traction gather, dim rows
-    of the slab; the two fluctuation planes G left and right; the
-    derivative, dim rows again.  planes is the four face planes
-    `fluctuation` takes, from G left on: its two temporaries lie over
-    the derivative, which is not formed yet when they are.  Around each
-    damped axis -d*w lies behind the axis terms' scratch: 2 dim rows on
-    the layer's damped elements of the slab.
+    time (slabs, see _slab_bounds), or on a grid of large slabs a group
+    of `group` slabs at once, one per thread: slab s runs on thread
+    s mod group, the calling thread first.  Each thread has its own RHS
+    scratch and slab result, sized to the largest slab.  The RHS scratch
+    is one buffer: the traction gather, dim rows of the slab; the two
+    fluctuation planes G left and right; the derivative, dim rows again.
+    planes is the four face planes `fluctuation` takes, from G left on:
+    its two temporaries lie over the derivative, which is not formed yet
+    when they are.  Around each damped axis -d*w lies behind the axis
+    terms' scratch: 2 dim rows on the layer's damped elements of the
+    slab.  buf holds the scratch of every thread, result their slab
+    results.
 
-    ring holds per field min(P+1, slabs) flat buffers: slab s keeps its
-    Taylor terms in buffer s mod len, each stage after the first
-    rewriting the last in place (see _sweep), so buffer k holds the
-    largest of that field's slabs s with s = k mod len.  The x layer's
-    field has rows only in the slabs at both ends of the grid, and a
-    buffer no such slab maps to is empty.
-    result is where a stage forms the rates of Q on one slab before the
-    material map writes them into the slab's term.  halo holds face planes
-    of one row of elements, the outgoing waves across slab faces on axis
-    0: per stage those of the last rows of the two latest slabs, then
-    that of the next slab's first row.  Between steps result is idle,
-    and the finiteness check, slab by slab, writes its bools there: no
-    field's slab holds more values than Q's."""
+    ring holds per field group * min(P+1, groups) flat buffers: slab s
+    keeps its Taylor terms in buffer s mod len, each stage after the
+    first rewriting the last in place (see _sweep), so buffer k holds
+    the largest of that field's slabs s with s = k mod len.  The x
+    layer's field has rows only in the slabs at both ends of the grid,
+    and a buffer no such slab maps to is empty.
+    A slab's result is where a stage forms the rates of Q on the slab
+    before the material map writes them into the slab's term.  halo
+    holds face planes of one row of elements, the outgoing waves across
+    slab faces on axis 0: per stage those of the last rows of the two
+    latest groups, then those of the slabs on both sides of each face
+    from a group's first slab to the next group's first.  Between steps
+    result is idle, and the finiteness check, slab by slab, writes its
+    bools there: no field's slab holds more values than Q's."""
 
     def __init__(self, disc):
         dim, n = disc.mesh.dim, disc.ops.n_nodes
-        bounds = _slab_bounds(disc)
+        bounds, self.group = _slab_bounds(disc), _slab_group(disc)
         q_shape, _ = _field_shapes(disc)
         face = disc.mesh.counts[1:] + (n,) * (dim - 1)
         parts, scratch = [], []
@@ -361,28 +411,35 @@ class Workspace:
             shapes += [shape for shape, _ in sub.layers]
             parts.append((start, stop, index, sub, plane, terms, shapes))
             scratch += [terms] + [terms + prod(s) for s in shapes[1:]]
-        self.buf = np.empty(max(scratch))
+        each = max(scratch)
+        self.buf = np.empty(self.group * each)
         # per field, the values of each slab; buffer k of a field holds the
         # largest slab s with s = k mod length
         values = list(zip(*([prod(s) for s in p[-1]] for p in parts)))
-        length = min(disc.ops.degree + 1, len(parts))
-        self.ring = tuple(tuple(np.empty(max(v[k::length]))
+        groups = -(-len(parts) // self.group)
+        length = self.group * min(disc.ops.degree + 1, groups)
+        self.ring = tuple(tuple(np.empty(max(v[k::length], default=0))
                                 for k in range(length)) for v in values)
-        self.result = np.empty(max(values[0]))
-        # per stage two planes, then one: none on a grid of one slab
-        planes = 2 * disc.ops.degree + 3 if len(parts) > 1 else 0
-        self.halo = np.empty((planes, dim, 1) + face)
+        rates = max(values[0])
+        self.result = np.empty(self.group * rates)
+        # per stage two planes, then two per face inside a group and one
+        # for the next group's: none on a grid of one slab
+        planes = 2 * disc.ops.degree + 1 + 2 * self.group
+        self.halo = np.empty((planes if len(parts) > 1 else 0, dim, 1) + face)
         slabs = []
         for s, (start, stop, index, sub, plane, terms, shapes) in \
                 enumerate(parts):
+            own = s % self.group
+            buf = self.buf[own * each:(own + 1) * each]
             size = prod(plane)
             rows = n * size
             slabs.append(_Slab(
-                start, stop, index, sub, _view(self.result, shapes[0]),
-                self.buf[:rows].reshape(plane + (n,)),
-                self.buf[rows:rows + 4 * size].reshape((4,) + plane),
-                self.buf[rows + 2 * size:terms].reshape(plane + (n,)),
-                self.buf[terms:],
+                start, stop, index, sub,
+                _view(self.result[own * rates:], shapes[0]),
+                buf[:rows].reshape(plane + (n,)),
+                buf[rows:rows + 4 * size].reshape((4,) + plane),
+                buf[rows + 2 * size:terms].reshape(plane + (n,)),
+                buf[terms:],
                 tuple(_view(r[s % len(r)], shape)
                       for r, shape in zip(self.ring, shapes))))
         self.slabs = tuple(slabs)
@@ -473,16 +530,23 @@ def _sweep(ws, disc, fields, scales, into, take, sources=(), t=0.0):
     the product of the first k scales and f the sources; each term, slab
     by slab, goes to the same rows of into through take(rows, term).
 
-    One sweep over the slabs: at sweep j, stage k forms T_k on slab
-    j - k + 1 in that slab's buffer of ws.ring, over T_(k-1) (see
-    Workspace).  Its rates read T_(k-1) on the slab, on the first row of
-    the next slab, formed earlier in the same sweep, and the outgoing
-    wave of the previous slab's last row, saved in ws.halo before that
-    slab's input was overwritten; take comes after the save, so into may
-    be fields.  The factor rides the derivative matrix, the lift scalar
-    and the layer tables."""
-    slabs, stages = ws.slabs, len(scales)
-    count = len(slabs)
+    One sweep over the groups of ws.group slabs (see Workspace): at sweep
+    j, stage k forms T_k on group j - k + 1, each slab in its buffer of
+    ws.ring, over T_(k-1).  Its rates read T_(k-1) on the group, on the
+    first row of the next group, formed earlier in the same sweep, and
+    the outgoing wave of the previous group's last row, saved in ws.halo
+    before that group's input was overwritten.  The outgoing waves on
+    both sides of every face between two slabs of the group, and of the
+    next group's first row, are formed before any slab of the group
+    writes.  Then the group's slabs run at once, the first on the
+    calling thread and each other on whichever thread takes it (see
+    _Crew): each forms its rates, injects its sources and takes its
+    term; take comes after the save, so into may be fields.  An x face
+    between two slabs takes the neighbour row's outgoing wave, so the
+    terms are bitwise the same for any slabs and groups.  The factor
+    rides the derivative matrix, the lift scalar and the layer tables."""
+    slabs, size, stages = ws.slabs, ws.group, len(scales)
+    count = -(-len(slabs) // size)
     terms = [[(scale * d, scale * h) for d, h in zip(disc.dmat, disc.lift)]
              for scale in scales]
     coefs = list(accumulate(scales, mul))
@@ -495,24 +559,129 @@ def _sweep(ws, disc, fields, scales, into, take, sources=(), t=0.0):
             return slab.term
         return tuple(a[i] for a, i in zip(fields, slab.index))
 
-    for j in range(count + stages - 1):
-        for k in range(max(1, j + 2 - count), min(j + 1, stages) + 1):
-            s = j - k + 1
-            slab, saved = slabs[s], ws.halo[2 * k - 2:2 * k]
-            q, *w = given(k, slab)
-            halo = [saved[(s - 1) % 2] if s else None, None]
-            if s < count - 1:
-                ahead = slabs[s + 1]
-                halo[1] = _outgoing(given(k, ahead)[0], ahead.disc, 0, 0,
-                                    ws.halo[-1])
-                _outgoing(q, slab.disc, slab.stop - slab.start - 1, -1,
-                          saved[s % 2])
-            dq, *dw = slab.term
-            _slab_rhs(q, w, slab, scales[k - 1], terms[k - 1], halo, dq, dw)
-            for src in inside[s]:
-                src.inject(dq, t, k - 1, coefs[k - 1], slab.start)
-            for a, i, term in zip(into, slab.index, slab.term):
-                take(a[i], term)
+    def stage(k, s, halo):
+        """Stage k on slab s, halo its outgoing waves (see _slab_rhs)."""
+        slab = slabs[s]
+        q, *w = given(k, slab)
+        dq, *dw = slab.term
+        _slab_rhs(q, w, slab, scales[k - 1], terms[k - 1], halo, dq, dw)
+        for src in inside[s]:
+            src.inject(dq, t, k - 1, coefs[k - 1], slab.start)
+        for a, i, term in zip(into, slab.index, slab.term):
+            take(a[i], term)
+
+    with _Crew(size) as crew:
+        for j in range(count + stages - 1):
+            for k in range(max(1, j + 2 - count), min(j + 1, stages) + 1):
+                g = j - k + 1
+                group = range(g * size, min(g * size + size, len(slabs)))
+                saved = ws.halo[2 * k - 2:2 * k]
+                spare = iter(ws.halo[2 * stages:])
+                # the outgoing waves across each face from the group's first
+                # slab to the next group's, from T_(k-1), before any slab of
+                # the group writes; the group's last row's is saved for the
+                # next group
+                halos = [[None, None] for _ in group]
+                if g:
+                    halos[0][0] = saved[(g - 1) % 2]
+                for i, s in enumerate(group):
+                    if s + 1 == len(slabs):
+                        break
+                    slab, ahead = slabs[s], slabs[s + 1]
+                    halos[i][1] = _outgoing(given(k, ahead)[0], ahead.disc,
+                                            0, 0, next(spare))
+                    last = s == group[-1]
+                    wave = _outgoing(given(k, slab)[0], slab.disc,
+                                     slab.stop - slab.start - 1, -1,
+                                     saved[g % 2] if last else next(spare))
+                    if not last:
+                        halos[i + 1][0] = wave
+                crew.run(stage, [(k, s, h) for s, h in zip(group, halos)])
+
+
+class _Crew:
+    """size - 1 worker threads that, with the calling thread, run up to
+    size calls at once (see run); none for a size of 1.  On entry it
+    starts them, each under the caller's np.errstate, which numpy keeps
+    per thread; on exit it stops and joins them.  The calls of a run
+    wait in todo; each thread takes the next one it finds there, so a
+    call no worker has taken when the calling thread is free runs on the
+    calling thread, and a worker that wakes late, or not at all while
+    another process holds its core, holds nothing up."""
+
+    def __init__(self, size):
+        self.size = size
+        self.lock = threading.Lock()
+        self.posted = threading.Condition(self.lock)
+        self.finished = threading.Condition(self.lock)
+        self.fn, self.todo, self.errors = None, [], []
+        self.busy, self.stop = 0, False
+        self.threads = []
+
+    def __enter__(self):
+        errstate = np.geterr()
+        try:
+            for _ in range(self.size - 1):
+                thread = threading.Thread(
+                    target=self._work, args=(errstate,), name=_THREAD_NAME,
+                    daemon=True)
+                thread.start()
+                self.threads.append(thread)
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc):
+        with self.lock:
+            self.stop = True
+            self.posted.notify_all()
+        for thread in self.threads:
+            thread.join()
+
+    def _work(self, errstate):
+        with np.errstate(**errstate):
+            while True:
+                with self.lock:
+                    while not (self.todo or self.stop):
+                        self.posted.wait()
+                    if not self.todo:
+                        return
+                    fn, args = self.fn, self.todo.pop()
+                    self.busy += 1
+                try:
+                    fn(*args)
+                except BaseException as exc:
+                    self.errors.append(exc)
+                with self.lock:
+                    self.busy -= 1
+                    if not self.busy:
+                        self.finished.notify()
+
+    def run(self, fn, calls):
+        """fn(*args) for each args of calls, the first on the calling
+        thread and each other on whichever thread takes it first; returns
+        when all are done, raising the caller's exception, else the first
+        a worker raised."""
+        with self.lock:
+            self.fn, self.todo = fn, list(reversed(calls[1:]))
+            self.errors = []
+            self.posted.notify(len(self.todo))
+        try:
+            fn(*calls[0])
+            while True:
+                with self.lock:
+                    if not self.todo:
+                        break
+                    args = self.todo.pop()
+                fn(*args)
+        finally:
+            with self.lock:
+                self.todo = []
+                while self.busy:
+                    self.finished.wait()
+        if self.errors:
+            raise self.errors[0]
 
 
 def _outgoing(Q, disc, row, node, out):
@@ -700,12 +869,16 @@ def ader_step(state, dt, sources, ws):
     Each stage forms its term whole, T_k = (dt/k) L T_(k-1) + c_k
     f^(k-1) with c_k = dt^k/k!: the RHS takes the factor dt/k and the
     sources inject c_k f^(k-1).  ws is a Workspace for state.disc.  The
-    step is one sweep over the slabs (see _sweep): each stage of a slab
-    writes its term over the last in the slab's ring buffer, and adds it
-    into the slab's rows of state.Q and state.w, after stage 1 has read
-    them and saved the outgoing wave the next slab needs, so the step
-    allocates nothing state-sized.  Returns state, advanced by dt; after
-    DivergenceDetected its fields are not finite."""
+    step is one sweep over the groups of slabs (see _sweep): each stage
+    of a slab writes its term over the last in the slab's ring buffer,
+    and adds it into the slab's rows of state.Q and state.w, after stage
+    1 has read them and saved the outgoing waves the neighbour slabs
+    need, so the step allocates nothing state-sized.  On a grid whose
+    slabs run in groups, the sweep runs each group's slabs on worker
+    threads and the calling thread under this step's np.errstate, and
+    joins the workers before the finiteness check; their exceptions are
+    raised here.  Returns state, advanced by dt; after DivergenceDetected
+    its fields are not finite."""
     disc, fields = state.disc, (state.Q,) + state.w
     start = state.t
     scales = [dt / k for k in range(1, disc.ops.degree + 2)]
@@ -741,7 +914,9 @@ def _blow_up(state, start, field, tab):
 def run(state, t_end, dt, sources=(), callbacks=()):
     """March state in place to t_end in steps of dt, the last truncated
     to land on t_end exactly; returns state.  Callbacks see this one state
-    at the start and after every step: one that keeps fields must copy."""
+    at the start and after every step: one that keeps fields must copy.
+    Each step joins the worker threads it starts (see ader_step), so no
+    thread of the run is alive when it returns or raises."""
     if not np.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
     if not 0.0 < dt < np.inf:      # NaN fails too

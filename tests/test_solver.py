@@ -1,5 +1,6 @@
 import os
 import re
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -340,24 +341,31 @@ def test_workspace_reuse_bitwise(monkeypatch, dim, counts, widths, rows):
                     solver.ader_step(fresh, dt, [src], solver.Workspace(disc)))
 
 
-def _slab_rows(monkeypatch, disc, rows):
+def _slab_rows(monkeypatch, disc, rows, cores=1):
     """Sets the slab size so that disc's slabs are at most `rows` element
-    rows high, and as few as that allows."""
+    rows high, and as few as that allows, and the cores to `cores`, so
+    that a grid of two or more slabs runs them in groups of that many."""
     q, w = solver._field_shapes(disc)
     doubles = sum(int(np.prod(s)) for s in (q, *w))
+    monkeypatch.setattr(solver, "_CORES", cores)
+    monkeypatch.setattr(solver, "_GROUP_VALUES", 0)
     monkeypatch.setattr(solver, "_SLAB_BYTES",
-                        -(-rows * 8 * doubles // disc.mesh.counts[0]))
+                        cores * -(-rows * 8 * doubles // disc.mesh.counts[0]))
 
 
 @pytest.mark.parametrize("rows", [1, 2])
 @pytest.mark.parametrize("theta", [1.0, 0.5])
-@pytest.mark.parametrize("dim,counts", [(2, (5, 4)), (3, (5, 3, 4))],
-                         ids=["2d", "3d"])
-def test_rhs_slab_count_bitwise(monkeypatch, dim, counts, theta, rows):
+@pytest.mark.parametrize("dim,counts,cores", [
+    (2, (5, 4), 1), (3, (5, 3, 4), 1), (3, (5, 3, 4), 2), (3, (5, 3, 4), 3)],
+    ids=["2d", "3d", "3d-pairs", "3d-triples"])
+def test_rhs_slab_count_bitwise(monkeypatch, dim, counts, cores, theta,
+                                rows):
     # layers on every axis (x damps rows 0 and 4), a reflection coefficient
     # per wave family on every face and impedances that jump across every
     # face: one slab and slabs of `rows` rows, each through the same slab
-    # loop, give the same bits, into a separate result and in place
+    # loop, give the same bits, into a separate result and in place.  So
+    # do the slabs in groups of 2 or 3, one per thread, the last group
+    # short but for 2-row slabs in triples
     disc = make_disc(dim=dim, counts=counts, degree=3, theta=theta,
                      widths=_every_axis(dim), d0=1.3, alpha=0.2,
                      gamma=GAMMA_ALL_2D if dim == 2 else GAMMA_ALL_3D,
@@ -365,10 +373,11 @@ def test_rhs_slab_count_bitwise(monkeypatch, dim, counts, theta, rows):
     assert [(t.lo, t.hi) for t in disc.damping][0] == (1, 1)
     st = random_state(disc, seed=11)
     one = solver.Workspace(disc)
-    _slab_rows(monkeypatch, disc, rows)
+    _slab_rows(monkeypatch, disc, rows, cores)
     ws = solver.Workspace(disc)
     assert len(one.slabs) == 1 and len(ws.slabs) == -(-5 // rows)
     assert max(s.stop - s.start for s in ws.slabs) == rows
+    assert one.group == 1 and ws.group == cores
     want, got = new_fields(st.Q, st.w), new_fields(st.Q, st.w)
     assert solver._rhs(st.Q, st.w, disc, want, one, 0.3) is want
     assert solver._rhs(st.Q, st.w, disc, got, ws, 0.3) is got
@@ -384,16 +393,22 @@ def test_rhs_slab_count_bitwise(monkeypatch, dim, counts, theta, rows):
 
 
 @pytest.mark.filterwarnings("ignore:source sits on an element boundary")
-def test_benchmark_grids_split_into_slabs():
-    # hws3d at 8 elements has 14 element rows with layers on every axis,
-    # the 3D plane wave 12 rows without layers, the strip 24 x 10 in 2D
+def test_benchmark_grids_split_into_slabs(monkeypatch):
+    # on 2 cores: hws3d at 8 elements has 14 element rows with layers on
+    # every axis, whose one-row halves (112,896 values of Q) run one at a
+    # time in 2-row slabs; the 3D plane wave 12 rows without layers, in
+    # pairs of 3-row slabs (248,832 values of Q each); the strip 24 x 10
+    # in 2D, one slab
     from elastowave.harness import experiments, presets
-    for cfg, heights in (
-            (presets.preset("hws3d", elements=8, degree=3), [2] * 7),
-            (presets.planewave_config(dim=3, elements=12, degree=3), [6, 6]),
-            (presets.preset("strip2d"), [24])):
+    monkeypatch.setattr(solver, "_CORES", 2)
+    for cfg, heights, group in (
+            (presets.preset("hws3d", elements=8, degree=3), [2] * 7, 1),
+            (presets.planewave_config(dim=3, elements=12, degree=3),
+             [3] * 4, 2),
+            (presets.preset("strip2d"), [24], 1)):
         disc = experiments.build_problem(cfg)[0]
         assert np.diff(solver._slab_bounds(disc)).tolist() == heights
+        assert solver._slab_group(disc) == group
 
 
 def _ring_sizes(ws):
@@ -523,37 +538,49 @@ def test_run_slab_count_bitwise(monkeypatch):
     assert np.array_equal(np.array(rec2.samples), np.array(rec1.samples))
 
 
-@pytest.mark.parametrize("rows", [1, 2])
-@pytest.mark.parametrize("degree", [1, 3])
-def test_sweep_slab_count_bitwise(monkeypatch, degree, rows):
+@pytest.mark.filterwarnings("ignore:source sits on an element boundary")
+@pytest.mark.parametrize("degree,rows,cores", [
+    pytest.param(degree, rows, cores, id=f"{degree}-{rows}"
+                 + ("", "", "-pairs", "-triples")[cores])
+    for degree in (1, 3) for rows in (1, 2) for cores in (1, 2, 3)])
+def test_sweep_slab_count_bitwise(monkeypatch, degree, rows, cores):
     # a layered run through one slab and through slabs of `rows` rows,
     # 10 or 5 of them, so the ring of P+1 slab terms wraps (2 buffers at
-    # degree 1, 4 at degree 3): theta = 0.5, layers on every axis, one
-    # source in row 3 (the second row of a 2-row slab) and one in row 6
-    # (the first row of a slab either way), and a receiver
+    # degree 1, 4 at degree 3), or run in groups of 2 or 3 slabs, one per
+    # thread, whose last group is short but for one-row pairs:
+    # theta = 0.5, layers on every axis, one source in row 3 (the second
+    # row of a 2-row slab) and one in row 6 (the first row of a slab
+    # either way), one in each slab of the first group and one on the
+    # face of its first cut, and a receiver
     disc = make_disc(dim=3, counts=(10, 3, 4), degree=degree, theta=0.5,
                      widths=_every_axis(3), d0=1.3, alpha=0.2,
                      gamma=GAMMA_ALL_3D, layered="mixed")
+    _slab_rows(monkeypatch, disc, rows, cores)
+    ws = solver.Workspace(disc)
+    assert len(ws.slabs) == 10 // rows and ws.group == cores
+    groups = -(-len(ws.slabs) // cores)
+    assert len(ws.ring[0]) == cores * min(degree + 1, groups)
+    first = ws.slabs[:cores]
+    xs = [3.5, 6.5, float(first[0].stop)] + [s.start + 0.5 for s in first]
+    monkeypatch.undo()
     moment = np.eye(3) + 0.3 * (1 - np.eye(3))
     srcs = [MomentTensorSource(disc.mesh, disc.ops, (x, 4.1, 4.1), moment,
                                GaussianSTF(sigma=0.05, t0=0.08))
-            for x in (3.5, 6.5)]
-    assert [s.elem[0] for s in srcs] == [3, 6]
+            for x in xs]
+    assert [s.elem[0] for s in srcs[:2]] == [3, 6]
     runs = []
     for slab_rows in (None, rows):
         if slab_rows:
-            _slab_rows(monkeypatch, disc, slab_rows)
-            ws = solver.Workspace(disc)
-            assert len(ws.slabs) == 10 // rows
-            assert len(ws.ring[0]) == degree + 1
+            _slab_rows(monkeypatch, disc, slab_rows, cores)
         st = random_state(disc, seed=13, scale=1e-3)
         rec = Receiver(disc.mesh, disc.ops, (6.3, 2.2, 7.7))
         solver.run(st, 0.1, 0.02, sources=srcs, callbacks=[rec])
         monkeypatch.undo()
-        runs.append((st, rec))
+        runs.append((st, np.array(rec.samples)))
     (st1, rec1), (st2, rec2) = runs
     _assert_bitwise(st2, st1)
-    assert np.array_equal(np.array(rec2.samples), np.array(rec1.samples))
+    assert np.array_equal(rec2, rec1)
+    assert np.array_equal(np.signbit(rec2), np.signbit(rec1))
 
 
 def test_step_forms_no_kron(monkeypatch):
@@ -652,6 +679,178 @@ def test_step_runs_on_calling_thread():
     others = sum(t - before.get(tid, 0) for tid, t in after.items()
                  if tid != main)
     assert others <= 0.1 * own + 2, (own, others)
+
+
+def test_grouped_rhs_under_fast_thread_switching(monkeypatch):
+    # four slabs at once, more threads than the cores of a desk machine,
+    # with the interpreter switching threads every microsecond: the rates
+    # are bitwise those of one slab, five times over
+    disc = make_disc(dim=3, counts=(9, 3, 4), degree=2, theta=0.5,
+                     widths=_every_axis(3), d0=1.3, alpha=0.2,
+                     gamma=GAMMA_ALL_3D, layered="mixed")
+    st = random_state(disc, seed=5)
+    want = fresh_rhs(st.Q, st.w, disc)
+    _slab_rows(monkeypatch, disc, 1, cores=4)
+    ws = solver.Workspace(disc)
+    assert len(ws.slabs) == 9 and ws.group == 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            got = solver._rhs(st.Q, st.w, disc, new_fields(st.Q, st.w), ws,
+                              1.0)
+            _assert_bitwise(solver.SimulationState(disc, 0.0, *got),
+                            solver.SimulationState(disc, 0.0, *want))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _process_cpu_ticks():
+    """CPU ticks of the whole process, its ended threads' among them."""
+    with open("/proc/self/stat") as f:
+        fields = f.read().rsplit(")", 1)[1].split()
+    return int(fields[11]) + int(fields[12])     # utime + stime
+
+
+def _solver_threads():
+    return [t for t in threading.enumerate()
+            if t.name == solver._THREAD_NAME]
+
+
+def _grouped_disc(monkeypatch, cores=2):
+    """12^3 elements at degree 3 with layers on every axis, in 2-row
+    slabs run in groups of `cores`."""
+    disc = make_disc(dim=3, counts=(12, 12, 12), degree=3, theta=0.5,
+                     widths=_every_axis(3))
+    _slab_rows(monkeypatch, disc, 2, cores)
+    assert solver.Workspace(disc).group == cores
+    return disc
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="per-thread CPU times need /proc")
+def test_grouped_step_runs_on_its_workers(monkeypatch):
+    # in pairs of slabs the worker, which has ended when the step returns,
+    # takes CPU ticks (the process's, less those of the threads still
+    # alive; it takes as many as the caller on an idle machine), and the
+    # BLAS library's threads stay idle as in one slab at a time (see
+    # test_step_runs_on_calling_thread)
+    disc = _grouped_disc(monkeypatch)
+    st = random_state(disc)
+    ws = solver.Workspace(disc)
+    main = str(threading.get_native_id())
+    before, total = _thread_cpu_ticks(), _process_cpu_ticks()
+    for _ in range(20):
+        st = solver.ader_step(st, 1e-3, (), ws)
+    after, total = _thread_cpu_ticks(), _process_cpu_ticks() - total
+    own = after[main] - before.get(main, 0)
+    others = sum(t - before.get(tid, 0) for tid, t in after.items()
+                 if tid != main)
+    assert total - own - others > 0.1 * own + 2, (own, others, total)
+    assert others <= 0.1 * own + 2, (own, others)
+
+
+class _Probe:
+    """A point source in element elem that records the threads it is
+    injected on.  With a partner, it waits (at most 10 s) until the
+    partner has been injected: in the first slab of a group, which the
+    calling thread runs, it holds that thread there until a worker has
+    run the partner's slab.  With an error, it raises it."""
+
+    def __init__(self, elem, partner=None, error=None):
+        self.elem, self.partner, self.error = elem, partner, error
+        self.threads, self.injected = set(), threading.Event()
+
+    def inject(self, dq, t, k=0, scale=1.0, start=0):
+        self.threads.add(threading.current_thread().name)
+        self.injected.set()
+        if self.partner is not None:
+            assert self.partner.injected.wait(10)
+        if self.error is not None:
+            raise self.error
+
+
+def _on_a_worker(elem, error=None):
+    """A probe in elem, which lies in the second or a later slab of the
+    first group, and a probe in row 0 that holds the calling thread until
+    a worker has run the first: the sources of a run."""
+    probe = _Probe(elem, error=error)
+    return probe, [_Probe((0, 0, 0), partner=probe), probe]
+
+
+def test_no_solver_thread_outlives_run(monkeypatch):
+    # a worker runs the second slab of the first pair, and no worker is
+    # alive after run returns, after it raises DivergenceDetected or after
+    # a callback raises
+    disc = _grouped_disc(monkeypatch)
+    probe, sources = _on_a_worker((3, 0, 0))
+    st = random_state(disc, scale=1e-3)
+    solver.run(st, 2e-3, 1e-3, sources=sources)
+    assert solver._THREAD_NAME in probe.threads
+    assert _solver_threads() == []
+
+    st.Q[0, 5, 0, 0, 0, 0, 0] = np.inf
+    with pytest.raises(DivergenceDetected):
+        solver.run(st, st.t + 1e-3, 1e-3)
+    assert _solver_threads() == []
+
+    def fails(state):
+        if state.t > 0:
+            raise KeyError("callback")
+
+    with pytest.raises(KeyError, match="callback"):
+        solver.run(random_state(disc), 2e-3, 1e-3, callbacks=[fails])
+    assert _solver_threads() == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_grouped_divergence_detected(monkeypatch):
+    # an element of row 3, in the second slab of the first pair, at 1e308
+    # overflows on a worker in the first stage of a step of 10 s; under
+    # the caller's np.errstate the worker warns nothing, and the step
+    # names the first element that is not finite in C order
+    disc = _grouped_disc(monkeypatch)
+    probe, sources = _on_a_worker((3, 0, 0))
+    st = random_state(disc, scale=1e-3)
+    st.Q[:, 3, 2, 1] = 1e308
+    with pytest.raises(DivergenceDetected) as err:
+        solver.run(st, 10.0, 10.0, sources=sources)
+    assert solver._THREAD_NAME in probe.threads
+    first = np.unravel_index(np.argmin(np.isfinite(st.Q)), st.Q.shape)
+    elem = tuple(int(e) for e in first[1:4])
+    assert str(err.value).startswith(
+        f"non-finite Q in the step from t = 0 to 10 s, in element {elem} (")
+    assert _solver_threads() == []
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_worker_exception_reaches_the_caller(monkeypatch, cores):
+    # a source in the last slab of the first group raises on a worker;
+    # the step raises it, after the workers are joined
+    disc = _grouped_disc(monkeypatch, cores)
+    probe, sources = _on_a_worker((2 * cores - 1, 0, 0),
+                                  error=ZeroDivisionError("slab"))
+    with pytest.raises(ZeroDivisionError, match="slab"):
+        solver.run(random_state(disc), 1e-3, 1e-3, sources=sources)
+    assert probe.threads == {solver._THREAD_NAME}
+    assert _solver_threads() == []
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_grouped_step_allocates_only_ufunc_buffers(monkeypatch, cores):
+    # the second step through one workspace, its slabs in groups of 2 or
+    # 3, allocates per thread numpy's ufunc buffers (three of
+    # np.getbufsize() doubles), element-sized factors and the threads'
+    # own objects, and no state row: 0.053 / 0.054 states.  One slab at a
+    # time it allocates 0.028 (see test_step_through_workspace_allocates_
+    # only_the_result)
+    disc = _grouped_disc(monkeypatch, cores)
+    st = random_state(disc)
+    ws = solver.Workspace(disc)
+    bufs = 3 * np.getbufsize() * st.Q.itemsize
+    assert cores * (bufs + (32 << 10)) < st.Q[0].nbytes
+    peak = _peak_states(lambda: solver.ader_step(st, 1e-3, (), ws), st)
+    assert peak * st.Q.nbytes <= cores * (bufs + (32 << 10))
 
 
 def test_nodal_coordinates_match_affine_map():
