@@ -137,15 +137,6 @@ class RunConfig:
             out.append(int(round((hi - lo) / self.spacing)))
         return tuple(out)
 
-    def interior(self):
-        """Box bounds with the absorbing layers stripped off."""
-        wid = self.pml.width_map()
-        lo = [b[0] + wid.get(ax, (0.0, 0.0))[0]
-              for ax, b in zip(AXES, self.box)]
-        hi = [b[1] - wid.get(ax, (0.0, 0.0))[1]
-              for ax, b in zip(AXES, self.box)]
-        return tuple(lo), tuple(hi)
-
 
 def _quantity(raw, where, quantity):
     """The number in raw, scaled to SI by its unit tag, which must be

@@ -19,7 +19,7 @@ from ..errors import DivergenceDetected, ValidationError
 from ..mesh import build_mesh
 from ..operators import build_operators
 from ..physics import axes_of, velocity_names
-from ..pml import build_damping, resolve_tol
+from ..pml import build_damping, interior_box, resolve_tol
 from ..sources import IntervalGate, MomentTensorSource, Receiver, STF_KINDS
 from .config import PmlSpec, finalize
 
@@ -122,8 +122,10 @@ class RunResult:
     @property
     def interior(self):
         """Box without layers, None if the run has none."""
-        cfg = self.config
-        return cfg.interior() if cfg.pml.enabled else None
+        cfg, mesh = self.config, self.disc.mesh
+        if not cfg.pml.enabled:
+            return None
+        return interior_box(mesh.mins, mesh.maxs, cfg.pml.width_map())
 
     @property
     def source_locations(self):
@@ -298,7 +300,7 @@ def _strip_layers(cfg, offset, note):
     wid = cfg.pml.width_map()
     box = [list(b) for b in cfg.box]
     boundary = dict(cfg.boundary_map())
-    lo_i, hi_i = cfg.interior()
+    lo_i, hi_i = (b.tolist() for b in interior_box(*zip(*cfg.box), wid))
     for ai, ax in enumerate(axes_of(cfg.dimension)):
         w_lo, w_hi = wid.get(ax, (0.0, 0.0))
         if w_lo > 0.0:
@@ -354,7 +356,7 @@ def convergence_study(cfg, spacings, pad, output_dir=None, resolve=False):
         c = replace(cfg, spacing=float(h), output=replace(
             cfg.output, snapshot_interval=_STUDY_SNAPSHOT_INTERVAL))
         if resolve:
-            lo, hi = c.interior()
+            lo, hi = interior_box(*zip(*c.box), c.pml.width_map())
             width = min(b - a for a, b in zip(lo, hi))
             c = replace(c, pml=replace(
                 c.pml, tol=resolve_tol(c.degree, float(h), width)))

@@ -87,16 +87,18 @@ class AxisDamping:
     alpha: float
 
 
-def interior_box(mesh: CartesianMesh, widths):
-    """Interior bounds after stripping the layers; widths maps axis name
-    to a (low, high) pair of non-negative physical widths."""
-    axes = axes_of(mesh.dim)
+def interior_box(mins, maxs, widths):
+    """Bounds (lo, hi) of the box mins..maxs after stripping the layers;
+    widths maps axis name to a (low, high) pair of non-negative physical
+    widths."""
+    dim = len(mins)
+    axes = axes_of(dim)
     for name in widths:
         if name not in axes:
             raise InvalidExtent(
-                f"layer axis {name!r} is not an axis of the {mesh.dim}D mesh")
-    lo = np.array(mesh.mins, dtype=float)
-    hi = np.array(mesh.maxs, dtype=float)
+                f"layer axis {name!r} is not an axis of the {dim}D mesh")
+    lo = np.array(mins, dtype=float)
+    hi = np.array(maxs, dtype=float)
     for ax, name in enumerate(axes):
         w_lo, w_hi = widths.get(name, (0.0, 0.0))
         if not (w_lo >= 0.0 and w_hi >= 0.0):
@@ -133,7 +135,7 @@ def build_damping(mesh: CartesianMesh, ops: ElementOperators, widths,
     Returns a list of AxisDamping, one entry per axis that has damped
     elements; an empty list means the layers are disabled everywhere.
     """
-    lo, hi = box = interior_box(mesh, widths)
+    lo, hi = box = interior_box(mesh.mins, mesh.maxs, widths)
     widest = max((max(w) for w in widths.values()), default=0.0)
     if widest == 0.0:
         return []

@@ -68,20 +68,22 @@ took T_1, and those on both sides of each face inside the group are
 formed before any of its slabs writes.  So each slab sees the inputs a
 whole-grid stage would give it, and the terms are bitwise the same for
 any grouping.  `run` builds one Workspace and hands it to every
-`ader_step`; it dies when run returns.  It holds per thread the RHS
-scratch of the largest slab and a slab result of Q's rates, whose bools
-the finiteness check borrows, and the ring.  Every kernel writes into
-buffers its caller passes, so a step allocates nothing state-sized.  A
-run holds the state, the ring and the slab results: on a grid of more
-groups than P+1, one state-sized array and at most P+2 groups; on a grid
-of at most P+1 groups the ring holds the whole grid, a second state's
-worth, and on a grid of one slab the result a Q-sized third.  A step
-starts its workers and joins them before it returns, so no thread
-outlives it.
+`ader_step`; it dies when run returns.  It holds per place in a group
+the RHS scratch of the largest slab and a slab result of Q's rates,
+whose bools the finiteness check borrows (slab s uses those of place
+s mod G, whichever thread runs it), and the ring.  Every kernel writes
+into buffers its caller passes, so a step allocates nothing
+state-sized.  A run holds the state, the ring and the slab results: on
+a grid of more groups than P+1, one state-sized array and at most P+2
+groups; on a grid of at most P+1 groups the ring holds the whole grid,
+a second state's worth, and on a grid of one slab the result a Q-sized
+third.  A step starts its workers and joins them before it returns, so
+no thread outlives it.
 """
 
 import os
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import prod
@@ -348,8 +350,8 @@ class _Slab:
     """The element rows start:stop of axis 0 and what a stage needs to
     form their rates: per field (Q, then the auxiliary fields) the index of
     the rows, disc's tables on them (see _restrict), the result of Q's
-    rates on them and the RHS scratch shaped for them, both of the thread
-    that runs the slab, neg_dw the part after the axis terms' scratch,
+    rates on them and the RHS scratch shaped for them, both of the slab's
+    place in its group, neg_dw the part after the axis terms' scratch,
     and per field the slab's Taylor term, its buffer of Workspace.ring."""
 
     start: int
@@ -370,16 +372,17 @@ class Workspace:
 
     A stage forms the rates one slab of element rows along axis 0 at a
     time (slabs, see _slab_bounds), or on a grid of large slabs a group
-    of `group` slabs at once, one per thread: slab s runs on thread
-    s mod group, the calling thread first.  Each thread has its own RHS
-    scratch and slab result, sized to the largest slab.  The RHS scratch
+    of `group` slabs at once, on as many threads, of which any may run
+    any slab of the group.  Each place in a group has its own RHS scratch
+    and slab result, sized to the largest slab: slab s uses those of
+    place s mod group, whichever thread runs it.  The RHS scratch
     is one buffer: the traction gather, dim rows of the slab; the two
     fluctuation planes G left and right; the derivative, dim rows again.
     planes is the four face planes `fluctuation` takes, from G left on:
     its two temporaries lie over the derivative, which is not formed yet
     when they are.  Around each damped axis -d*w lies behind the axis
     terms' scratch: 2 dim rows on the layer's damped elements of the
-    slab.  buf holds the scratch of every thread, result their slab
+    slab.  buf holds the scratch of every place, result their slab
     results.
 
     ring holds per field group * min(P+1, groups) flat buffers: slab s
@@ -539,9 +542,12 @@ def _sweep(ws, disc, fields, scales, into, take, sources=(), t=0.0):
     both sides of every face between two slabs of the group, and of the
     next group's first row, are formed before any slab of the group
     writes.  Then the group's slabs run at once, the first on the
-    calling thread and each other on whichever thread takes it (see
-    _Crew): each forms its rates, injects its sources and takes its
-    term; take comes after the save, so into may be fields.  An x face
+    calling thread and each other on a worker of the sweep's thread
+    pool, or on the calling thread if no worker has started it (see
+    _run_group): each forms its rates, injects its sources and takes its
+    term; take comes after the save, so into may be fields.  The pool
+    is opened only for groups of two or more slabs and joins its
+    workers before the sweep returns or raises.  An x face
     between two slabs takes the neighbour row's outgoing wave, so the
     terms are bitwise the same for any slabs and groups.  The factor
     rides the derivative matrix, the lift scalar and the layer tables."""
@@ -570,7 +576,7 @@ def _sweep(ws, disc, fields, scales, into, take, sources=(), t=0.0):
         for a, i, term in zip(into, slab.index, slab.term):
             take(a[i], term)
 
-    with _Crew(size) as crew:
+    with _pool(size) as pool:
         for j in range(count + stages - 1):
             for k in range(max(1, j + 2 - count), min(j + 1, stages) + 1):
                 g = j - k + 1
@@ -596,92 +602,45 @@ def _sweep(ws, disc, fields, scales, into, take, sources=(), t=0.0):
                                      saved[g % 2] if last else next(spare))
                     if not last:
                         halos[i + 1][0] = wave
-                crew.run(stage, [(k, s, h) for s, h in zip(group, halos)])
+                _run_group(pool, stage,
+                           [(k, s, h) for s, h in zip(group, halos)])
 
 
-class _Crew:
-    """size - 1 worker threads that, with the calling thread, run up to
-    size calls at once (see run); none for a size of 1.  On entry it
-    starts them, each under the caller's np.errstate, which numpy keeps
-    per thread; on exit it stops and joins them.  The calls of a run
-    wait in todo; each thread takes the next one it finds there, so a
-    call no worker has taken when the calling thread is free runs on the
-    calling thread, and a worker that wakes late, or not at all while
-    another process holds its core, holds nothing up."""
+def _pool(size):
+    """size - 1 worker threads named _THREAD_NAME, each under the
+    caller's np.errstate, which numpy keeps per thread; a null context,
+    no pool, for a size of 1.  On exit the pool joins its workers."""
+    if size == 1:
+        return nullcontext()
+    # imported here: it loads logging, which serial grids need not hold
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(size - 1, initializer=_start_worker,
+                              initargs=(np.geterr(),))
 
-    def __init__(self, size):
-        self.size = size
-        self.lock = threading.Lock()
-        self.posted = threading.Condition(self.lock)
-        self.finished = threading.Condition(self.lock)
-        self.fn, self.todo, self.errors = None, [], []
-        self.busy, self.stop = 0, False
-        self.threads = []
 
-    def __enter__(self):
-        errstate = np.geterr()
-        try:
-            for _ in range(self.size - 1):
-                thread = threading.Thread(
-                    target=self._work, args=(errstate,), name=_THREAD_NAME,
-                    daemon=True)
-                thread.start()
-                self.threads.append(thread)
-        except BaseException:
-            self.__exit__()
-            raise
-        return self
+def _start_worker(errstate):
+    threading.current_thread().name = _THREAD_NAME
+    np.seterr(**errstate)
 
-    def __exit__(self, *exc):
-        with self.lock:
-            self.stop = True
-            self.posted.notify_all()
-        for thread in self.threads:
-            thread.join()
 
-    def _work(self, errstate):
-        with np.errstate(**errstate):
-            while True:
-                with self.lock:
-                    while not (self.todo or self.stop):
-                        self.posted.wait()
-                    if not self.todo:
-                        return
-                    fn, args = self.fn, self.todo.pop()
-                    self.busy += 1
-                try:
-                    fn(*args)
-                except BaseException as exc:
-                    self.errors.append(exc)
-                with self.lock:
-                    self.busy -= 1
-                    if not self.busy:
-                        self.finished.notify()
-
-    def run(self, fn, calls):
-        """fn(*args) for each args of calls, the first on the calling
-        thread and each other on whichever thread takes it first; returns
-        when all are done, raising the caller's exception, else the first
-        a worker raised."""
-        with self.lock:
-            self.fn, self.todo = fn, list(reversed(calls[1:]))
-            self.errors = []
-            self.posted.notify(len(self.todo))
-        try:
-            fn(*calls[0])
-            while True:
-                with self.lock:
-                    if not self.todo:
-                        break
-                    args = self.todo.pop()
+def _run_group(pool, fn, calls):
+    """fn(*args) for each args of calls, the first on the calling thread
+    and each other on a worker of pool (None for a single call), or on
+    the calling thread once it is free if no worker has started it.
+    Returns when all are done, raising the caller's exception, else the
+    first a worker raised."""
+    futures = [pool.submit(fn, *args) for args in calls[1:]]
+    try:
+        fn(*calls[0])
+        for future, args in zip(futures, calls[1:]):
+            if future.cancel():
                 fn(*args)
-        finally:
-            with self.lock:
-                self.todo = []
-                while self.busy:
-                    self.finished.wait()
-        if self.errors:
-            raise self.errors[0]
+    finally:
+        # drop the calls no worker has started, wait for the others
+        errors = [f.exception() for f in futures if not f.cancel()]
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def _outgoing(Q, disc, row, node, out):
@@ -874,10 +833,10 @@ def ader_step(state, dt, sources, ws):
     and adds it into the slab's rows of state.Q and state.w, after stage
     1 has read them and saved the outgoing waves the neighbour slabs
     need, so the step allocates nothing state-sized.  On a grid whose
-    slabs run in groups, the sweep runs each group's slabs on worker
-    threads and the calling thread under this step's np.errstate, and
-    joins the workers before the finiteness check; their exceptions are
-    raised here.  Returns state, advanced by dt; after DivergenceDetected
+    slabs run in groups, the sweep runs each group's slabs on the
+    calling thread and the workers of a thread pool, all under this
+    step's np.errstate, and joins the workers before the finiteness
+    check; their exceptions are raised here.  Returns state, advanced by dt; after DivergenceDetected
     its fields are not finite."""
     disc, fields = state.disc, (state.Q,) + state.w
     start = state.t

@@ -27,7 +27,7 @@ from elastowave.harness import presets as ps
 from elastowave.harness.config import finalize
 from elastowave.mesh import build_mesh
 from elastowave.operators import build_operators
-from elastowave.pml import resolve_tol
+from elastowave.pml import interior_box, resolve_tol
 
 _RECORDS = os.path.join(os.path.dirname(__file__), ".acceptance.jsonl")
 
@@ -243,7 +243,7 @@ def test_criterion_07_p_refinement():
     errors = []
     for P in (2, 4, 6, 8):
         cfg = ps.preset("strip2d", degree=P, tend=20.0)
-        lo, hi = cfg.interior()
+        lo, hi = interior_box(*zip(*cfg.box), cfg.pml.width_map())
         width = min(b - a for a, b in zip(lo, hi))
         cfg = finalize(replace(
             cfg,

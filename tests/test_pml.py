@@ -87,11 +87,11 @@ def strip_mesh():
 
 def test_interior_box():
     mesh = strip_mesh()
-    lo, hi = pml.interior_box(mesh, {"x": (10.0, 10.0)})
+    lo, hi = pml.interior_box(mesh.mins, mesh.maxs, {"x": (10.0, 10.0)})
     assert lo == pytest.approx([-50.0, 0.0])
     assert hi == pytest.approx([50.0, 50.0])
     with pytest.raises(InvalidExtent):
-        pml.interior_box(mesh, {"x": (70.0, 70.0)})
+        pml.interior_box(mesh.mins, mesh.maxs, {"x": (70.0, 70.0)})
 
 
 def test_build_damping_membership():
@@ -171,4 +171,5 @@ def test_build_damping_names_bad_layers(widths, match):
 
 def test_interior_box_rejects_negative_width():
     with pytest.raises(InvalidExtent, match="-10.0, 10.0 on x"):
-        pml.interior_box(strip_mesh(), {"x": (-10.0, 10.0)})
+        mesh = strip_mesh()
+        pml.interior_box(mesh.mins, mesh.maxs, {"x": (-10.0, 10.0)})

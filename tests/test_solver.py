@@ -823,16 +823,31 @@ def test_grouped_divergence_detected(monkeypatch):
     assert _solver_threads() == []
 
 
-@pytest.mark.parametrize("cores", [2, 3])
-def test_worker_exception_reaches_the_caller(monkeypatch, cores):
+@pytest.mark.parametrize("cores,caller", [
+    pytest.param(2, False, id="2"), pytest.param(3, False, id="3"),
+    pytest.param(2, True, id="2-caller"), pytest.param(3, True, id="3-caller"),
+    pytest.param(1, False, id="1-serial")])
+def test_worker_exception_reaches_the_caller(monkeypatch, cores, caller):
     # a source in the last slab of the first group raises on a worker;
-    # the step raises it, after the workers are joined
+    # the step raises it, after the workers are joined.  Where the
+    # source in the caller's slab (row 0) raises too, once a worker has
+    # run the last slab, the step raises the caller's exception.  One
+    # slab at a time (cores = 1, six slabs) no worker starts: the
+    # source in the grid's last slab raises on the calling thread
     disc = _grouped_disc(monkeypatch, cores)
-    probe, sources = _on_a_worker((2 * cores - 1, 0, 0),
-                                  error=ZeroDivisionError("slab"))
-    with pytest.raises(ZeroDivisionError, match="slab"):
+    error = ZeroDivisionError("slab")
+    if cores == 1:
+        probe = _Probe((disc.mesh.counts[0] - 1, 0, 0), error=error)
+        sources, threads = [probe], {threading.current_thread().name}
+    else:
+        probe, sources = _on_a_worker((2 * cores - 1, 0, 0), error=error)
+        threads = {solver._THREAD_NAME}
+    if caller:
+        sources[0].error = error = KeyError("caller")
+    with pytest.raises(type(error)) as raised:
         solver.run(random_state(disc), 1e-3, 1e-3, sources=sources)
-    assert probe.threads == {solver._THREAD_NAME}
+    assert raised.value is error
+    assert probe.threads == threads
     assert _solver_threads() == []
 
 
