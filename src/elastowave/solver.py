@@ -48,15 +48,15 @@ dt^k/k! u^(k) in one pass and the step adds each term once into the
 state it advances.
 
 The RHS runs one slab of element rows along the first element axis at a
-time, a few MiB of Q and w each (_SLAB_BYTES).  The y and z faces, the
-layer terms and the material map stay inside a slab; an x face between
-two slabs takes the neighbour row's outgoing wave, so the result is
-bitwise the same for any slab count.  On a grid of large slabs a stage
-runs a group of G slabs at once, one per core the process may use
-(_CORES), the first on the calling thread and the others on worker
+time, 2 MiB of Q and w each on every grid (_SLAB_BYTES).  The y and z
+faces, the layer terms and the material map stay inside a slab; an x
+face between two slabs takes the neighbour row's outgoing wave, so the
+result is bitwise the same for any slab count.  On a grid of large slabs
+a stage runs a group of G slabs at once, one per core the process may
+use (_CORES), the first on the calling thread and the others on worker
 threads, which numpy lets run in parallel as it releases the GIL inside
 its loops; a slab no worker has taken when the calling thread is free
-runs there.  A group holds the bytes of one slab.  An ADER step is one
+runs there.  A group holds the bytes of G slabs.  An ADER step is one
 sweep over the groups: at sweep j, stage k = 1..P+1 forms the Taylor
 term T_k on group j - k + 1, over T_(k-1) in each slab's buffer of a
 ring of G min(P+1, groups) slab buffers per field, injects the sources
@@ -78,12 +78,13 @@ a grid of more groups than P+1, one state-sized array and at most P+2
 groups; on a grid of at most P+1 groups the ring holds the whole grid,
 a second state's worth, and on a grid of one slab the result a Q-sized
 third.  A step starts its workers and joins them before it returns, so
-no thread outlives it.
+no thread outlives it.  Its ufunc calls, on the calling thread and the
+workers, run with buffers of _BUFSIZE doubles, which fit the L1 cache.
 """
 
 import os
 import threading
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import prod
@@ -128,7 +129,8 @@ class Discretization:
     lam_e: np.ndarray
     mu_e: np.ndarray
     dmat: tuple     # per axis: the nodal derivative D scaled by 2 / h, in
-                    # the shape _diff applies it (see _diff_matrix)
+                    # the shape _diff applies it, transposed where it
+                    # multiplies from the right (see _diff_matrix)
     z: tuple        # per axis: (dim,) + counts + (1,)*(dim-1)
     faces: tuple    # per axis: (c left, c right)
     lift: tuple     # per axis: 2 / (h * w_0)
@@ -254,17 +256,19 @@ def setup_state(disc):
                            w=tuple(np.zeros(s) for s in w))
 
 
-# Bytes of Q and its auxiliary fields per slab: a stage forms the rates
-# one slab of element rows along axis 0 at a time, and the Workspace
-# holds the Taylor terms of min(P+1, slabs) slabs (see ader_step).  4 MiB
-# takes 2 rows per slab on 14^3 elements at degree 3 with layers on every
-# axis, 6 on 12^3 without, and keeps a 2D strip of 24x10 elements one
-# slab.  Against one slab, a step took 3% longer in 2-row slabs and 16%
-# in one-row slabs on the first grid, and no longer in 6-row slabs on
-# the second (2 cores); every slab adds the numpy calls of one RHS.  A
-# grid that runs its slabs in groups (see _slab_group) takes slabs of
-# _SLAB_BYTES / _CORES, so a group holds the bytes of one slab.
-_SLAB_BYTES = 4 << 20
+# Bytes of Q and its auxiliary fields per slab, on every grid: a stage
+# forms the rates one slab of element rows along axis 0 at a time, and
+# the Workspace holds the Taylor terms of min(P+1, groups) slabs per
+# place in a group (see ader_step).  2 MiB takes one row per slab on 14^3
+# elements at degree 3 with layers on every axis (a workspace of 10.5
+# MiB, 18.7 in 2-row slabs), 3 rows on 12^3 without, and keeps a 2D strip
+# of 24x10 elements one slab.  Medians of 30 serial steps, alternated (2
+# cores): on the first grid one slab 154.5 ms, 2-row slabs 132.5 ms and
+# one-row slabs 135.2 ms (2% over 2-row slabs, where it was 12% before
+# the contiguous right-hand matrices of _diff and the L1-sized ufunc
+# buffers); on the second one slab 65.9 ms, 3-row slabs 56.9 ms, 6-row
+# slabs 61.1 ms.  Every slab adds the numpy calls of one RHS.
+_SLAB_BYTES = 2 << 20
 # The cores this process may run on, and so the slabs of a group.
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
@@ -281,28 +285,35 @@ _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 _GROUP_VALUES = 3 << 16
 # The name of the worker threads of a group's slabs.
 _THREAD_NAME = "elastowave-slab"
+# Doubles in each of numpy's ufunc buffers while a step runs (see
+# _ufunc_buffers).  numpy copies an operand that is strided, as the
+# element-axis slices of the face and layer adds are, through three
+# buffers of that many doubles: at numpy's default 8192 (64 KiB each)
+# they overflow a 48 KiB L1 data cache.  Medians of steps alternated
+# between 8192 and 1024 doubles (2 cores): hws3d at 8 elements 147.2
+# against 134.5 ms (1.09x), the 12^3 plane wave 44.6 against 44.2 ms, the
+# canonical 2D strip 3.4 against 3.1 ms.
+_BUFSIZE = 1024
 
 
-def _slab_bounds(disc, nbytes=None):
-    """The element rows of axis 0 where the slabs start and stop: as few
-    slabs as hold nbytes of Q and w at the mean bytes per row, at least
-    one row each, their heights within one row of each other.  By
-    default the step's slabs, of _SLAB_BYTES / _slab_group(disc)."""
-    if nbytes is None:
-        nbytes = _SLAB_BYTES // _slab_group(disc)
+def _slab_bounds(disc):
+    """The element rows of axis 0 where the step's slabs start and stop:
+    as few slabs as hold _SLAB_BYTES of Q and w each at the mean bytes per
+    row, at least one row each, their heights within one row of each
+    other."""
     rows = disc.mesh.counts[0]
     q, w = _field_shapes(disc)
     doubles = sum(prod(s) for s in (q, *w))
-    per = max(1, nbytes * rows // (8 * doubles))
+    per = max(1, _SLAB_BYTES * rows // (8 * doubles))
     count = -(-rows // per)
     return [rows * i // count for i in range(count + 1)]
 
 
 def _slab_group(disc):
     """How many slabs a stage runs at once, one per thread: _CORES on a
-    grid that splits into two or more slabs of _SLAB_BYTES / _CORES, each
-    of at least _GROUP_VALUES values of Q, else 1."""
-    count = len(_slab_bounds(disc, _SLAB_BYTES // _CORES)) - 1
+    grid of two or more slabs (see _slab_bounds), each of at least
+    _GROUP_VALUES values of Q, else 1."""
+    count = len(_slab_bounds(disc)) - 1
     rows = disc.mesh.counts[0]
     per_row = prod(_field_shapes(disc)[0]) // rows
     if count > 1 and rows // count * per_row >= _GROUP_VALUES:
@@ -371,19 +382,19 @@ class Workspace:
     ader_step; they die when run returns.
 
     A stage forms the rates one slab of element rows along axis 0 at a
-    time (slabs, see _slab_bounds), or on a grid of large slabs a group
-    of `group` slabs at once, on as many threads, of which any may run
-    any slab of the group.  Each place in a group has its own RHS scratch
-    and slab result, sized to the largest slab: slab s uses those of
-    place s mod group, whichever thread runs it.  The RHS scratch
-    is one buffer: the traction gather, dim rows of the slab; the two
-    fluctuation planes G left and right; the derivative, dim rows again.
-    planes is the four face planes `fluctuation` takes, from G left on:
-    its two temporaries lie over the derivative, which is not formed yet
-    when they are.  Around each damped axis -d*w lies behind the axis
-    terms' scratch: 2 dim rows on the layer's damped elements of the
-    slab.  buf holds the scratch of every place, result their slab
-    results.
+    time (slabs of _SLAB_BYTES each, see _slab_bounds), or on a grid of
+    large slabs a group of `group` such slabs at once, on as many
+    threads, of which any may run any slab of the group.  Each place in
+    a group has its own RHS scratch and slab result, sized to the
+    largest slab: slab s uses those of place s mod group, whichever
+    thread runs it.  The RHS scratch is one buffer: the traction gather,
+    dim rows of the slab; the two fluctuation planes G left and right;
+    the derivative, dim rows again.  planes is the four face planes
+    `fluctuation` takes, from G left on: its two temporaries lie over
+    the derivative, which is not formed yet when they are.  Around each
+    damped axis -d*w lies behind the axis terms' scratch: 2 dim rows on
+    the layer's damped elements of the slab.  buf holds the scratch of
+    every place, result their slab results.
 
     ring holds per field group * min(P+1, groups) flat buffers: slab s
     keeps its Taylor terms in buffer s mod len, each stage after the
@@ -474,10 +485,13 @@ _KRON_ROW = 16
 
 def _diff_matrix(D, post):
     """D as _diff applies it along a node axis with post values per node
-    after it: kron(D, I_post) on short rows (see _diff), else D."""
-    if post == 1 or len(D) * post > _KRON_ROW:
+    after it: D for the batched product from the left; on short rows (see
+    _diff) and on the last node axis, which multiply from the right, the
+    contiguous transpose of kron(D, I_post) or of D, so the BLAS library
+    runs its kernel for an untransposed right operand."""
+    if post > 1 and len(D) * post > _KRON_ROW:
         return D
-    return np.kron(D, np.eye(post))
+    return np.ascontiguousarray(np.kron(D, np.eye(post)).T)
 
 
 def _diff(arr, node_ax, D, out):
@@ -486,8 +500,8 @@ def _diff(arr, node_ax, D, out):
     node axis.  D is the nodal derivative in the shape _diff_matrix(D,
     post) gives it, and that shape picks the product: an n x n D with
     the node axis not last takes one batched matmul, D @ (n, post)
-    blocks; a kron(D, I_post) takes (rows, n post) @ D.T blocks, and
-    on the last node axis (post = 1) D.T is taken on (rows, n) blocks.
+    blocks; a stored kron(D, I_post).T takes (rows, n post) @ it, and on
+    the last node axis (post = 1) (rows, n) blocks take D.T the same way.
 
     Every product stays small.  One large product would be spread over
     the BLAS library's threads, whose workers then spin between calls
@@ -505,7 +519,7 @@ def _diff(arr, node_ax, D, out):
         k -= 1
         rows *= shape[k]
     blocks = (-1, rows, m)
-    np.matmul(arr.reshape(blocks), D.T, out=out.reshape(blocks))
+    np.matmul(arr.reshape(blocks), D, out=out.reshape(blocks))
     return out
 
 
@@ -547,10 +561,12 @@ def _sweep(ws, disc, fields, scales, into, take, sources=(), t=0.0):
     _run_group): each forms its rates, injects its sources and takes its
     term; take comes after the save, so into may be fields.  The pool
     is opened only for groups of two or more slabs and joins its
-    workers before the sweep returns or raises.  An x face
-    between two slabs takes the neighbour row's outgoing wave, so the
-    terms are bitwise the same for any slabs and groups.  The factor
-    rides the derivative matrix, the lift scalar and the layer tables."""
+    workers before the sweep returns or raises.  The sweep runs with
+    ufunc buffers of _BUFSIZE on every thread, and gives the caller its
+    own size back.  An x face between two slabs takes the neighbour
+    row's outgoing wave, so the terms are bitwise the same for any slabs
+    and groups.  The factor rides the derivative matrix (a scalar times
+    it, so contiguous as stored), the lift scalar and the layer tables."""
     slabs, size, stages = ws.slabs, ws.group, len(scales)
     count = -(-len(slabs) // size)
     terms = [[(scale * d, scale * h) for d, h in zip(disc.dmat, disc.lift)]
@@ -576,7 +592,7 @@ def _sweep(ws, disc, fields, scales, into, take, sources=(), t=0.0):
         for a, i, term in zip(into, slab.index, slab.term):
             take(a[i], term)
 
-    with _pool(size) as pool:
+    with _ufunc_buffers(), _pool(size) as pool:
         for j in range(count + stages - 1):
             for k in range(max(1, j + 2 - count), min(j + 1, stages) + 1):
                 g = j - k + 1
@@ -606,10 +622,22 @@ def _sweep(ws, disc, fields, scales, into, take, sources=(), t=0.0):
                            [(k, s, h) for s, h in zip(group, halos)])
 
 
+@contextmanager
+def _ufunc_buffers():
+    """numpy's ufunc buffers, which numpy keeps per thread, at _BUFSIZE
+    doubles; the caller's size back on exit."""
+    caller = np.setbufsize(_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(caller)
+
+
 def _pool(size):
     """size - 1 worker threads named _THREAD_NAME, each under the
-    caller's np.errstate, which numpy keeps per thread; a null context,
-    no pool, for a size of 1.  On exit the pool joins its workers."""
+    caller's np.errstate and with ufunc buffers of _BUFSIZE, both of
+    which numpy keeps per thread; a null context, no pool, for a size of
+    1.  On exit the pool joins its workers."""
     if size == 1:
         return nullcontext()
     # imported here: it loads logging, which serial grids need not hold
@@ -621,6 +649,7 @@ def _pool(size):
 def _start_worker(errstate):
     threading.current_thread().name = _THREAD_NAME
     np.seterr(**errstate)
+    np.setbufsize(_BUFSIZE)
 
 
 def _run_group(pool, fn, calls):
@@ -836,8 +865,8 @@ def ader_step(state, dt, sources, ws):
     slabs run in groups, the sweep runs each group's slabs on the
     calling thread and the workers of a thread pool, all under this
     step's np.errstate, and joins the workers before the finiteness
-    check; their exceptions are raised here.  Returns state, advanced by dt; after DivergenceDetected
-    its fields are not finite."""
+    check; their exceptions are raised here.  Returns state, advanced by
+    dt; after DivergenceDetected its fields are not finite."""
     disc, fields = state.disc, (state.Q,) + state.w
     start = state.t
     scales = [dt / k for k in range(1, disc.ops.degree + 2)]

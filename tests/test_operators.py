@@ -224,9 +224,26 @@ def test_diff_matches_einsum_on_every_node_axis(dim, n):
     # rows of n * post <= 16 values take the kron(D, I_post) product (the
     # 3D middle axis and the 2D first one up to n = 4, the 3D first one
     # at n = 2), longer ones the batched D @ (n, post) one, the last axis
-    # (rows, n) @ D.T
+    # (rows, n) @ D.T, each matrix stored as _diff_matrix gives it
     rng = np.random.default_rng(10 * dim + n)
-    D = rng.standard_normal((n, n))
+    _assert_diff_matches_einsum(rng.standard_normal((n, n)), dim, rng)
+
+
+@pytest.mark.parametrize("degree", range(1, MAX_DEGREE + 1))
+def test_diff_matches_einsum_at_every_degree(degree):
+    # the GLL derivative of every degree, in the shape _diff_matrix
+    # stores it for each node axis of 2D and 3D fields (the transpose
+    # for the products from the right)
+    D = build_operators(degree, "GLL").D
+    rng = np.random.default_rng(degree)
+    for dim in (2, 3):
+        _assert_diff_matches_einsum(D, dim, rng)
+
+
+def _assert_diff_matches_einsum(D, dim, rng):
+    """_diff with D on every node axis of a random field of 2 components
+    on 3 x 2 (x 2) elements matches np.einsum to 1e-13 relative."""
+    n = len(D)
     arr = rng.standard_normal((2,) + (3, 2, 2)[:dim] + (n,) * dim)
     letters = "abcdefgh"[:arr.ndim]
     for node_ax in range(1 + dim, arr.ndim):
