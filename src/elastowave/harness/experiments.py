@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import solver
 from ..diagnostics import (check_levels, convergence_rates, discrete_energy,
-                           linf_series, pml_error, seismogram_misfit,
+                           linf_series, pml_error,
                            PlaneWaveSpec, plane_wave_state)
 from ..errors import DivergenceDetected, ValidationError
 from ..mesh import build_mesh
@@ -374,22 +374,3 @@ def convergence_study(cfg, spacings, pad, output_dir=None, resolve=False):
         _write_csv(os.path.join(output_dir, "convergence.csv"),
                    ("h", "error", "rate"), zip(spacings, errors, rate_text))
     return errors, rates
-
-
-def abc_comparison(cfg, pad, output_dir=None):
-    """Run the layered config, its absorbing-wall companion, and an
-    enlarged reference; returns per-receiver misfits of the first two
-    against the third as {rid: (layer_misfit, wall_misfit)}."""
-    sub = (lambda tag: os.path.join(output_dir, tag)) \
-        if output_dir is not None else (lambda tag: None)
-    run_pml = run_experiment(cfg, sub("pml"))
-    run_abc = run_experiment(derive_abc(cfg), sub("abc"))
-    run_ref = run_experiment(derive_reference(cfg, pad), sub("reference"))
-    misfits = {}
-    for i, spec in enumerate(cfg.receivers):
-        t_r, v_r = run_ref.receivers[i].series()
-        t_p, v_p = run_pml.receivers[i].series()
-        t_a, v_a = run_abc.receivers[i].series()
-        misfits[spec.rid] = (seismogram_misfit(t_p, v_p, t_r, v_r),
-                             seismogram_misfit(t_a, v_a, t_r, v_r))
-    return misfits, (run_pml, run_abc, run_ref)

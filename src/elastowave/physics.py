@@ -143,18 +143,3 @@ def material_matrix(m, dim=3):
     P[np.arange(dim), np.arange(dim)] = 1.0 / m.rho
     P[dim:, dim:] = C
     return P
-
-
-def eigen_spectrum(m, axis):
-    """The 9 eigenvalues of P A_xi, ascending.
-
-    Computed from the similar symmetric matrix sqrt(P) A sqrt(P), which keeps
-    the solve well conditioned despite Pa-scale stiffness entries.
-    """
-    A = coefficient_matrix(axis, dim=3)
-    P = material_matrix(m, dim=3)
-    w, V = np.linalg.eigh(P)
-    if w.min() <= 0:
-        raise NotSPD("material matrix must be positive definite")
-    sqrtP = (V * np.sqrt(w)) @ V.T
-    return np.linalg.eigvalsh(sqrtP @ A @ sqrtP)

@@ -8,39 +8,43 @@ of the element grid whose axis xi holds the layer's low and high end,
 and only in the rows its equation touches: the velocities, then the
 traction slots of xi, shape (2 dim, E_x, .., lo + hi, .., n, n[, n]).
 
-The update makes one pass per axis.  First `fluctuation` forms the
-fluctuations of every element's two faces from one formula.  At face
-side s (-1 left, +1 right) the outgoing characteristic is
-out = (Z v - s T)/2 and the incoming one inc = (Z v + s T)/2; the
-fluctuation is G = inc - r out - tau out_nb, where out_nb is the
-neighbour's outgoing wave across the face.  At an interface
-r = (Z - Z_nb)/(Z + Z_nb) and tau = 2 Z/(Z + Z_nb); at an outer face r
-is the mesh's gamma and tau = 0.  These are the upwind hat states of
-`flux`.  As inc = Z v - out, and (1 + r)/2 = tau/2 at an interface,
-G = Z v - c (2 out + 2 out_nb) with one coefficient per face, built
-once in discretize: c = Z/(Z + Z_nb) at an interface, whose two faces
-share the sum of their outgoing waves, and (1 + gamma)/2 with
-out_nb = 0 at an outer face.  Then the derivative A dQ/dxi is one
-matmul per source (traction into the velocity rows, velocity into the
-traction slots) on a (pre, n, post) view, with 2/h folded into D:
-batched D @ (n, post) blocks, or where the rows n post are short (the
-last node axis, and the middle one up to degree 3) 2-D row blocks times
-kron(D, I_post).T.  On GLL nodes the faces are node planes 0 and n-1,
-so each fluctuation plane, scaled by one lift scalar, is added onto its
-node plane of the derivative.  A row of the result that no earlier axis
-has written takes its derivative straight (every row of the first
-axis, then the stress rows new to an axis), so no row is zero-filled;
-the others take it from scratch in contiguous adds.  The damped
-elements of an axis are a prefix and a suffix of that element axis:
-the decay -(d + alpha) w and -d w are one product each over the whole
-auxiliary field, and the adds of -d w into Q and every scatter are
-basic-slice views per layer end.  The auxiliary equations take the
-same derivative with its face terms, one slice add each, and for
-theta != 1 (theta - 1) times the face terms on their face planes.  The
-material map (1/rho on velocities, stiffness on stress rates) is
-applied once at the end, as it writes Q's rates.  The per-element
-tables are compact, so their products with face planes and rows run
-long inner loops.
+The update makes one pass per axis.  On GLL nodes the faces of an
+element along the axis are its node planes 0 and n-1, one basic slice
+of step n-1: `_face_pair` views both faces of every element as one
+array, the face axis first, and the face statements below act on such
+pairs, the left faces then the right.  First
+`fluctuation` forms the fluctuations of every element's two faces from
+one formula.  At face side s (-1 left, +1 right) the outgoing
+characteristic is out = (Z v - s T)/2 and the incoming one
+inc = (Z v + s T)/2; the fluctuation is G = inc - r out - tau out_nb,
+where out_nb is the neighbour's outgoing wave across the face.  At an
+interface r = (Z - Z_nb)/(Z + Z_nb) and tau = 2 Z/(Z + Z_nb); at an
+outer face r is the mesh's gamma and tau = 0.  These are the upwind hat
+states of `flux`.  As inc = Z v - out, and (1 + r)/2 = tau/2 at an
+interface, G = Z v - c (2 out + 2 out_nb) with one coefficient per
+face, built once in discretize as one face-pair table per axis:
+c = Z/(Z + Z_nb) at an interface, whose two faces share the sum of
+their outgoing waves, and (1 + gamma)/2 with out_nb = 0 at an outer
+face.  Then the derivative A dQ/dxi is one matmul per source (traction
+into the velocity rows, velocity into the traction slots) on a
+(pre, n, post) view, with 2/h folded into D: batched D @ (n, post)
+blocks, or where the rows n post are short (the last node axis, and
+the middle one up to degree 3) 2-D row blocks times kron(D, I_post).T.
+The fluctuation pair, scaled by one lift scalar, goes onto the face
+pair of each derivative piece in one in-place add.  A row of the
+result that no earlier axis has written takes its derivative straight
+(every row of the first axis, then the stress rows new to an axis), so
+no row is zero-filled; the others take it from scratch in contiguous
+adds.  The damped elements of an axis are a prefix and a suffix of
+that element axis: the decay -(d + alpha) w and -d w are one product
+each over the whole auxiliary field, and the adds of -d w into Q and
+every scatter are basic-slice views per layer end.  The auxiliary
+equations take the same derivative with its face terms, one slice add
+each, and for theta != 1 (theta - 1) times the face terms on their
+face pairs.  The material map (1/rho on velocities, stiffness on stress
+rates) is applied once at the end, as it writes Q's rates.  The
+per-element tables are compact, so their products with face planes and
+rows run long inner loops.
 
 An RHS takes a scale, which rides the derivative matrix, the lift
 scalar and the layer tables, so an ADER stage forms its Taylor term
@@ -107,12 +111,12 @@ class Discretization:
 
     The state has mesh.dim velocity and n_components(mesh.dim) total
     components.  Per axis, faces holds the coefficients c of the face
-    fluctuations on the left and the right faces (see
-    _face_coefficients), and lift scales a fluctuation plane onto node
-    plane 0 or n-1; the GLL weights are symmetric, so one scalar serves
-    both faces.  layers holds, per damping table, the auxiliary field's
-    shape, its decay tables and its element slices per layer end (see
-    _layer_tables).
+    fluctuations as one face-pair table, the left faces then the right
+    (see _face_coefficients and _face_pair), and lift scales the
+    fluctuation pair onto node planes 0 and n-1; the GLL weights are
+    symmetric, so one scalar serves both faces.  layers holds, per
+    damping table, the auxiliary field's shape, its decay tables and its
+    element slices per layer end (see _layer_tables).
 
     The per-element tables (rho_e, lam_e, mu_e, z, faces) are compact:
     every element axis along which one is constant has length 1 (see
@@ -132,7 +136,8 @@ class Discretization:
                     # the shape _diff applies it, transposed where it
                     # multiplies from the right (see _diff_matrix)
     z: tuple        # per axis: (dim,) + counts + (1,)*(dim-1)
-    faces: tuple    # per axis: (c left, c right)
+    faces: tuple    # per axis: (2, dim) + counts + (1,)*(dim-1), c on
+                    # the left then the right faces
     lift: tuple     # per axis: 2 / (h * w_0)
     slots: tuple    # per axis traction component slots in the state vector
     layers: tuple   # parallel to damping: see _layer_tables
@@ -171,18 +176,18 @@ def _layer_ends(lo, hi, count, ax):
 
 def _face_coefficients(z, ax, gamma_lo, gamma_hi):
     """c of G = Z v - c (2 out + 2 out_nb) (see the module docstring) on
-    face planes of z's shape, at every element's left and right face:
-    Z / (Z + Z_nb) at the interfaces, (1 + gamma) / 2 per wave family at
-    the outer faces."""
+    face pairs of (2,) plus z's shape, at every element's left and right
+    face: Z / (Z + Z_nb) at the interfaces, (1 + gamma) / 2 per wave
+    family at the outer faces."""
     lo, hi = _at(slice(None, -1), 1 + ax), _at(slice(1, None), 1 + ax)
     den = z[lo] + z[hi]
-    c_l, c_r = np.empty(z.shape), np.empty(z.shape)
+    c_l, c_r = c = np.empty((2,) + z.shape)
     c_l[hi] = z[hi] / den
     c_r[lo] = z[lo] / den
     fam = (len(z),) + (1,) * (z.ndim - 1)
     c_l[_at(slice(0, 1), 1 + ax)] = (1.0 + gamma_lo.reshape(fam)) / 2
     c_r[_at(slice(-1, None), 1 + ax)] = (1.0 + gamma_hi.reshape(fam)) / 2
-    return c_l, c_r
+    return c
 
 
 def _compact(table, axes):
@@ -214,9 +219,9 @@ def discretize(mesh, ops, theta=1.0, damping=()):
     for ax, name in enumerate(axes_of(dim)):
         zax = np.stack([zp if f == ax else zs for f in range(dim)])
         zax = zax.reshape((dim,) + mesh.counts + (1,) * (dim - 1))
-        faces.append(tuple(
-            _compact(c, elems) for c in _face_coefficients(
-                zax, ax, mesh.gamma[(name, -1)], mesh.gamma[(name, 1)])))
+        faces.append(_compact(_face_coefficients(
+            zax, ax, mesh.gamma[(name, -1)], mesh.gamma[(name, 1)]),
+            range(2, 2 + dim)))
         z.append(_compact(zax, elems))
         lift.append(2.0 / mesh.spacings[ax] / ops.rule.weights[0])
         dmat.append(_diff_matrix(ops.D * (2.0 / mesh.spacings[ax]),
@@ -352,7 +357,7 @@ def _restrict(disc, start, stop):
     return replace(
         disc, rho_e=cut(disc.rho_e, 0), lam_e=cut(disc.lam_e, 0),
         mu_e=cut(disc.mu_e, 0), z=tuple(cut(z, 1) for z in disc.z),
-        faces=tuple(tuple(cut(c, 1) for c in f) for f in disc.faces),
+        faces=tuple(cut(c, 2) for c in disc.faces),
         layers=tuple(layers)), tuple(_at(r, 1) for r in rows)
 
 
@@ -388,10 +393,11 @@ class Workspace:
     a group has its own RHS scratch and slab result, sized to the
     largest slab: slab s uses those of place s mod group, whichever
     thread runs it.  The RHS scratch is one buffer: the traction gather,
-    dim rows of the slab; the two fluctuation planes G left and right;
-    the derivative, dim rows again.  planes is the four face planes
-    `fluctuation` takes, from G left on: its two temporaries lie over
-    the derivative, which is not formed yet when they are.  Around each
+    dim rows of the slab; the fluctuation pair G, one (2, dim, rows, ..)
+    face-pair array of the left and the right faces (see _face_pair);
+    the derivative, dim rows again.  planes is the two face-pair arrays
+    `fluctuation` takes, G and the pair of outgoing waves 2 out, which
+    lies over the derivative, not formed yet when it is.  Around each
     damped axis -d*w lies behind the axis terms' scratch: 2 dim rows on
     the layer's damped elements of the slab.  buf holds the scratch of
     every place, result their slab results.
@@ -451,7 +457,7 @@ class Workspace:
                 start, stop, index, sub,
                 _view(self.result[own * rates:], shapes[0]),
                 buf[:rows].reshape(plane + (n,)),
-                buf[rows:rows + 4 * size].reshape((4,) + plane),
+                buf[rows:rows + 4 * size].reshape((2, 2) + plane),
                 buf[rows + 2 * size:terms].reshape(plane + (n,)),
                 buf[terms:],
                 tuple(_view(r[s % len(r)], shape)
@@ -739,7 +745,7 @@ def _axis_terms(Q, ax, slab, dmat, lift, halo, dws=None, ends=()):
     dws[dim:].  Each row of the result that no earlier axis has written
     (every row, on the first axis) takes its derivative straight, the
     others add it from the scratch; the velocity rows go as one block,
-    the slots one row at a time.  The gather, derivative and face planes
+    the slots one row at a time.  The gather, derivative and face pairs
     are the slab's scratch, which the next axis overwrites; halo goes to
     `fluctuation`."""
     disc, total = slab.disc, slab.out
@@ -750,15 +756,12 @@ def _axis_terms(Q, ax, slab, dmat, lift, halo, dws=None, ends=()):
         row[...] = Q[slot]
     # -H^-1 e F with F = (G; side a^T G / Z), side -1 on the left face:
     # -lift G onto the velocity rows, -side lift G / Z onto the slots.
-    # g holds the face terms of the rows at hand: -lift G, then for the
-    # slots lift G / Z on the left and -lift G / Z on the right.
-    g_l, g_r = fluctuation(v, t, ax, disc, slab.planes, halo)
-    g_l *= -lift
-    g_r *= -lift
-    left, right = _at(0, node_ax), _at(-1, node_ax)
-    # A dQ/dxi with the face terms added on its node planes 0 and n-1:
-    # traction into the velocity rows, velocity into the slots.  Each
-    # piece is m rows from row i of src, g and the half w_rows of dws, and
+    # g holds the face terms of the rows at hand, left then right: -lift
+    # G, then for the slots lift G / Z and -lift G / Z.
+    g = fluctuation(v, t, ax, disc, slab.planes, halo)
+    g *= -lift
+    # A dQ/dxi with the face terms added on its face pair.  Each piece
+    # is m rows from row i of src, g and the half w_rows of dws, and
     # from row r of total, with whether an earlier axis has written them:
     # the first axis writes the velocity rows, and slot i of axis ax, the
     # stress of axes ax and i, is written first by axis min(ax, i).
@@ -766,16 +769,16 @@ def _axis_terms(Q, ax, slab, dmat, lift, halo, dws=None, ends=()):
         if src is t:
             pieces = ((0, 0, dim, ax > 0),)
         else:               # the velocity rows are done with G
-            g_l /= -disc.z[ax]
-            g_r /= disc.z[ax]
+            g /= disc.z[ax]
+            np.negative(g[0], out=g[0])
             pieces = tuple((i, r, 1, i < ax)
                            for i, r in enumerate(disc.slots[ax]))
         for i, r, m, added in pieces:
             dest = total[r:r + m]
             der = _view(slab.der, dest.shape) if added else dest
             _diff(src[i:i + m], node_ax, dmat, der)
-            der[left] += g_l[i:i + m]
-            der[right] += g_r[i:i + m]
+            faces = _face_pair(der, node_ax)
+            faces += g[:, i:i + m]
             if added:
                 dest += der
             w = w_rows.start + i
@@ -785,33 +788,46 @@ def _axis_terms(Q, ax, slab, dmat, lift, halo, dws=None, ends=()):
             continue
         # the auxiliary fields take theta times the face terms: add
         # (theta - 1) times them, formed in the spent traction gather
-        for node, g in ((left, g_l), (right, g_r)):
-            for q_el, w_el in ends:
-                f = np.multiply(g[q_el], disc.theta - 1.0,
-                                out=_view(slab.gather, g[q_el].shape))
-                dws[w_el][node][w_rows] += f
+        f = np.multiply(g, disc.theta - 1.0, out=_view(slab.gather, g.shape))
+        for q_el, w_el in ends:
+            faces = _face_pair(dws[w_el], node_ax)
+            faces[:, w_rows] += f[(slice(None),) + q_el]
+
+
+def _face_pair(a, axis):
+    """Node planes 0 and n-1 of axis `axis` of a, the two faces of every
+    element on GLL nodes, as one view with that axis first: (2,) plus
+    a's other axes."""
+    n = a.shape[axis]
+    return a[_at(slice(0, n, n - 1), axis)].transpose(_FIRST[a.ndim, axis])
+
+
+# Per rank up to 7, that of Q on a 3D grid, and axis: the axes of an
+# array of that rank with that axis first, the others in order.  Looked
+# up, as building the tuple on each call of _face_pair costs 4x more.
+_FIRST = {(rank, ax): (ax, *range(ax), *range(ax + 1, rank))
+          for rank in range(8) for ax in range(rank)}
 
 
 def fluctuation(v, t, ax, disc, planes, halo):
     """The face pass of axis ax: G = Z v - c (2 out + 2 out_nb) on the
-    left (node 0) and right (node n-1) face planes of every element, with
-    out_nb = 0 at the outer faces, from the velocities v and the tractions
-    t of that axis.  planes holds four face-plane buffers: G left and
-    right, then 2 out left and right, temporaries that may lie over any
+    face pair (see _face_pair) of every element, left then right, with
+    out_nb = 0 at the outer faces, from the velocities v and the
+    tractions t of that axis.  planes holds two face-pair buffers: G,
+    which is returned, then 2 out, a temporary that may lie over any
     scratch the caller has not filled yet (the derivative, in
-    _axis_terms); the two G planes are returned.  The coefficient tables
-    broadcast over the face nodes (see _compact).  On axis 0, v and t may
-    be a slab of element rows.  halo holds 2 out of the neighbour rows
-    across the left and right faces of axis 0, None where the face is the
-    grid's, as on every other axis (see _outgoing)."""
+    _axis_terms).  The coefficient table broadcasts over the face nodes
+    (see _compact).  On axis 0, v and t may be a slab of element rows.
+    halo holds 2 out of the neighbour rows across the left and right
+    faces of axis 0, None where the face is the grid's, as on every
+    other axis (see _outgoing)."""
     node_ax = 1 + disc.mesh.dim + ax
-    g_l, g_r, out_l, out_r = planes
+    g, out = planes
+    np.multiply(disc.z[ax], _face_pair(v, node_ax), out=g)
     # 2 out = Z v - side T: Z v + T on the left, Z v - T on the right
-    for node, g, out, z_v_t in ((0, g_l, out_l, np.add),
-                                (-1, g_r, out_r, np.subtract)):
-        face = _at(node, node_ax)
-        np.multiply(disc.z[ax], v[face], out=g)
-        z_v_t(g, t[face], out=out)
+    (t_l, t_r), (out_l, out_r) = _face_pair(t, node_ax), out
+    np.add(g[0], t_l, out=out_l)
+    np.subtract(g[1], t_r, out=out_r)
     # both faces of an interface take the sum of its two outgoing waves
     lo, hi = _at(slice(None, -1), 1 + ax), _at(slice(1, None), 1 + ax)
     prev, nxt = halo
@@ -821,9 +837,8 @@ def fluctuation(v, t, ax, disc, planes, halo):
     out_r[lo] = out_l[hi]
     if nxt is not None:
         out_r[:, -1:] += nxt
-    for g, c, out in zip((g_l, g_r), disc.faces[ax], (out_l, out_r)):
-        g -= np.multiply(c, out, out=out)
-    return g_l, g_r
+    g -= np.multiply(disc.faces[ax], out, out=out)
+    return g
 
 
 # Truncated-Taylor stepping is only conditionally stable against stiff

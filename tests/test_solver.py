@@ -4,19 +4,20 @@ import sys
 import threading
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from elastowave import flux as fl
 from elastowave import solver
 from elastowave.errors import DivergenceDetected, UnsupportedDegree
 from elastowave.harness import experiments as xp
 from elastowave.harness import presets as ps
 from elastowave.harness.config import finalize
 from elastowave.mesh import build_mesh
-from elastowave.operators import build_operators
+from elastowave.operators import MAX_DEGREE, build_operators
 from elastowave.physics import material_from_speeds
 from elastowave.pml import build_damping
 from elastowave.sources import GaussianSTF, MomentTensorSource, Receiver
@@ -250,13 +251,11 @@ def test_rhs_peak_allocation(widths):
     assert peak * st.Q.nbytes <= bound
 
 
-# the ids name the bounds the test was written with; they have since
-# tightened
 @pytest.mark.parametrize("widths,bound,rows", [
-    pytest.param(PEAK_WIDTHS[0], 2.9, None, id="None-3.1"),
-    pytest.param(PEAK_WIDTHS[1], 3.45, None, id="widths1-3.7"),
-    pytest.param(PEAK_WIDTHS[1], 1.6, 1, id="widths1-1.95-slabs"),
-    pytest.param(PEAK_WIDTHS[0], 1.2, 1, id="None-1.3-slabs")])
+    pytest.param(PEAK_WIDTHS[0], 2.9, None, id="serial"),
+    pytest.param(PEAK_WIDTHS[1], 3.45, None, id="layered"),
+    pytest.param(PEAK_WIDTHS[1], 1.6, 1, id="layered-slabs"),
+    pytest.param(PEAK_WIDTHS[0], 1.2, 1, id="serial-slabs")])
 def test_step_peak_allocation(monkeypatch, widths, bound, rows):
     # a new workspace and one step through it: as one slab, the ring of
     # one buffer per field (1 + 0.33 states with layers), the slab's
@@ -608,6 +607,155 @@ def test_step_forms_no_kron(monkeypatch):
     solver.ader_step(st, 1e-3, (), ws)
     assert calls == []
     assert solver._diff_matrix(disc.ops.D, 4).shape == (16, 16)
+
+
+@pytest.mark.parametrize("degree", [1, MAX_DEGREE])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_face_pair_is_a_view_of_both_faces(dim, degree):
+    # on every node axis, node planes 0 and n-1 as one view, the face
+    # axis first; at degree 1 that is the whole axis
+    n = degree + 1
+    shape = (2 * dim,) + (3, 2, 4)[:dim] + (n,) * dim
+    a = np.random.default_rng(degree).standard_normal(shape)
+    for node_ax in range(1 + dim, 1 + 2 * dim):
+        pair = solver._face_pair(a, node_ax)
+        want = np.stack([a.take(0, node_ax), a.take(n - 1, node_ax)])
+        assert np.array_equal(pair, want)
+        assert np.shares_memory(pair, a)
+
+
+GAMMA_KINDS = {"absorbing": 0.0, "free": 1.0, "clamped": -1.0,
+               "per-family": None}
+
+
+def _flux_fluctuations(Q, disc, ax):
+    """G on the left and right face planes of every element of axis ax,
+    from the hat states and the fluctuation of `flux`, face by face."""
+    mesh, dim = disc.mesh, disc.mesh.dim
+    node_ax, name = 1 + dim + ax, "xyz"[ax]
+    v, t = Q[:dim], Q[disc.slots[ax]]
+    z = np.broadcast_to(disc.z[ax], (dim,) + mesh.counts + (1,) * (dim - 1))
+    (v_l, v_r), (t_l, t_r) = ((a.take(0, node_ax), a.take(-1, node_ax))
+                              for a in (v, t))
+    fam = (dim,) + (1,) * (2 * dim - 1)
+    first, last, lo, hi = (solver._at(k, 1 + ax) for k in (
+        slice(0, 1), slice(-1, None), slice(None, -1), slice(1, None)))
+    g_l, g_r = np.empty(v_l.shape), np.empty(v_r.shape)
+    for g, face, vs, ts, side in ((g_l, first, v_l, t_l, -1),
+                                  (g_r, last, v_r, t_r, 1)):
+        gamma = mesh.gamma[(name, side)].reshape(fam)
+        hat = fl.hat_boundary(vs[face], ts[face], z[face], gamma, side)
+        g[face] = fl.fluctuation(vs[face], ts[face], *hat, z[face], side)
+    hat = fl.hat_interface(v_r[lo], t_r[lo], z[lo], v_l[hi], t_l[hi], z[hi])
+    g_r[lo] = fl.fluctuation(v_r[lo], t_r[lo], *hat, z[lo], 1)
+    g_l[hi] = fl.fluctuation(v_l[hi], t_l[hi], *hat, z[hi], -1)
+    return g_l, g_r
+
+
+@pytest.mark.parametrize("kind", GAMMA_KINDS)
+@pytest.mark.parametrize("dim,counts", [(2, (5, 4)), (3, (5, 3, 4))])
+def test_fluctuation_pair_matches_flux(dim, counts, kind):
+    # the G pair of each axis on a slab of rows 1:4, with the outgoing
+    # waves of rows 0 and 4 across its faces on axis 0, equals face by
+    # face the hat states and fluctuation of flux on the whole grid;
+    # impedances jump across every face
+    gamma = GAMMA_KINDS[kind]
+    if gamma is None:
+        gamma = GAMMA_ALL_2D if dim == 2 else GAMMA_ALL_3D
+    else:
+        gamma = {(ax, side): gamma for ax in "xyz"[:dim] for side in (-1, 1)}
+    disc = make_disc(dim=dim, counts=counts, degree=3, gamma=gamma,
+                     layered="mixed")
+    Q = random_state(disc, seed=5).Q
+    start, stop = 1, 4
+    sub, (rows,) = solver._restrict(disc, start, stop)
+    face = counts[1:] + (disc.ops.n_nodes,) * (dim - 1)
+    halo = tuple(solver._outgoing(Q, disc, row, node,
+                                  np.empty((dim, 1) + face))
+                 for row, node in ((start - 1, -1), (stop, 0)))
+    for ax in range(dim):
+        want = _flux_fluctuations(Q, disc, ax)
+        q = Q[rows]
+        plane = (dim, stop - start) + face
+        g = solver.fluctuation(q[:dim], q[disc.slots[ax]], ax, sub,
+                               np.empty((2, 2) + plane),
+                               halo if ax == 0 else (None, None))
+        assert g.shape == (2,) + plane
+        for got, table in zip(g, want, strict=True):
+            table = table[:, start:stop]
+            scale = np.abs(table).max()
+            np.testing.assert_allclose(got, table, rtol=0, atol=1e-13 * scale)
+
+
+class _Tally(np.ndarray):
+    """An array that counts the numpy calls made on it: each ufunc call
+    (products, in-place arithmetic, reductions) and each item
+    assignment."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        _Tally.calls += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, _Tally) else x
+                  for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, _Tally)
+                                  else o for o in out)
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(_Tally) if isinstance(result, np.ndarray) \
+            else result
+
+    def __setitem__(self, index, value):
+        _Tally.calls += 1
+        super().__setitem__(index, value)
+
+
+def _tallied(x):
+    """x with every array in it, through tuples and the fields of a
+    Discretization or a _Slab, viewed as a _Tally."""
+    if isinstance(x, np.ndarray):
+        return x.view(_Tally)
+    if isinstance(x, tuple):
+        return tuple(_tallied(y) for y in x)
+    if isinstance(x, (solver.Discretization, solver._Slab)):
+        return replace(x, **{f.name: _tallied(getattr(x, f.name))
+                             for f in fields(x)})
+    return x
+
+
+@pytest.mark.parametrize("dim,counts,widths,rows,slab,bound", [
+    pytest.param(2, (6, 3), {"x": (2.5, 2.5)}, None, 0, 80, id="strip"),
+    pytest.param(3, (5, 3, 4), _every_axis(3), 1, 2, 165, id="3d-middle"),
+    pytest.param(3, (5, 3, 4), _every_axis(3), 1, 0, 180, id="3d-end")])
+def test_slab_rhs_numpy_calls(monkeypatch, dim, counts, widths, rows, slab,
+                              bound):
+    # the numpy calls of one slab's rates, every table, field and buffer
+    # counting the calls made on it: a layered 2D strip as one slab, and
+    # a middle and an end slab of one element row on a 3D grid with
+    # layers on every axis.  One face pair per axis took the counts from
+    # 104 / 210 / 224 (a left and a right face plane per statement) to 76
+    # / 159 / 173
+    disc = make_disc(dim=dim, counts=counts, degree=3, widths=widths,
+                     layered=True)
+    if rows:
+        _slab_rows(monkeypatch, disc, rows)
+    ws = solver.Workspace(disc)
+    one = _tallied(ws.slabs[slab])
+    st = random_state(disc)
+    q, *w = (_tallied(a[i]) for a, i in zip((st.Q, *st.w), one.index))
+    halo = [None, None]
+    if slab > 0:
+        halo[0] = _tallied(ws.halo[0])
+    if slab + 1 < len(ws.slabs):
+        halo[1] = _tallied(ws.halo[1])
+    terms = _tallied(tuple((0.1 * d, 0.1 * h)
+                           for d, h in zip(disc.dmat, disc.lift)))
+    dq, *dw = one.term
+    _Tally.calls = 0
+    solver._slab_rhs(q, w, one, 0.1, terms, halo, dq, dw)
+    assert 0 < _Tally.calls <= bound
 
 
 @pytest.mark.parametrize("dim", [2, 3])
