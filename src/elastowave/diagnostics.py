@@ -295,19 +295,3 @@ def pml_error(run, reference):
         mag = np.sqrt((diff ** 2).sum(axis=0))
         worst = max(worst, float(np.where(keep, mag, 0.0).max()))
     return worst
-
-
-def seismogram_misfit(times_a, vals_a, times_b, vals_b):
-    """Relative L2 misfit between two series; b is interpolated onto the
-    sample times of a."""
-    vals_a = np.atleast_2d(np.asarray(vals_a, dtype=float).T).T
-    vals_b = np.atleast_2d(np.asarray(vals_b, dtype=float).T).T
-    interp = np.column_stack([
-        np.interp(times_a, times_b, vals_b[:, k])
-        for k in range(vals_b.shape[1])])
-    num = np.sqrt(((vals_a - interp) ** 2).sum())
-    den = np.sqrt((interp ** 2).sum())
-    if den == 0.0:
-        raise DegenerateError("reference seismogram is identically zero")
-    return float(num / den)
-

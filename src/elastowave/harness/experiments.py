@@ -325,12 +325,6 @@ def derive_reference(cfg, pad):
                                    f" moved out by {pad:g} m")
 
 
-def derive_abc(cfg):
-    """Layer-free companion on the bare interior box."""
-    return _strip_layers(cfg, 0.0,
-                         "absorbing-wall companion, layers removed")
-
-
 # snapshot interval of every run of a convergence study, s; the error
 # of a level is the worst over its snapshots
 _STUDY_SNAPSHOT_INTERVAL = 0.5

@@ -89,12 +89,17 @@ def isotropic_stiffness(lam, mu):
 
 @dataclass(frozen=True)
 class MaterialModel:
-    """Isotropic medium: density, 6x6 stiffness and its Lame pair."""
+    """Isotropic medium: density and Lame pair, the 6x6 stiffness C
+    derived from them.  Only scalars are stored, so two models compare
+    and hash by value."""
 
     rho: float
-    C: np.ndarray
     lam: float
     mu: float
+
+    @property
+    def C(self):
+        return isotropic_stiffness(self.lam, self.mu)
 
     @property
     def cp(self):
@@ -125,8 +130,8 @@ def voigt(M, dim):
 def material_from_lame(rho, lam, mu):
     if rho <= 0:
         raise InvalidLame(f"density must be positive, got {rho}")
-    C = isotropic_stiffness(lam, mu)
-    return MaterialModel(rho=float(rho), C=C, lam=float(lam), mu=float(mu))
+    isotropic_stiffness(lam, mu)     # raises InvalidLame or NotSPD
+    return MaterialModel(rho=float(rho), lam=float(lam), mu=float(mu))
 
 
 def material_from_speeds(rho, cp, cs):

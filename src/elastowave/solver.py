@@ -73,17 +73,18 @@ formed before any of its slabs writes.  So each slab sees the inputs a
 whole-grid stage would give it, and the terms are bitwise the same for
 any grouping.  `run` builds one Workspace and hands it to every
 `ader_step`; it dies when run returns.  It holds per place in a group
-the RHS scratch of the largest slab and a slab result of Q's rates,
-whose bools the finiteness check borrows (slab s uses those of place
-s mod G, whichever thread runs it), and the ring.  Every kernel writes
-into buffers its caller passes, so a step allocates nothing
-state-sized.  A run holds the state, the ring and the slab results: on
-a grid of more groups than P+1, one state-sized array and at most P+2
-groups; on a grid of at most P+1 groups the ring holds the whole grid,
-a second state's worth, and on a grid of one slab the result a Q-sized
-third.  A step starts its workers and joins them before it returns, so
-no thread outlives it.  Its ufunc calls, on the calling thread and the
-workers, run with buffers of _BUFSIZE doubles, which fit the L1 cache.
+the RHS scratch of the largest slab and a slab result of Q's rates
+(slab s uses those of place s mod G, whichever thread runs it), and the
+ring.  Every kernel writes into buffers its caller passes, so a step
+allocates nothing state-sized.  A run holds the state, the ring and the
+slab results: on a grid of more groups than P+1, one state-sized array
+and at most P+2 groups; on a grid of at most P+1 groups the ring holds
+the whole grid, a second state's worth, and on a grid of one slab the
+result a Q-sized third.  A step starts its workers and joins them
+before it returns, so no thread outlives it.  Its ufunc calls, on the
+calling thread and the workers, run with buffers of _BUFSIZE doubles,
+which fit the L1 cache.  After the sweep each field is checked whole,
+by its minimum and maximum, for a value that is not finite.
 """
 
 import os
@@ -92,7 +93,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import prod
-from operator import mul
+from operator import iadd, mul
 
 import numpy as np
 
@@ -413,9 +414,7 @@ class Workspace:
     holds face planes of one row of elements, the outgoing waves across
     slab faces on axis 0: per stage those of the last rows of the two
     latest groups, then those of the slabs on both sides of each face
-    from a group's first slab to the next group's first.  Between steps
-    result is idle, and the finiteness check, slab by slab, writes its
-    bools there: no field's slab holds more values than Q's."""
+    from a group's first slab to the next group's first."""
 
     def __init__(self, disc):
         dim, n = disc.mesh.dim, disc.ops.n_nodes
@@ -541,10 +540,6 @@ def _rhs(Q, w, disc, out, ws, scale):
     scratch comes from ws, a Workspace for disc."""
     _sweep(ws, disc, (Q, *w), (scale,), (out[0], *out[1]), np.copyto)
     return out
-
-
-def _add(dst, term):
-    dst += term
 
 
 def _sweep(ws, disc, fields, scales, into, take, sources=(), t=0.0):
@@ -879,21 +874,20 @@ def ader_step(state, dt, sources, ws):
     need, so the step allocates nothing state-sized.  On a grid whose
     slabs run in groups, the sweep runs each group's slabs on the
     calling thread and the workers of a thread pool, all under this
-    step's np.errstate, and joins the workers before the finiteness
-    check; their exceptions are raised here.  Returns state, advanced by
-    dt; after DivergenceDetected its fields are not finite."""
+    step's np.errstate, and joins the workers before it returns; their
+    exceptions are raised here.  Then each field is checked whole by its
+    minimum and maximum, both finite unless it holds a NaN (which both
+    carry), +inf or -inf; neither reduction allocates.  Returns state,
+    advanced by dt; after DivergenceDetected its fields are not finite."""
     disc, fields = state.disc, (state.Q,) + state.w
     start = state.t
     scales = [dt / k for k in range(1, disc.ops.degree + 2)]
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        _sweep(ws, disc, fields, scales, fields, _add, sources, start)
+        _sweep(ws, disc, fields, scales, fields, iadd, sources, start)
     state.t += dt
-    for pos, (a, tab) in enumerate(zip(fields, (None,) + disc.damping)):
-        for slab in ws.slabs:
-            part = a[slab.index[pos]]
-            finite = _view(ws.result.view(bool), part.shape)
-            if not np.isfinite(part, out=finite).all():
-                raise DivergenceDetected(_blow_up(state, start, a, tab))
+    for a, tab in zip(fields, (None,) + disc.damping):
+        if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            raise DivergenceDetected(_blow_up(state, start, a, tab))
     return state
 
 

@@ -21,8 +21,7 @@ from elastowave import flux as fl
 from elastowave import physics as ph
 from elastowave import solver
 from elastowave.diagnostics import (PlaneWaveSpec, discrete_energy,
-                                    plane_wave_state, pml_error,
-                                    seismogram_misfit)
+                                    plane_wave_state, pml_error)
 from elastowave.harness import experiments as xp
 from elastowave.harness import presets as ps
 from elastowave.harness.config import finalize
@@ -30,6 +29,8 @@ from elastowave.mesh import build_mesh
 from elastowave.operators import build_operators
 from elastowave.pml import interior_box, resolve_tol
 
+from test_diagnostics import seismogram_misfit
+from test_harness import derive_abc
 from test_physics import eigen_spectrum
 
 _RECORDS = os.path.join(os.path.dirname(__file__), ".acceptance.jsonl")
@@ -305,7 +306,7 @@ def _abc_comparison(cfg, pad):
     enlarged reference; returns per-receiver misfits of the first two
     against the third as {rid: (layer_misfit, wall_misfit)}."""
     run_pml = xp.run_experiment(cfg)
-    run_abc = xp.run_experiment(xp.derive_abc(cfg))
+    run_abc = xp.run_experiment(derive_abc(cfg))
     run_ref = xp.run_experiment(xp.derive_reference(cfg, pad))
     misfits = {}
     for i, spec in enumerate(cfg.receivers):

@@ -934,6 +934,16 @@ def test_unknown_preset():
         ps.preset("maxwell")
 
 
+@pytest.mark.parametrize("name", ps.PRESET_NAMES)
+def test_preset_builds_compare_and_hash_by_value(name):
+    # a material that stored its stiffness array made == raise ValueError
+    # and hash() TypeError
+    cfg, again = ps.preset(name), ps.preset(name)
+    assert cfg == again and hash(cfg) == hash(again)
+    assert hash(cfg.materials[0]) == hash(again.materials[0])
+    assert cfg != replace(cfg, degree=cfg.degree + 1)
+
+
 @pytest.mark.parametrize("name", ["strip2d", "hws3d", "planewave"])
 def test_preset_rejects_empty_element_count(name):
     # strip2d divided by zero and planewave silently fell back to 16
@@ -1274,9 +1284,15 @@ def test_derive_reference_geometry():
     assert ref.box == ((-6 * KM, 16 * KM),) * 3
 
 
+def derive_abc(cfg):
+    """Layer-free companion on the bare interior box."""
+    return xp._strip_layers(cfg, 0.0,
+                            "absorbing-wall companion, layers removed")
+
+
 def test_derive_abc_geometry():
     cfg = ps.preset("halfplane2d")
-    abc = xp.derive_abc(cfg)
+    abc = derive_abc(cfg)
     assert abc.box == ((-50 * KM, 50 * KM), (0.0, 50 * KM))
     assert not abc.pml.enabled
     bm = abc.boundary_map()

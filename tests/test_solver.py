@@ -19,7 +19,7 @@ from elastowave.harness.config import finalize
 from elastowave.mesh import build_mesh
 from elastowave.operators import MAX_DEGREE, build_operators
 from elastowave.physics import material_from_speeds
-from elastowave.pml import build_damping
+from elastowave.pml import AxisDamping, build_damping
 from elastowave.sources import GaussianSTF, MomentTensorSource, Receiver
 
 import rhs_oracle
@@ -257,25 +257,24 @@ def test_rhs_peak_allocation(widths):
     pytest.param(PEAK_WIDTHS[1], 1.6, 1, id="layered-slabs"),
     pytest.param(PEAK_WIDTHS[0], 1.2, 1, id="serial-slabs")])
 def test_step_peak_allocation(monkeypatch, widths, bound, rows):
-    # a new workspace and one step through it: as one slab, the ring of
-    # one buffer per field (1 + 0.33 states with layers), the slab's
-    # result of Q's rates (1 state), whose bools the finiteness check
-    # borrows, the RHS scratch (the traction gather and derivative, 1/3
-    # state each, one face plane and -d*w) and the ufunc buffers measure
-    # 2.88 / 3.44 states, 3.05 / 3.61 under numpy's default ufunc
-    # buffers of 8192 doubles.  A state-sized stage result and three halo
-    # planes measured 3.08 / 3.64, the auxiliary rates in the slab result,
-    # a bool buffer of its own and the x layer tables copied per slab
-    # 3.21 / 3.95, two ping-pong stage results 3.21 / 3.87, a new state
+    # a new workspace and one step through it: as one slab, the ring of one
+    # buffer per field (1 + 0.33 states with layers), the slab's result of
+    # Q's rates (1 state), the RHS scratch (the traction gather and
+    # derivative, 1/3 state each, one face plane and -d*w) and the ufunc
+    # buffers measure 2.88 / 3.44 states, 3.05 / 3.61 under numpy's default
+    # ufunc buffers of 8192 doubles.  A state-sized stage result and three
+    # halo planes measured 3.08 / 3.64, the auxiliary rates in the slab
+    # result, a bool buffer of its own and the x layer tables copied per
+    # slab 3.21 / 3.95, two ping-pong stage results 3.21 / 3.87, a new state
     # for the sum 4.16 / 5.16, all nc rows in w (0.5 states) on top of it
     # 5.4, and a state-sized coef * term per stage on top of a fresh RHS
-    # 6.4 / 7.7.  In slabs of one element row, more slabs (6) than P+1,
-    # the ring holds the terms of four slabs (0.96 states with layers, of
-    # which the x layer's 0.22, its field of one damped row per end), and
-    # a slab's result and scratch: 1.59 / 1.17 states (1.66 / 1.24 under
-    # the default ufunc buffers).  Four buffers of each field's largest
-    # slab (the x layer's 0.44, twice its field) measured 1.88 / 1.24, a
-    # state-sized stage result 1.94 / 1.49
+    # 6.4 / 7.7.  In slabs of one element row, more slabs (6) than P+1, the
+    # ring holds the terms of four slabs (0.96 states with layers, of which
+    # the x layer's 0.22, its field of one damped row per end), and a slab's
+    # result and scratch: 1.59 / 1.17 states (1.66 / 1.24 under the default
+    # ufunc buffers).  Four buffers of each field's largest slab (the x
+    # layer's 0.44, twice its field) measured 1.88 / 1.24, a state-sized
+    # stage result 1.94 / 1.49
     disc = make_disc(dim=3, counts=(6, 6, 6), degree=3, widths=widths)
     if rows:
         _slab_rows(monkeypatch, disc, rows)
@@ -298,16 +297,16 @@ def _assert_bitwise(got, want):
 
 
 def _poison(ws):
-    """Every workspace buffer filled with NaN, the bool one with False.
-    The slab records are skipped: their scratch and results are views of
-    these buffers, and their tables are the discretization's."""
+    """Every workspace buffer filled with NaN.  The slab records are
+    skipped: their scratch and results are views of these buffers, and
+    their tables are the discretization's."""
     stack = list(vars(ws).values())
     while stack:
         a = stack.pop()
         if isinstance(a, tuple):
             stack.extend(a)
         elif isinstance(a, np.ndarray):
-            a.fill(False if a.dtype == bool else np.nan)
+            a.fill(np.nan)
 
 
 @pytest.mark.parametrize("dim,counts,widths,rows", [
@@ -1337,6 +1336,47 @@ def test_divergence_names_auxiliary_element(x, y_slab, elem, region):
         f" 0.25 s, in element {elem} ({region})")
 
 
+# Per grid: per field (Q, then the auxiliary fields of x, y[, z]) the
+# element of the field that takes the value, and the grid's element and
+# region the message names.  The serial 4x4 grid has one damped element
+# per layer end, the grouped 12^3 grid (2-row slabs in pairs) three; its
+# values lie in the grid's last slab.
+_CHECKED = {
+    "serial": [("Q", (2, 1), (2, 1), "interior"),
+               ("auxiliary field of axis x", (1, 2), (3, 2), "layer"),
+               ("auxiliary field of axis y", (0, 1), (0, 3), "corner")],
+    "grouped": [("Q", (11, 5, 6), (11, 5, 6), "layer"),
+                ("auxiliary field of axis x", (4, 5, 6), (10, 5, 6), "layer"),
+                ("auxiliary field of axis y", (11, 5, 0), (11, 11, 0),
+                 "corner"),
+                ("auxiliary field of axis z", (10, 4, 4), (10, 4, 10),
+                 "corner")]}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("grid", list(_CHECKED))
+def test_step_check_names_each_non_finite_field(monkeypatch, grid, value):
+    # the finiteness check alone, the sweep doing nothing: one NaN, +inf
+    # or -inf in the last component and node of one element of one field
+    # raises, naming that field and element
+    if grid == "grouped":
+        disc = _grouped_disc(monkeypatch)
+    else:
+        disc = make_disc(counts=(4, 4), degree=1, widths=_every_axis(2))
+    monkeypatch.setattr(solver, "_sweep", lambda *args, **kwargs: None)
+    ws = solver.Workspace(disc)
+    for pos, (name, at, elem, region) in enumerate(_CHECKED[grid]):
+        st = solver.setup_state(disc)
+        field = (st.Q, *st.w)[pos]
+        field[(-1,) + at + (-1,) * disc.mesh.dim] = value
+        with pytest.raises(DivergenceDetected) as err:
+            solver.ader_step(st, 1e-3, (), ws)
+        assert str(err.value) == (
+            f"non-finite {name} in the step from t = 0 to 0.001 s,"
+            f" in element {elem} ({region})")
+
+
 @pytest.mark.parametrize("theta", [0.0])
 def test_layered_strip_has_no_growing_mode(theta):
     # power iteration on the step map of the strip cut to 12x2 elements
@@ -1363,6 +1403,34 @@ def test_layered_strip_has_no_growing_mode(theta):
             field /= norm
         rates.append(np.log(norm) / chunk)
     assert max(rates[1:]) <= 1e-3, rates
+
+
+@pytest.mark.parametrize("theta,d", [pytest.param(1.0, 0.0, id="undamped")])
+def test_constant_layer_has_no_growing_mode(theta, d):
+    # the dense operator of a 4x2 grid at degree 5 whose one layer damps
+    # every element at the same d, absorbing on every face, built from
+    # _rhs on unit columns (N = 2592; rows here, the same eigenvalues).
+    # At d = 0 its Q block is the undamped upwind scheme, whose discrete
+    # energy does not grow, and w decays at alpha without feeding Q.  The
+    # damped case (theta 1, d 16.58/s) grows at +0.16/s (ROADMAP item 1)
+    rock = material_from_speeds(2700.0, 6000.0, 3464.0)
+    mesh = build_mesh((0.0, 0.0), (20e3, 10e3), (4, 2), (rock,))
+    ops = build_operators(5, "GLL")
+    tab = AxisDamping("x", 0, 4, 0, np.full((4, ops.n_nodes), d), d, 0.15)
+    disc = solver.discretize(mesh, ops, theta, [tab])
+    q, (w,) = solver._field_shapes(disc)
+    nq = int(np.prod(q))
+    size = nq + int(np.prod(w))
+    assert size == 2592
+    unit, rows = np.zeros(size), np.empty((size, size))
+    ws = solver.Workspace(disc)
+    for j in range(size):
+        unit[j] = 1.0
+        solver._rhs(unit[:nq].reshape(q), (unit[nq:].reshape(w),), disc,
+                    (rows[j, :nq].reshape(q), (rows[j, nq:].reshape(w),)),
+                    ws, 1.0)
+        unit[j] = 0.0
+    assert np.linalg.eigvals(rows).real.max() <= 1e-8
 
 
 def test_plane_strain_embedding_matches_2d():
