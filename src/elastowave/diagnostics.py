@@ -30,11 +30,11 @@ def discrete_energy(state):
     The isotropic compliance form is written out, per element:
     sigma : C^-1 sigma = (sum_i s_ii^2 - lam tr^2 / (dim lam + 2 mu)) / (2 mu)
     + sum of the shear s_ij^2 / mu, with tr the sum of the normal
-    stresses.  The quadrature sums of each component's square are taken
-    per element straight from Q and weighted by the element's material,
-    over one slab of element rows at a time, the step's slabs
-    (solver._slab_bounds): no temporary is larger than a slab's share of
-    a row of Q.  The element densities are summed once over the grid."""
+    stresses.  One contraction of the whole state gives each component's
+    quadrature sum of squares per element, and tr^2 is the normal
+    stresses' own squares plus twice their pairwise products, one
+    contraction per pair: no temporary is larger than a few values per
+    element, and no node-sized trace is formed."""
     disc = state.disc
     mesh, weights = disc.mesh, disc.ops.rule.weights
     dim = mesh.dim
@@ -42,21 +42,16 @@ def discrete_energy(state):
     for _ in range(dim - 1):
         wgt = np.multiply.outer(wgt, weights)
     wgt = wgt.ravel()
+    q = state.Q.reshape(len(state.Q), -1, wgt.size)
+    sq = np.einsum("cen,cen,n->ce", q, q, wgt)
+    normal = q[dim:2 * dim]
+    sq_tr = sq[dim:2 * dim].sum(0) + 2 * sum(
+        np.einsum("en,en,n->e", a, b, wgt)
+        for i, a in enumerate(normal) for b in normal[i + 1:])
     grid = mesh.counts + (1,) * dim     # the tables are compact
-    tables = [np.broadcast_to(a, grid)
-              for a in (disc.rho_e, disc.lam_e, disc.mu_e)]
-    dens = np.empty(mesh.material_ids.size)
-    per = dens.size // mesh.counts[0]   # elements per row
-    bounds = _slab_bounds(disc)
-    trace = np.empty((_tallest(bounds) * per, wgt.size))
-    for start, stop in zip(bounds, bounds[1:]):
-        q = state.Q[:, start:stop].reshape(len(state.Q), -1, wgt.size)
-        sq = np.einsum("cen,cen,n->ce", q, q, wgt)
-        tr = np.sum(q[dim:2 * dim], axis=0, out=trace[:len(q[0])])
-        sq_tr = np.einsum("en,en,n->e", tr, tr, wgt)
-        rho, lam, mu = (a[start:stop].ravel() for a in tables)
-        dens[start * per:stop * per] = (
-            rho * sq[:dim].sum(0)
+    rho, lam, mu = (np.broadcast_to(a, grid).ravel()
+                    for a in (disc.rho_e, disc.lam_e, disc.mu_e))
+    dens = (rho * sq[:dim].sum(0)
             + (sq[dim:2 * dim].sum(0) - lam / (dim * lam + 2 * mu) * sq_tr)
             / (2 * mu)
             + sq[2 * dim:].sum(0) / mu)
@@ -65,50 +60,33 @@ def discrete_energy(state):
 
 def linf_series(state):
     """Max over nodes of the velocity vector magnitude, over one slab of
-    element rows at a time, the step's slabs (solver._slab_bounds).  The
-    squares of a slab are summed row by row into one buffer, in the
-    order of a sum over the component axis, and only their maximum is
-    rooted: sqrt is monotone and correctly rounded, so this is the max
-    of the magnitudes.  A slab whose squares overflow while its values
-    are finite is summed again from its values divided by their largest
-    magnitude, and the root of that maximum scaled back, so a finite
-    state reads a finite L-inf up to a magnitude of about 1.8e308."""
+    element rows at a time, the step's slabs (solver._slab_bounds).  One
+    contraction sums a slab's squares over the components into one
+    buffer, in the order of a sum over the component axis, and only
+    their maximum is rooted: sqrt is monotone and correctly rounded, so
+    this is the max of the magnitudes.  A slab whose squares overflow
+    while its values are finite is summed again from its values divided
+    by their largest magnitude, and the root of that maximum scaled
+    back, so a finite state reads a finite L-inf up to a magnitude of
+    about 1.8e308."""
     v = state.Q[: state.disc.mesh.dim]
     bounds = _slab_bounds(state.disc)
-    pair = np.empty((2, _tallest(bounds)) + v.shape[2:])
+    rows = max(b - a for a, b in zip(bounds, bounds[1:]))
+    buf = np.empty((rows,) + v.shape[2:])
     top = 0.0
     for start, stop in zip(bounds, bounds[1:]):
-        part = v[:, start:stop]
-        sq, row = pair[:, :stop - start]
+        part, sq = v[:, start:stop], buf[:stop - start]
         scale = 1.0
         with np.errstate(over="ignore"):
-            _sum_squares(part, sq, row)
-            peak = sq.max()
+            peak = np.einsum("c...,c...->...", part, part, out=sq).max()
             if peak == np.inf:
-                scale = max(np.abs(vi, out=row).max() for vi in part)
+                scale = np.abs(part).max()
                 if scale < np.inf:
-                    _sum_squares(part, sq, row, scale)
-                    peak = sq.max()
+                    part = part / scale
+                    peak = np.einsum("c...,c...->...", part, part,
+                                     out=sq).max()
             top = np.maximum(top, np.sqrt(peak) * scale)    # NaN stays
     return float(top)
-
-
-def _tallest(bounds):
-    """The rows of the tallest slab between bounds."""
-    return max(b - a for a, b in zip(bounds, bounds[1:]))
-
-
-def _sum_squares(v, sq, row, scale=None):
-    """sum_i (v_i / scale)^2 over the first axis of v into sq, in the
-    order of a sum over that axis, row the scratch of one term; without
-    scale the plain squares."""
-    for i, vi in enumerate(v):
-        term = row if i else sq
-        if scale is not None:
-            vi = np.divide(vi, scale, out=term)
-        np.square(vi, out=term)
-        if i:
-            sq += term
 
 
 def check_levels(spacings, errors=None):

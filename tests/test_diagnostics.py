@@ -100,8 +100,10 @@ def _reductions(st):
 
 
 def test_reductions_slab_count_bitwise(monkeypatch):
-    # the slab-by-slab sums give the bits of one pass over the grid, on
-    # four materials drawn per element and in one to eight slabs
+    # the L-inf's slab-by-slab sums give the bits of one pass over the
+    # grid, and the energy, which reads the whole state, does not move
+    # with the slabs: on four materials drawn per element, in one to eight
+    # slabs
     disc = test_solver.make_disc(dim=3, counts=(8, 3, 4), degree=3,
                                  layered="mixed")
     st = random_state(disc, seed=3)
@@ -114,18 +116,67 @@ def test_reductions_slab_count_bitwise(monkeypatch):
 
 
 def test_reductions_allocate_one_slab_at_a_time(monkeypatch):
-    # in four slabs of two element rows, the energy holds the trace of one
-    # slab and its per-element sums (1.42 slab shares of a row of Q), the
-    # L-inf the squares and one term of one slab (2.04); over the whole
-    # grid at once they held 4.97 and 8.02
+    # in four slabs of two element rows, the energy holds a few values per
+    # element and no node-sized temporary (0.97 slab shares of a row of
+    # Q), the L-inf the squares of one slab (1.05); with the trace of one
+    # slab and one term of the squares they held 1.42 and 2.04, over the
+    # whole grid at once 4.97 and 8.02
     disc = test_solver.make_disc(dim=3, counts=(8, 8, 8), degree=3,
                                  layered="mixed")
     _slab_rows(monkeypatch, disc, 2)
     assert len(solver._slab_bounds(disc)) == 5
     st = random_state(disc)
     share = st.Q[0].size / st.Q.size / 4     # in states, as _peak_states
-    assert _peak_states(lambda: dg.discrete_energy(st), st) < 1.5 * share
-    assert _peak_states(lambda: dg.linf_series(st), st) < 2.1 * share
+    assert _peak_states(lambda: dg.discrete_energy(st), st) < 1.0 * share
+    assert _peak_states(lambda: dg.linf_series(st), st) < 1.1 * share
+
+
+def _slab_walk_energy(state):
+    """discrete_energy as it summed one slab of element rows at a time,
+    with a node-sized trace per slab: the reference of the contraction
+    over the whole state."""
+    disc = state.disc
+    mesh, weights = disc.mesh, disc.ops.rule.weights
+    dim = mesh.dim
+    wgt = weights
+    for _ in range(dim - 1):
+        wgt = np.multiply.outer(wgt, weights)
+    wgt = wgt.ravel()
+    grid = mesh.counts + (1,) * dim
+    tables = [np.broadcast_to(a, grid)
+              for a in (disc.rho_e, disc.lam_e, disc.mu_e)]
+    dens = np.empty(mesh.material_ids.size)
+    per = dens.size // mesh.counts[0]
+    bounds = solver._slab_bounds(disc)
+    tallest = max(b - a for a, b in zip(bounds, bounds[1:]))
+    trace = np.empty((tallest * per, wgt.size))
+    for start, stop in zip(bounds, bounds[1:]):
+        q = state.Q[:, start:stop].reshape(len(state.Q), -1, wgt.size)
+        sq = np.einsum("cen,cen,n->ce", q, q, wgt)
+        tr = np.sum(q[dim:2 * dim], axis=0, out=trace[:len(q[0])])
+        sq_tr = np.einsum("en,en,n->e", tr, tr, wgt)
+        rho, lam, mu = (a[start:stop].ravel() for a in tables)
+        dens[start * per:stop * per] = (
+            rho * sq[:dim].sum(0)
+            + (sq[dim:2 * dim].sum(0) - lam / (dim * lam + 2 * mu) * sq_tr)
+            / (2 * mu)
+            + sq[2 * dim:].sum(0) / mu)
+    return mesh.jacobian * 0.5 * float(dens.sum())
+
+
+@pytest.mark.parametrize("dim,counts", [(2, (8, 5)), (3, (8, 3, 4))])
+def test_energy_equals_the_slab_walk(monkeypatch, dim, counts):
+    # tr^2 from the normal stresses' squares and pairwise products gives
+    # the energy of the trace summed per slab, to rounding, on four
+    # materials drawn per element and in one to eight slabs
+    disc = test_solver.make_disc(dim=dim, counts=counts, degree=3,
+                                 layered="mixed")
+    for seed, rows in enumerate((8, 4, 3, 2, 1)):
+        _slab_rows(monkeypatch, disc, rows)
+        assert len(solver._slab_bounds(disc)) == 1 + -(-8 // rows)
+        st = random_state(disc, seed=seed)
+        assert dg.discrete_energy(st).E == pytest.approx(
+            _slab_walk_energy(st), rel=1e-14, abs=0.0)
 
 
 def test_linf_of_a_finite_state_is_finite(monkeypatch):
@@ -187,6 +238,16 @@ def test_plane_wave_rejects_a_direction_of_no_length(n):
     m = material_from_speeds(2700.0, 6.0, 3.464)
     with pytest.raises(ValueError, match="must be finite and nonzero"):
         dg.plane_wave_polarization(dg.PlaneWaveSpec(n=n), m, 2)
+
+
+@pytest.mark.parametrize("spec, cause", [
+    (dg.PlaneWaveSpec(n=(1.0, 0.0, 0.0)), "direction must have 2 components"),
+    (dg.PlaneWaveSpec(n=(1.0, 0.0), mode="X"), "unknown mode 'X'"),
+], ids=["direction-length", "mode"])
+def test_plane_wave_rejects_a_bad_spec(spec, cause):
+    m = material_from_speeds(2700.0, 6.0, 3.464)
+    with pytest.raises(ValueError, match=f"^{cause}$"):
+        dg.plane_wave_polarization(spec, m, 2)
 
 
 def test_plane_wave_px_structure():
@@ -311,6 +372,16 @@ def test_pml_error_identical_runs_and_guards():
     c.snap_times = [0.0, 0.3, 0.5]
     with pytest.raises(GeometryInsufficient):
         dg.pml_error(a, c)
+    c = fake_run((4, 4), (8.0, 8.0), interior, seed=1)
+    c.disc = solver.discretize(c.disc.mesh, build_operators(3, "GLL"))
+    with pytest.raises(GeometryInsufficient, match="different element deg"):
+        dg.pml_error(a, c)
+    finer = fake_run((8, 8), (8.0, 8.0), interior, seed=1)
+    with pytest.raises(GeometryInsufficient, match="different element siz"):
+        dg.pml_error(a, finer)
+    shifted = fake_run((4, 4), (8.0, 8.0), interior, seed=1, mins=(0.5, 0.0))
+    with pytest.raises(GeometryInsufficient, match="not element-aligned"):
+        dg.pml_error(a, shifted)
 
 
 def test_pml_error_causality_guard():

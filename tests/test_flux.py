@@ -42,6 +42,11 @@ def test_gamma_guard():
         fl.hat_boundary(0.0, 0.0, 1.0, 1.5, +1)
 
 
+def test_side_guard():
+    with pytest.raises(ValueError, match=r"^side must be -1 or \+1, got 0$"):
+        fl.hat_boundary(0.3, -2.0, 4.0, 0.0, 0)
+
+
 @pytest.mark.parametrize("gamma", [np.nan, [0.5, np.nan]])
 def test_gamma_guard_rejects_nan(gamma):
     with pytest.raises(InvalidReflectionCoefficient):

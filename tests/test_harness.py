@@ -30,6 +30,7 @@ from elastowave.harness import presets as ps
 from elastowave.harness.config import OutputSpec, finalize, parse_config
 from elastowave.mesh import build_mesh
 from elastowave.operators import build_operators
+from elastowave.physics import material_from_lame
 from elastowave.pml import build_damping, interior_box
 
 KM = 1000.0
@@ -157,6 +158,16 @@ def test_parse_strip_text():
     assert cfg.notes == ()  # everything was given explicitly
 
 
+SPEEDS = "cp = 6 km/s\ncs = 3.464 km/s\n"
+
+
+def test_parse_lame_material():
+    cfg = parse_config(STRIP_TEXT.replace(SPEEDS,
+                                          "lam = 32.4 GPa\nmu = 32.4 GPa\n"))
+    assert cfg.materials == (material_from_lame(2700.0, 32.4e9, 32.4e9),)
+    assert cfg.materials[0].cp == pytest.approx(6000.0, rel=1e-15)
+
+
 def test_parsed_text_matches_preset():
     # the text above and the canned strip configuration agree
     cfg = parse_config(STRIP_TEXT)
@@ -259,6 +270,15 @@ def test_parse_error_key_before_section():
 def test_parse_error_missing_equals():
     with pytest.raises(ParseError, match="line 2.*key = value"):
         parse_config("[mesh]\ndimension\n")
+
+
+@pytest.mark.parametrize("old, new, cause", [
+    ("[mesh]", "[mesh!]", "line 2: bad section name 'mesh!'"),
+    ("degree = 5", "degree =", "line 9: empty key or value"),
+], ids=["section-name", "empty-value"])
+def test_parse_error_in_a_line(old, new, cause):
+    with pytest.raises(ParseError, match=f"^{re.escape(cause)}$"):
+        parse_config(STRIP_TEXT.replace(old, new))
 
 
 def test_parse_error_non_numeric():
@@ -524,9 +544,14 @@ def test_default_notes_recorded():
     cfg = parse_config(text)
     assert any("cfl defaulted to 0.9" in n for n in cfg.notes)
     assert any("alpha defaulted to 0.15" in n for n in cfg.notes)
-    text3d = text.replace("alpha", "")  # still no alpha; note text is 2D
+    # in 3D the default follows from the layer's width
+    text3d = (text.replace("dimension = 2", "dimension = 3")
+              .replace("ymax = 10 km\n", "ymax = 10 km\nzmin = 0\n"
+                       "zmax = 10 km\n")
+              .replace("y = 5 km\n", "y = 5 km\nz = 5 km\n"))
     cfg = parse_config(text3d)
     assert cfg.pml.alpha is None
+    assert "pml alpha defaulted to cp/(10*layer width)" in cfg.notes
 
 
 def _without_section(text, name):
@@ -553,8 +578,19 @@ def _without_section(text, name):
      "source s: stf must be gaussian or ramp, got 'boxcar'"),
     (STRIP_TEXT.replace("type = velocity-gaussian", "type = spike"),
      "initial type must be velocity-gaussian or plane-wave, got 'spike'"),
+    (STRIP_TEXT.replace("cs = 3.464 km/s\n", ""),
+     "[material]: needs both cp and cs"),
+    (STRIP_TEXT.replace(SPEEDS, "lam = 32.4 GPa\n"),
+     "[material]: needs both lam and mu"),
+    (STRIP_TEXT.replace(SPEEDS, ""), "[material]: needs cp/cs or lam/mu"),
+    (STRIP_TEXT.replace("cs = 3.464 km/s", "cs = 7 km/s"),
+     "[material]: need mu > 0 and lambda > -mu, got lambda=-167400000000.0,"
+     " mu=132300000000.0"),
+    (STRIP_TEXT + SOFT_TEXT + SOFT_TEXT.replace("soft", "softer"),
+     "only one secondary material region is supported"),
 ], ids=["dx", "degree", "tend", "time", "mesh", "material", "rho", "xmax",
-        "dimension", "material.b", "stf", "initial-type"])
+        "dimension", "material.b", "stf", "initial-type", "cp-alone",
+        "lam-alone", "no-moduli", "cs-above-cp", "two-secondary"])
 def test_each_cause_reported_once(text, cause):
     # each came with 1-3 follow-on findings, most about stand-in values
     with pytest.raises(ValidationError) as ei:
@@ -718,6 +754,35 @@ def _code_built_cases():
                              " 1.0"), replace(small, initial=1.0)
     yield "stf-list", ("stf must be gaussian or ramp, got ['gaussian']"), \
         replace(hws, sources=(replace(src, stf=["gaussian"]),))
+    yield "box-axes", "box has 3 axes for dimension 2", replace(
+        small, box=small.box + ((0.0, 5e4),))
+    yield "extent-empty", "y extent [50000.0, 0.0] is empty", replace(
+        small, box=(small.box[0], (5e4, 0.0)))
+    yield "no-materials", "no materials defined", replace(
+        small, materials=())
+    yield "region-none", ("secondary material defined without a region"
+                          " rule"), replace(loh, region=None)
+    yield "region-empty", "region threshold selects no elements", replace(
+        loh, region=("x", 0.0, 1))
+    yield "gamma-triple", "boundary x.lo: need 1 or 2 values", replace(
+        small, boundary=(("x", -1, (0.0, 0.0, 0.0)),) + small.boundary[1:])
+    yield "boundary-axis", "boundary face z not valid in 2D", replace(
+        small, boundary=small.boundary + (("z", -1, 0.0),))
+    yield "pml-axis", "pml axis z not valid in 2D", replace(
+        small, pml=replace(small.pml, widths=small.pml.widths + (
+            ("z", 1e4, 1e4),)))
+    yield "pml-no-interior", "pml layers on x leave no interior", replace(
+        small, pml=replace(small.pml, widths=(("x", 6e4, 6e4),)))
+    yield "plane-wave-zero", "initial plane-wave direction is zero", replace(
+        wave, initial=replace(wave.initial, params=_replace_param(
+            wave.initial.params, "n", (0.0, 0.0, 0.0))))
+    yield "plane-wave-mode", ("initial plane-wave mode must be P or S, got"
+                              " 'Q'"), replace(wave, initial=replace(
+        wave.initial, params=_replace_param(wave.initial.params, "mode",
+                                            "Q")))
+    yield "stf-params-flat", (f"source {src.sid}: stf_params[0] must be a"
+                              " (key, value) pair, got 'sigma'"), replace(
+        hws, sources=(replace(src, stf_params=("sigma",)),))
 
 
 @pytest.mark.parametrize("cause, cfg", [
@@ -750,7 +815,8 @@ def test_finalize_holds_code_built_configs_to_the_file_rules(cause, cfg):
     # receiver named "../escape" passed, and the run failed after its last
     # step, writing its seismogram.  No layer spec, text for the output spec, a
     # number for the initial condition and a list for a source's kind made
-    # validate raise AttributeError or TypeError
+    # validate raise AttributeError or TypeError.  The last twelve pin
+    # findings validate always made, which no other test reached
     with pytest.raises(ValidationError, match=re.escape(cause)):
         finalize(cfg)
 

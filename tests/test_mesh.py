@@ -65,6 +65,14 @@ def test_region_axis_must_be_a_mesh_axis(axis):
         msh.build_mesh(**spec2d(materials=(MAT, MAT), region=(axis, 5.0, 1)))
 
 
+@pytest.mark.parametrize("index", [2, -1])
+def test_region_index_must_name_a_material(index):
+    with pytest.raises(InvalidExtent,
+                       match=f"^region material id {index} out of range$"):
+        msh.build_mesh(**spec2d(materials=(MAT, MAT),
+                                region=("x", 5.0, index)))
+
+
 def test_region_needs_a_threshold():
     with pytest.raises(InvalidExtent, match="region_threshold"):
         msh.build_mesh(**spec2d(materials=(MAT, MAT),
@@ -74,6 +82,9 @@ def test_region_needs_a_threshold():
 def test_gamma_validation():
     with pytest.raises(InvalidReflectionCoefficient):
         msh.build_mesh(**spec2d(gamma={("x", -1): 1.5}))
+    with pytest.raises(InvalidReflectionCoefficient,
+                       match="need 1 or 2 reflection coefficients, got 3"):
+        msh.build_mesh(**spec2d(gamma={("x", -1): (0.5, 0.5, 0.5)}))
     m = msh.build_mesh(**spec2d(gamma={("y", -1): 1.0, ("x", 1): (1.0, -1.0)}))
     assert (m.gamma[("y", -1)] == 1.0).all()
     assert tuple(m.gamma[("x", 1)]) == (1.0, -1.0)
@@ -118,6 +129,8 @@ def test_locate_point_examples():
     assert elem == (1, 1) and ref == (1.0, 1.0)
     with pytest.raises(PointOutsideDomain):
         msh.locate_point(m, (10.1, 5.0))
+    with pytest.raises(PointOutsideDomain, match=r"is not 2-D$"):
+        msh.locate_point(m, (2.5, 2.5, 2.5))
     # within snapping tolerance
     elem, ref = msh.locate_point(m, (10.0 + 1e-9, 5.0))
     assert elem[0] == 1 and ref[0] == 1.0

@@ -1277,16 +1277,18 @@ def test_run_step_accounting():
 INF, NAN = float("inf"), float("nan")
 
 
-@pytest.mark.parametrize("t_end, dt, name", [
-    pytest.param(INF, 0.1, "t_end", id="t_end-inf"),
-    pytest.param(NAN, 0.1, "t_end", id="t_end-nan"),
+@pytest.mark.parametrize("t_end, dt, cause", [
+    pytest.param(INF, 0.1, "t_end must be", id="t_end-inf"),
+    pytest.param(NAN, 0.1, "t_end must be", id="t_end-nan"),
+    pytest.param(-1.0, 0.1, "t_end -1.0 before current time 0.0$",
+                 id="t_end-past"),
     # a NaN or infinite step returned the initial state without a word,
     # a negative one marched backwards until the fields blew up
-    pytest.param(1.0, NAN, "dt", id="dt-nan"),
-    pytest.param(1.0, -0.1, "dt", id="dt-negative"),
-    pytest.param(1.0, INF, "dt", id="dt-inf"),
+    pytest.param(1.0, NAN, "dt must be", id="dt-nan"),
+    pytest.param(1.0, -0.1, "dt must be", id="dt-negative"),
+    pytest.param(1.0, INF, "dt must be", id="dt-inf"),
 ])
-def test_run_rejects_bad_times(t_end, dt, name):
+def test_run_rejects_bad_times(t_end, dt, cause):
     disc = make_disc(counts=(2, 2), degree=1)
     st = solver.setup_state(disc)
     calls = []
@@ -1294,9 +1296,9 @@ def test_run_rejects_bad_times(t_end, dt, name):
     def bounded(state):
         calls.append(state.t)
         if len(calls) > 3:
-            raise RuntimeError(f"run kept stepping with a bad {name}")
+            raise RuntimeError("run kept stepping with a bad time")
 
-    with pytest.raises(ValueError, match=f"^{name} must be"):
+    with pytest.raises(ValueError, match=f"^{cause}"):
         solver.run(st, t_end, dt, callbacks=[bounded])
 
 
